@@ -97,10 +97,8 @@ int main() {
       double Nops = 0, Overhead = 0, Survivors = 0;
       const unsigned Seeds = 3;
       for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
-        diversity::InsertionStats S;
         driver::Variant V = driver::makeVariant(M.P, Opts, Seed);
-        S = V.Stats;
-        Nops += static_cast<double>(S.NopsInserted);
+        Nops += static_cast<double>(V.Pipeline.Nop.NopsInserted);
         Overhead +=
             driver::execute(V.MIR, W.RefInput).cycles() / BaseCycles - 1.0;
         Survivors += static_cast<double>(
@@ -126,11 +124,11 @@ int main() {
     DiversityOptions WithXchg = DiversityOptions::uniform(0.30);
     WithXchg.IncludeXchgNops = true;
     double PlainOv =
-        driver::execute(diversity::makeVariant(M.P.MIR, Plain, 1), W.RefInput)
+        driver::execute(driver::makeVariant(M.P, Plain, 1).MIR, W.RefInput)
             .cycles() /
         BaseCycles * 100.0 - 100.0;
     double XchgOv =
-        driver::execute(diversity::makeVariant(M.P.MIR, WithXchg, 1),
+        driver::execute(driver::makeVariant(M.P, WithXchg, 1).MIR,
                         W.RefInput)
             .cycles() /
         BaseCycles * 100.0 - 100.0;

@@ -68,8 +68,8 @@ int main() {
     for (size_t CI = 0; CI != Configs.size(); ++CI) {
       std::vector<double> Overheads;
       for (uint64_t Seed = 1; Seed <= NumVariants; ++Seed) {
-        mir::MModule V =
-            diversity::makeVariant(P.MIR, Configs[CI].Opts, Seed);
+        mir::MModule V = P.MIR;
+        diversity::Pipeline().run(V, Configs[CI].Opts, Seed);
         mexec::RunResult R = driver::execute(V, W.RefInput);
         if (R.Trapped || R.Checksum != Base.Checksum) {
           std::fprintf(stderr, "%s: variant diverged!\n", W.Name.c_str());

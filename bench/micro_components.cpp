@@ -108,9 +108,11 @@ static void BM_NopInsertionPass(benchmark::State &State) {
   const driver::Program &P = milcProgram();
   auto Opts = diversity::DiversityOptions::profiled(
       diversity::ProbabilityModel::Log, 0.0, 0.3);
+  const diversity::Pipeline Nop;
   uint64_t Seed = 0;
   for (auto _ : State) {
-    mir::MModule V = diversity::makeVariant(P.MIR, Opts, ++Seed);
+    mir::MModule V = P.MIR;
+    Nop.run(V, Opts, ++Seed);
     benchmark::DoNotOptimize(V.Functions.size());
   }
 }

@@ -27,6 +27,7 @@
 
 #include <cstdio>
 #include <set>
+#include <string>
 
 using namespace pgsd;
 
@@ -79,13 +80,13 @@ int main() {
 
   for (double Prob : {0.05, 0.10, 0.30, 0.50, 0.70, 0.90}) {
     auto Opts = diversity::DiversityOptions::uniform(Prob);
-    std::set<std::vector<uint8_t>> Distinct;
+    std::set<std::string> Distinct;
     std::vector<std::set<uint64_t>> Populations;
     double Slowdown = 0;
     for (uint64_t Seed = 1; Seed <= PopulationSize; ++Seed) {
       driver::Variant V = driver::makeVariant(P, Opts, Seed);
       Populations.push_back(gadgetIdentities(V.Image.Text));
-      Distinct.insert(std::move(V.Image.Text));
+      Distinct.emplace(V.Image.Text.begin(), V.Image.Text.end());
       Slowdown +=
           driver::execute(V.MIR, W.TrainInput).cycles() / BaseCycles - 1.0;
     }

@@ -110,8 +110,8 @@ int main() {
     std::printf("%-22s nops=%llu (%.1f%% of sites)  slowdown=%+.2f%%  "
                 "surviving gadgets=%zu/%zu\n",
                 C.Name,
-                static_cast<unsigned long long>(V.Stats.NopsInserted),
-                100.0 * V.Stats.insertionRate(), Slowdown,
+                static_cast<unsigned long long>(V.Pipeline.Nop.NopsInserted),
+                100.0 * V.Pipeline.Nop.insertionRate(), Slowdown,
                 Survivors.size(), BaseGadgets.size());
   }
   return 0;

@@ -18,24 +18,21 @@ using namespace pgsd;
 using namespace pgsd::diversity;
 using namespace pgsd::mir;
 
-DiversityOptions DiversityOptions::uniform(double P, uint64_t Seed) {
+DiversityOptions DiversityOptions::uniform(double P) {
   DiversityOptions Opts;
   Opts.Model = ProbabilityModel::Uniform;
   Opts.PMin = P;
   Opts.PMax = P;
-  Opts.Seed = Seed;
   return Opts;
 }
 
 DiversityOptions DiversityOptions::profiled(ProbabilityModel Model,
-                                            double PMin, double PMax,
-                                            uint64_t Seed) {
+                                            double PMin, double PMax) {
   assert(Model != ProbabilityModel::Uniform && "use uniform()");
   DiversityOptions Opts;
   Opts.Model = Model;
   Opts.PMin = PMin;
   Opts.PMax = PMax;
-  Opts.Seed = Seed;
   return Opts;
 }
 
@@ -72,12 +69,6 @@ double diversity::nopProbability(uint64_t Count, uint64_t MaxCount,
   }
   }
   return Opts.PMax;
-}
-
-InsertionStats diversity::insertNops(MModule &M,
-                                     const DiversityOptions &Opts) {
-  Rng Generator(Opts.Seed);
-  return insertNops(M, Opts, Generator);
 }
 
 InsertionStats diversity::insertNops(MModule &M,
@@ -145,13 +136,6 @@ InsertionStats diversity::insertNops(MModule &M,
   return Stats;
 }
 
-BlockShiftStats diversity::insertBlockShift(MModule &M, uint64_t Seed,
-                                            unsigned MaxPadding,
-                                            bool IncludeXchgNops) {
-  Rng Generator(Seed);
-  return insertBlockShift(M, Generator, MaxPadding, IncludeXchgNops);
-}
-
 BlockShiftStats diversity::insertBlockShift(MModule &M, Rng &Generator,
                                             unsigned MaxPadding,
                                             bool IncludeXchgNops) {
@@ -202,14 +186,4 @@ BlockShiftStats diversity::insertBlockShift(MModule &M, Rng &Generator,
   assert(analysis::checkEflags(M).ok() &&
          "block shifting broke a flag def-use chain");
   return Stats;
-}
-
-MModule diversity::makeVariant(const MModule &M, DiversityOptions Opts,
-                               uint64_t Seed, InsertionStats *Stats) {
-  MModule Variant = M; // deep copy, profile counts included
-  Opts.Seed = Seed;
-  InsertionStats S = insertNops(Variant, Opts);
-  if (Stats)
-    *Stats = S;
-  return Variant;
 }

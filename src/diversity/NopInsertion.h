@@ -55,12 +55,11 @@ struct DiversityOptions {
   double PMin = 0.0; ///< Probability for the hottest block.
   double PMax = 0.5; ///< Probability for the coldest block.
   bool IncludeXchgNops = false; ///< Enable the bus-locking XCHG pair.
-  uint64_t Seed = 0;            ///< Variant seed.
 
   /// Named presets matching the paper's Figure 4 configurations.
-  static DiversityOptions uniform(double P, uint64_t Seed = 0);
+  static DiversityOptions uniform(double P);
   static DiversityOptions profiled(ProbabilityModel Model, double PMin,
-                                   double PMax, uint64_t Seed = 0);
+                                   double PMax);
 
   /// Short label like "pNOP=50%" or "pNOP=10-50%" for reports.
   std::string label() const;
@@ -91,25 +90,16 @@ struct InsertionStats {
 double nopProbability(uint64_t Count, uint64_t MaxCount,
                       const DiversityOptions &Opts);
 
-/// Runs Algorithm 1 over every instruction of \p M in place.
+/// Runs Algorithm 1 over every instruction of \p M in place, drawing
+/// randomness from the caller-owned \p Generator.
 ///
 /// Profile-guided models read MBasicBlock::ProfileCount (stamped by
 /// profile::applyCounts); with an all-zero profile every block receives
 /// PMax, which matches the paper's observation that unprofiled code is
-/// free to diversify maximally.
-InsertionStats insertNops(mir::MModule &M, const DiversityOptions &Opts);
-
-/// Same pass, but drawing randomness from a caller-owned \p Generator
-/// instead of constructing one from Opts.Seed. Batch workers hand each
-/// variant a stream derived via Rng::split so per-variant streams are
-/// pure functions of their seeds and can never collide through
-/// re-seeding (Opts.Seed is ignored by this overload).
+/// free to diversify maximally. Diversified builds reach this through
+/// diversity::Pipeline, which seeds the stream (see Transform.h).
 InsertionStats insertNops(mir::MModule &M, const DiversityOptions &Opts,
                           Rng &Generator);
-
-/// Convenience: returns a diversified copy of \p M without mutating it.
-mir::MModule makeVariant(const mir::MModule &M, DiversityOptions Opts,
-                         uint64_t Seed, InsertionStats *Stats = nullptr);
 
 /// Counters reported by the block-shifting pass.
 struct BlockShiftStats {
@@ -128,12 +118,8 @@ struct BlockShiftStats {
 /// displacing every later instruction of the function by a random
 /// amount at a cost of one executed jump per call. Run it before
 /// insertNops so the (cold) pad block also receives NOP diversity.
-BlockShiftStats insertBlockShift(mir::MModule &M, uint64_t Seed,
-                                 unsigned MaxPadding = 12,
-                                 bool IncludeXchgNops = false);
-
-/// Overload drawing randomness from a caller-owned \p Generator (see the
-/// insertNops overload for why batch workers need this).
+/// Randomness comes from the caller-owned \p Generator, as for
+/// insertNops.
 BlockShiftStats insertBlockShift(mir::MModule &M, Rng &Generator,
                                  unsigned MaxPadding = 12,
                                  bool IncludeXchgNops = false);

@@ -181,9 +181,9 @@ PipelineStats Pipeline::run(mir::MModule &M, const DiversityOptions &Opts,
   assert(!Kinds.empty() && "empty pipeline");
   PipelineStats Stats;
   // Historical single-transform streams reproduce byte-for-byte: {nop}
-  // is diversity::makeVariant's Rng(Seed), {shift} is the historical
-  // call sites' Rng(Seed ^ 0xb10c). Everything else -- multi-transform
-  // lists and the history-free sched/regs singletons -- draws the
+  // draws Rng(Seed), {shift} draws Rng(Seed ^ 0xb10c). Everything else
+  // -- multi-transform lists and the history-free sched/regs
+  // singletons -- draws the
   // kind-keyed sub-stream Rng(Seed).split(1 + K), so a transform's
   // stream does not depend on what else is in the list.
   if (Kinds.size() == 1 && Kinds[0] == TransformKind::Nop) {

@@ -13,9 +13,9 @@
 /// Seed-stream contract (pinned by the entropy regression tests):
 ///
 ///  * A single-transform pipeline consumes the historical stream of that
-///    transform byte-for-byte: {nop} draws from Rng(Seed) exactly like
-///    diversity::makeVariant always has, and {shift} draws from
-///    Rng(Seed ^ 0xb10c) exactly like the historical call sites. Legacy
+///    transform byte-for-byte: {nop} draws from Rng(Seed) and {shift}
+///    from Rng(Seed ^ 0xb10c), the streams NOP insertion and block
+///    shifting were seeded with before the pipeline existed. Historical
 ///    seed walks therefore reproduce under the pipeline.
 ///  * Every other case -- multi-transform lists and the history-free
 ///    {sched}/{regs} singletons -- gives the transform of kind K the

@@ -94,7 +94,6 @@ Variant driver::makeVariant(const Program &P,
     obs::Span S("pipeline.diversify");
     V.MIR = P.MIR;
     V.Pipeline = Pipe.run(V.MIR, Opts, Seed);
-    V.Stats = V.Pipeline.Nop;
   }
   {
     obs::Span S("pipeline.emit");
@@ -107,8 +106,6 @@ Variant driver::makeVariant(const Program &P,
                             const diversity::DiversityOptions &Opts,
                             uint64_t Seed,
                             const codegen::LinkOptions &Link) {
-  // The default pipeline is {nop} drawing from Rng(Seed), which is
-  // diversity::makeVariant's historical stream byte-for-byte.
   return makeVariant(P, diversity::Pipeline(), Opts, Seed, Link);
 }
 
@@ -125,16 +122,6 @@ mexec::RunResult driver::execute(const mir::MModule &MIR,
   Opts.Input = Input;
   Opts.CollectOutput = CollectOutput;
   return mexec::runWith(E, MIR, Opts);
-}
-
-VerifiedVariant
-driver::makeVariantVerified(const Program &P,
-                            const diversity::DiversityOptions &Opts,
-                            uint64_t Seed,
-                            const verify::VerifyOptions &VOpts,
-                            const codegen::LinkOptions &Link) {
-  return makeVariantVerified(P, diversity::Pipeline(), Opts, Seed, VOpts,
-                             Link);
 }
 
 VerifiedVariant
@@ -222,7 +209,6 @@ driver::makeVariantVerified(const Program &P,
   Out.SeedUsed = Seed;
   Out.V.MIR = P.MIR;
   Out.V.Image = linkBaseline(P, Link);
-  Out.V.Stats = diversity::InsertionStats();
   Out.V.Pipeline = diversity::PipelineStats();
   Out.Report.add(verify::ErrorCode::RetriesExhausted,
                  "all " + std::to_string(Schedule.budget()) +

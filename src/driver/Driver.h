@@ -73,9 +73,6 @@ bool profileAndStamp(Program &P, const std::vector<int32_t> &TrainInput);
 struct Variant {
   mir::MModule MIR;
   codegen::Image Image;
-  /// NOP-insertion counters (the Nop slice of Pipeline, kept as a
-  /// separate field for the paper-era single-transform call sites).
-  diversity::InsertionStats Stats;
   /// Per-transform counters of the pipeline that produced this variant.
   diversity::PipelineStats Pipeline;
 };
@@ -116,28 +113,21 @@ struct VerifiedVariant {
   bool ok() const { return !UsedFallback; }
 };
 
-/// Produces a *verified* diversified variant of \p P: builds a variant,
-/// runs verify::verifyVariant on it, and on failure retries with seeds
-/// from verify::deriveRetrySeed (bounded by VOpts.MaxAttempts). When
-/// every attempt fails, degrades gracefully to the undiversified
-/// baseline image and reports ErrorCode::RetriesExhausted instead of
-/// aborting -- a deployment pipeline prefers an unprotected-but-correct
-/// binary plus a loud diagnostic over no binary at all.
-VerifiedVariant
-makeVariantVerified(const Program &P,
-                    const diversity::DiversityOptions &Opts, uint64_t Seed,
-                    const verify::VerifyOptions &VOpts =
-                        verify::VerifyOptions(),
-                    const codegen::LinkOptions &Link =
-                        codegen::LinkOptions());
-
-/// makeVariantVerified under transform pipeline \p Pipe. The verifier's
-/// NOP-only structural diff (VerifyOptions::CheckStructure) presumes the
-/// baseline's instruction sequence survives up to inserted NOPs and
-/// shift preludes; pipelines containing schedule randomization or
-/// register shuffling legitimately break that, so the check is disabled
-/// for them automatically (the equivalence prover and differential
-/// execution still run).
+/// Produces a *verified* diversified variant of \p P under transform
+/// pipeline \p Pipe: builds a variant, runs verify::verifyVariant on it,
+/// and on failure retries with seeds from verify::deriveRetrySeed
+/// (bounded by VOpts.MaxAttempts). When every attempt fails, degrades
+/// gracefully to the undiversified baseline image and reports
+/// ErrorCode::RetriesExhausted instead of aborting -- a deployment
+/// pipeline prefers an unprotected-but-correct binary plus a loud
+/// diagnostic over no binary at all.
+///
+/// The verifier's NOP-only structural diff
+/// (VerifyOptions::CheckStructure) presumes the baseline's instruction
+/// sequence survives up to inserted NOPs and shift preludes; pipelines
+/// containing schedule randomization or register shuffling legitimately
+/// break that, so the check is disabled for them automatically (the
+/// equivalence prover and differential execution still run).
 VerifiedVariant
 makeVariantVerified(const Program &P, const diversity::Pipeline &Pipe,
                     const diversity::DiversityOptions &Opts, uint64_t Seed,

@@ -29,7 +29,6 @@
 #include "x86/Nops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_map>
 
 using namespace pgsd;
@@ -88,11 +87,6 @@ enum : uint8_t {
 /// a longer instruction, which bounds how far one decode fact can read.
 constexpr size_t MaxInstrBytes = 15;
 
-/// Process-lifetime scan tallies backing the incremental-vs-full gauge
-/// (counters are write-only, so the fraction needs its own state).
-std::atomic<uint64_t> TotalFullScans{0};
-std::atomic<uint64_t> TotalIncrementalScans{0};
-
 /// Records one ImageScan (re)build in the telemetry registry.
 void noteScan(bool Incremental, size_t ImageSize, uint64_t Decoded) {
   if (!obs::enabled())
@@ -103,16 +97,6 @@ void noteScan(bool Incremental, size_t ImageSize, uint64_t Decoded) {
   obs::counterAdd("gadget.bytes_decoded", Decoded);
   if (Incremental)
     obs::counterAdd("gadget.dirty_bytes", Decoded);
-  uint64_t Incr, Full;
-  if (Incremental) {
-    Incr = TotalIncrementalScans.fetch_add(1, std::memory_order_relaxed) + 1;
-    Full = TotalFullScans.load(std::memory_order_relaxed);
-  } else {
-    Full = TotalFullScans.fetch_add(1, std::memory_order_relaxed) + 1;
-    Incr = TotalIncrementalScans.load(std::memory_order_relaxed);
-  }
-  obs::gaugeSet("gadget.incremental_fraction",
-                static_cast<double>(Incr) / static_cast<double>(Incr + Full));
 }
 
 /// Moves a table's clean-suffix entries [OldSize - SuffixBytes, OldSize)

@@ -80,9 +80,10 @@ std::string obs::jsonUInt(uint64_t Value) {
   return Buf;
 }
 
-std::string obs::jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
+namespace {
+
+/// Appends the JSON escape of \p S to \p Out.
+void appendEscaped(std::string &Out, std::string_view S) {
   for (unsigned char C : S) {
     switch (C) {
     case '"':
@@ -116,11 +117,26 @@ std::string obs::jsonEscape(std::string_view S) {
       }
     }
   }
+}
+
+} // namespace
+
+std::string obs::jsonEscape(std::string_view S) {
+  std::string Out;
+  Out.reserve(S.size());
+  appendEscaped(Out, S);
   return Out;
 }
 
 std::string obs::jsonString(std::string_view S) {
-  return "\"" + jsonEscape(S) + "\"";
+  // One reserved buffer: concatenating "\"" + jsonEscape(S) + "\"" trips
+  // a false -Wrestrict in GCC 12's inlined prepend at -O3.
+  std::string Out;
+  Out.reserve(S.size() + 2);
+  Out += '"';
+  appendEscaped(Out, S);
+  Out += '"';
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//

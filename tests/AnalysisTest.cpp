@@ -363,11 +363,13 @@ TEST(AnalysisCleanSweep, AllWorkloadsAndVariantsAnalyzeClean) {
           diversity::DiversityOptions::uniform(0.5);
       D.IncludeXchgNops = true;
       for (uint64_t Seed : {1u, 2u}) {
-        MModule V = diversity::makeVariant(P.MIR, D, Seed);
+        MModule V = P.MIR;
+        diversity::Pipeline().run(V, D, Seed);
         EXPECT_TRUE(analysis::analyzeModule(V).ok())
             << W.Name << " seed " << Seed << ":\n"
             << analysis::analyzeModule(V).str();
-        diversity::insertBlockShift(V, Seed ^ 0xb10c);
+        Rng Shift(Seed ^ 0xb10c);
+        diversity::insertBlockShift(V, Shift);
         EXPECT_TRUE(analysis::analyzeModule(V).ok())
             << W.Name << " shifted seed " << Seed << ":\n"
             << analysis::analyzeModule(V).str();
@@ -418,7 +420,8 @@ TEST(AnalysisFaultSweep, DiversifiedMutantsAreDetectedToo) {
       workloads::specWorkload("401.bzip2").Source, "401.bzip2", true);
   ASSERT_TRUE(P.ok());
   diversity::DiversityOptions D = diversity::DiversityOptions::uniform(0.4);
-  MModule V = diversity::makeVariant(P.MIR, D, 11);
+  MModule V = P.MIR;
+  diversity::Pipeline().run(V, D, 11);
   for (unsigned C = 0; C != analysis::NumMirFaultClasses; ++C) {
     MirFaultClass Class = static_cast<MirFaultClass>(C);
     MModule Mutant = V;
@@ -457,7 +460,8 @@ TEST(AnalysisDriver, StaticRejectionTriggersSeedRetry) {
   };
   diversity::DiversityOptions D = diversity::DiversityOptions::uniform(0.3);
   driver::VerifiedVariant VV =
-      driver::makeVariantVerified(P, D, BaseSeed, VOpts);
+      driver::makeVariantVerified(P, diversity::Pipeline(), D, BaseSeed,
+                                  VOpts);
   EXPECT_TRUE(VV.ok());
   EXPECT_EQ(VV.Attempts, 2u);
   EXPECT_TRUE(VV.Report.has(ErrorCode::StaticAnalysisRejected));
@@ -475,7 +479,7 @@ TEST(AnalysisDriver, ExhaustedStaticRejectionFallsBackToBaseline) {
   };
   diversity::DiversityOptions D = diversity::DiversityOptions::uniform(0.3);
   driver::VerifiedVariant VV =
-      driver::makeVariantVerified(P, D, 5, VOpts);
+      driver::makeVariantVerified(P, diversity::Pipeline(), D, 5, VOpts);
   EXPECT_FALSE(VV.ok());
   EXPECT_TRUE(VV.UsedFallback);
   EXPECT_EQ(VV.Attempts, 2u);

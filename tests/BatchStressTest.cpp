@@ -67,7 +67,7 @@ TEST_P(BatchStressTest, AllSeedsVerifyWithBoundedRetries) {
   for (const driver::VerifiedVariant &V : R.Variants) {
     EXPECT_FALSE(V.UsedFallback);
     EXPECT_LE(V.Attempts, B.Verify.MaxAttempts);
-    EXPECT_GT(V.V.Stats.NopsInserted, 0u);
+    EXPECT_GT(V.V.Pipeline.Nop.NopsInserted, 0u);
   }
 }
 

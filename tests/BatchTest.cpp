@@ -30,9 +30,11 @@ void expectIdentical(const driver::VerifiedVariant &A,
                      const driver::VerifiedVariant &B, size_t SeedIndex) {
   SCOPED_TRACE("seed index " + std::to_string(SeedIndex));
   EXPECT_EQ(A.V.Image.Text, B.V.Image.Text);
-  EXPECT_EQ(A.V.Stats.NopsInserted, B.V.Stats.NopsInserted);
-  EXPECT_EQ(A.V.Stats.CandidateSites, B.V.Stats.CandidateSites);
-  EXPECT_EQ(A.V.Stats.PerKind, B.V.Stats.PerKind);
+  const diversity::InsertionStats &SA = A.V.Pipeline.Nop;
+  const diversity::InsertionStats &SB = B.V.Pipeline.Nop;
+  EXPECT_EQ(SA.NopsInserted, SB.NopsInserted);
+  EXPECT_EQ(SA.CandidateSites, SB.CandidateSites);
+  EXPECT_EQ(SA.PerKind, SB.PerKind);
   EXPECT_EQ(A.SeedUsed, B.SeedUsed);
   EXPECT_EQ(A.Attempts, B.Attempts);
   EXPECT_EQ(A.UsedFallback, B.UsedFallback);

@@ -38,6 +38,12 @@ driver::Program sampleProgram() {
   return P;
 }
 
+/// Block-shifts \p M in place with the stream Rng(\p Seed).
+diversity::BlockShiftStats shiftWithSeed(mir::MModule &M, uint64_t Seed) {
+  Rng G(Seed);
+  return diversity::insertBlockShift(M, G);
+}
+
 } // namespace
 
 TEST(BlockShift, PreservesSemantics) {
@@ -45,8 +51,7 @@ TEST(BlockShift, PreservesSemantics) {
   mexec::RunResult Base = driver::execute(P.MIR, {}, true);
   for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
     mir::MModule Shifted = P.MIR;
-    diversity::BlockShiftStats Stats =
-        diversity::insertBlockShift(Shifted, Seed);
+    diversity::BlockShiftStats Stats = shiftWithSeed(Shifted, Seed);
     EXPECT_EQ(Stats.FunctionsShifted, P.MIR.Functions.size());
     EXPECT_GT(Stats.PaddingInstrs, 0u);
     EXPECT_EQ(mir::verify(Shifted), "");
@@ -63,7 +68,7 @@ TEST(BlockShift, NegligibleRuntimeCost) {
   driver::Program P = sampleProgram();
   double Base = driver::execute(P.MIR, {}).cycles();
   mir::MModule Shifted = P.MIR;
-  diversity::insertBlockShift(Shifted, 3, /*MaxPadding=*/12);
+  shiftWithSeed(Shifted, 3);
   double Cost = driver::execute(Shifted, {}).cycles();
   EXPECT_LT((Cost - Base) / Base, 0.01);
 }
@@ -76,8 +81,8 @@ TEST(BlockShift, DisplacesFunctionEntryCode) {
 
   mir::MModule A = P.MIR;
   mir::MModule B = P.MIR;
-  diversity::insertBlockShift(A, 1);
-  diversity::insertBlockShift(B, 2);
+  shiftWithSeed(A, 1);
+  shiftWithSeed(B, 2);
   codegen::Image ImgA = codegen::link(A);
   codegen::Image ImgB = codegen::link(B);
 
@@ -104,11 +109,11 @@ TEST(BlockShift, ComposesWithNopInsertion) {
       gadget::scanGadgets(BaseImg.Text.data(), BaseImg.Text.size());
 
   mir::MModule V = P.MIR;
-  diversity::insertBlockShift(V, 7);
+  shiftWithSeed(V, 7);
   auto Opts = diversity::DiversityOptions::profiled(
       diversity::ProbabilityModel::Log, 0.0, 0.3);
-  Opts.Seed = 7;
-  diversity::insertNops(V, Opts);
+  Rng G(7);
+  diversity::insertNops(V, Opts, G);
   EXPECT_EQ(mir::verify(V), "");
 
   mexec::RunResult R = driver::execute(V, {}, true);
@@ -123,9 +128,9 @@ TEST(BlockShift, ComposesWithNopInsertion) {
 TEST(BlockShift, DeterministicPerSeed) {
   driver::Program P = sampleProgram();
   mir::MModule A = P.MIR, B = P.MIR, C = P.MIR;
-  diversity::insertBlockShift(A, 9);
-  diversity::insertBlockShift(B, 9);
-  diversity::insertBlockShift(C, 10);
+  shiftWithSeed(A, 9);
+  shiftWithSeed(B, 9);
+  shiftWithSeed(C, 10);
   EXPECT_EQ(mir::print(A), mir::print(B));
   EXPECT_NE(mir::print(A), mir::print(C));
 }
@@ -135,7 +140,7 @@ TEST(BlockShift, PadBlockIsCold) {
   // NOP pass diversifies it at pmax.
   driver::Program P = sampleProgram();
   mir::MModule Shifted = P.MIR;
-  diversity::insertBlockShift(Shifted, 4);
+  shiftWithSeed(Shifted, 4);
   for (const mir::MFunction &F : Shifted.Functions) {
     ASSERT_GE(F.Blocks.size(), 3u);
     EXPECT_EQ(F.Blocks[1].Name, "shift.pad");

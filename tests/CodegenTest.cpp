@@ -235,8 +235,9 @@ TEST(Linker, DiversificationGrowsTextProportionally) {
   // Expected growth: ~p * sites * avg-NOP-size(1.8B), program part only.
   double Growth = static_cast<double>(V.Image.Text.size()) -
                   static_cast<double>(Base.Text.size());
-  double Expected = 0.5 * static_cast<double>(V.Stats.NopsInserted) * 1.8 /
-                    0.5; // == NopsInserted * 1.8
+  double Expected =
+      0.5 * static_cast<double>(V.Pipeline.Nop.NopsInserted) * 1.8 /
+      0.5; // == NopsInserted * 1.8
   EXPECT_NEAR(Growth, Expected, Expected * 0.5 + 32.0);
 }
 

@@ -129,7 +129,8 @@ private:
         appendf("  %c = %s;\n", var(), expr(2).c_str());
         break;
       }
-      std::string Counter = "i" + std::to_string(NextLoopId++);
+      std::string Counter = "i";
+      Counter += std::to_string(NextLoopId++);
       appendf("  var %s = 0;\n", Counter.c_str());
       appendf("  while (%s < %d) {\n", Counter.c_str(),
               static_cast<int>(Gen.nextBelow(20) + 1));
@@ -215,7 +216,8 @@ TEST_P(DifferentialTest, AllPipelinesAgree) {
   Configs[0].IncludeXchgNops = true;
   for (const auto &Opts : Configs)
     for (uint64_t Seed = 1; Seed <= 2; ++Seed) {
-      mir::MModule V = diversity::makeVariant(O2.MIR, Opts, Seed);
+      mir::MModule V = O2.MIR;
+      diversity::Pipeline().run(V, Opts, Seed);
       EXPECT_EQ(observe(V), Reference)
           << "variant diverged (seed " << Seed << ")";
     }

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "diversity/NopInsertion.h"
+#include "diversity/Transform.h"
 #include "driver/Driver.h"
 #include "profile/Profile.h"
 
@@ -48,6 +49,22 @@ driver::Program hotColdProgram() {
   EXPECT_TRUE(P.ok()) << P.errors();
   EXPECT_TRUE(driver::profileAndStamp(P, {}));
   return P;
+}
+
+/// Diversifies a copy of \p M under the default {nop} pipeline.
+mir::MModule nopVariant(const mir::MModule &M, const DiversityOptions &Opts,
+                        uint64_t Seed) {
+  mir::MModule V = M;
+  diversity::Pipeline().run(V, Opts, Seed);
+  return V;
+}
+
+/// The NOP-insertion counters of nopVariant(M, Opts, Seed).
+diversity::InsertionStats nopStats(const mir::MModule &M,
+                                   const DiversityOptions &Opts,
+                                   uint64_t Seed) {
+  mir::MModule V = M;
+  return diversity::Pipeline().run(V, Opts, Seed).Nop;
 }
 
 uint64_t countNops(const mir::MModule &M) {
@@ -147,9 +164,8 @@ TEST(Probability, Labels) {
 TEST(NopInsertion, InsertionRateMatchesProbability) {
   driver::Program P = hotColdProgram();
   for (double Prob : {0.1, 0.3, 0.5}) {
-    diversity::InsertionStats Stats;
-    diversity::makeVariant(P.MIR, DiversityOptions::uniform(Prob), 99,
-                           &Stats);
+    diversity::InsertionStats Stats =
+        nopStats(P.MIR, DiversityOptions::uniform(Prob), 99);
     EXPECT_GE(Stats.CandidateSites, 40u);
     EXPECT_NEAR(Stats.insertionRate(), Prob, 0.12);
   }
@@ -158,17 +174,17 @@ TEST(NopInsertion, InsertionRateMatchesProbability) {
 TEST(NopInsertion, DeterministicPerSeed) {
   driver::Program P = hotColdProgram();
   DiversityOptions Opts = DiversityOptions::uniform(0.4);
-  mir::MModule A = diversity::makeVariant(P.MIR, Opts, 7);
-  mir::MModule B = diversity::makeVariant(P.MIR, Opts, 7);
+  mir::MModule A = nopVariant(P.MIR, Opts, 7);
+  mir::MModule B = nopVariant(P.MIR, Opts, 7);
   EXPECT_EQ(mir::print(A), mir::print(B));
-  mir::MModule C = diversity::makeVariant(P.MIR, Opts, 8);
+  mir::MModule C = nopVariant(P.MIR, Opts, 8);
   EXPECT_NE(mir::print(A), mir::print(C));
 }
 
 TEST(NopInsertion, DefaultExcludesXchg) {
   driver::Program P = hotColdProgram();
-  diversity::InsertionStats Stats;
-  diversity::makeVariant(P.MIR, DiversityOptions::uniform(0.5), 1, &Stats);
+  diversity::InsertionStats Stats =
+      nopStats(P.MIR, DiversityOptions::uniform(0.5), 1);
   EXPECT_EQ(Stats.PerKind[static_cast<size_t>(x86::NopKind::XchgEspEsp)],
             0u);
   EXPECT_EQ(Stats.PerKind[static_cast<size_t>(x86::NopKind::XchgEbpEbp)],
@@ -176,7 +192,7 @@ TEST(NopInsertion, DefaultExcludesXchg) {
 
   DiversityOptions WithXchg = DiversityOptions::uniform(0.5);
   WithXchg.IncludeXchgNops = true;
-  diversity::makeVariant(P.MIR, WithXchg, 1, &Stats);
+  Stats = nopStats(P.MIR, WithXchg, 1);
   EXPECT_GT(Stats.PerKind[static_cast<size_t>(x86::NopKind::XchgEspEsp)] +
                 Stats.PerKind[static_cast<size_t>(x86::NopKind::XchgEbpEbp)],
             0u);
@@ -184,8 +200,8 @@ TEST(NopInsertion, DefaultExcludesXchg) {
 
 TEST(NopInsertion, AllDefaultCandidatesUsed) {
   driver::Program P = hotColdProgram();
-  diversity::InsertionStats Stats;
-  diversity::makeVariant(P.MIR, DiversityOptions::uniform(0.5), 3, &Stats);
+  diversity::InsertionStats Stats =
+      nopStats(P.MIR, DiversityOptions::uniform(0.5), 3);
   for (unsigned K = 0; K != x86::NumDefaultNopKinds; ++K)
     EXPECT_GT(Stats.PerKind[K], 0u) << "candidate " << K << " never chosen";
 }
@@ -194,7 +210,7 @@ TEST(NopInsertion, ProfiledSkipsHotCode) {
   driver::Program P = hotColdProgram();
   DiversityOptions Opts =
       DiversityOptions::profiled(ProbabilityModel::Log, 0.0, 0.5);
-  mir::MModule V = diversity::makeVariant(P.MIR, Opts, 5);
+  mir::MModule V = nopVariant(P.MIR, Opts, 5);
 
   // Count NOPs inside the hottest block versus a cold block.
   const mir::MFunction *Hot = nullptr;
@@ -235,8 +251,7 @@ TEST(NopInsertion, UnprofiledModuleGetsPMaxEverywhere) {
   ASSERT_TRUE(P.ok());
   DiversityOptions Opts =
       DiversityOptions::profiled(ProbabilityModel::Log, 0.0, 0.5);
-  diversity::InsertionStats Stats;
-  diversity::makeVariant(P.MIR, Opts, 11, &Stats);
+  diversity::InsertionStats Stats = nopStats(P.MIR, Opts, 11);
   // With no profile (all counts zero), everything is "cold": rate ~pmax.
   EXPECT_GT(Stats.insertionRate(), 0.25);
 }
@@ -248,7 +263,7 @@ TEST(NopInsertion, VariantsDifferButAgreeSemantically) {
       DiversityOptions::profiled(ProbabilityModel::Log, 0.1, 0.5);
   std::string FirstPrint;
   for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
-    mir::MModule V = diversity::makeVariant(P.MIR, Opts, Seed);
+    mir::MModule V = nopVariant(P.MIR, Opts, Seed);
     EXPECT_EQ(mir::verify(V), "");
     mexec::RunResult R = driver::execute(V, {});
     ASSERT_FALSE(R.Trapped) << R.TrapReason;
@@ -274,7 +289,7 @@ TEST(NopInsertion, NopsPreserveFlagsAcrossCompareAndBranch) {
   mexec::RunResult Base = driver::execute(P.MIR, {}, true);
   DiversityOptions Opts = DiversityOptions::uniform(1.0);
   Opts.IncludeXchgNops = true;
-  mir::MModule V = diversity::makeVariant(P.MIR, Opts, 2);
+  mir::MModule V = nopVariant(P.MIR, Opts, 2);
   EXPECT_GT(countNops(V), 0u);
   mexec::RunResult R = driver::execute(V, {}, true);
   ASSERT_FALSE(R.Trapped);
@@ -287,9 +302,9 @@ TEST(NopInsertion, CostReflectsXchgPenalty) {
   DiversityOptions Xchg = DiversityOptions::uniform(0.5);
   Xchg.IncludeXchgNops = true;
   mexec::RunResult RPlain =
-      driver::execute(diversity::makeVariant(P.MIR, Plain, 3), {});
+      driver::execute(nopVariant(P.MIR, Plain, 3), {});
   mexec::RunResult RXchg =
-      driver::execute(diversity::makeVariant(P.MIR, Xchg, 3), {});
+      driver::execute(nopVariant(P.MIR, Xchg, 3), {});
   // The bus-locking XCHG NOPs make the same insertion rate costlier
   // (the reason the paper excludes them by default).
   EXPECT_GT(RXchg.Cycles10, RPlain.Cycles10);
@@ -303,7 +318,7 @@ TEST(NopInsertion, OverheadOrderingAcrossConfigs) {
   auto MeasureMean = [&](DiversityOptions Opts) {
     double Sum = 0;
     for (uint64_t Seed = 1; Seed <= 3; ++Seed)
-      Sum += driver::execute(diversity::makeVariant(P.MIR, Opts, Seed), {})
+      Sum += driver::execute(nopVariant(P.MIR, Opts, Seed), {})
                  .cycles();
     return Sum / 3.0;
   };
@@ -317,31 +332,6 @@ TEST(NopInsertion, OverheadOrderingAcrossConfigs) {
   EXPECT_GT(Naive, Base);
   // Profile-guided 0-30% is within a few percent of the baseline.
   EXPECT_LT((Best - Base) / Base, 0.05);
-}
-
-TEST(NopInsertion, RngOverloadMatchesSeedPath) {
-  // The Rng&-taking overloads exist so batch workers can hand each
-  // variant a stream derived via Rng::split; handing them Rng(Seed)
-  // directly must reproduce the seed-taking entry points exactly.
-  driver::Program A = hotColdProgram();
-  driver::Program B = hotColdProgram();
-  DiversityOptions Opts = DiversityOptions::uniform(0.5, /*Seed=*/77);
-
-  diversity::InsertionStats SA = diversity::insertNops(A.MIR, Opts);
-  Rng G(Opts.Seed);
-  diversity::InsertionStats SB = diversity::insertNops(B.MIR, Opts, G);
-  EXPECT_EQ(mir::print(A.MIR), mir::print(B.MIR));
-  EXPECT_EQ(SA.NopsInserted, SB.NopsInserted);
-  EXPECT_EQ(SA.CandidateSites, SB.CandidateSites);
-  EXPECT_EQ(SA.PerKind, SB.PerKind);
-
-  diversity::BlockShiftStats BA = diversity::insertBlockShift(A.MIR, 99);
-  Rng G2(99);
-  diversity::BlockShiftStats BB =
-      diversity::insertBlockShift(B.MIR, G2);
-  EXPECT_EQ(mir::print(A.MIR), mir::print(B.MIR));
-  EXPECT_EQ(BA.PaddingInstrs, BB.PaddingInstrs);
-  EXPECT_EQ(BA.FunctionsShifted, BB.FunctionsShifted);
 }
 
 namespace {
@@ -377,7 +367,7 @@ TEST(NopInsertion, DistinctSeedsNeverCollideOnNontrivialWorkload) {
   std::set<std::string> Placements;
   constexpr unsigned NumSeeds = 64;
   for (uint64_t Seed = 0; Seed != NumSeeds; ++Seed) {
-    mir::MModule V = diversity::makeVariant(P.MIR, Opts, Seed);
+    mir::MModule V = nopVariant(P.MIR, Opts, Seed);
     std::string Sig = nopPlacement(V);
     EXPECT_FALSE(Sig.empty());
     EXPECT_TRUE(Placements.insert(Sig).second)

@@ -56,7 +56,28 @@ TEST(Driver, VariantIsDeterministicPerSeed) {
   driver::Variant A = driver::makeVariant(P, Opts, 3);
   driver::Variant B = driver::makeVariant(P, Opts, 3);
   EXPECT_EQ(A.Image.Text, B.Image.Text);
-  EXPECT_EQ(A.Stats.NopsInserted, B.Stats.NopsInserted);
+  EXPECT_EQ(A.Pipeline.Nop.NopsInserted, B.Pipeline.Nop.NopsInserted);
+}
+
+TEST(Driver, DefaultOverloadMatchesNopPipeline) {
+  // makeVariant(P, Opts, Seed) is the call the Figure 4 and Table 2
+  // quality numbers are built on; it must stay byte-identical to the
+  // explicit {nop} pipeline it forwards to.
+  driver::Program P = driver::compileProgram(
+      "fn main() { var s = 0; var i = 0; while (i < 50) { s = s + i; "
+      "i = i + 1; } return s; }",
+      "fwd");
+  ASSERT_TRUE(P.ok());
+  ASSERT_TRUE(driver::profileAndStamp(P, {}));
+  auto Opts = diversity::DiversityOptions::profiled(
+      diversity::ProbabilityModel::Log, 0.0, 0.3);
+  for (uint64_t Seed = 0; Seed != 16; ++Seed) {
+    driver::Variant A = driver::makeVariant(P, Opts, Seed);
+    driver::Variant B =
+        driver::makeVariant(P, diversity::Pipeline(), Opts, Seed);
+    EXPECT_EQ(mir::print(A.MIR), mir::print(B.MIR)) << "seed " << Seed;
+    EXPECT_EQ(A.Image.Text, B.Image.Text) << "seed " << Seed;
+  }
 }
 
 TEST(Driver, OutputCollectionIsOptIn) {

@@ -58,7 +58,8 @@ double meanOverheadPct(const driver::Program &P, DiversityOptions Opts,
   double Base = driver::execute(P.MIR, {}).cycles();
   double Sum = 0;
   for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
-    mir::MModule V = diversity::makeVariant(P.MIR, Opts, Seed);
+    mir::MModule V = P.MIR;
+    diversity::Pipeline().run(V, Opts, Seed);
     Sum += driver::execute(V, {}).cycles() / Base - 1.0;
   }
   return 100.0 * Sum / Seeds;
@@ -103,14 +104,14 @@ TEST(Figure4Shape, LinearHeuristicWorseThanLog) {
   // With exponential count spread, the linear heuristic polarizes mid
   // blocks toward pmax, inserting more NOPs in warm code.
   driver::Program P = benchProgram();
-  diversity::InsertionStats LogStats, LinStats;
-  diversity::makeVariant(
-      P.MIR, DiversityOptions::profiled(ProbabilityModel::Log, 0.0, 0.5), 1,
-      &LogStats);
-  diversity::makeVariant(
-      P.MIR, DiversityOptions::profiled(ProbabilityModel::Linear, 0.0, 0.5),
-      1, &LinStats);
-  EXPECT_GT(LinStats.NopsInserted, LogStats.NopsInserted);
+  auto NopsInserted = [&](ProbabilityModel Model) {
+    mir::MModule V = P.MIR;
+    return diversity::Pipeline()
+        .run(V, DiversityOptions::profiled(Model, 0.0, 0.5), 1)
+        .Nop.NopsInserted;
+  };
+  EXPECT_GT(NopsInserted(ProbabilityModel::Linear),
+            NopsInserted(ProbabilityModel::Log));
 }
 
 TEST(Table2Shape, MostGadgetsDie) {

@@ -125,9 +125,11 @@ TEST(EngineParity, DiversifiedVariantsMatch) {
     diversity::DiversityOptions D = diversity::DiversityOptions::profiled(
         diversity::ProbabilityModel::Log, 0.0, 0.5);
     D.IncludeXchgNops = true;
-    MModule V = diversity::makeVariant(P.MIR, D, /*Seed=*/0xd1ce + 1);
+    MModule V = P.MIR;
+    diversity::Pipeline().run(V, D, /*Seed=*/0xd1ce + 1);
     runBoth(V, fullCollect(W.TrainInput), W.Name + " (variant)");
-    diversity::insertBlockShift(V, 0xb10c);
+    Rng Shift(0xb10c);
+    diversity::insertBlockShift(V, Shift);
     runBoth(V, fullCollect(W.TrainInput), W.Name + " (block-shifted)");
   }
 }

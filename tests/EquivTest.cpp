@@ -87,7 +87,8 @@ TEST(EquivCleanSweep, AllWorkloadsAllSeedsProved) {
     driver::Program P = driver::compileProgram(W.Source, W.Name, true);
     ASSERT_TRUE(P.ok()) << W.Name << ": " << P.errors();
     for (uint64_t Seed : {1ull, 7ull, 42ull}) {
-      MModule V = diversity::makeVariant(P.MIR, heavyNops(), Seed);
+      MModule V = P.MIR;
+      diversity::Pipeline().run(V, heavyNops(), Seed);
       EquivStats S;
       verify::Report R = proveEquivalent(P.MIR, V, EquivOptions(), &S);
       EXPECT_TRUE(R.ok()) << W.Name << " seed " << Seed
@@ -98,7 +99,8 @@ TEST(EquivCleanSweep, AllWorkloadsAllSeedsProved) {
 
       // The block-shifted sibling exercises the layout-permutation
       // side of the correspondence proof.
-      diversity::insertBlockShift(V, Seed ^ 0xb10c);
+      Rng Shift(Seed ^ 0xb10c);
+      diversity::insertBlockShift(V, Shift);
       R = proveEquivalent(P.MIR, V);
       EXPECT_TRUE(R.ok()) << W.Name << " seed " << Seed
                           << " (block-shifted):\n"
@@ -115,7 +117,8 @@ TEST(EquivCleanSweep, UnoptimizedModulesProved) {
   for (const workloads::Workload &W : workloads::specSuite()) {
     driver::Program P = driver::compileProgram(W.Source, W.Name, false);
     ASSERT_TRUE(P.ok()) << W.Name << ": " << P.errors();
-    MModule V = diversity::makeVariant(P.MIR, heavyNops(), 3);
+    MModule V = P.MIR;
+    diversity::Pipeline().run(V, heavyNops(), 3);
     verify::Report R = proveEquivalent(P.MIR, V);
     EXPECT_TRUE(R.ok()) << W.Name << ":\n" << R.str();
   }
@@ -188,7 +191,8 @@ TEST(EquivUnit, EffectfulPreludeRefuted) {
   // though the block count and jump shape look like a legal shift.
   driver::Program P = compileFixture();
   MModule V = P.MIR;
-  diversity::insertBlockShift(V, 99);
+  Rng Shift(99);
+  diversity::insertBlockShift(V, Shift);
   verify::Report Clean = proveEquivalent(P.MIR, V);
   ASSERT_TRUE(Clean.ok()) << Clean.str();
 
@@ -253,7 +257,8 @@ TEST(EquivUnit, DiagnosticCapRespected) {
 
 TEST(EquivUnit, StatsPartitionAttempts) {
   driver::Program P = compileFixture();
-  MModule V = diversity::makeVariant(P.MIR, heavyNops(), 5);
+  MModule V = P.MIR;
+  diversity::Pipeline().run(V, heavyNops(), 5);
   EquivStats S;
   verify::Report R = proveEquivalent(P.MIR, V, EquivOptions(), &S);
   ASSERT_TRUE(R.ok()) << R.str();
@@ -279,7 +284,7 @@ TEST(EquivDriver, NonEquivalentVariantRejectedBeforeExecution) {
           }
   };
   driver::VerifiedVariant VV = driver::makeVariantVerified(
-      P, diversity::DiversityOptions(), 1, VOpts);
+      P, diversity::Pipeline(), diversity::DiversityOptions(), 1, VOpts);
   EXPECT_TRUE(VV.UsedFallback);
   EXPECT_TRUE(VV.Report.has(ErrorCode::EquivRejected)) << VV.Report.str();
   EXPECT_TRUE(VV.Report.has(ErrorCode::EquivRefuted)) << VV.Report.str();
@@ -304,7 +309,7 @@ TEST(EquivDriver, CheckEquivOffSkipsTranslationValidation) {
           }
   };
   driver::VerifiedVariant VV = driver::makeVariantVerified(
-      P, diversity::DiversityOptions(), 1, VOpts);
+      P, diversity::Pipeline(), diversity::DiversityOptions(), 1, VOpts);
   EXPECT_TRUE(VV.UsedFallback);
   EXPECT_FALSE(VV.Report.has(ErrorCode::EquivRejected));
   EXPECT_FALSE(VV.Report.has(ErrorCode::EquivRefuted));
@@ -314,7 +319,7 @@ TEST(EquivDriver, CleanVariantStillAccepted) {
   driver::Program P = compileFixture();
   verify::VerifyOptions VOpts;
   driver::VerifiedVariant VV = driver::makeVariantVerified(
-      P, diversity::DiversityOptions(), 1, VOpts);
+      P, diversity::Pipeline(), diversity::DiversityOptions(), 1, VOpts);
   EXPECT_TRUE(VV.ok()) << VV.Report.str();
   EXPECT_EQ(VV.Attempts, 1u);
 }
@@ -323,7 +328,8 @@ TEST(EquivMetrics, CountersPartitionModulesChecked) {
   obs::Registry::global().reset();
   obs::setEnabled(true);
   driver::Program P = compileFixture();
-  MModule V = diversity::makeVariant(P.MIR, heavyNops(), 2);
+  MModule V = P.MIR;
+  diversity::Pipeline().run(V, heavyNops(), 2);
   (void)proveEquivalent(P.MIR, V);
   MModule Mutant = P.MIR;
   ASSERT_TRUE(analysis::injectMirFault(Mutant, MirFaultClass::FlagClobber,

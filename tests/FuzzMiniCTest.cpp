@@ -85,14 +85,16 @@ TEST_P(FuzzMiniCTest, PipelineIsSoundOnGeneratedPrograms) {
           diversity::ProbabilityModel::Log, 0.0, 0.4),
   };
   for (const auto &Opts : Configs) {
-    mir::MModule V = diversity::makeVariant(P.MIR, Opts, Seed + 1);
+    mir::MModule V = P.MIR;
+    diversity::Pipeline().run(V, Opts, Seed + 1);
     verify::Report R = analysis::analyzeModule(V);
     EXPECT_TRUE(R.ok()) << R.str();
     EXPECT_EQ(observe(V, Input), Reference) << "variant diverged";
 
     // Block-shifted sibling: the paper's Section 6 transformation must
     // also leave the analyzer and the observable behaviour unchanged.
-    diversity::insertBlockShift(V, Seed ^ 0xb10c);
+    Rng Shift(Seed ^ 0xb10c);
+    diversity::insertBlockShift(V, Shift);
     verify::Report RS = analysis::analyzeModule(V);
     EXPECT_TRUE(RS.ok()) << RS.str();
     EXPECT_EQ(observe(V, Input), Reference)

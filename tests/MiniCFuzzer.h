@@ -173,7 +173,8 @@ private:
 
   void helper(unsigned Index) {
     Helper H;
-    H.Name = "h" + std::to_string(Index);
+    H.Name = "h";
+    H.Name += std::to_string(Index);
     H.Arity = 1 + static_cast<unsigned>(Gen.nextBelow(3));
     std::string Params;
     for (unsigned A = 0; A != H.Arity; ++A)

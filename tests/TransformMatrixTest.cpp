@@ -182,9 +182,11 @@ TEST(TransformStreams, NopSingletonReproducesLegacyWalk) {
   auto Opts = diversity::DiversityOptions::profiled(
       diversity::ProbabilityModel::Log, 0.0, 0.3);
   for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
-    diversity::InsertionStats Direct;
-    mir::MModule Legacy =
-        diversity::makeVariant(P.MIR, Opts, Seed, &Direct);
+    // The pre-pipeline walk: NOP insertion seeded with Rng(Seed).
+    mir::MModule Legacy = P.MIR;
+    Rng G(Seed);
+    diversity::InsertionStats Direct =
+        diversity::insertNops(Legacy, Opts, G);
     mir::MModule Piped = P.MIR;
     diversity::PipelineStats S =
         Pipeline({TransformKind::Nop}).run(Piped, Opts, Seed);
@@ -203,9 +205,11 @@ TEST(TransformStreams, ShiftSingletonReproducesLegacyWalk) {
   auto Opts = diversity::DiversityOptions::profiled(
       diversity::ProbabilityModel::Log, 0.0, 0.3);
   for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
+    // The pre-pipeline walk: block shifting seeded with
+    // Rng(Seed ^ 0xb10c).
     mir::MModule Legacy = P.MIR;
-    diversity::BlockShiftStats LS =
-        diversity::insertBlockShift(Legacy, Seed ^ 0xb10c);
+    Rng G(Seed ^ 0xb10c);
+    diversity::BlockShiftStats LS = diversity::insertBlockShift(Legacy, G);
     mir::MModule Piped = P.MIR;
     diversity::PipelineStats S =
         Pipeline({TransformKind::Shift}).run(Piped, Opts, Seed);

@@ -24,6 +24,7 @@
 
 using namespace pgsd;
 using diversity::DiversityOptions;
+using diversity::Pipeline;
 using diversity::ProbabilityModel;
 
 namespace {
@@ -257,7 +258,8 @@ TEST(Verify, RetriesThenFallsBackToBaseline) {
   };
 
   driver::VerifiedVariant VV =
-      driver::makeVariantVerified(P, Config, /*Seed=*/21, VOpts);
+      driver::makeVariantVerified(P, Pipeline(), Config, /*Seed=*/21,
+                                  VOpts);
   EXPECT_FALSE(VV.ok());
   EXPECT_TRUE(VV.UsedFallback);
   EXPECT_EQ(VV.Attempts, 3u);
@@ -269,7 +271,7 @@ TEST(Verify, RetriesThenFallsBackToBaseline) {
   // The fallback is the undiversified baseline image, byte for byte.
   codegen::Image Base = driver::linkBaseline(P);
   EXPECT_EQ(VV.V.Image.Text, Base.Text);
-  EXPECT_EQ(VV.V.Stats.NopsInserted, 0u);
+  EXPECT_EQ(VV.V.Pipeline.Nop.NopsInserted, 0u);
 }
 
 TEST(Verify, RetrySucceedsWithDerivedSeed) {
@@ -288,7 +290,7 @@ TEST(Verify, RetrySucceedsWithDerivedSeed) {
   };
 
   driver::VerifiedVariant VV =
-      driver::makeVariantVerified(P, Config, Seed, VOpts);
+      driver::makeVariantVerified(P, Pipeline(), Config, Seed, VOpts);
   EXPECT_TRUE(VV.ok());
   EXPECT_FALSE(VV.UsedFallback);
   EXPECT_EQ(VV.Attempts, 2u);
@@ -354,7 +356,8 @@ TEST(Verify, SeedStrideExhaustionFallsBackToBaseline) {
   };
 
   driver::VerifiedVariant VV =
-      driver::makeVariantVerified(P, Config, /*Seed=*/21, VOpts);
+      driver::makeVariantVerified(P, Pipeline(), Config, /*Seed=*/21,
+                                  VOpts);
   // Exhaustion under a nonzero stride degrades exactly like the
   // historical schedule: baseline fallback, full attempt count.
   EXPECT_FALSE(VV.ok());
@@ -376,7 +379,7 @@ TEST(Verify, FirstAttemptCleanPath) {
   DiversityOptions Config =
       DiversityOptions::profiled(ProbabilityModel::Log, 0.0, 0.4);
   driver::VerifiedVariant VV =
-      driver::makeVariantVerified(P, Config, /*Seed=*/5);
+      driver::makeVariantVerified(P, Pipeline(), Config, /*Seed=*/5);
   EXPECT_TRUE(VV.ok());
   EXPECT_EQ(VV.Attempts, 1u);
   EXPECT_EQ(VV.SeedUsed, 5u);

@@ -40,9 +40,8 @@
 //     scanner, e.g. `pgsdc gadgets --seeds N --metrics`): the scan
 //     counters must be present, decoded bytes can never exceed scanned
 //     bytes (the decode-once invariant: a scan decodes at most the
-//     whole image, a rescan strictly less), dirty bytes only accumulate
-//     from incremental scans, and the incremental-fraction gauge must
-//     be a valid proportion.
+//     whole image, a rescan strictly less), and dirty bytes only
+//     accumulate from incremental scans.
 //  8. With --serve (the file came from `pgsdc serve --metrics`): the
 //     per-request outcome counters must partition serve.requests
 //     exactly (served + shed + failed = requests, with served =
@@ -344,8 +343,7 @@ int main(int Argc, char **Argv) {
   if (Gadget) {
     for (const char *Key :
          {"gadget.scans_full", "gadget.bytes_scanned",
-          "gadget.bytes_decoded", "gadget.incremental_fraction",
-          "gadget.scan", "gadget.survivor"})
+          "gadget.bytes_decoded", "gadget.scan", "gadget.survivor"})
       if (!hasKey(Text, Key))
         return fail(std::string("gadget metrics missing \"") + Key +
                     "\"");
@@ -383,29 +381,6 @@ int main(int Argc, char **Argv) {
                    "metrics_check: gadget.dirty_bytes %.0f reported "
                    "without any incremental scan\n",
                    Dirty);
-      return 1;
-    }
-
-    // The gauge tracks incremental / (incremental + full) over the
-    // process lifetime, so it must agree with the counters.
-    double Full = 0, Fraction = 0;
-    if (!findNumber(Text, "gadget.scans_full", Full) ||
-        !findNumber(Text, "gadget.incremental_fraction", Fraction))
-      return fail("cannot read gadget scan counters");
-    if (Fraction < 0.0 || Fraction > 1.0) {
-      std::fprintf(stderr,
-                   "metrics_check: gadget.incremental_fraction %f is "
-                   "not a proportion\n",
-                   Fraction);
-      return 1;
-    }
-    double Expected = Incr + Full > 0 ? Incr / (Incr + Full) : 0.0;
-    if (Fraction > Expected + 1e-6 || Fraction < Expected - 1e-6) {
-      std::fprintf(stderr,
-                   "metrics_check: gadget.incremental_fraction %f "
-                   "disagrees with counters (%.0f incremental, %.0f "
-                   "full)\n",
-                   Fraction, Incr, Full);
       return 1;
     }
   }

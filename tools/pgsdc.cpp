@@ -10,7 +10,7 @@
 //   pgsdc profile file.minic --input "train data" -o file.prof
 //   pgsdc diversify file.minic [--profile file.prof] [--seed N]
 //         [--pmin 0] [--pmax 30] [--model log|linear|uniform]
-//         [--xchg] [--block-shift] [--transforms nop,shift,sched,regs]
+//         [--xchg] [--transforms nop,shift,sched,regs]
 //   pgsdc verify file.minic [--seed N ...as above] [--retries N]
 //   pgsdc batch file.minic --seeds N [--jobs J] [--out-dir DIR]
 //         [--seed BASE ...as above]
@@ -130,7 +130,6 @@ int usage() {
                "  --pmin P --pmax P   probability range, percent\n"
                "  --model M           log (default) | linear | uniform\n"
                "  --xchg              include the bus-locking XCHG NOPs\n"
-               "  --block-shift       also insert entry pad blocks\n"
                "  --transforms LIST   comma-separated transform pipeline\n"
                "                      from {nop, shift, sched, regs},\n"
                "                      applied in list order (diversify/\n"
@@ -289,10 +288,8 @@ struct Options {
   unsigned QueueDepth = 16; ///< serve: admission slots beyond workers.
   double AdmitWaitSeconds = 30.0; ///< serve: backpressure budget.
   bool Xchg = false;
-  bool BlockShift = false;
   bool Optimize = true;
-  std::string Transforms;    ///< --transforms text; empty = legacy paths.
-  diversity::Pipeline Pipe;  ///< Parsed pipeline (default: nop only).
+  diversity::Pipeline Pipe;  ///< --transforms pipeline (default: nop).
 };
 
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
@@ -474,14 +471,11 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         std::fprintf(stderr, "pgsdc: --transforms: %s\n", Error.c_str());
         return false;
       }
-      Opts.Transforms = V;
       Opts.Pipe = diversity::Pipeline(std::move(Kinds));
     } else if (Arg == "--incremental") {
       Opts.Incremental = true;
     } else if (Arg == "--xchg") {
       Opts.Xchg = true;
-    } else if (Arg == "--block-shift") {
-      Opts.BlockShift = true;
     } else if (Arg == "--no-opt") {
       Opts.Optimize = false;
     } else {
@@ -639,18 +633,18 @@ void printPipelineStats(const diversity::Pipeline &Pipe,
   }
 }
 
-/// `diversify --transforms=...`: build the variant through the
-/// composable pipeline, report per-transform stats, then verify it.
-int cmdDiversifyPipeline(const Options &Opts, driver::Program &P) {
+/// `diversify`: build the variant through the transform pipeline,
+/// report per-transform stats, then verify it.
+int cmdDiversify(const Options &Opts) {
+  driver::Program P;
+  if (int Err = loadProgram(Opts, P))
+    return Err;
   std::vector<int32_t> Input;
   if (int Err = parseInputChecked(Opts, Input))
     return Err;
   codegen::Image Base = driver::linkBaseline(P);
   auto BaseGadgets =
       gadget::scanGadgets(Base.Text.data(), Base.Text.size());
-  if (Opts.BlockShift)
-    std::fprintf(stderr, "pgsdc: note: --transforms supersedes "
-                         "--block-shift (use a 'shift' list entry)\n");
 
   diversity::DiversityOptions D = diversityOptions(Opts);
   mir::MModule V = P.MIR;
@@ -668,69 +662,10 @@ int cmdDiversifyPipeline(const Options &Opts, driver::Program &P) {
   std::printf("gadgets: %zu baseline, %zu surviving at original offsets\n",
               BaseGadgets.size(), Survivors.size());
 
-  verify::VerifyOptions VOpts;
-  VOpts.CheckStructure = Opts.Pipe.structurePreserving();
-  verify::Report Report = verify::verifyVariant(P.MIR, V, Img, VOpts);
-  if (!Report.ok()) {
-    std::fprintf(stderr, "pgsdc: variant failed verification:\n%s",
-                 Report.str().c_str());
-    return ExitVerifyFailed;
-  }
-
-  mexec::RunResult RBase = driver::execute(P.MIR, Input);
-  mexec::RunResult RVar = driver::execute(V, Input);
-  if (!RBase.Trapped && !RVar.Trapped) {
-    std::printf("slowdown on given input: %+.2f%% (checksums %s)\n",
-                100.0 * (RVar.cycles() / RBase.cycles() - 1.0),
-                RBase.Checksum == RVar.Checksum ? "match" : "DIFFER");
-    if (RBase.Checksum != RVar.Checksum)
-      return ExitVerifyFailed;
-  }
-  return ExitOK;
-}
-
-int cmdDiversify(const Options &Opts) {
-  driver::Program P;
-  if (int Err = loadProgram(Opts, P))
-    return Err;
-  if (!Opts.Transforms.empty())
-    return cmdDiversifyPipeline(Opts, P);
-  std::vector<int32_t> Input;
-  if (int Err = parseInputChecked(Opts, Input))
-    return Err;
-  codegen::Image Base = driver::linkBaseline(P);
-  auto BaseGadgets =
-      gadget::scanGadgets(Base.Text.data(), Base.Text.size());
-
-  mir::MModule V = P.MIR;
-  if (Opts.BlockShift) {
-    diversity::BlockShiftStats BS =
-        diversity::insertBlockShift(V, Opts.Seed ^ 0xb10c);
-    std::printf("block shift: %llu pad instructions over %llu functions\n",
-                static_cast<unsigned long long>(BS.PaddingInstrs),
-                static_cast<unsigned long long>(BS.FunctionsShifted));
-  }
-  diversity::DiversityOptions D = diversityOptions(Opts);
-  D.Seed = Opts.Seed;
-  diversity::InsertionStats Stats = diversity::insertNops(V, D);
-  codegen::Image Img = codegen::link(V);
-  auto Survivors = gadget::survivingGadgets(Base.Text, Img.Text);
-
-  std::printf("config: %s seed=%llu%s\n", D.label().c_str(),
-              static_cast<unsigned long long>(Opts.Seed),
-              P.HasProfile ? " (profile applied)" : " (no profile)");
-  std::printf("nops inserted: %llu of %llu sites (%.1f%%)\n",
-              static_cast<unsigned long long>(Stats.NopsInserted),
-              static_cast<unsigned long long>(Stats.CandidateSites),
-              100.0 * Stats.insertionRate());
-  std::printf(".text: %zu -> %zu bytes\n", Base.Text.size(),
-              Img.Text.size());
-  std::printf("gadgets: %zu baseline, %zu surviving at original offsets\n",
-              BaseGadgets.size(), Survivors.size());
-
   // Every diversified build flows through the verifier before the tool
   // reports success.
   verify::VerifyOptions VOpts;
+  VOpts.CheckStructure = Opts.Pipe.structurePreserving();
   verify::Report Report = verify::verifyVariant(P.MIR, V, Img, VOpts);
   if (!Report.ok()) {
     std::fprintf(stderr, "pgsdc: variant failed verification:\n%s",
@@ -754,9 +689,6 @@ int cmdVerify(const Options &Opts) {
   driver::Program P;
   if (int Err = loadProgram(Opts, P))
     return Err;
-  if (Opts.BlockShift)
-    std::fprintf(stderr, "pgsdc: note: verify builds NOP-insertion "
-                         "variants; --block-shift is ignored\n");
   diversity::DiversityOptions D = diversityOptions(Opts);
   verify::VerifyOptions VOpts;
   VOpts.MaxAttempts = Opts.Retries;
@@ -778,26 +710,15 @@ int cmdVerify(const Options &Opts) {
       return ExitEquivRefuted;
     return ExitVerifyFailed;
   }
-  if (!Opts.Transforms.empty()) {
-    // Non-structure-preserving pipelines (sched, regs) run without the
-    // structural check, so the banner names only what actually ran.
-    std::printf("verified: %s transforms=%s seed=%llu attempts=%u "
-                "(differential, image%s checks passed)\n",
-                D.label().c_str(), Opts.Pipe.label().c_str(),
-                static_cast<unsigned long long>(VV.SeedUsed), VV.Attempts,
-                Opts.Pipe.structurePreserving() ? ", structural" : "");
-    printPipelineStats(Opts.Pipe, VV.V.Pipeline);
-    std::printf("  .text %zu bytes\n", VV.V.Image.Text.size());
-    return ExitOK;
-  }
-  std::printf("verified: %s seed=%llu attempts=%u "
-              "(differential, image, structural checks passed)\n",
-              D.label().c_str(),
-              static_cast<unsigned long long>(VV.SeedUsed), VV.Attempts);
-  std::printf("nops inserted: %llu of %llu sites, .text %zu bytes\n",
-              static_cast<unsigned long long>(VV.V.Stats.NopsInserted),
-              static_cast<unsigned long long>(VV.V.Stats.CandidateSites),
-              VV.V.Image.Text.size());
+  // Non-structure-preserving pipelines (sched, regs) run without the
+  // structural check, so the banner names only what actually ran.
+  std::printf("verified: %s transforms=%s seed=%llu attempts=%u "
+              "(differential, image%s checks passed)\n",
+              D.label().c_str(), Opts.Pipe.label().c_str(),
+              static_cast<unsigned long long>(VV.SeedUsed), VV.Attempts,
+              Opts.Pipe.structurePreserving() ? ", structural" : "");
+  printPipelineStats(Opts.Pipe, VV.V.Pipeline);
+  std::printf("  .text %zu bytes\n", VV.V.Image.Text.size());
   return ExitOK;
 }
 
@@ -879,8 +800,7 @@ int cmdBatch(const Options &Opts) {
   for (const driver::VerifiedVariant &VV : R.Variants)
     if (!VV.Report.ok())
       std::fprintf(stderr, "%s", VV.Report.str().c_str());
-  if (!Opts.Transforms.empty())
-    std::printf("transforms: %s\n", Opts.Pipe.label().c_str());
+  std::printf("transforms: %s\n", Opts.Pipe.label().c_str());
   std::printf("batch: %zu seeds x %u jobs: %llu accepted, %llu rejected, "
               "%llu retried (%llu attempts total)\n",
               Seeds.size(), R.Jobs,
@@ -906,9 +826,9 @@ int cmdBatch(const Options &Opts) {
   return ExitOK;
 }
 
-/// Runs the six static checkers over \p P's baseline MIR plus
-/// Opts.Variants NOP-insertion variants and their block-shifted
-/// siblings. Returns the number of rejected modules.
+/// Runs the six static checkers over \p P's baseline MIR plus one
+/// pipeline variant per seed of Opts.Variants. Returns the number of
+/// rejected modules.
 unsigned analyzeProgram(const driver::Program &P, const Options &Opts,
                         const std::string &Label) {
   unsigned Failed = 0;
@@ -923,23 +843,11 @@ unsigned analyzeProgram(const driver::Program &P, const Options &Opts,
   };
   Check(P.MIR, "baseline");
   diversity::DiversityOptions D = diversityOptions(Opts);
-  if (!Opts.Transforms.empty()) {
-    // Pipeline mode: one composed variant per seed instead of the
-    // legacy nop / nop+shift pair.
-    for (unsigned V = 0; V != Opts.Variants; ++V) {
-      uint64_t Seed = Opts.Seed + V;
-      mir::MModule Var = P.MIR;
-      Opts.Pipe.run(Var, D, Seed);
-      Check(Var, "pipeline variant seed=" + std::to_string(Seed));
-    }
-    return Failed;
-  }
   for (unsigned V = 0; V != Opts.Variants; ++V) {
     uint64_t Seed = Opts.Seed + V;
-    mir::MModule Var = diversity::makeVariant(P.MIR, D, Seed);
+    mir::MModule Var = P.MIR;
+    Opts.Pipe.run(Var, D, Seed);
     Check(Var, "variant seed=" + std::to_string(Seed));
-    diversity::insertBlockShift(Var, Seed ^ 0xb10c);
-    Check(Var, "block-shifted variant seed=" + std::to_string(Seed));
   }
   return Failed;
 }
@@ -970,8 +878,6 @@ int cmdAnalyzeSuite(const Options &Opts) {
   for (const workloads::Workload &W : workloads::specSuite())
     RunOne(W);
   RunOne(workloads::phpInterpreter());
-  unsigned PerProgram = Opts.Transforms.empty() ? 1 + 2 * Opts.Variants
-                                                : 1 + Opts.Variants;
   if (Failed) {
     std::fprintf(stderr, "pgsdc: analyze --suite: %u rejection(s)\n",
                  Failed);
@@ -979,7 +885,7 @@ int cmdAnalyzeSuite(const Options &Opts) {
   }
   std::printf("analyze --suite: %u programs x %u modules clean "
               "(%u checkers)\n",
-              Programs, PerProgram, analysis::NumCheckers);
+              Programs, 1 + Opts.Variants, analysis::NumCheckers);
   return ExitOK;
 }
 
@@ -1004,15 +910,13 @@ int cmdAnalyze(const Options &Opts) {
   if (analyzeProgram(P, Opts, Opts.File))
     return ExitAnalysisFailed;
   std::printf("analyze: %s: baseline + %u variants clean (%u checkers)\n",
-              Opts.File.c_str(),
-              Opts.Transforms.empty() ? 2 * Opts.Variants : Opts.Variants,
-              analysis::NumCheckers);
+              Opts.File.c_str(), Opts.Variants, analysis::NumCheckers);
   return ExitOK;
 }
 
-/// Proves Opts.Variants NOP-insertion variants of \p P, plus their
-/// block-shifted siblings, observationally equivalent to the baseline
-/// via the symbolic prover (no execution). Returns the number of
+/// Proves one pipeline variant of \p P per seed of Opts.Variants
+/// observationally equivalent to the baseline via the symbolic prover
+/// (no execution). Returns the number of
 /// refuted or aborted modules and accumulates \p Modules.
 unsigned equivProgram(const driver::Program &P, const Options &Opts,
                       const std::string &Label, unsigned &Modules) {
@@ -1028,21 +932,11 @@ unsigned equivProgram(const driver::Program &P, const Options &Opts,
                  Label.c_str(), What.c_str(), R.str().c_str());
   };
   diversity::DiversityOptions D = diversityOptions(Opts);
-  if (!Opts.Transforms.empty()) {
-    for (unsigned V = 0; V != Opts.Variants; ++V) {
-      uint64_t Seed = Opts.Seed + V;
-      mir::MModule Var = P.MIR;
-      Opts.Pipe.run(Var, D, Seed);
-      Prove(Var, "pipeline variant seed=" + std::to_string(Seed));
-    }
-    return Failed;
-  }
   for (unsigned V = 0; V != Opts.Variants; ++V) {
     uint64_t Seed = Opts.Seed + V;
-    mir::MModule Var = diversity::makeVariant(P.MIR, D, Seed);
+    mir::MModule Var = P.MIR;
+    Opts.Pipe.run(Var, D, Seed);
     Prove(Var, "variant seed=" + std::to_string(Seed));
-    diversity::insertBlockShift(Var, Seed ^ 0xb10c);
-    Prove(Var, "block-shifted variant seed=" + std::to_string(Seed));
   }
   return Failed;
 }
