@@ -133,8 +133,9 @@ int main(int Argc, char **Argv) {
     Row R;
     R.Name = W.Name;
     R.Seeds = SeedsPer;
-    R.Serial = driver::makeVariantsBatch(P, Opts, Seeds, Serial);
-    R.Parallel = driver::makeVariantsBatch(P, Opts, Seeds, Parallel);
+    const diversity::Pipeline Nop;
+    R.Serial = driver::makeVariantsBatch(P, Nop, Opts, Seeds, Serial);
+    R.Parallel = driver::makeVariantsBatch(P, Nop, Opts, Seeds, Parallel);
 
     // Determinism parity while we are here: the two passes must agree
     // byte-for-byte (tests/BatchTest.cpp pins this; the bench refuses to

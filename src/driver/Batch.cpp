@@ -16,13 +16,6 @@ using namespace pgsd;
 using namespace pgsd::driver;
 
 BatchResult driver::makeVariantsBatch(const Program &P,
-                                      const diversity::DiversityOptions &Opts,
-                                      const std::vector<uint64_t> &Seeds,
-                                      const BatchOptions &BOpts) {
-  return makeVariantsBatch(P, diversity::Pipeline(), Opts, Seeds, BOpts);
-}
-
-BatchResult driver::makeVariantsBatch(const Program &P,
                                       const diversity::Pipeline &Pipe,
                                       const diversity::DiversityOptions &Opts,
                                       const std::vector<uint64_t> &Seeds,

@@ -13,13 +13,13 @@
 /// population of verified variants from a seed list, saturating cores
 /// via support::ThreadPool.
 ///
-/// Determinism contract: makeVariantsBatch(P, Opts, Seeds, Jobs) returns
-/// the *same* BatchResult.Variants (byte-identical images, identical
-/// stats, identical accepted seeds) for every Jobs value, because each
-/// variant is a pure function of (P, Opts, its seed) -- workers share
-/// only the immutable Program and construct all mutable state (the
-/// variant copy of the MIR, the per-variant Rng, interpreter state)
-/// privately. tests/BatchTest.cpp pins this; the TSan CI job proves the
+/// Determinism contract: makeVariantsBatch(P, Pipe, Opts, Seeds, BOpts)
+/// returns the *same* BatchResult.Variants (byte-identical images,
+/// identical stats, identical accepted seeds) for every BOpts.Jobs
+/// value, under any pipeline, because each variant is a pure function
+/// of (P, Pipe, Opts, its seed) -- workers share only the immutable
+/// Program and construct all mutable state (the variant copy of the
+/// MIR, the per-variant Rng, interpreter state) privately. tests/BatchTest.cpp pins this; the TSan CI job proves the
 /// sharing really is read-only.
 ///
 //===----------------------------------------------------------------------===//
@@ -89,18 +89,10 @@ struct BatchResult {
   }
 };
 
-/// Produces one verified variant per seed in \p Seeds, fanning
-/// makeVariantVerified across \p BOpts.Jobs workers. \p P is shared
-/// read-only by all workers and must outlive the call; it is never
-/// mutated (compile and profile it *before* batching).
-BatchResult makeVariantsBatch(const Program &P,
-                              const diversity::DiversityOptions &Opts,
-                              const std::vector<uint64_t> &Seeds,
-                              const BatchOptions &BOpts = BatchOptions());
-
-/// makeVariantsBatch under transform pipeline \p Pipe. Each variant is
-/// a pure function of (P, Pipe, Opts, its seed), so the Jobs-
-/// independence determinism contract holds for every pipeline.
+/// Produces one verified variant per seed in \p Seeds under transform
+/// pipeline \p Pipe, fanning makeVariantVerified across \p BOpts.Jobs
+/// workers. \p P is shared read-only by all workers and must outlive the
+/// call; it is never mutated (compile and profile it *before* batching).
 BatchResult makeVariantsBatch(const Program &P,
                               const diversity::Pipeline &Pipe,
                               const diversity::DiversityOptions &Opts,

@@ -56,7 +56,8 @@ TEST_P(BatchStressTest, AllSeedsVerifyWithBoundedRetries) {
 
   auto Opts = diversity::DiversityOptions::profiled(
       diversity::ProbabilityModel::Log, 0.0, 0.3);
-  driver::BatchResult R = driver::makeVariantsBatch(P, Opts, Seeds, B);
+  driver::BatchResult R =
+      driver::makeVariantsBatch(P, diversity::Pipeline(), Opts, Seeds, B);
 
   // Zero rejected: every seed must yield a verified diversified image.
   EXPECT_TRUE(R.allAccepted()) << R.Rejected << " seed(s) rejected";

@@ -25,6 +25,9 @@ using namespace pgsd;
 
 namespace {
 
+/// Every batch here runs the default {nop} pipeline.
+const diversity::Pipeline Nop;
+
 /// Byte-wise equality of two verified variants, stats included.
 void expectIdentical(const driver::VerifiedVariant &A,
                      const driver::VerifiedVariant &B, size_t SeedIndex) {
@@ -64,9 +67,10 @@ TEST_P(BatchParityTest, SerialAndParallelImagesAreByteIdentical) {
   driver::BatchOptions Parallel = Serial;
   Parallel.Jobs = 8;
 
-  driver::BatchResult A = driver::makeVariantsBatch(P, Opts, Seeds, Serial);
+  driver::BatchResult A =
+      driver::makeVariantsBatch(P, Nop, Opts, Seeds, Serial);
   driver::BatchResult B =
-      driver::makeVariantsBatch(P, Opts, Seeds, Parallel);
+      driver::makeVariantsBatch(P, Nop, Opts, Seeds, Parallel);
 
   ASSERT_EQ(A.Variants.size(), Seeds.size());
   ASSERT_EQ(B.Variants.size(), Seeds.size());
@@ -117,7 +121,7 @@ TEST(Batch, CountersAccountForEverySeed) {
   driver::BatchOptions B;
   B.Jobs = 4;
   driver::BatchResult R = driver::makeVariantsBatch(
-      P, diversity::DiversityOptions::uniform(0.5), Seeds, B);
+      P, Nop, diversity::DiversityOptions::uniform(0.5), Seeds, B);
 
   EXPECT_EQ(R.Variants.size(), Seeds.size());
   EXPECT_EQ(R.Accepted + R.Rejected, Seeds.size());
@@ -146,7 +150,7 @@ TEST(Batch, MetricsAgreeWithBatchResultCounters) {
   driver::BatchOptions B;
   B.Jobs = 4;
   driver::BatchResult R = driver::makeVariantsBatch(
-      P, diversity::DiversityOptions::uniform(0.5), Seeds, B);
+      P, Nop, diversity::DiversityOptions::uniform(0.5), Seeds, B);
   obs::LocalMetrics Snap = obs::Registry::global().snapshot();
   obs::setEnabled(false);
   obs::Registry::global().reset();
@@ -186,7 +190,7 @@ TEST(Batch, MetricsAgreeWithBatchResultCounters) {
   // Determinism guard: the same seeds with telemetry off must produce
   // byte-identical images (telemetry never touches variant bits).
   driver::BatchResult Quiet = driver::makeVariantsBatch(
-      P, diversity::DiversityOptions::uniform(0.5), Seeds, B);
+      P, Nop, diversity::DiversityOptions::uniform(0.5), Seeds, B);
   for (size_t I = 0; I != Seeds.size(); ++I)
     EXPECT_EQ(R.Variants[I].V.Image.Text, Quiet.Variants[I].V.Image.Text)
         << "telemetry changed variant bits at seed index " << I;
@@ -208,7 +212,7 @@ TEST(Batch, SuppressedWorkerExceptionsAreCountedAndExported) {
     throw std::runtime_error("seam exploded");
   };
   EXPECT_THROW(driver::makeVariantsBatch(
-                   P, diversity::DiversityOptions::uniform(0.5),
+                   P, Nop, diversity::DiversityOptions::uniform(0.5),
                    {1, 2, 3, 4}, B),
                std::runtime_error);
   obs::LocalMetrics Snap = obs::Registry::global().snapshot();
@@ -222,7 +226,7 @@ TEST(Batch, DefaultJobCountUsesHardwareConcurrency) {
       driver::compileProgram("fn main() { return 7; }", "tiny");
   ASSERT_TRUE(P.ok()) << P.errors();
   driver::BatchResult R = driver::makeVariantsBatch(
-      P, diversity::DiversityOptions::uniform(0.3), {1, 2});
+      P, Nop, diversity::DiversityOptions::uniform(0.3), {1, 2});
   EXPECT_EQ(R.Jobs, support::ThreadPool::defaultConcurrency());
 }
 
@@ -245,7 +249,7 @@ TEST(Batch, RejectedSeedsFallBackToBaselineAndAreCounted) {
   };
   std::vector<uint64_t> Seeds = {10, 11, 12, 13};
   driver::BatchResult R = driver::makeVariantsBatch(
-      P, diversity::DiversityOptions::uniform(0.5), Seeds, B);
+      P, Nop, diversity::DiversityOptions::uniform(0.5), Seeds, B);
 
   EXPECT_FALSE(R.allAccepted());
   EXPECT_EQ(R.Rejected, Seeds.size());

@@ -4,32 +4,12 @@
 // Software Diversity" (Homescu et al., CGO 2013).
 //
 // The user-facing compiler driver, modeled on the workflow of the
-// paper's diversifying multicompiler:
-//
-//   pgsdc run file.minic [--input "1 2 3"]
-//   pgsdc profile file.minic --input "train data" -o file.prof
-//   pgsdc diversify file.minic [--profile file.prof] [--seed N]
-//         [--pmin 0] [--pmax 30] [--model log|linear|uniform]
-//         [--xchg] [--transforms nop,shift,sched,regs]
-//   pgsdc verify file.minic [--seed N ...as above] [--retries N]
-//   pgsdc batch file.minic --seeds N [--jobs J] [--out-dir DIR]
-//         [--seed BASE ...as above]
-//   pgsdc analyze file.minic [--variants N] [--seed N ...as above]
-//   pgsdc analyze --suite [--variants N]
-//   pgsdc equiv file.minic [--variants N] [--seed N ...as above]
-//   pgsdc equiv --suite [--variants N]
-//   pgsdc gadgets file.minic [--seed N ...as above]
-//   pgsdc disasm file.minic
-//   pgsdc nvx file.minic [--replicas K] [--policy majority|unanimous]
-//         [--seed BASE] [--jobs J] [--timeout S] [...as above]
-//   pgsdc serve file.minic --store DIR [--requests N] [--seed BASE]
-//         [--jobs J] [--queue-depth Q] [--admit-wait S] [...as above]
-//
-// Exit codes form a small taxonomy so scripts can tell failure modes
-// apart (see ExitCode below): 2 usage, 3 parse, 4 file I/O, 5 trap,
-// 6 verification failure, 7 bad profile, 8 static analysis rejected,
-// 9 nvx no-quorum, 10 equivalence refuted, 11 serve shed requests;
-// `run` passes the simulated program's own exit code through.
+// paper's diversifying multicompiler. Like the multicompiler's declared
+// cl::opt knobs, every flag and subcommand is declared once, in the
+// Flags and Commands tables below; parsing, per-command flag checks,
+// dispatch and the usage text (`pgsdc` with no arguments) all derive
+// from them. Exit codes form a small taxonomy so scripts can tell
+// failure modes apart (see ExitCode below).
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,12 +37,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace pgsd;
@@ -85,92 +65,6 @@ enum ExitCode : int {
   ExitEquivRefuted = 10,  ///< Translation validation refuted a variant.
   ExitServeShed = 11,     ///< serve: requests shed under overload.
 };
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: pgsdc <command> <file.minic> [options]\n"
-               "\n"
-               "commands:\n"
-               "  run        compile and execute in the cycle simulator\n"
-               "  profile    training run; write per-block counts\n"
-               "  diversify  build a diversified variant, report stats\n"
-               "  verify     build a variant and run the full verifier\n"
-               "             (differential + image + structural checks,\n"
-               "             retrying with derived seeds on failure)\n"
-               "  batch      build a population of verified variants in\n"
-               "             parallel (one per seed), report throughput\n"
-               "  analyze    run the static dataflow checkers over the\n"
-               "             baseline MIR and diversified variants; with\n"
-               "             --suite instead of a file, sweep the whole\n"
-               "             built-in workload battery\n"
-               "  equiv      statically prove diversified variants\n"
-               "             observationally equivalent to the baseline\n"
-               "             (translation validation; no execution); with\n"
-               "             --suite, sweep the whole workload battery\n"
-               "  gadgets    scan gadgets / check attack feasibility;\n"
-               "             with --seeds N, also sweep N diversified\n"
-               "             versions through the Survivor comparison\n"
-               "             (--jobs shards versions, --incremental\n"
-               "             seeds each scan from the baseline scan)\n"
-               "  disasm     disassemble the linked image\n"
-               "  nvx        run K diversified replicas in lockstep over\n"
-               "             the input battery, voting on behaviour;\n"
-               "             divergence is reported as a fault sensor\n"
-               "  serve      daemon loop: compile + profile once, then\n"
-               "             serve one verified variant per request from\n"
-               "             a persistent content-addressed store\n"
-               "             (--store DIR); restarts resume on cache\n"
-               "             hits, overload sheds requests (exit 11)\n"
-               "\n"
-               "options:\n"
-               "  --input \"1 2 3\"    integers fed to read_int()\n"
-               "  --profile FILE      use a saved training profile\n"
-               "  -o FILE             output file (profile command)\n"
-               "  --seed N            variant seed (default 1)\n"
-               "  --pmin P --pmax P   probability range, percent\n"
-               "  --model M           log (default) | linear | uniform\n"
-               "  --xchg              include the bus-locking XCHG NOPs\n"
-               "  --transforms LIST   comma-separated transform pipeline\n"
-               "                      from {nop, shift, sched, regs},\n"
-               "                      applied in list order (diversify/\n"
-               "                      verify/batch/analyze/equiv/nvx;\n"
-               "                      default: nop)\n"
-               "  --engine E          fast (default) | reference\n"
-               "                      execution engine for run/verify/\n"
-               "                      batch (bit-identical results)\n"
-               "  --retries N         verification attempts (default 3)\n"
-               "  --variants N        variants per program (analyze,\n"
-               "                      equiv)\n"
-               "  --seeds N           batch size: seeds BASE..BASE+N-1\n"
-               "                      (batch; gadgets survivor sweep)\n"
-               "  --jobs J            worker threads (default: all cores)\n"
-               "  --incremental       gadgets sweep: rescan only diffed\n"
-               "                      ranges of each variant image\n"
-               "  --out-dir DIR       write each variant's .text (batch)\n"
-               "  --metrics FILE      enable pipeline telemetry and write\n"
-               "                      metrics JSON (run/verify/analyze/\n"
-               "                      batch/nvx/gadgets/serve; batch and\n"
-               "                      serve also print a stage breakdown\n"
-               "                      table)\n"
-               "  --no-opt            disable the -O2 pipeline\n"
-               "  --replicas K        nvx replica count (default 3)\n"
-               "  --policy P          nvx vote policy: majority (default)\n"
-               "                      | unanimous\n"
-               "  --timeout S         nvx per-round wall-clock budget in\n"
-               "                      seconds (default 5; 0 disables)\n"
-               "  --store DIR         serve: persistent variant store\n"
-               "  --requests N        serve: request count (default 64)\n"
-               "  --queue-depth Q     serve: admission slots beyond the\n"
-               "                      workers (default 16)\n"
-               "  --admit-wait S      serve: backpressure wait budget\n"
-               "                      before shedding (default 30)\n"
-               "\n"
-               "exit codes: 0 ok, 2 usage, 3 parse error, 4 file I/O,\n"
-               "  5 program trapped, 6 verification failed, 7 bad profile,\n"
-               "  8 static analysis rejected, 9 nvx no-quorum,\n"
-               "  10 equivalence refuted, 11 serve shed requests\n");
-  return ExitUsage;
-}
 
 bool readFile(const std::string &Path, std::string &Out) {
   std::ifstream In(Path, std::ios::binary);
@@ -236,40 +130,15 @@ bool parseDoubleStrict(const char *Text, double &Out) {
   return true;
 }
 
-/// Parses --input as whitespace-separated 32-bit integers. Rejects
-/// non-numeric tokens and values outside int32 range -- the old lenient
-/// scan silently *truncated* out-of-range values (static_cast wrap) and
-/// dropped trailing garbage, so "4294967296" fed the program 0 and
-/// "1 2 x" fed it "1 2". On failure \p BadToken names the offender.
-bool parseInput(const std::string &Text, std::vector<int32_t> &Values,
-                std::string &BadToken) {
-  Values.clear();
-  std::istringstream SS(Text);
-  std::string Tok;
-  while (SS >> Tok) {
-    errno = 0;
-    char *End = nullptr;
-    long long V = std::strtoll(Tok.c_str(), &End, 10);
-    if (End == Tok.c_str() || *End != '\0' || errno == ERANGE ||
-        V < std::numeric_limits<int32_t>::min() ||
-        V > std::numeric_limits<int32_t>::max()) {
-      BadToken = Tok;
-      return false;
-    }
-    Values.push_back(static_cast<int32_t>(V));
-  }
-  return true;
-}
-
 struct Options {
-  std::string Command;
   std::string File;
+  bool Suite = false;      ///< analyze/equiv: the workload battery.
   std::string InputText;
   std::string ProfileFile;
   std::string OutFile;
   uint64_t Seed = 1;
-  double PMin = 0.0;
-  double PMax = 30.0;
+  double PMin = 0.0;       ///< Fraction; --pmin is given in percent.
+  double PMax = 0.30;      ///< Fraction; --pmax is given in percent.
   std::string Model = "log";
   unsigned Retries = 3;
   unsigned Variants = 3;
@@ -292,204 +161,149 @@ struct Options {
   diversity::Pipeline Pipe;  ///< --transforms pipeline (default: nop).
 };
 
-bool parseArgs(int Argc, char **Argv, Options &Opts) {
-  if (Argc < 3)
-    return false;
-  Opts.Command = Argv[1];
-  Opts.File = Argv[2];
-  for (int I = 3; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto Value = [&]() -> const char * {
-      return I + 1 < Argc ? Argv[++I] : nullptr;
-    };
-    // Numeric flags parse strictly: "8x", "1e99", "-3", and overflow
-    // all fail the command line (exit 2) instead of silently feeding
-    // the pipeline a wrapped or truncated value.
-    auto BadValue = [&](const char *V) {
-      std::fprintf(stderr, "pgsdc: invalid value '%s' for %s\n", V,
-                   Arg.c_str());
-      return false;
-    };
-    if (Arg == "--input") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      Opts.InputText = V;
-    } else if (Arg == "--profile") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      Opts.ProfileFile = V;
-    } else if (Arg == "-o") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      Opts.OutFile = V;
-    } else if (Arg == "--seed") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!parseUint64Strict(V, Opts.Seed))
-        return BadValue(V);
-    } else if (Arg == "--pmin") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!parseDoubleStrict(V, Opts.PMin) || Opts.PMin < 0.0)
-        return BadValue(V);
-      Opts.PMin /= 100.0;
-    } else if (Arg == "--pmax") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!parseDoubleStrict(V, Opts.PMax) || Opts.PMax < 0.0)
-        return BadValue(V);
-      Opts.PMax /= 100.0;
-    } else if (Arg == "--model") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      Opts.Model = V;
-      if (Opts.Model != "log" && Opts.Model != "linear" &&
-          Opts.Model != "uniform") {
-        std::fprintf(stderr, "pgsdc: unknown model '%s'\n", V);
-        return false;
-      }
-    } else if (Arg == "--engine") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!mexec::parseEngine(V, Opts.Engine)) {
-        std::fprintf(stderr, "pgsdc: unknown engine '%s'\n", V);
-        return false;
-      }
-    } else if (Arg == "--retries") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!parseUnsignedStrict(V, Opts.Retries))
-        return BadValue(V);
-      if (Opts.Retries == 0) {
-        std::fprintf(stderr, "pgsdc: --retries must be at least 1\n");
-        return false;
-      }
-    } else if (Arg == "--variants") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!parseUnsignedStrict(V, Opts.Variants))
-        return BadValue(V);
-    } else if (Arg == "--seeds") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!parseUnsignedStrict(V, Opts.Seeds))
-        return BadValue(V);
-      Opts.SeedsSet = true;
-      if (Opts.Seeds == 0) {
-        std::fprintf(stderr, "pgsdc: --seeds must be at least 1\n");
-        return false;
-      }
-    } else if (Arg == "--jobs") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!parseUnsignedStrict(V, Opts.Jobs))
-        return BadValue(V);
-    } else if (Arg == "--requests") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!parseUint64Strict(V, Opts.Requests))
-        return BadValue(V);
-    } else if (Arg == "--store") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      Opts.StoreDir = V;
-    } else if (Arg == "--queue-depth") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!parseUnsignedStrict(V, Opts.QueueDepth))
-        return BadValue(V);
-    } else if (Arg == "--admit-wait") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!parseDoubleStrict(V, Opts.AdmitWaitSeconds) ||
-          Opts.AdmitWaitSeconds < 0.0)
-        return BadValue(V);
-    } else if (Arg == "--out-dir") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      Opts.OutDir = V;
-    } else if (Arg == "--metrics") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      Opts.MetricsFile = V;
-    } else if (Arg == "--replicas") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!parseUnsignedStrict(V, Opts.Replicas))
-        return BadValue(V);
-      if (Opts.Replicas == 0) {
-        std::fprintf(stderr, "pgsdc: --replicas must be at least 1\n");
-        return false;
-      }
-    } else if (Arg == "--policy") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!nvx::parseVotePolicy(V, Opts.Policy)) {
-        std::fprintf(stderr, "pgsdc: unknown policy '%s'\n", V);
-        return false;
-      }
-    } else if (Arg == "--timeout") {
-      const char *V = Value();
-      if (!V)
-        return false;
-      if (!parseDoubleStrict(V, Opts.TimeoutSeconds) ||
-          Opts.TimeoutSeconds < 0.0)
-        return BadValue(V);
-    } else if (Arg == "--transforms" ||
-               Arg.rfind("--transforms=", 0) == 0) {
-      const char *V;
-      if (Arg == "--transforms") {
-        V = Value();
-        if (!V)
-          return false;
-      } else {
-        V = Arg.c_str() + std::strlen("--transforms=");
-      }
-      std::vector<diversity::TransformKind> Kinds;
-      std::string Error;
-      if (!diversity::parseTransformList(V, Kinds, &Error)) {
-        std::fprintf(stderr, "pgsdc: --transforms: %s\n", Error.c_str());
-        return false;
-      }
-      Opts.Pipe = diversity::Pipeline(std::move(Kinds));
-    } else if (Arg == "--incremental") {
-      Opts.Incremental = true;
-    } else if (Arg == "--xchg") {
-      Opts.Xchg = true;
-    } else if (Arg == "--no-opt") {
-      Opts.Optimize = false;
-    } else {
-      std::fprintf(stderr, "pgsdc: unknown option '%s'\n", Arg.c_str());
-      return false;
-    }
-  }
-  // Percentages arrive /100 already; fix defaults set in percent.
-  if (Opts.PMax > 1.0)
-    Opts.PMax /= 100.0;
-  if (Opts.PMin > 1.0)
-    Opts.PMin /= 100.0;
-  return true;
+// Flag setters store a value into the Options field they are bound to
+// and return nullptr, or return why the value is invalid. Numeric
+// values parse strictly: "8x", "1e99", "-3" and overflow all fail the
+// command line (exit 2) instead of silently feeding the pipeline a
+// wrapped or truncated value.
+
+template <std::string Options::*F>
+const char *text(Options &O, const char *V) {
+  O.*F = V;
+  return nullptr;
 }
+
+template <bool Options::*F, bool On>
+const char *toggle(Options &O, const char *) {
+  O.*F = On;
+  return nullptr;
+}
+
+template <uint64_t Options::*F> const char *u64(Options &O, const char *V) {
+  return parseUint64Strict(V, O.*F) ? nullptr : "expected an unsigned integer";
+}
+
+template <unsigned Options::*F> const char *count(Options &O, const char *V) {
+  return parseUnsignedStrict(V, O.*F) ? nullptr
+                                      : "expected an unsigned integer";
+}
+
+template <unsigned Options::*F>
+const char *positive(Options &O, const char *V) {
+  if (const char *Why = count<F>(O, V))
+    return Why;
+  return O.*F == 0 ? "must be at least 1" : nullptr;
+}
+
+template <double Options::*F> const char *seconds(Options &O, const char *V) {
+  if (!parseDoubleStrict(V, O.*F))
+    return "expected a number of seconds";
+  return O.*F < 0.0 ? "must not be negative" : nullptr;
+}
+
+/// Percent on the command line, a fraction in Options.
+template <double Options::*F> const char *percent(Options &O, const char *V) {
+  double Percent = 0.0;
+  if (!parseDoubleStrict(V, Percent))
+    return "expected a percentage";
+  if (Percent < 0.0 || Percent > 100.0)
+    return "must be within 0-100";
+  O.*F = Percent / 100.0;
+  return nullptr;
+}
+
+/// One command-line flag. Meta names its value in the usage text; a
+/// flag without one is a switch and its setter gets a null value. A
+/// value flag takes the next argument or, as `--name=value`, the rest
+/// of its own.
+struct Flag {
+  const char *Name;
+  const char *Meta;
+  const char *Help;
+  const char *(*Set)(Options &, const char *Value);
+};
+
+const Flag Flags[] = {
+    {"--input", "\"1 2 3\"", "integers fed to read_int()",
+     text<&Options::InputText>},
+    {"--profile", "FILE", "use a saved training profile",
+     text<&Options::ProfileFile>},
+    {"-o", "FILE", "write the profile here (default: stdout)",
+     text<&Options::OutFile>},
+    {"--seed", "N", "variant seed, or the first of a range (default 1)",
+     u64<&Options::Seed>},
+    {"--pmin", "P", "minimum NOP probability, percent (default 0)",
+     percent<&Options::PMin>},
+    {"--pmax", "P", "maximum NOP probability, percent (default 30)",
+     percent<&Options::PMax>},
+    {"--model", "M", "log (default) | linear | uniform",
+     [](Options &O, const char *V) -> const char * {
+       std::string_view M = V;
+       if (M != "log" && M != "linear" && M != "uniform")
+         return "expected log, linear or uniform";
+       O.Model = M;
+       return nullptr;
+     }},
+    {"--xchg", nullptr, "include the bus-locking XCHG NOPs",
+     toggle<&Options::Xchg, true>},
+    {"--transforms", "LIST",
+     "pipeline from {nop, shift, sched, regs} (default: nop)",
+     [](Options &O, const char *V) -> const char * {
+       static std::string Error;
+       std::vector<diversity::TransformKind> Kinds;
+       if (!diversity::parseTransformList(V, Kinds, &Error))
+         return Error.c_str();
+       O.Pipe = diversity::Pipeline(std::move(Kinds));
+       return nullptr;
+     }},
+    {"--engine", "E", "fast (default) | reference; bit-identical results",
+     [](Options &O, const char *V) -> const char * {
+       return mexec::parseEngine(V, O.Engine) ? nullptr
+                                              : "expected fast or reference";
+     }},
+    {"--retries", "N", "verification attempts per variant (default 3)",
+     positive<&Options::Retries>},
+    {"--variants", "N", "variants per program (default 3)",
+     positive<&Options::Variants>},
+    {"--suite", nullptr, "sweep the built-in workload battery, not a file",
+     toggle<&Options::Suite, true>},
+    {"--seeds", "N", "build N variants, seeds BASE..BASE+N-1 (default 8)",
+     [](Options &O, const char *V) {
+       O.SeedsSet = true;
+       return positive<&Options::Seeds>(O, V);
+     }},
+    {"--jobs", "J", "worker threads (default: all cores)",
+     count<&Options::Jobs>},
+    {"--incremental", nullptr, "rescan only the diffed ranges of a version",
+     toggle<&Options::Incremental, true>},
+    {"--out-dir", "DIR", "write each variant's .text here",
+     text<&Options::OutDir>},
+    {"--metrics", "FILE", "enable telemetry; write metrics JSON here",
+     text<&Options::MetricsFile>},
+    {"--no-opt", nullptr, "disable the -O2 pipeline",
+     toggle<&Options::Optimize, false>},
+    {"--replicas", "K", "replica count (default 3)",
+     positive<&Options::Replicas>},
+    {"--policy", "P", "vote policy: majority (default) | unanimous",
+     [](Options &O, const char *V) -> const char * {
+       return nvx::parseVotePolicy(V, O.Policy)
+                  ? nullptr
+                  : "expected majority or unanimous";
+     }},
+    {"--timeout", "S", "per-round wall budget, seconds (default 5; 0 off)",
+     seconds<&Options::TimeoutSeconds>},
+    {"--store", "DIR", "persistent variant store (required)",
+     text<&Options::StoreDir>},
+    {"--requests", "N", "request count (default 64)",
+     u64<&Options::Requests>},
+    {"--queue-depth", "Q", "admission slots beyond the workers (default 16)",
+     count<&Options::QueueDepth>},
+    {"--admit-wait", "S", "wait before shedding, seconds (default 30)",
+     seconds<&Options::AdmitWaitSeconds>},
+};
+
+/// Flags every command accepts.
+const char *const GlobalFlags = "--metrics --no-opt";
 
 diversity::DiversityOptions diversityOptions(const Options &Opts) {
   diversity::DiversityOptions D;
@@ -505,6 +319,12 @@ diversity::DiversityOptions diversityOptions(const Options &Opts) {
   return D;
 }
 
+/// True when \p C is one of the analyzer's diagnostic codes.
+bool isAnalysisCode(verify::ErrorCode C) {
+  return C >= verify::ErrorCode::AnalysisCfgMalformed &&
+         C <= verify::ErrorCode::StaticAnalysisRejected;
+}
+
 /// Loads the program and, when requested, applies a saved profile.
 /// Returns ExitOK or the exit code describing what went wrong.
 int loadProgram(const Options &Opts, driver::Program &P) {
@@ -515,8 +335,12 @@ int loadProgram(const Options &Opts, driver::Program &P) {
   }
   P = driver::compileProgram(Source, Opts.File, Opts.Optimize);
   if (!P.ok()) {
+    // compileProgram already runs the analyzer over the baseline, so a
+    // backend bug surfaces with an analysis code rather than a frontend
+    // one.
     std::fprintf(stderr, "%s", P.errors().c_str());
-    return ExitParse;
+    return isAnalysisCode(P.Diags.firstCode()) ? ExitAnalysisFailed
+                                               : ExitParse;
   }
   if (!Opts.ProfileFile.empty()) {
     std::string Text;
@@ -543,17 +367,46 @@ int loadProgram(const Options &Opts, driver::Program &P) {
   return ExitOK;
 }
 
-/// Parses Opts.InputText strictly into \p Out. Returns ExitOK or prints
-/// the offending token and returns ExitParse.
-int parseInputChecked(const Options &Opts, std::vector<int32_t> &Out) {
-  std::string Bad;
-  if (!parseInput(Opts.InputText, Out, Bad)) {
-    std::fprintf(stderr,
-                 "pgsdc: --input: '%s' is not a 32-bit integer\n",
-                 Bad.c_str());
-    return ExitParse;
+/// Parses --input as whitespace-separated 32-bit integers. Rejects
+/// non-numeric tokens and values outside int32 range -- the old lenient
+/// scan silently *truncated* out-of-range values (static_cast wrap) and
+/// dropped trailing garbage, so "4294967296" fed the program 0 and
+/// "1 2 x" fed it "1 2". Returns ExitOK or prints the offending token
+/// and returns ExitParse.
+int parseInput(const Options &Opts, std::vector<int32_t> &Values) {
+  Values.clear();
+  std::istringstream SS(Opts.InputText);
+  std::string Tok;
+  while (SS >> Tok) {
+    errno = 0;
+    char *End = nullptr;
+    long long V = std::strtoll(Tok.c_str(), &End, 10);
+    if (End == Tok.c_str() || *End != '\0' || errno == ERANGE ||
+        V < std::numeric_limits<int32_t>::min() ||
+        V > std::numeric_limits<int32_t>::max()) {
+      std::fprintf(stderr, "pgsdc: --input: '%s' is not a 32-bit integer\n",
+                   Tok.c_str());
+      return ExitParse;
+    }
+    Values.push_back(static_cast<int32_t>(V));
   }
   return ExitOK;
+}
+
+/// loadProgram for batch, nvx and serve, where --input doubles as the
+/// training set: absent a saved --profile, profile once on it and share
+/// the stamped counts with every variant.
+int loadTrained(const Options &Opts, driver::Program &P) {
+  if (int Err = loadProgram(Opts, P))
+    return Err;
+  std::vector<int32_t> Input;
+  if (int Err = parseInput(Opts, Input))
+    return Err;
+  if (Opts.InputText.empty() || P.HasProfile ||
+      driver::profileAndStamp(P, Input))
+    return ExitOK;
+  std::fprintf(stderr, "pgsdc: training run trapped\n");
+  return ExitTrap;
 }
 
 int cmdRun(const Options &Opts) {
@@ -561,7 +414,7 @@ int cmdRun(const Options &Opts) {
   if (int Err = loadProgram(Opts, P))
     return Err;
   std::vector<int32_t> Input;
-  if (int Err = parseInputChecked(Opts, Input))
+  if (int Err = parseInput(Opts, Input))
     return Err;
   mexec::RunResult R = driver::execute(P.MIR, Input, true, Opts.Engine);
   std::fputs(R.Output.c_str(), stdout);
@@ -582,7 +435,7 @@ int cmdProfile(const Options &Opts) {
   if (int Err = loadProgram(Opts, P))
     return Err;
   mexec::RunOptions Run;
-  if (int Err = parseInputChecked(Opts, Run.Input))
+  if (int Err = parseInput(Opts, Run.Input))
     return Err;
   profile::ProfileData Data = profile::profileModule(P.MIR, Run);
   if (Data.empty()) {
@@ -640,7 +493,7 @@ int cmdDiversify(const Options &Opts) {
   if (int Err = loadProgram(Opts, P))
     return Err;
   std::vector<int32_t> Input;
-  if (int Err = parseInputChecked(Opts, Input))
+  if (int Err = parseInput(Opts, Input))
     return Err;
   codegen::Image Base = driver::linkBaseline(P);
   auto BaseGadgets =
@@ -748,19 +601,8 @@ void printPhaseTable(std::FILE *Out) {
 
 int cmdBatch(const Options &Opts) {
   driver::Program P;
-  if (int Err = loadProgram(Opts, P))
+  if (int Err = loadTrained(Opts, P))
     return Err;
-  std::vector<int32_t> Input;
-  if (int Err = parseInputChecked(Opts, Input))
-    return Err;
-  if (!Opts.InputText.empty() && !P.HasProfile) {
-    // --input doubles as the training set: profile once, share the
-    // stamped counts with every worker.
-    if (!driver::profileAndStamp(P, Input)) {
-      std::fprintf(stderr, "pgsdc: training run trapped\n");
-      return ExitTrap;
-    }
-  }
   std::vector<uint64_t> Seeds;
   Seeds.reserve(Opts.Seeds);
   for (unsigned I = 0; I != Opts.Seeds; ++I)
@@ -826,189 +668,132 @@ int cmdBatch(const Options &Opts) {
   return ExitOK;
 }
 
-/// Runs the six static checkers over \p P's baseline MIR plus one
-/// pipeline variant per seed of Opts.Variants. Returns the number of
-/// rejected modules.
-unsigned analyzeProgram(const driver::Program &P, const Options &Opts,
-                        const std::string &Label) {
-  unsigned Failed = 0;
-  auto Check = [&](const mir::MModule &M, const std::string &What) {
-    verify::Report R = analysis::analyzeModule(M);
-    if (R.ok())
-      return;
-    ++Failed;
-    std::fprintf(stderr,
-                 "pgsdc: %s (%s) rejected by static analysis:\n%s",
-                 Label.c_str(), What.c_str(), R.str().c_str());
-  };
-  Check(P.MIR, "baseline");
-  diversity::DiversityOptions D = diversityOptions(Opts);
-  for (unsigned V = 0; V != Opts.Variants; ++V) {
-    uint64_t Seed = Opts.Seed + V;
-    mir::MModule Var = P.MIR;
-    Opts.Pipe.run(Var, D, Seed);
-    Check(Var, "variant seed=" + std::to_string(Seed));
-  }
-  return Failed;
-}
-
-/// True when \p C is one of the analyzer's diagnostic codes.
-bool isAnalysisCode(verify::ErrorCode C) {
-  return C >= verify::ErrorCode::AnalysisCfgMalformed &&
-         C <= verify::ErrorCode::StaticAnalysisRejected;
-}
-
-int cmdAnalyzeSuite(const Options &Opts) {
-  unsigned Failed = 0;
+/// Counts of one analyze/equiv sweep.
+struct SweepResult {
+  int Exit = ExitOK; ///< Load failure of the named file, else ExitOK.
   unsigned Programs = 0;
-  auto RunOne = [&](const workloads::Workload &W) {
-    ++Programs;
+  unsigned Modules = 0; ///< Modules checked.
+  unsigned Failed = 0;  ///< Rejected modules plus uncompilable programs.
+};
+
+/// The per-module check of a sweep: the verdict on module \p M of a
+/// program whose baseline MIR is \p Base.
+using ModuleCheck = verify::Report (*)(const mir::MModule &Base,
+                                       const mir::MModule &M);
+
+/// Builds the baseline plus one pipeline variant per seed of
+/// Opts.Variants for the named file (loaded through loadProgram, so
+/// --profile applies) or, with --suite, for each workload program, and
+/// runs \p Check over the variants -- and over the baseline too when
+/// \p CheckBaseline. Each rejection prints "<program> (<module>)
+/// <Rejected>:" and the report to stderr.
+SweepResult sweep(const Options &Opts, bool CheckBaseline, ModuleCheck Check,
+                  const char *Rejected) {
+  SweepResult R;
+  diversity::DiversityOptions D = diversityOptions(Opts);
+  auto Run = [&](const driver::Program &P, const std::string &Label) {
+    ++R.Programs;
+    auto One = [&](const mir::MModule &M, const std::string &What) {
+      ++R.Modules;
+      verify::Report Rep = Check(P.MIR, M);
+      if (Rep.ok())
+        return;
+      ++R.Failed;
+      std::fprintf(stderr, "pgsdc: %s (%s) %s:\n%s", Label.c_str(),
+                   What.c_str(), Rejected, Rep.str().c_str());
+    };
+    if (CheckBaseline)
+      One(P.MIR, "baseline");
+    for (unsigned V = 0; V != Opts.Variants; ++V) {
+      uint64_t Seed = Opts.Seed + V;
+      mir::MModule Var = P.MIR;
+      Opts.Pipe.run(Var, D, Seed);
+      One(Var, "variant seed=" + std::to_string(Seed));
+    }
+  };
+  if (!Opts.Suite) {
+    driver::Program P;
+    R.Exit = loadProgram(Opts, P);
+    if (R.Exit == ExitOK)
+      Run(P, Opts.File);
+    return R;
+  }
+  auto RunWorkload = [&](const workloads::Workload &W) {
     driver::Program P =
         driver::compileProgram(W.Source, W.Name, Opts.Optimize);
-    if (!P.ok()) {
-      // The workload battery is known-good MiniC; any failure here --
-      // frontend or analyzer -- counts against the sweep.
-      std::fprintf(stderr, "pgsdc: %s failed to compile:\n%s",
-                   W.Name.c_str(), P.errors().c_str());
-      ++Failed;
-      return;
-    }
-    Failed += analyzeProgram(P, Opts, W.Name);
+    if (P.ok())
+      return Run(P, W.Name);
+    // The workload battery is known-good MiniC; any failure here --
+    // frontend or analyzer -- counts against the sweep.
+    ++R.Programs;
+    ++R.Failed;
+    std::fprintf(stderr, "pgsdc: %s failed to compile:\n%s", W.Name.c_str(),
+                 P.errors().c_str());
   };
   for (const workloads::Workload &W : workloads::specSuite())
-    RunOne(W);
-  RunOne(workloads::phpInterpreter());
-  if (Failed) {
-    std::fprintf(stderr, "pgsdc: analyze --suite: %u rejection(s)\n",
-                 Failed);
-    return ExitAnalysisFailed;
-  }
-  std::printf("analyze --suite: %u programs x %u modules clean "
-              "(%u checkers)\n",
-              Programs, 1 + Opts.Variants, analysis::NumCheckers);
-  return ExitOK;
+    RunWorkload(W);
+  RunWorkload(workloads::phpInterpreter());
+  return R;
 }
 
+/// `analyze`: the six static checkers over baseline and variants.
 int cmdAnalyze(const Options &Opts) {
-  if (Opts.File == "--suite")
-    return cmdAnalyzeSuite(Opts);
-  std::string Source;
-  if (!readFile(Opts.File, Source)) {
-    std::fprintf(stderr, "pgsdc: cannot read '%s'\n", Opts.File.c_str());
-    return ExitFileIO;
-  }
-  driver::Program P =
-      driver::compileProgram(Source, Opts.File, Opts.Optimize);
-  if (!P.ok()) {
-    // compileProgram already runs the analyzer over the baseline, so a
-    // backend bug surfaces here with an analysis code rather than a
-    // frontend one.
-    std::fprintf(stderr, "%s", P.errors().c_str());
-    return isAnalysisCode(P.Diags.firstCode()) ? ExitAnalysisFailed
-                                               : ExitParse;
-  }
-  if (analyzeProgram(P, Opts, Opts.File))
+  SweepResult R = sweep(
+      Opts, /*CheckBaseline=*/true,
+      [](const mir::MModule &, const mir::MModule &M) {
+        return analysis::analyzeModule(M);
+      },
+      "rejected by static analysis");
+  if (R.Exit != ExitOK)
+    return R.Exit;
+  if (R.Failed) {
+    if (Opts.Suite)
+      std::fprintf(stderr, "pgsdc: analyze --suite: %u rejection(s)\n",
+                   R.Failed);
     return ExitAnalysisFailed;
-  std::printf("analyze: %s: baseline + %u variants clean (%u checkers)\n",
-              Opts.File.c_str(), Opts.Variants, analysis::NumCheckers);
+  }
+  if (Opts.Suite)
+    std::printf("analyze --suite: %u programs x %u modules clean "
+                "(%u checkers)\n",
+                R.Programs, 1 + Opts.Variants, analysis::NumCheckers);
+  else
+    std::printf("analyze: %s: baseline + %u variants clean (%u checkers)\n",
+                Opts.File.c_str(), Opts.Variants, analysis::NumCheckers);
   return ExitOK;
 }
 
-/// Proves one pipeline variant of \p P per seed of Opts.Variants
-/// observationally equivalent to the baseline via the symbolic prover
-/// (no execution). Returns the number of
-/// refuted or aborted modules and accumulates \p Modules.
-unsigned equivProgram(const driver::Program &P, const Options &Opts,
-                      const std::string &Label, unsigned &Modules) {
-  unsigned Failed = 0;
-  auto Prove = [&](const mir::MModule &V, const std::string &What) {
-    ++Modules;
-    verify::Report R = analysis::proveEquivalent(P.MIR, V);
-    if (R.ok())
-      return;
-    ++Failed;
-    std::fprintf(stderr,
-                 "pgsdc: %s (%s) refuted by translation validation:\n%s",
-                 Label.c_str(), What.c_str(), R.str().c_str());
-  };
-  diversity::DiversityOptions D = diversityOptions(Opts);
-  for (unsigned V = 0; V != Opts.Variants; ++V) {
-    uint64_t Seed = Opts.Seed + V;
-    mir::MModule Var = P.MIR;
-    Opts.Pipe.run(Var, D, Seed);
-    Prove(Var, "variant seed=" + std::to_string(Seed));
-  }
-  return Failed;
-}
-
-int cmdEquivSuite(const Options &Opts) {
-  unsigned Failed = 0;
-  unsigned Programs = 0;
-  unsigned Modules = 0;
-  auto RunOne = [&](const workloads::Workload &W) {
-    ++Programs;
-    driver::Program P =
-        driver::compileProgram(W.Source, W.Name, Opts.Optimize);
-    if (!P.ok()) {
-      std::fprintf(stderr, "pgsdc: %s failed to compile:\n%s",
-                   W.Name.c_str(), P.errors().c_str());
-      ++Failed;
-      return;
-    }
-    Failed += equivProgram(P, Opts, W.Name, Modules);
-  };
-  for (const workloads::Workload &W : workloads::specSuite())
-    RunOne(W);
-  RunOne(workloads::phpInterpreter());
-  if (Failed) {
-    std::fprintf(stderr, "pgsdc: equiv --suite: %u refutation(s)\n",
-                 Failed);
-    return ExitEquivRefuted;
-  }
-  std::printf("equiv --suite: %u programs, %u variant modules proved "
-              "equivalent\n",
-              Programs, Modules);
-  return ExitOK;
-}
-
+/// `equiv`: proves each variant observationally equivalent to the
+/// baseline with the symbolic prover (no execution).
 int cmdEquiv(const Options &Opts) {
-  if (Opts.File == "--suite")
-    return cmdEquivSuite(Opts);
-  std::string Source;
-  if (!readFile(Opts.File, Source)) {
-    std::fprintf(stderr, "pgsdc: cannot read '%s'\n", Opts.File.c_str());
-    return ExitFileIO;
-  }
-  driver::Program P =
-      driver::compileProgram(Source, Opts.File, Opts.Optimize);
-  if (!P.ok()) {
-    std::fprintf(stderr, "%s", P.errors().c_str());
-    return isAnalysisCode(P.Diags.firstCode()) ? ExitAnalysisFailed
-                                               : ExitParse;
-  }
-  unsigned Modules = 0;
-  if (equivProgram(P, Opts, Opts.File, Modules))
+  SweepResult R = sweep(
+      Opts, /*CheckBaseline=*/false,
+      [](const mir::MModule &Base, const mir::MModule &M) {
+        return analysis::proveEquivalent(Base, M);
+      },
+      "refuted by translation validation");
+  if (R.Exit != ExitOK)
+    return R.Exit;
+  if (R.Failed) {
+    if (Opts.Suite)
+      std::fprintf(stderr, "pgsdc: equiv --suite: %u refutation(s)\n",
+                   R.Failed);
     return ExitEquivRefuted;
-  std::printf("equiv: %s: %u variant modules proved equivalent to "
-              "baseline\n",
-              Opts.File.c_str(), Modules);
+  }
+  if (Opts.Suite)
+    std::printf("equiv --suite: %u programs, %u variant modules proved "
+                "equivalent\n",
+                R.Programs, R.Modules);
+  else
+    std::printf("equiv: %s: %u variant modules proved equivalent to "
+                "baseline\n",
+                Opts.File.c_str(), R.Modules);
   return ExitOK;
 }
 
 int cmdNvx(const Options &Opts) {
   driver::Program P;
-  if (int Err = loadProgram(Opts, P))
+  if (int Err = loadTrained(Opts, P))
     return Err;
-  std::vector<int32_t> Input;
-  if (int Err = parseInputChecked(Opts, Input))
-    return Err;
-  if (!Opts.InputText.empty() && !P.HasProfile) {
-    // Like batch, --input doubles as the training set.
-    if (!driver::profileAndStamp(P, Input)) {
-      std::fprintf(stderr, "pgsdc: training run trapped\n");
-      return ExitTrap;
-    }
-  }
   nvx::NvxOptions N;
   N.Replicas = Opts.Replicas;
   N.Policy = Opts.Policy;
@@ -1058,19 +843,8 @@ int cmdServe(const Options &Opts) {
     return ExitUsage;
   }
   driver::Program P;
-  if (int Err = loadProgram(Opts, P))
+  if (int Err = loadTrained(Opts, P))
     return Err;
-  std::vector<int32_t> Input;
-  if (int Err = parseInputChecked(Opts, Input))
-    return Err;
-  if (!Opts.InputText.empty() && !P.HasProfile) {
-    // Like batch, --input doubles as the training set: compile and
-    // profile once, then serve the whole fleet from the stamped MIR.
-    if (!driver::profileAndStamp(P, Input)) {
-      std::fprintf(stderr, "pgsdc: training run trapped\n");
-      return ExitTrap;
-    }
-  }
 
   serve::ServeOptions S;
   S.StoreDir = Opts.StoreDir;
@@ -1220,43 +994,167 @@ int cmdDisasm(const Options &Opts) {
   return 0;
 }
 
-int dispatch(const Options &Opts) {
-  if (Opts.Command == "run")
-    return cmdRun(Opts);
-  if (Opts.Command == "profile")
-    return cmdProfile(Opts);
-  if (Opts.Command == "diversify")
-    return cmdDiversify(Opts);
-  if (Opts.Command == "verify")
-    return cmdVerify(Opts);
-  if (Opts.Command == "batch")
-    return cmdBatch(Opts);
-  if (Opts.Command == "analyze")
-    return cmdAnalyze(Opts);
-  if (Opts.Command == "equiv")
-    return cmdEquiv(Opts);
-  if (Opts.Command == "nvx")
-    return cmdNvx(Opts);
-  if (Opts.Command == "serve")
-    return cmdServe(Opts);
-  if (Opts.Command == "gadgets")
-    return cmdGadgets(Opts);
-  if (Opts.Command == "disasm")
-    return cmdDisasm(Opts);
-  std::fprintf(stderr, "pgsdc: unknown command '%s'\n",
-               Opts.Command.c_str());
-  return usage();
+/// One subcommand: its name, help line, handler, and the flags that
+/// handler reads (space-separated, beside the GlobalFlags).
+struct Command {
+  const char *Name;
+  const char *Help;
+  int (*Run)(const Options &);
+  const char *Flags;
+};
+
+#define PGSD_DIVERSITY_FLAGS "--seed --pmin --pmax --model --xchg --transforms"
+
+const Command Commands[] = {
+    {"run", "compile and execute in the cycle simulator", cmdRun,
+     "--input --profile --engine"},
+    {"profile", "training run; write per-block counts", cmdProfile,
+     "--input --profile -o"},
+    {"diversify", "build one variant, report its stats, verify it",
+     cmdDiversify, "--input --profile " PGSD_DIVERSITY_FLAGS},
+    {"verify", "build a variant through the full verifier, with retries",
+     cmdVerify, "--profile --retries --engine " PGSD_DIVERSITY_FLAGS},
+    {"batch", "build verified variants in parallel, one per seed", cmdBatch,
+     "--input --profile --seeds --jobs --out-dir --retries --engine "
+     PGSD_DIVERSITY_FLAGS},
+    {"analyze", "run the static dataflow checkers on baseline + variants",
+     cmdAnalyze, "--suite --variants --profile " PGSD_DIVERSITY_FLAGS},
+    {"equiv", "prove variants equivalent to the baseline, no execution",
+     cmdEquiv, "--suite --variants --profile " PGSD_DIVERSITY_FLAGS},
+    {"gadgets", "scan gadgets, check attacks; --seeds sweeps versions",
+     cmdGadgets,
+     "--profile --seeds --jobs --incremental " PGSD_DIVERSITY_FLAGS},
+    {"disasm", "disassemble the linked image", cmdDisasm, "--profile"},
+    {"nvx", "run K replicas in lockstep, voting on behaviour", cmdNvx,
+     "--input --profile --replicas --policy --timeout --jobs --retries "
+     "--engine " PGSD_DIVERSITY_FLAGS},
+    {"serve", "serve verified variants from a persistent store", cmdServe,
+     "--store --requests --queue-depth --admit-wait --input --profile "
+     "--jobs --retries --engine " PGSD_DIVERSITY_FLAGS},
+};
+
+#undef PGSD_DIVERSITY_FLAGS
+
+/// True when the space-separated \p List names flag \p Name.
+bool inList(const char *List, std::string_view Name) {
+  std::string Padded = std::string(" ") + List + " ";
+  return Padded.find(" " + std::string(Name) + " ") != std::string::npos;
+}
+
+/// Prints the usage text generated from the two tables.
+int usage() {
+  std::fprintf(stderr, "usage: pgsdc <command> <file.minic> [flags]\n"
+                       "       pgsdc analyze|equiv --suite [flags]\n"
+                       "\ncommands:\n");
+  for (const Command &C : Commands) {
+    std::fprintf(stderr, "  %-10s %s\n", C.Name, C.Help);
+    std::string Line = "            ";
+    std::istringstream Names(C.Flags);
+    for (std::string Name; Names >> Name;) {
+      if (Line.size() + 1 + Name.size() > 78) {
+        std::fprintf(stderr, "%s\n", Line.c_str());
+        Line = "            ";
+      }
+      Line += " " + Name;
+    }
+    std::fprintf(stderr, "%s\n", Line.c_str());
+  }
+  std::fprintf(stderr, "\nflags (%s apply to every command):\n",
+               GlobalFlags);
+  for (const Flag &F : Flags) {
+    std::string Head = F.Name;
+    if (F.Meta)
+      Head += std::string(" ") + F.Meta;
+    std::fprintf(stderr, "  %-19s %s\n", Head.c_str(), F.Help);
+  }
+  std::fprintf(stderr,
+               "\nexit codes: 0 ok, 2 usage, 3 parse error, 4 file I/O,\n"
+               "  5 program trapped, 6 verification failed, 7 bad profile,\n"
+               "  8 static analysis rejected, 9 nvx no-quorum,\n"
+               "  10 equivalence refuted, 11 serve shed requests\n");
+  return ExitUsage;
+}
+
+/// Parses Argv[2..] for \p Cmd: each flag must be in the table and
+/// apply to \p Cmd, and its setter must accept its value; the one
+/// non-flag argument is the file. Prints why and returns false on a bad
+/// command line.
+bool parseArgs(const Command &Cmd, int Argc, char **Argv, Options &Opts) {
+  for (int I = 2; I < Argc; ++I) {
+    std::string_view Arg = Argv[I];
+    if (Arg.empty() || Arg[0] != '-') {
+      if (!Opts.File.empty()) {
+        std::fprintf(stderr, "pgsdc: unexpected argument '%s'\n", Argv[I]);
+        return false;
+      }
+      Opts.File = Arg;
+      continue;
+    }
+    size_t Eq = Arg.find('=');
+    std::string_view Name = Arg.substr(0, Eq);
+    const Flag *F = std::find_if(std::begin(Flags), std::end(Flags),
+                                 [&](const Flag &G) { return Name == G.Name; });
+    if (F == std::end(Flags)) {
+      std::fprintf(stderr, "pgsdc: unknown option '%s'\n", Argv[I]);
+      return false;
+    }
+    if (!inList(GlobalFlags, Name) && !inList(Cmd.Flags, Name)) {
+      std::fprintf(stderr, "pgsdc: %s does not apply to '%s'\n", F->Name,
+                   Cmd.Name);
+      return false;
+    }
+    const char *Value = Eq == std::string_view::npos ? nullptr
+                                                     : Argv[I] + Eq + 1;
+    if (F->Meta && !Value && I + 1 < Argc)
+      Value = Argv[++I];
+    if ((F->Meta != nullptr) != (Value != nullptr)) {
+      std::fprintf(stderr, "pgsdc: %s %s\n", F->Name,
+                   F->Meta ? "needs a value" : "takes no value");
+      return false;
+    }
+    if (const char *Why = F->Set(Opts, Value)) {
+      std::fprintf(stderr, "pgsdc: invalid value '%s' for %s: %s\n", Value,
+                   F->Name, Why);
+      return false;
+    }
+  }
+  if (Opts.File.empty() != Opts.Suite) {
+    std::fprintf(stderr, "pgsdc: %s expects one file%s\n", Cmd.Name,
+                 inList(Cmd.Flags, "--suite") ? " or --suite" : "");
+    return false;
+  }
+  if (Opts.Suite && !Opts.ProfileFile.empty()) {
+    std::fprintf(stderr, "pgsdc: --profile belongs to one program; it "
+                         "does not apply to --suite\n");
+    return false;
+  }
+  if (Opts.Model != "uniform" && Opts.PMin > Opts.PMax) {
+    std::fprintf(stderr, "pgsdc: --pmin %g exceeds --pmax %g\n",
+                 100.0 * Opts.PMin, 100.0 * Opts.PMax);
+    return false;
+  }
+  return true;
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  Options Opts;
-  if (!parseArgs(Argc, Argv, Opts))
+  if (Argc < 2)
     return usage();
+  std::string_view Name = Argv[1];
+  const Command *Cmd =
+      std::find_if(std::begin(Commands), std::end(Commands),
+                   [&](const Command &C) { return Name == C.Name; });
+  if (Cmd == std::end(Commands)) {
+    std::fprintf(stderr, "pgsdc: unknown command '%s'\n", Argv[1]);
+    return usage();
+  }
+  Options Opts;
+  if (!parseArgs(*Cmd, Argc, Argv, Opts))
+    return ExitUsage;
   if (!Opts.MetricsFile.empty())
     obs::setEnabled(true);
-  int Code = dispatch(Opts);
+  int Code = Cmd->Run(Opts);
   if (!Opts.MetricsFile.empty()) {
     // Export even when the command failed: a rejected batch's metrics
     // are exactly what the user wants to inspect.
