@@ -7,7 +7,11 @@
 // against its serial baseline: every workload of the SPEC-like suite is
 // compiled and profiled once, then a seed population is diversified and
 // verified at Jobs=1 and Jobs=J, and the wall-clock speedup is recorded
-// as JSON (BENCH_batch.json by default, or argv[1]). With argv[2],
+// as JSON (BENCH_batch.json by default, or argv[1]). A cold parallel
+// pass runs first, when each program's baseline battery is not yet in
+// the process-wide memo (verify/BaselineCache.h) -- the one-shot
+// `pgsdc batch` case; the serial and parallel passes after it recall
+// the battery, so they time the same work. With argv[2],
 // pipeline telemetry is enabled and exported there as pgsd-metrics-v1
 // JSON (per-phase timings of every batch the bench ran).
 //
@@ -51,6 +55,7 @@ unsigned envUnsigned(const char *Name, unsigned Default) {
 struct Row {
   std::string Name;
   unsigned Seeds = 0;
+  driver::BatchResult Cold;
   driver::BatchResult Serial;
   driver::BatchResult Parallel;
 
@@ -66,6 +71,8 @@ struct Row {
 void appendJsonRow(std::string &Out, const Row &R, bool Last) {
   Out += "    {\"name\": " + obs::jsonString(R.Name) +
          ", \"seeds\": " + obs::jsonUInt(R.Seeds) +
+         ", \"cold_parallel_wall_s\": " +
+         obs::jsonNumber(R.Cold.WallSeconds, 4) +
          ", \"serial_wall_s\": " + obs::jsonNumber(R.Serial.WallSeconds, 4) +
          ", \"parallel_wall_s\": " +
          obs::jsonNumber(R.Parallel.WallSeconds, 4) +
@@ -74,6 +81,8 @@ void appendJsonRow(std::string &Out, const Row &R, bool Last) {
          obs::jsonNumber(R.Serial.variantsPerSecond(), 2) +
          ", \"parallel_vps\": " +
          obs::jsonNumber(R.Parallel.variantsPerSecond(), 2) +
+         ", \"cold_parallel_vps\": " +
+         obs::jsonNumber(R.Cold.variantsPerSecond(), 2) +
          ", \"accepted\": " + obs::jsonUInt(R.Parallel.Accepted) +
          ", \"rejected\": " + obs::jsonUInt(R.Parallel.Rejected) +
          ", \"retried\": " + obs::jsonUInt(R.Parallel.Retried) + "}" +
@@ -102,7 +111,7 @@ int main(int Argc, char **Argv) {
       diversity::ProbabilityModel::Log, 0.0, 0.3);
 
   std::vector<Row> Rows;
-  double TotalSerial = 0, TotalParallel = 0;
+  double TotalCold = 0, TotalSerial = 0, TotalParallel = 0;
   for (size_t WI = 0; WI != NumWorkloads; ++WI) {
     const workloads::Workload &W = Suite[WI];
     driver::Program P = driver::compileProgram(W.Source, W.Name);
@@ -134,36 +143,40 @@ int main(int Argc, char **Argv) {
     R.Name = W.Name;
     R.Seeds = SeedsPer;
     const diversity::Pipeline Nop;
+    R.Cold = driver::makeVariantsBatch(P, Nop, Opts, Seeds, Parallel);
     R.Serial = driver::makeVariantsBatch(P, Nop, Opts, Seeds, Serial);
     R.Parallel = driver::makeVariantsBatch(P, Nop, Opts, Seeds, Parallel);
 
-    // Determinism parity while we are here: the two passes must agree
+    // Determinism parity while we are here: the three passes must agree
     // byte-for-byte (tests/BatchTest.cpp pins this; the bench refuses to
     // publish numbers for diverging runs).
     for (size_t I = 0; I != Seeds.size(); ++I)
       if (R.Serial.Variants[I].V.Image.Text !=
-          R.Parallel.Variants[I].V.Image.Text) {
+              R.Parallel.Variants[I].V.Image.Text ||
+          R.Cold.Variants[I].V.Image.Text !=
+              R.Parallel.Variants[I].V.Image.Text) {
         std::fprintf(stderr,
-                     "batch_throughput: %s: Jobs=1 and Jobs=%u images "
-                     "differ at seed index %zu\n",
+                     "batch_throughput: %s: cold, Jobs=1 and Jobs=%u "
+                     "images differ at seed index %zu\n",
                      W.Name.c_str(), Jobs, I);
         return 1;
       }
 
+    TotalCold += R.Cold.WallSeconds;
     TotalSerial += R.Serial.WallSeconds;
     TotalParallel += R.Parallel.WallSeconds;
-    std::printf("%-16s %2u seeds: serial %.3fs, %u jobs %.3fs, "
-                "speedup %.2fx (%.1f variants/sec)\n",
-                W.Name.c_str(), SeedsPer, R.Serial.WallSeconds, Jobs,
-                R.Parallel.WallSeconds, R.speedup(),
-                R.Parallel.variantsPerSecond());
+    std::printf("%-16s %2u seeds: cold %u jobs %.3fs, serial %.3fs, "
+                "%u jobs %.3fs, speedup %.2fx (%.1f variants/sec)\n",
+                W.Name.c_str(), SeedsPer, Jobs, R.Cold.WallSeconds,
+                R.Serial.WallSeconds, Jobs, R.Parallel.WallSeconds,
+                R.speedup(), R.Parallel.variantsPerSecond());
     Rows.push_back(std::move(R));
   }
 
   double Speedup = TotalParallel > 0 ? TotalSerial / TotalParallel : 0.0;
-  std::printf("total: serial %.3fs, parallel %.3fs, speedup %.2fx "
-              "(%u jobs, %u hardware threads)\n",
-              TotalSerial, TotalParallel, Speedup, Jobs,
+  std::printf("total: cold parallel %.3fs, serial %.3fs, parallel %.3fs, "
+              "speedup %.2fx (%u jobs, %u hardware threads)\n",
+              TotalCold, TotalSerial, TotalParallel, Speedup, Jobs,
               support::ThreadPool::defaultConcurrency());
 
   std::string Json;
@@ -172,6 +185,8 @@ int main(int Argc, char **Argv) {
   Json += "  \"hardware_concurrency\": " +
           obs::jsonUInt(support::ThreadPool::defaultConcurrency()) + ",\n";
   Json += "  \"seeds_per_workload\": " + obs::jsonUInt(SeedsPer) + ",\n";
+  Json += "  \"total_cold_parallel_wall_s\": " +
+          obs::jsonNumber(TotalCold, 4) + ",\n";
   Json += "  \"total_serial_wall_s\": " + obs::jsonNumber(TotalSerial, 4) +
           ",\n";
   Json += "  \"total_parallel_wall_s\": " +

@@ -37,14 +37,17 @@ BatchResult driver::makeVariantsBatch(const Program &P,
 
   // Every seed verifies against the same baseline on the same battery:
   // one shared read-only cache runs the baseline once per input for the
-  // whole batch instead of once per variant attempt. Entries fill under
-  // per-entry once_flags, so sharing it across workers is race-free and
-  // -- because each baseline run is a pure function of (baseline, input)
-  // -- does not disturb the Jobs-independence determinism contract.
+  // whole batch instead of once per variant attempt, and the process-wide
+  // battery memo lets a later batch of the same program recall the whole
+  // battery instead of running it again. Entries fill under per-entry
+  // once_flags, so sharing the cache across workers is race-free and --
+  // because each baseline run is a pure function of (baseline, input) --
+  // does not disturb the Jobs-independence determinism contract.
   verify::VerifyOptions Verify = BOpts.Verify;
   verify::BaselineCache Cache = [&] {
     obs::Span S(Obs ? "batch.setup" : nullptr);
-    return verify::BaselineCache(P.MIR, BOpts.Verify);
+    return verify::BaselineCache(P.MIR, BOpts.Verify,
+                                 verify::BaselineCache::Memo::Shared);
   }();
   Verify.Cache = &Cache;
 
@@ -93,6 +96,7 @@ BatchResult driver::makeVariantsBatch(const Program &P,
 
   R.BaselineCacheHits = Cache.hits();
   R.BaselineCacheFills = Cache.fills();
+  R.BaselineCacheReused = Cache.reused();
 
   R.WallSeconds =
       support::elapsedSeconds(WallStart, support::monotonicSeconds());
@@ -128,6 +132,7 @@ BatchResult driver::makeVariantsBatch(const Program &P,
     obs::counterAdd("batch.suppressed_exceptions", R.SuppressedExceptions);
     obs::counterAdd("verify.baseline_cache.hits", R.BaselineCacheHits);
     obs::counterAdd("verify.baseline_cache.fills", R.BaselineCacheFills);
+    obs::counterAdd("verify.baseline_cache.reused", R.BaselineCacheReused);
     obs::gaugeSet("batch.jobs", R.Jobs);
     obs::gaugeSet("batch.wall_seconds", R.WallSeconds);
     obs::gaugeSet("batch.cpu_seconds", R.CpuSeconds);

@@ -18,9 +18,11 @@
 /// identical stats, identical accepted seeds) for every BOpts.Jobs
 /// value, under any pipeline, because each variant is a pure function
 /// of (P, Pipe, Opts, its seed) -- workers share only the immutable
-/// Program and construct all mutable state (the variant copy of the
-/// MIR, the per-variant Rng, interpreter state) privately. tests/BatchTest.cpp pins this; the TSan CI job proves the
-/// sharing really is read-only.
+/// Program, the batch's baseline run cache (once_flag-filled), and the
+/// process-wide baseline battery memo (one mutex-guarded table), and
+/// construct all other mutable state (the variant copy of the MIR, the
+/// per-variant Rng, interpreter state) privately. tests/BatchTest.cpp
+/// pins this; the TSan CI job proves the sharing is race-free.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,6 +71,10 @@ struct BatchResult {
   /// variant attempt.
   uint64_t BaselineCacheHits = 0;
   uint64_t BaselineCacheFills = 0;
+  /// Battery entries recalled from the process-wide baseline memo: the
+  /// battery size when an earlier call already ran this program's
+  /// complete battery (then Fills is 0), else 0.
+  uint64_t BaselineCacheReused = 0;
   /// Worker exceptions the pool dropped because another task's exception
   /// was already pending rethrow: wait() surfaces only the first, so a
   /// nonzero count here is the only trace that *more than one* seed's

@@ -142,10 +142,14 @@ driver::makeVariantVerified(const Program &P,
   // Every retry attempt diffs against the same baseline on the same
   // battery; share one baseline run cache across the whole retry loop
   // (unless the caller -- e.g. makeVariantsBatch -- already supplied a
-  // wider-scoped one).
+  // wider-scoped one). The battery memo carries it across calls, so
+  // repeated calls for one program run its baseline battery once.
   std::optional<verify::BaselineCache> LocalCache;
-  if (!Effective.Cache)
-    Effective.Cache = &LocalCache.emplace(P.MIR, Effective);
+  if (!Effective.Cache) {
+    Effective.Cache = &LocalCache.emplace(
+        P.MIR, Effective, verify::BaselineCache::Memo::Shared);
+    obs::counterAdd("verify.baseline_cache.reused", LocalCache->reused());
+  }
   // One schedule object walks the attempt seeds; with the default
   // SeedStride of 0 this reproduces the historical
   // deriveRetrySeed(Seed, Attempt) sequence exactly.

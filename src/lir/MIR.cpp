@@ -264,8 +264,19 @@ std::string mir::printInstr(const MInstr &I) {
 
 std::string mir::print(const MModule &M) {
   std::string Out;
+  appendf(Out, "mmodule: entry=%d counters=%u\n", M.EntryFunction,
+          M.NumProfCounters);
+  for (size_t G = 0; G != M.Globals.size(); ++G) {
+    const ir::Global &Gl = M.Globals[G];
+    appendf(Out, "global#%zu %s: size=%u init={", G, Gl.Name.c_str(),
+            Gl.SizeBytes);
+    for (size_t W = 0; W != Gl.Init.size(); ++W)
+      appendf(Out, W ? ",%d" : "%d", Gl.Init[W]);
+    Out += "}\n";
+  }
   for (const MFunction &F : M.Functions) {
-    appendf(Out, "mfunc %s: frame=%u%s%s%s\n", F.Name.c_str(), F.FrameBytes,
+    appendf(Out, "mfunc %s: params=%u frame=%u slots=%d%s%s%s\n",
+            F.Name.c_str(), F.NumParams, F.FrameBytes, F.ValueSlotsLowDisp,
             F.UsesEbx ? " ebx" : "", F.UsesEsi ? " esi" : "",
             F.UsesEdi ? " edi" : "");
     for (uint32_t B = 0; B != F.Blocks.size(); ++B) {

@@ -136,7 +136,13 @@ struct MModule {
 /// function/block/index coordinates.
 std::string printInstr(const MInstr &I);
 
-/// Renders \p M as text for tests and debugging.
+/// Renders \p M as text for tests, debugging, and content addressing.
+/// The text covers everything execution, emission, and verification
+/// read from the module -- entry function, counter count, global layout
+/// and initializers, per-function frame shape and value-slot floor, and
+/// every instruction -- so two modules with equal prints run and link
+/// identically. The baseline battery memo (verify/BaselineCache.h) and
+/// the variant store keys (serve/VariantStore.h) rely on that.
 std::string print(const MModule &M);
 
 /// Structural validity check; empty string when OK. Verifies branch

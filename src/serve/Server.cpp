@@ -47,9 +47,13 @@ ServeResult serve::serveVariants(const driver::Program &P,
   }();
   verify::VerifyOptions Verify = O.Verify;
   Verify.Cache = &Cache;
+  std::string BaseMaterial;
+  StoreKey BaselineKey;
 
   {
     obs::Span S(Obs ? "serve.setup" : nullptr);
+    BaseMaterial = baseKeyMaterial(P.MIR, O.Link);
+    BaselineKey = makeBaselineKey(BaseMaterial, O.Verify);
     if (!Store.open(&R.Error))
       return R; // Unwritable store: fail loudly at startup, not later.
 
@@ -57,8 +61,7 @@ ServeResult serve::serveVariants(const driver::Program &P,
     // process: verification fills after a restart then skip baseline
     // execution entirely. A corrupt artifact self-heals to a miss.
     BaselineArtifact Art;
-    if (Store.loadBaseline(makeBaselineKey(P.MIR, O.Link), Art) ==
-        LoadStatus::Hit)
+    if (Store.loadBaseline(BaselineKey, Art) == LoadStatus::Hit)
       for (const auto &[Index, Run] : Art.Runs)
         if (Index < Cache.battery().size())
           Cache.prewarm(Index, Run);
@@ -76,8 +79,6 @@ ServeResult serve::serveVariants(const driver::Program &P,
     if (O.Observer)
       O.Observer(R.Requests[I]);
   };
-
-  const std::string BaseMaterial = baseKeyMaterial(P.MIR, O.Link);
 
   {
     obs::Span Fan(Obs ? "serve.fanout" : nullptr);
@@ -196,8 +197,7 @@ ServeResult serve::serveVariants(const driver::Program &P,
     R.BaselinePrewarmed = Cache.prewarmed();
     if (Art.Runs.size() > R.BaselinePrewarmed) {
       std::string PubErr;
-      if (!Store.publishBaseline(makeBaselineKey(P.MIR, O.Link), Art,
-                                 &PubErr) &&
+      if (!Store.publishBaseline(BaselineKey, Art, &PubErr) &&
           R.Error.empty())
         R.Error = PubErr;
     }

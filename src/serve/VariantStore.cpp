@@ -7,6 +7,8 @@
 
 #include "serve/VariantStore.h"
 
+#include "verify/BaselineCache.h"
+
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
@@ -44,8 +46,9 @@ namespace {
 
 /// The store format version. Part of every key, so a future layout or
 /// pipeline-semantics change re-keys the whole store instead of serving
-/// stale artifacts.
-constexpr const char *StoreVersion = "pgsd-store-v1";
+/// stale artifacts. v2: the printed MIR covers globals, the entry
+/// function, and the counter count, and baseline keys cover the battery.
+constexpr const char *StoreVersion = "pgsd-store-v2";
 
 constexpr const char *VariantMagic = "pgsd-variant-v1";
 constexpr const char *BaselineMagic = "pgsd-baseline-v1";
@@ -268,9 +271,20 @@ StoreKey serve::makeVariantKey(const std::string &BaseMaterial,
 
 StoreKey serve::makeBaselineKey(const mir::MModule &Baseline,
                                 const codegen::LinkOptions &Link) {
-  std::string M;
-  appendBaseMaterial(M, Baseline, Link);
+  return makeBaselineKey(baseKeyMaterial(Baseline, Link),
+                         verify::VerifyOptions());
+}
+
+StoreKey serve::makeBaselineKey(const std::string &BaseMaterial,
+                                const verify::VerifyOptions &Verify) {
+  std::string M = BaseMaterial;
   M += "baseline";
+  M += '\0';
+  verify::appendBatteryMaterial(M,
+                                Verify.InputBattery.empty()
+                                    ? verify::defaultInputBattery()
+                                    : Verify.InputBattery,
+                                Verify.MaxSteps);
   return keyOf(M);
 }
 

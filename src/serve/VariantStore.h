@@ -47,6 +47,7 @@
 #include "diversity/Transform.h"
 #include "lir/MIR.h"
 #include "mexec/Interp.h"
+#include "verify/Verifier.h"
 
 #include <atomic>
 #include <cstdint>
@@ -94,8 +95,15 @@ StoreKey makeVariantKey(const std::string &BaseMaterial,
                         const diversity::DiversityOptions &D, uint64_t Seed);
 
 /// Content address of the baseline artifact (per-input baseline runs)
-/// for (\p Baseline, \p Link): the variant key material minus the
-/// per-request fields.
+/// for precomputed baseKeyMaterial() verified under \p Verify: the
+/// variant key material minus the per-request fields, plus the resolved
+/// input battery and MaxSteps the runs were taken with -- an artifact is
+/// prewarmed by battery index, so a different battery must miss.
+StoreKey makeBaselineKey(const std::string &BaseMaterial,
+                         const verify::VerifyOptions &Verify);
+
+/// makeBaselineKey for (\p Baseline, \p Link) under the default
+/// verify::VerifyOptions.
 StoreKey makeBaselineKey(const mir::MModule &Baseline,
                          const codegen::LinkOptions &Link);
 

@@ -8,6 +8,7 @@
 #include "verify/BaselineCache.h"
 
 #include <cassert>
+#include <deque>
 #include <mutex>
 
 using namespace pgsd;
@@ -21,20 +22,112 @@ struct BaselineCache::Entry {
   std::atomic<bool> Filled{false};
 };
 
+namespace {
+
+using Runs = std::vector<mexec::RunResult>;
+
+/// The process-wide battery memo: (key material, complete runs) pairs in
+/// insertion order, so eviction drops the front.
+struct BatteryMemo {
+  std::mutex Lock;
+  std::deque<std::pair<std::string, std::shared_ptr<const Runs>>> Table;
+
+  std::shared_ptr<const Runs> find(const std::string &Key) {
+    std::lock_guard<std::mutex> G(Lock);
+    for (const auto &[K, R] : Table)
+      if (K == Key)
+        return R;
+    return nullptr;
+  }
+
+  void store(const std::string &Key, std::shared_ptr<const Runs> R) {
+    std::lock_guard<std::mutex> G(Lock);
+    for (const auto &Stored : Table)
+      if (Stored.first == Key)
+        return; // A concurrent twin stored the same battery first.
+    Table.emplace_back(Key, std::move(R));
+    if (Table.size() > BaselineCache::MemoCapacity)
+      Table.pop_front();
+  }
+};
+
+BatteryMemo &memo() {
+  static BatteryMemo M;
+  return M;
+}
+
+/// Everything a baseline battery is a function of. The print cannot
+/// contain NUL, so the module and the remaining fields never blur.
+std::string memoKey(const mir::MModule &Baseline,
+                    const std::vector<std::vector<int32_t>> &Battery,
+                    uint64_t MaxSteps, mexec::Engine Engine) {
+  std::string K = mir::print(Baseline);
+  K += '\0';
+  K += std::to_string(static_cast<unsigned>(Engine));
+  K += '\n';
+  appendBatteryMaterial(K, Battery, MaxSteps);
+  return K;
+}
+
+} // namespace
+
+void verify::appendBatteryMaterial(
+    std::string &Out, const std::vector<std::vector<int32_t>> &Battery,
+    uint64_t MaxSteps) {
+  // Every field is decimal and terminated, and each input carries its
+  // length, so the serialization is prefix-free.
+  Out += std::to_string(MaxSteps);
+  Out += '\n';
+  Out += std::to_string(Battery.size());
+  Out += '\n';
+  for (const std::vector<int32_t> &Input : Battery) {
+    Out += std::to_string(Input.size());
+    Out += ':';
+    for (int32_t V : Input) {
+      Out += std::to_string(V);
+      Out += ',';
+    }
+    Out += '\n';
+  }
+}
+
 BaselineCache::BaselineCache(const mir::MModule &BaselineMod,
-                             const VerifyOptions &Opts)
+                             const VerifyOptions &Opts, Memo M)
     : Baseline(&BaselineMod), MaxSteps(Opts.MaxSteps), Engine(Opts.Engine) {
   Battery = Opts.InputBattery.empty() ? defaultInputBattery()
                                       : Opts.InputBattery;
+  Entries = std::make_unique<Entry[]>(Battery.size());
+  if (M == Memo::Shared) {
+    MemoKey = memoKey(BaselineMod, Battery, MaxSteps, Engine);
+    Recalled = memo().find(MemoKey);
+    if (Recalled)
+      return; // Nothing will execute: skip compiling the baseline.
+  }
   if (Engine == mexec::Engine::Fast)
     Compiled.emplace(BaselineMod);
-  Entries = std::make_unique<Entry[]>(Battery.size());
 }
 
 BaselineCache::~BaselineCache() = default;
 
+void BaselineCache::settle() const {
+  // acq_rel: the increment that completes the battery synchronizes with
+  // every earlier one, so all entries' Results are visible to it.
+  if (Settled.fetch_add(1, std::memory_order_acq_rel) + 1 != Battery.size() ||
+      MemoKey.empty())
+    return;
+  auto Complete = std::make_shared<Runs>();
+  Complete->reserve(Battery.size());
+  for (size_t I = 0; I != Battery.size(); ++I)
+    Complete->push_back(Entries[I].Result);
+  memo().store(MemoKey, std::move(Complete));
+}
+
 const mexec::RunResult &BaselineCache::baselineRun(size_t Index) const {
   assert(Index < Battery.size() && "input index outside the battery");
+  if (Recalled) {
+    Hits.fetch_add(1, std::memory_order_relaxed);
+    return (*Recalled)[Index];
+  }
   Entry &E = Entries[Index];
   bool IRan = false;
   std::call_once(E.Once, [&] {
@@ -48,6 +141,7 @@ const mexec::RunResult &BaselineCache::baselineRun(size_t Index) const {
   if (IRan) {
     E.Filled.store(true, std::memory_order_release);
     Fills.fetch_add(1, std::memory_order_relaxed);
+    settle();
   } else {
     Hits.fetch_add(1, std::memory_order_relaxed);
   }
@@ -56,6 +150,8 @@ const mexec::RunResult &BaselineCache::baselineRun(size_t Index) const {
 
 bool BaselineCache::prewarm(size_t Index, const mexec::RunResult &R) {
   assert(Index < Battery.size() && "input index outside the battery");
+  if (Recalled)
+    return false; // Every entry is already installed.
   Entry &E = Entries[Index];
   bool IRan = false;
   std::call_once(E.Once, [&] {
@@ -65,12 +161,15 @@ bool BaselineCache::prewarm(size_t Index, const mexec::RunResult &R) {
   if (IRan) {
     E.Filled.store(true, std::memory_order_release);
     Prewarmed.fetch_add(1, std::memory_order_relaxed);
+    settle();
   }
   return IRan;
 }
 
 const mexec::RunResult *BaselineCache::peek(size_t Index) const {
   assert(Index < Battery.size() && "input index outside the battery");
+  if (Recalled)
+    return &(*Recalled)[Index];
   const Entry &E = Entries[Index];
   if (!E.Filled.load(std::memory_order_acquire))
     return nullptr;

@@ -20,6 +20,20 @@
 /// the result is published and then reads it read-only. Hit/fill
 /// counters are atomic and surface in driver::BatchResult.
 ///
+/// Battery memo: a cache built with Memo::Shared also takes part in a
+/// process-wide, content-addressed memo of *complete* baseline
+/// batteries, so repeat verification of one program within a process
+/// (later batches, nvx respawns) pays its baseline battery once instead
+/// of once per call. The key is the exact material the runs depend on
+/// -- the full mir::print of the baseline, the resolved battery,
+/// MaxSteps, and the engine -- and a hit needs byte-equal material (no
+/// hash is trusted). A hit recalls the stored runs instead of executing
+/// (or compiling) the baseline; the fill that completes a cache's
+/// battery stores its runs. At most MemoCapacity batteries are kept,
+/// oldest evicted first.
+/// The memo is one mutex-guarded table; recalled runs are immutable and
+/// shared by reference, so readers never take the lock.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PGSD_VERIFY_BASELINECACHE_H
@@ -33,6 +47,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace pgsd {
@@ -43,10 +58,22 @@ namespace verify {
 /// Non-copyable; the referenced baseline module must outlive the cache.
 class BaselineCache {
 public:
+  /// Whether a cache takes part in the process-wide battery memo.
+  enum class Memo : uint8_t {
+    Off,    ///< Private: every entry executes or is prewarmed.
+    Shared, ///< Recall a stored battery; store this one once complete.
+  };
+
+  /// Batteries the process-wide memo keeps (oldest evicted first).
+  static constexpr size_t MemoCapacity = 64;
+
   /// Resolves the battery from \p Opts (falling back to
-  /// defaultInputBattery()) and, when Opts.Engine is Fast, compiles the
-  /// baseline eagerly so every entry fill reuses one stream.
-  BaselineCache(const mir::MModule &Baseline, const VerifyOptions &Opts);
+  /// defaultInputBattery()). With Memo::Shared, a stored battery for the
+  /// same key material is recalled and nothing executes; otherwise, when
+  /// Opts.Engine is Fast, the baseline is compiled eagerly so every
+  /// entry fill reuses one stream.
+  BaselineCache(const mir::MModule &Baseline, const VerifyOptions &Opts,
+                Memo M = Memo::Off);
   ~BaselineCache();
 
   BaselineCache(const BaselineCache &) = delete;
@@ -71,7 +98,8 @@ public:
   /// cache, so verification fills after the restart skip baseline
   /// execution entirely. Races benignly with concurrent baselineRun()
   /// fills (whoever gets the once_flag wins; both compute the same pure
-  /// function). Returns true when this call installed the entry.
+  /// function). Returns true when this call installed the entry -- never
+  /// on a memo hit, where every entry is already installed.
   bool prewarm(size_t Index, const mexec::RunResult &R);
 
   /// The already-computed entry for \p Index, or nullptr when it has
@@ -92,19 +120,41 @@ public:
     return Prewarmed.load(std::memory_order_relaxed);
   }
 
+  /// Entries recalled from the process-wide memo: battery().size() when
+  /// construction hit the memo, else 0.
+  uint64_t reused() const { return Recalled ? Battery.size() : 0; }
+
 private:
+  /// Counts one more installed entry; the one that completes the
+  /// battery stores it in the memo (Memo::Shared only).
+  void settle() const;
+
   const mir::MModule *Baseline;
   uint64_t MaxSteps;
   mexec::Engine Engine;
   std::vector<std::vector<int32_t>> Battery;
-  /// Compiled baseline stream (fast engine only).
+  /// Memo key material; empty under Memo::Off.
+  std::string MemoKey;
+  /// The recalled battery on a memo hit (every entry, immutable).
+  std::shared_ptr<const std::vector<mexec::RunResult>> Recalled;
+  /// Compiled baseline stream (fast engine only, not on a memo hit).
   std::optional<mexec::Precompiled> Compiled;
   struct Entry; // Holds a std::once_flag: non-movable, hence the array.
   std::unique_ptr<Entry[]> Entries;
   mutable std::atomic<uint64_t> Hits{0};
   mutable std::atomic<uint64_t> Fills{0};
   std::atomic<uint64_t> Prewarmed{0};
+  /// Entries filled or prewarmed so far.
+  mutable std::atomic<size_t> Settled{0};
 };
+
+/// Appends a byte-exact serialization of (\p Battery, \p MaxSteps) to
+/// \p Out: the battery half of every content key over baseline runs
+/// (the battery memo above and the serve store's baseline artifact).
+/// Distinct pairs never serialize to the same bytes.
+void appendBatteryMaterial(std::string &Out,
+                           const std::vector<std::vector<int32_t>> &Battery,
+                           uint64_t MaxSteps);
 
 } // namespace verify
 } // namespace pgsd

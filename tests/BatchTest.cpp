@@ -12,14 +12,18 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/Linker.h"
 #include "driver/Batch.h"
 #include "obs/Metrics.h"
 #include "support/ThreadPool.h"
+#include "verify/BaselineCache.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
+#include <thread>
 
 using namespace pgsd;
 
@@ -85,13 +89,15 @@ TEST_P(BatchParityTest, SerialAndParallelImagesAreByteIdentical) {
   EXPECT_EQ(A.TotalAttempts, B.TotalAttempts);
   // The workload battery is known-good: nothing should be rejected.
   EXPECT_TRUE(B.allAccepted());
-  // The shared baseline cache runs the baseline once per input (the
-  // battery here is a single stream), then serves every further variant
-  // attempt from memory -- under any job count.
-  EXPECT_EQ(A.BaselineCacheFills, 1u);
-  EXPECT_EQ(B.BaselineCacheFills, 1u);
-  EXPECT_EQ(A.BaselineCacheHits, A.TotalAttempts - 1);
-  EXPECT_EQ(B.BaselineCacheHits, B.TotalAttempts - 1);
+  // The baseline runs at most once per input per process (the battery
+  // here is a single stream): a batch either fills it or recalls it
+  // from the battery memo, the second batch always recalls it, and
+  // every variant attempt is served from memory -- under any job count.
+  EXPECT_EQ(A.BaselineCacheFills + A.BaselineCacheReused, 1u);
+  EXPECT_EQ(B.BaselineCacheFills, 0u);
+  EXPECT_EQ(B.BaselineCacheReused, 1u);
+  EXPECT_EQ(A.BaselineCacheHits + A.BaselineCacheFills, A.TotalAttempts);
+  EXPECT_EQ(B.BaselineCacheHits + B.BaselineCacheFills, B.TotalAttempts);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -166,6 +172,8 @@ TEST(Batch, MetricsAgreeWithBatchResultCounters) {
             R.BaselineCacheHits);
   EXPECT_EQ(Snap.Counters.at("verify.baseline_cache.fills"),
             R.BaselineCacheFills);
+  EXPECT_EQ(Snap.Counters.at("verify.baseline_cache.reused"),
+            R.BaselineCacheReused);
   EXPECT_EQ(Snap.Counters.at("verify.attempts"), R.TotalAttempts);
   EXPECT_EQ(Snap.Counters.at("batch.suppressed_exceptions"),
             R.SuppressedExceptions);
@@ -261,4 +269,262 @@ TEST(Batch, RejectedSeedsFallBackToBaselineAndAreCounted) {
     EXPECT_EQ(V.V.Image.Text, Baseline.Text);
     EXPECT_TRUE(V.Report.has(verify::ErrorCode::RetriesExhausted));
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The process-wide baseline battery memo (verify/BaselineCache.h)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using Memo = verify::BaselineCache::Memo;
+
+/// Field-by-field RunResult equality.
+void expectSameRun(const mexec::RunResult &A, const mexec::RunResult &B) {
+  EXPECT_EQ(A.Trapped, B.Trapped);
+  EXPECT_EQ(A.Trap, B.Trap);
+  EXPECT_EQ(A.TrapReason, B.TrapReason);
+  EXPECT_EQ(A.ExitCode, B.ExitCode);
+  EXPECT_EQ(A.Cycles10, B.Cycles10);
+  EXPECT_EQ(A.Instructions, B.Instructions);
+  EXPECT_EQ(A.Checksum, B.Checksum);
+  EXPECT_EQ(A.Output, B.Output);
+  EXPECT_EQ(A.Counters, B.Counters);
+  EXPECT_EQ(A.BlockCounts, B.BlockCounts);
+}
+
+/// Requests every entry of \p C, so a Memo::Shared cache stores its
+/// battery.
+void fillAll(const verify::BaselineCache &C) {
+  for (size_t I = 0; I != C.battery().size(); ++I)
+    C.baselineRun(I);
+}
+
+/// An input no other battery in this process holds, so a battery that
+/// contains it misses the memo whatever ran before (--gtest_repeat
+/// included).
+std::vector<int32_t> uniqueInput() {
+  static std::atomic<int32_t> Next{0};
+  return {-424242, Next.fetch_add(1)};
+}
+
+/// A terminating test program; \p Tag varies a global initializer (and
+/// hence the memo key).
+driver::Program memoProgram(int Tag) {
+  driver::Program P = driver::compileProgram(
+      "global table[4] = { 3, " + std::to_string(Tag) +
+          ", 9 }; fn main() { var n = read_int(); var s = 0; var i = 0; "
+          "while (i < 30) { s = s + table[i % 3] * i + n; i = i + 1; } "
+          "print_int(s); return 0; }",
+      "memo" + std::to_string(Tag));
+  EXPECT_TRUE(P.ok()) << P.errors();
+  return P;
+}
+
+} // namespace
+
+TEST(BatteryMemo, SecondBatchRecallsTheWholeBattery) {
+  driver::Program P = memoProgram(101);
+  const size_t N = verify::defaultInputBattery().size();
+  const auto Opts = diversity::DiversityOptions::uniform(0.5);
+  std::vector<uint64_t> Seeds = {1, 2, 3, 4, 5};
+  driver::BatchOptions B;
+  B.Jobs = 2;
+
+  // The first batch runs the whole battery or recalls all of it.
+  driver::BatchResult First =
+      driver::makeVariantsBatch(P, Nop, Opts, Seeds, B);
+  EXPECT_EQ(First.BaselineCacheFills + First.BaselineCacheReused, N);
+
+  driver::BatchResult Second =
+      driver::makeVariantsBatch(P, Nop, Opts, Seeds, B);
+  EXPECT_EQ(Second.BaselineCacheFills, 0u);
+  EXPECT_EQ(Second.BaselineCacheReused, N);
+  EXPECT_EQ(Second.BaselineCacheHits, Second.TotalAttempts * N);
+  ASSERT_EQ(Second.Variants.size(), Seeds.size());
+  for (size_t I = 0; I != Seeds.size(); ++I) {
+    expectIdentical(First.Variants[I], Second.Variants[I], I);
+    EXPECT_EQ(First.Variants[I].Report.str(), Second.Variants[I].Report.str());
+  }
+  EXPECT_EQ(First.Accepted, Second.Accepted);
+  EXPECT_EQ(First.TotalAttempts, Second.TotalAttempts);
+
+  // So does makeVariantVerified when the caller brings no cache, and it
+  // reports the recall through the same counter.
+  obs::Registry::global().reset();
+  obs::setEnabled(true);
+  driver::VerifiedVariant One = driver::makeVariantVerified(
+      P, Nop, Opts, Seeds[0], verify::VerifyOptions(), codegen::LinkOptions());
+  obs::LocalMetrics Snap = obs::Registry::global().snapshot();
+  obs::setEnabled(false);
+  obs::Registry::global().reset();
+  EXPECT_EQ(Snap.Counters.at("verify.baseline_cache.reused"), N);
+  EXPECT_EQ(One.V.Image.Text, First.Variants[0].V.Image.Text);
+}
+
+TEST(BatteryMemo, RecalledRunsEqualFreshRunsOnEveryWorkload) {
+  for (const workloads::Workload &W : workloads::specSuite()) {
+    SCOPED_TRACE(W.Name);
+    driver::Program P = driver::compileProgram(W.Source, W.Name);
+    ASSERT_TRUE(P.ok()) << P.errors();
+    ASSERT_TRUE(driver::profileAndStamp(P, W.TrainInput));
+    const verify::VerifyOptions VOpts;
+
+    // A private cache always executes every input afresh.
+    verify::BaselineCache Fresh(P.MIR, VOpts);
+    fillAll(Fresh);
+    ASSERT_EQ(Fresh.fills(), Fresh.battery().size());
+
+    // Make sure the memo holds the battery (a no-op if it already does).
+    fillAll(verify::BaselineCache(P.MIR, VOpts, Memo::Shared));
+
+    verify::BaselineCache Recalled(P.MIR, VOpts, Memo::Shared);
+    ASSERT_EQ(Recalled.reused(), Recalled.battery().size());
+    for (size_t I = 0; I != Fresh.battery().size(); ++I) {
+      SCOPED_TRACE("input #" + std::to_string(I));
+      expectSameRun(Recalled.baselineRun(I), Fresh.baselineRun(I));
+    }
+    EXPECT_EQ(Recalled.fills(), 0u);
+  }
+}
+
+TEST(BatteryMemo, EveryKeyFieldDiscriminates) {
+  driver::Program P = memoProgram(202);
+  verify::VerifyOptions VOpts;
+  VOpts.InputBattery = {{1}, {2, 3}};
+  fillAll(verify::BaselineCache(P.MIR, VOpts, Memo::Shared));
+  EXPECT_EQ(verify::BaselineCache(P.MIR, VOpts, Memo::Shared).reused(), 2u);
+
+  // A private cache neither recalls nor stores.
+  EXPECT_EQ(verify::BaselineCache(P.MIR, VOpts).reused(), 0u);
+
+  // Global initializer: table[1] = 7 instead of 202.
+  driver::Program Q = memoProgram(7);
+  EXPECT_EQ(verify::BaselineCache(Q.MIR, VOpts, Memo::Shared).reused(), 0u);
+
+  // Battery: one input changed, and the same words regrouped.
+  verify::VerifyOptions Other = VOpts;
+  Other.InputBattery = {{1}, {2, 4}};
+  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).reused(), 0u);
+  Other.InputBattery = {{1, 2}, {3}};
+  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).reused(), 0u);
+
+  // Step budget.
+  Other = VOpts;
+  Other.MaxSteps = VOpts.MaxSteps - 1;
+  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).reused(), 0u);
+
+  // Engine.
+  Other = VOpts;
+  Other.Engine = mexec::Engine::Reference;
+  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).reused(), 0u);
+}
+
+TEST(BatteryMemo, OnlyCompleteBatteriesAreStored) {
+  driver::Program P = memoProgram(303);
+  verify::VerifyOptions VOpts;
+  VOpts.InputBattery = {{1}, {2}, uniqueInput()};
+  {
+    verify::BaselineCache Partial(P.MIR, VOpts, Memo::Shared);
+    Partial.baselineRun(0);
+    Partial.baselineRun(2);
+  }
+  {
+    verify::BaselineCache Next(P.MIR, VOpts, Memo::Shared);
+    EXPECT_EQ(Next.reused(), 0u);
+    fillAll(Next);
+  }
+  EXPECT_EQ(verify::BaselineCache(P.MIR, VOpts, Memo::Shared).reused(), 3u);
+}
+
+TEST(BatteryMemo, OldestBatteryIsEvictedPastCapacity) {
+  driver::Program P = memoProgram(404);
+  verify::VerifyOptions VOpts;
+  // Cap + 1 batteries that no earlier test (or repetition) stored.
+  const int32_t Cap = verify::BaselineCache::MemoCapacity;
+  std::vector<verify::VerifyOptions> Opts(Cap + 1, VOpts);
+  for (verify::VerifyOptions &O : Opts)
+    O.InputBattery = {uniqueInput()};
+  auto Store = [&](int32_t Tag) {
+    fillAll(verify::BaselineCache(P.MIR, Opts[Tag], Memo::Shared));
+  };
+  auto Kept = [&](int32_t Tag) {
+    return verify::BaselineCache(P.MIR, Opts[Tag], Memo::Shared).reused() ==
+           1;
+  };
+  for (int32_t Tag = 0; Tag != Cap; ++Tag)
+    Store(Tag);
+  EXPECT_TRUE(Kept(0));
+  Store(Cap); // One past capacity: the oldest goes.
+  EXPECT_FALSE(Kept(0));
+  EXPECT_TRUE(Kept(1));
+  EXPECT_TRUE(Kept(Cap));
+}
+
+TEST(BatteryMemo, ConcurrentBatchesOfOneProgramAgree) {
+  driver::Program P = memoProgram(505);
+  const size_t N = verify::defaultInputBattery().size();
+  const auto Opts = diversity::DiversityOptions::uniform(0.5);
+  std::vector<uint64_t> Seeds = {7, 8, 9, 10};
+  driver::BatchOptions B;
+  B.Jobs = 2;
+
+  driver::BatchResult R[2];
+  auto Run = [&](int I) {
+    R[I] = driver::makeVariantsBatch(P, Nop, Opts, Seeds, B);
+  };
+  std::thread T0(Run, 0), T1(Run, 1);
+  T0.join();
+  T1.join();
+
+  for (const driver::BatchResult &X : R) {
+    // Each batch either recalled the whole battery or ran all of it.
+    if (X.BaselineCacheReused == 0)
+      EXPECT_EQ(X.BaselineCacheFills, N);
+    else
+      EXPECT_EQ(X.BaselineCacheReused, N);
+    EXPECT_TRUE(X.allAccepted());
+  }
+  for (size_t I = 0; I != Seeds.size(); ++I)
+    expectIdentical(R[0].Variants[I], R[1].Variants[I], I);
+
+  driver::BatchResult After =
+      driver::makeVariantsBatch(P, Nop, Opts, Seeds, B);
+  EXPECT_EQ(After.BaselineCacheReused, N);
+  EXPECT_EQ(After.BaselineCacheFills, 0u);
+}
+
+TEST(BatteryMemo, WarmMemoStillRejectsSemanticFaults) {
+  driver::Program P = driver::compileProgram(
+      "fn main() { var x = read_int(); print_int(x + 1234); return 0; }",
+      "memo-fault");
+  ASSERT_TRUE(P.ok()) << P.errors();
+  const auto Opts = diversity::DiversityOptions::uniform(0.5);
+  std::vector<uint64_t> Seeds = {1, 2, 3};
+  driver::BatchOptions B;
+  B.Jobs = 2;
+  ASSERT_TRUE(
+      driver::makeVariantsBatch(P, Nop, Opts, Seeds, B).allAccepted());
+
+  // Only differential execution can see this fault: the constant changes
+  // in the MIR and the image is re-linked from it, and the static and
+  // structural screens are off.
+  B.Verify.CheckEquiv = false;
+  B.Verify.CheckStructure = false;
+  B.Verify.MaxAttempts = 1;
+  B.Verify.InjectFault = [](mir::MModule &M, codegen::Image &Img,
+                            uint64_t) {
+    for (mir::MFunction &F : M.Functions)
+      for (mir::MBasicBlock &BB : F.Blocks)
+        for (mir::MInstr &I : BB.Instrs)
+          if (I.Imm == 1234)
+            I.Imm = 1235;
+    Img = codegen::link(M, codegen::LinkOptions());
+  };
+  driver::BatchResult R = driver::makeVariantsBatch(P, Nop, Opts, Seeds, B);
+  EXPECT_EQ(R.BaselineCacheReused, verify::defaultInputBattery().size());
+  EXPECT_EQ(R.Rejected, Seeds.size());
+  for (const driver::VerifiedVariant &V : R.Variants)
+    EXPECT_TRUE(V.Report.has(verify::ErrorCode::ChecksumMismatch))
+        << V.Report.str();
 }

@@ -143,6 +143,63 @@ TEST_F(ServeTest, KeyIncludesProfile) {
   EXPECT_FALSE(Before == After);
 }
 
+TEST_F(ServeTest, BaselineKeyCoversBatteryAndSteps) {
+  codegen::LinkOptions Link;
+  const std::string Material = serve::baseKeyMaterial(P.MIR, Link);
+  const serve::StoreKey Default = serve::makeBaselineKey(P.MIR, Link);
+  verify::VerifyOptions V;
+  EXPECT_EQ(Default, serve::makeBaselineKey(Material, V))
+      << "the 2-argument key is the key of the default options";
+  V.InputBattery = verify::defaultInputBattery();
+  EXPECT_EQ(Default, serve::makeBaselineKey(Material, V))
+      << "keys cover the resolved battery, not how it was spelled";
+
+  V.InputBattery = {Train};
+  EXPECT_FALSE(Default == serve::makeBaselineKey(Material, V));
+  V = verify::VerifyOptions();
+  V.MaxSteps /= 2;
+  EXPECT_FALSE(Default == serve::makeBaselineKey(Material, V));
+}
+
+TEST_F(ServeTest, KeysCoverGlobalLayoutAndInitializers) {
+  // Two pairs whose MIR instructions print identically: one differs
+  // only in a global initializer (same .text, different baseline runs),
+  // the other in a global's size (same runs, different .text -- the
+  // next global moves). One shared store must never serve or prewarm
+  // across either pair.
+  const char *Pairs[][2] = {
+      {"global table[4] = { 1, 2, 3 }; fn main() { "
+       "print_int(table[1]); return 0; }",
+       "global table[4] = { 1, 7, 3 }; fn main() { "
+       "print_int(table[1]); return 0; }"},
+      {"global a[4]; global b[1]; fn main() { b[0] = 5; a[1] = 2; "
+       "print_int(b[0] + a[1]); return 0; }",
+       "global a[8]; global b[1]; fn main() { b[0] = 5; a[1] = 2; "
+       "print_int(b[0] + a[1]); return 0; }"},
+  };
+  serve::ServeOptions O;
+  O.StoreDir = Dir.string();
+  O.Diversity = diversity::DiversityOptions::uniform(0.5);
+  O.Requests = 2;
+  O.Jobs = 2;
+  for (const auto &Pair : Pairs) {
+    driver::Program First = driver::compileProgram(Pair[0], "first");
+    driver::Program Second = driver::compileProgram(Pair[1], "second");
+    ASSERT_TRUE(First.ok()) << First.errors();
+    ASSERT_TRUE(Second.ok()) << Second.errors();
+
+    serve::ServeResult A = serve::serveVariants(First, O);
+    ASSERT_TRUE(A.ok()) << A.Error;
+    EXPECT_EQ(A.Fills, 2u);
+    serve::ServeResult B = serve::serveVariants(Second, O);
+    ASSERT_TRUE(B.ok()) << B.Error;
+    EXPECT_EQ(B.Hits, 0u) << Pair[1];
+    EXPECT_EQ(B.BaselinePrewarmed, 0u) << Pair[1];
+    EXPECT_EQ(B.Fills, 2u);
+    EXPECT_EQ(B.Failed, 0u);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Store round trip and corruption handling
 //===----------------------------------------------------------------------===//
@@ -334,6 +391,30 @@ TEST_F(ServeTest, BaselinePrewarmServesFreshSeeds) {
   EXPECT_EQ(Fresh.BaselinePrewarmed, First.BaselineCacheFills);
   EXPECT_EQ(Fresh.BaselineCacheFills, 0u);
   EXPECT_GT(Fresh.BaselineCacheHits, 0u);
+}
+
+TEST_F(ServeTest, CustomBatteryIgnoresDefaultBaselineArtifact) {
+  // Warm the store with a default-battery run...
+  serve::ServeOptions O = baseOptions();
+  O.Verify = verify::VerifyOptions();
+  O.Requests = 2;
+  serve::ServeResult Warm = serve::serveVariants(P, O);
+  ASSERT_TRUE(Warm.ok()) << Warm.Error;
+  ASSERT_EQ(Warm.BaselineCacheFills, verify::defaultInputBattery().size());
+
+  // ...then serve fresh seeds on a different battery: the stored runs
+  // belong to other inputs, so none may be installed, and verification
+  // against the real baseline still admits every clean variant.
+  O.Verify.InputBattery = {Train};
+  O.BaseSeed = 500;
+  serve::ServeResult Custom = serve::serveVariants(P, O);
+  ASSERT_TRUE(Custom.ok()) << Custom.Error;
+  EXPECT_EQ(Custom.BaselinePrewarmed, 0u);
+  EXPECT_EQ(Custom.BaselineCacheFills, 1u);
+  EXPECT_EQ(Custom.Fills, 2u);
+  EXPECT_EQ(Custom.Failed, 0u);
+  for (const serve::RequestResult &Req : Custom.Requests)
+    EXPECT_EQ(Req.Attempts, 1u) << "seed " << Req.Seed;
 }
 
 TEST_F(ServeTest, StoreOpenFailurePropagates) {

@@ -142,7 +142,7 @@ int main(int Argc, char **Argv) {
     for (const char *Key :
          {"batch.seeds", "batch.accepted", "batch.attempts_total",
           "verify.baseline_cache.hits", "verify.baseline_cache.fills",
-          "batch.setup", "batch.fanout"})
+          "verify.baseline_cache.reused", "batch.setup", "batch.fanout"})
       if (!hasKey(Text, Key))
         return fail(std::string("batch metrics missing \"") + Key + "\"");
 

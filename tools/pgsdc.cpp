@@ -654,9 +654,10 @@ int cmdBatch(const Options &Opts) {
               "utilization %.1fx)\n",
               R.variantsPerSecond(), R.WallSeconds, R.CpuSeconds,
               R.WallSeconds > 0 ? R.CpuSeconds / R.WallSeconds : 0.0);
-  std::printf("baseline cache: %llu fills, %llu hits\n",
+  std::printf("baseline cache: %llu fills, %llu hits, %llu reused\n",
               static_cast<unsigned long long>(R.BaselineCacheFills),
-              static_cast<unsigned long long>(R.BaselineCacheHits));
+              static_cast<unsigned long long>(R.BaselineCacheHits),
+              static_cast<unsigned long long>(R.BaselineCacheReused));
   if (obs::enabled())
     printPhaseTable(stdout);
   if (!R.allAccepted()) {
