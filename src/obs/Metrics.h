@@ -14,8 +14,8 @@
 /// the frontend to the batch verifier reports where time goes and what
 /// it decided, and pgsdc --metrics exports the aggregate as JSON.
 ///
-/// Cost contract (pinned by ObsTest and the interp_throughput parity
-/// criterion):
+/// Cost contract (pinned by ObsTest; the repository benchmark's
+/// trace.overhead_pct measures what turning it on costs):
 ///  * Telemetry is compiled in but *disabled by default*. Every
 ///    instrumentation site first consults obs::enabled(), a single
 ///    relaxed atomic load; when disabled, no allocation, no lock, and no

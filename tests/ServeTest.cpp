@@ -341,6 +341,10 @@ TEST_F(ServeTest, ColdRunFillsThenRestartHits) {
     EXPECT_EQ(Warm.Requests[I].SeedUsed, Cold.Requests[I].SeedUsed);
     EXPECT_EQ(Warm.Requests[I].Outcome, serve::RequestOutcome::Hit);
   }
+  // A store load must beat diversify + verify + link + publish. The
+  // margin is wide (a cold fill takes milliseconds, a hit microseconds),
+  // so a cache that is not faster than recompiling is a regression.
+  EXPECT_LT(Warm.P50LatencySeconds, Cold.P50LatencySeconds);
 }
 
 TEST_F(ServeTest, CrashRecoveryRecompilesCorruptEntry) {
