@@ -85,10 +85,10 @@ inline constexpr size_t OutputCapBytes = 1u << 20;
 inline constexpr size_t OutputReserveBytes = 1u << 12;
 
 /// Instruction stride at which both engines poll RunOptions::Cancel.
-/// A power of two so the poll folds into the step-budget check; 1024
-/// instructions keep the worst-case reaction latency far below any
-/// realistic lockstep timeout while costing one predictable branch per
-/// instruction when no cancel flag is installed.
+/// 1024 instructions keep the worst-case reaction latency far below any
+/// realistic lockstep timeout; the fast engine folds the next poll point
+/// and the step budget into the one limit its segment heads compare
+/// against, so polling costs nothing between poll points.
 inline constexpr uint64_t CancelPollStride = 1024;
 
 /// Inputs and limits for one run.

@@ -4,13 +4,15 @@
 // Software Diversity" (Homescu et al., CGO 2013).
 //
 // Two halves: a one-shot lowering pass (the constructor) that flattens
-// an MModule into the PInstr stream, and the executor, which dispatches
-// that stream with computed gotos (or a plain switch when the extension
-// is unavailable). The executor mirrors the reference engine's charge
-// and trap ordering *exactly* -- cost-before-trap on stores/pushes/idiv,
-// cost-after-read on loads/pops, prologue cost only after the stack
-// limit check -- because the bit-identity contract includes Cycles10 and
-// Instructions on trapping runs, not just clean ones.
+// an MModule into segment-charged PInstr records, and the executor,
+// which dispatches them with computed gotos (a GNU extension, like the
+// __int128 and __builtin_popcount the code base already relies on).
+// Heads charge whole segments up front; the rare paths rebuild the
+// reference engine's exact counts at a trap or a limit crossing --
+// cost-before-trap on stores/pushes/idiv/calls, cost-after-read on
+// loads/pops, prologue cost only after the stack limit check -- because
+// the bit-identity contract includes Cycles10 and Instructions on
+// trapping runs, not just clean ones.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 #include "mexec/Flags.h"
 #include "x86/Nops.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -28,14 +31,6 @@ using namespace pgsd;
 using namespace pgsd::mexec;
 using namespace pgsd::mexec::detail;
 using namespace pgsd::mir;
-
-// Computed goto is a GNU extension; fall back to a switch elsewhere (or
-// when forced, so the fallback stays buildable and testable on GCC too).
-#if !defined(PGSD_MEXEC_FORCE_SWITCH) && defined(__GNUC__)
-#define PGSD_MEXEC_COMPUTED_GOTO 1
-#else
-#define PGSD_MEXEC_COMPUTED_GOTO 0
-#endif
 
 namespace {
 
@@ -113,66 +108,85 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
   if (InitTraps)
     InitWrites.clear();
 
-  // Layout pass: every block contributes one BlockHead plus its
-  // instructions; every function is closed by a FellOff guard.
   size_t NumFuncs = M.Functions.size();
   FlatBase.resize(NumFuncs);
   BlocksPerFunc.resize(NumFuncs);
-  std::vector<std::vector<uint32_t>> BlockOffset(NumFuncs);
-  uint32_t Offset = 0;
   for (size_t FI = 0; FI != NumFuncs; ++FI) {
-    const MFunction &F = M.Functions[FI];
     FlatBase[FI] = NumFlatBlocks;
-    BlocksPerFunc[FI] = static_cast<uint32_t>(F.Blocks.size());
+    BlocksPerFunc[FI] = static_cast<uint32_t>(M.Functions[FI].Blocks.size());
     NumFlatBlocks += BlocksPerFunc[FI];
-    BlockOffset[FI].resize(F.Blocks.size());
-    for (size_t B = 0; B != F.Blocks.size(); ++B) {
-      BlockOffset[FI][B] = Offset;
-      Offset += 1 + static_cast<uint32_t>(F.Blocks[B].Instrs.size());
-    }
-    Offset += 1; // FellOff
   }
+
+  // The open segment: its head's offset, its running count and cycle
+  // sum, and its records with the cycles the reference engine has
+  // charged when each of them traps. Undo entries are filled in once the
+  // segment closes and its totals are known.
+  uint32_t HeadPC = 0;
+  uint32_t SegInstrs = 0;
+  uint32_t SegCycles = 0;
+  struct Charged {
+    uint32_t PC;
+    uint32_t Keep;
+  };
+  std::vector<Charged> Records;
+  auto openSegment = [&](POp Op, uint32_t Ext) {
+    PInstr Head;
+    Head.Op = Op;
+    Head.Ext = Ext;
+    HeadPC = static_cast<uint32_t>(Code.size());
+    Code.push_back(Head);
+    Side.push_back({static_cast<uint32_t>(SegPrefix.size()), 0, 0});
+    SegInstrs = 0;
+    SegCycles = 0;
+    Records.clear();
+  };
+  auto closeSegment = [&] {
+    Code[HeadPC].Imm = static_cast<int32_t>(SegInstrs);
+    Code[HeadPC].Cost = SegCycles;
+    for (const Charged &R : Records) {
+      PSide &S = Side[R.PC];
+      S.UndoInstrs = SegInstrs - (S.Row - Side[HeadPC].Row) - 1;
+      S.UndoCycles = SegCycles - R.Keep;
+    }
+  };
 
   Funcs.resize(NumFuncs);
   for (size_t FI = 0; FI != NumFuncs; ++FI) {
     const MFunction &F = M.Functions[FI];
     uint32_t Saved = (F.UsesEbx ? 1 : 0) + (F.UsesEsi ? 1 : 0) +
                      (F.UsesEdi ? 1 : 0);
-    Funcs[FI].Entry = BlockOffset[FI][0] + 1; // past block 0's head
-    Funcs[FI].FrameDrop = F.FrameBytes + 4 * Saved;
-    Funcs[FI].PrologueCost =
-        C.Push + C.MovRR + C.Alu + Saved * C.Push;
-    Funcs[FI].Block0Flat = FlatBase[FI];
-  }
-
-  // Emission pass.
-  Code.reserve(Offset);
-  for (size_t FI = 0; FI != NumFuncs; ++FI) {
-    const MFunction &F = M.Functions[FI];
-    uint32_t Saved = (F.UsesEbx ? 1 : 0) + (F.UsesEsi ? 1 : 0) +
-                     (F.UsesEdi ? 1 : 0);
     uint32_t RetCost = Saved * C.Pop + C.Pop /*leave*/ + C.Ret;
+    Funcs[FI].Entry = static_cast<uint32_t>(Code.size());
+    Funcs[FI].FrameDrop = F.FrameBytes + 4 * Saved;
+    Funcs[FI].PrologueCost = C.Push + C.MovRR + C.Alu + Saved * C.Push;
+
+    // Branch targets are block heads not yet emitted; patched below.
+    std::vector<uint32_t> BlockPC(F.Blocks.size());
+    std::vector<std::pair<uint32_t, uint32_t>> Fixups; // (PC, block)
     for (size_t B = 0; B != F.Blocks.size(); ++B) {
-      assert(Code.size() == BlockOffset[FI][B] && "layout drifted");
-      PInstr Head;
-      Head.Op = POp::BlockHead;
-      Head.Ext = FlatBase[FI] + static_cast<uint32_t>(B);
-      Code.push_back(Head);
-      for (const MInstr &MI : F.Blocks[B].Instrs) {
+      BlockPC[B] = static_cast<uint32_t>(Code.size());
+      openSegment(POp::BlockHead, FlatBase[FI] + static_cast<uint32_t>(B));
+      const std::vector<MInstr> &Instrs = F.Blocks[B].Instrs;
+      for (size_t I = 0; I != Instrs.size(); ++I) {
+        const MInstr &MI = Instrs[I];
         PInstr P;
         P.Op = POp::FellOff; // overwritten below; trap if a case is missed
+        uint32_t Own = 0;         // static Cycles10 charge
+        bool Dropped = false;     // no record: the head charges it
+        bool ChargedAfter = false; // charged only after a successful read
+        bool EndsSegment = false;
         switch (MI.Op) {
         case MOp::MovRR:
           P.Op = POp::MovRR;
           P.A = x86::regNum(MI.Dst);
           P.B = x86::regNum(MI.Src);
-          P.Cost = C.MovRR;
+          Own = C.MovRR;
           break;
         case MOp::MovRI:
           P.Op = POp::MovRI;
           P.A = x86::regNum(MI.Dst);
           P.Imm = MI.Imm;
-          P.Cost = C.MovRI;
+          Own = C.MovRI;
           break;
         case MOp::MovGlobal:
           // Address resolved now; at run time this is a plain MovRI.
@@ -180,39 +194,41 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
           P.A = x86::regNum(MI.Dst);
           P.Imm = static_cast<int32_t>(
               GlobalAddrs[static_cast<size_t>(MI.Imm)]);
-          P.Cost = C.MovRI;
+          Own = C.MovRI;
           break;
         case MOp::Load:
           P.Op = POp::Load;
           P.A = x86::regNum(MI.Dst);
           P.B = x86::regNum(MI.Src);
           P.Imm = MI.Imm;
-          P.Cost = C.Load;
+          Own = C.Load;
+          ChargedAfter = true;
           break;
         case MOp::Store:
           P.Op = POp::Store;
           P.A = x86::regNum(MI.Dst); // base address register
           P.B = x86::regNum(MI.Src); // value
           P.Imm = MI.Imm;
-          P.Cost = C.Store;
+          Own = C.Store;
           break;
         case MOp::LoadFrame:
           P.Op = POp::LoadFrame;
           P.A = x86::regNum(MI.Dst);
           P.Imm = MI.Imm;
-          P.Cost = C.FrameLoad;
+          Own = C.FrameLoad;
+          ChargedAfter = true;
           break;
         case MOp::StoreFrame:
           P.Op = POp::StoreFrame;
           P.B = x86::regNum(MI.Src);
           P.Imm = MI.Imm;
-          P.Cost = C.FrameStore;
+          Own = C.FrameStore;
           break;
         case MOp::LeaFrame:
           P.Op = POp::LeaFrame;
           P.A = x86::regNum(MI.Dst);
           P.Imm = MI.Imm;
-          P.Cost = C.Lea;
+          Own = C.Lea;
           break;
         case MOp::AluRR:
         case MOp::AluRI: {
@@ -244,33 +260,33 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
           P.A = x86::regNum(MI.Dst);
           P.B = x86::regNum(MI.Src);
           P.Imm = MI.Imm;
-          P.Cost = C.Alu;
+          Own = C.Alu;
           break;
         }
         case MOp::ImulRR:
           P.Op = POp::ImulRR;
           P.A = x86::regNum(MI.Dst);
           P.B = x86::regNum(MI.Src);
-          P.Cost = C.Imul;
+          Own = C.Imul;
           break;
         case MOp::Cdq:
           P.Op = POp::Cdq;
-          P.Cost = C.Alu;
+          Own = C.Alu;
           break;
         case MOp::Idiv:
           P.Op = POp::Idiv;
           P.B = x86::regNum(MI.Src);
-          P.Cost = C.Idiv;
+          Own = C.Idiv;
           break;
         case MOp::Neg:
           P.Op = POp::Neg;
           P.A = x86::regNum(MI.Dst);
-          P.Cost = C.Alu;
+          Own = C.Alu;
           break;
         case MOp::Not:
           P.Op = POp::Not;
           P.A = x86::regNum(MI.Dst);
-          P.Cost = C.Alu;
+          Own = C.Alu;
           break;
         case MOp::ShiftRI:
         case MOp::ShiftRC: {
@@ -289,46 +305,47 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
           P.A = x86::regNum(MI.Dst);
           if (RI)
             P.Ext = static_cast<uint32_t>(MI.Imm) & 31; // pre-masked
-          P.Cost = C.Alu;
+          Own = C.Alu;
           break;
         }
         case MOp::TestRR:
           P.Op = POp::TestRR;
           P.A = x86::regNum(MI.Dst);
           P.B = x86::regNum(MI.Src);
-          P.Cost = C.Alu;
+          Own = C.Alu;
           break;
         case MOp::Setcc:
           P.Op = POp::Setcc;
           P.A = x86::regNum(MI.Dst);
           P.B = static_cast<uint8_t>(MI.CC);
-          P.Cost = C.Alu;
+          Own = C.Alu;
           break;
         case MOp::Movzx8:
           P.Op = POp::Movzx8;
           P.A = x86::regNum(MI.Dst);
           P.B = x86::regNum(MI.Src);
-          P.Cost = C.Alu;
+          Own = C.Alu;
           break;
         case MOp::Push:
           P.Op = POp::Push;
           P.A = x86::regNum(MI.Src);
-          P.Cost = C.Push;
+          Own = C.Push;
           break;
         case MOp::PushI:
           P.Op = POp::PushI;
           P.Imm = MI.Imm;
-          P.Cost = C.Push;
+          Own = C.Push;
           break;
         case MOp::Pop:
           P.Op = POp::Pop;
           P.A = x86::regNum(MI.Dst);
-          P.Cost = C.Pop;
+          Own = C.Pop;
+          ChargedAfter = true;
           break;
         case MOp::AdjustSP:
           P.Op = POp::AdjustSP;
           P.Imm = MI.Imm;
-          P.Cost = C.Alu;
+          Own = C.Alu;
           break;
         case MOp::Call:
           if (MI.Target.IsIntrinsic) {
@@ -349,54 +366,83 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
               P.Op = POp::Sink;
               break;
             }
-            P.Cost = C.Call + C.Intrinsic;
+            Own = C.Call + C.Intrinsic;
           } else {
             P.Op = POp::CallFunc;
             P.Ext = static_cast<uint32_t>(MI.Target.Func);
-            P.Cost = C.Call;
+            Own = C.Call;
+            EndsSegment = true;
           }
           break;
         case MOp::Jmp:
+          EndsSegment = true;
           if (static_cast<uint32_t>(MI.Imm) ==
               static_cast<uint32_t>(B) + 1) {
-            // Lexically-next target: the cost model charges nothing, and
-            // the target's BlockHead sits at the next stream slot.
-            P.Op = POp::JmpNext;
+            // Lexically-next target: free by the cost model, and the
+            // target's BlockHead is the next record anyway.
+            Dropped = true;
           } else {
             P.Op = POp::Jmp;
-            P.Ext = BlockOffset[FI][static_cast<uint32_t>(MI.Imm)];
-            P.Cost = C.JmpTaken;
+            Fixups.emplace_back(static_cast<uint32_t>(Code.size()),
+                                static_cast<uint32_t>(MI.Imm));
+            Own = C.JmpTaken;
           }
           break;
         case MOp::Jcc:
+          // Taken or not is known only at run time: the handler charges.
           P.Op = POp::Jcc;
           P.A = static_cast<uint8_t>(MI.CC);
-          P.Ext = BlockOffset[FI][static_cast<uint32_t>(MI.Imm)];
+          Fixups.emplace_back(static_cast<uint32_t>(Code.size()),
+                              static_cast<uint32_t>(MI.Imm));
           P.Cost = C.JccTaken;
           P.Imm = static_cast<int32_t>(C.JccNotTaken);
+          EndsSegment = true;
           break;
         case MOp::Ret:
           P.Op = POp::Ret;
-          P.Cost = RetCost;
+          Own = RetCost;
+          EndsSegment = true;
           break;
         case MOp::Nop:
-          P.Op = POp::Nop;
-          P.Cost = x86::nopInfo(MI.NopK).LocksBus ? C.XchgNop : C.Nop;
+          Dropped = true;
+          Own = x86::nopInfo(MI.NopK).LocksBus ? C.XchgNop : C.Nop;
           break;
         case MOp::ProfInc:
           P.Op = POp::ProfInc;
           P.Ext = static_cast<uint32_t>(MI.Imm);
-          P.Cost = C.ProfInc;
+          Own = C.ProfInc;
           break;
         }
-        Code.push_back(P);
+        // A segment's cycle sum must fit its head; split a run that
+        // would overflow it (only absurd cost models get here).
+        if (SegCycles > UINT32_MAX - Own) {
+          closeSegment();
+          openSegment(POp::SegHead, 0);
+        }
+        uint32_t Row = static_cast<uint32_t>(SegPrefix.size());
+        SegPrefix.push_back(SegCycles);
+        if (!Dropped) {
+          Records.push_back({static_cast<uint32_t>(Code.size()),
+                             SegCycles + (ChargedAfter ? 0 : Own)});
+          Code.push_back(P);
+          Side.push_back({Row, 0, 0});
+        }
+        ++SegInstrs;
+        SegCycles += Own;
+        if (EndsSegment && I + 1 != Instrs.size()) {
+          closeSegment();
+          openSegment(POp::SegHead, 0);
+        }
       }
+      closeSegment();
     }
+    for (const auto &[PC, Block] : Fixups)
+      Code[PC].Ext = BlockPC[Block];
     PInstr Guard;
     Guard.Op = POp::FellOff;
     Code.push_back(Guard);
+    Side.push_back({static_cast<uint32_t>(SegPrefix.size()), 0, 0});
   }
-  assert(Code.size() == Offset && "layout/emission size mismatch");
 }
 
 RunResult Precompiled::run(const RunOptions &Opts) const {
@@ -410,10 +456,8 @@ RunResult Precompiled::run(const RunOptions &Opts) const {
 
 // The dispatch loop uses GNU computed gotos; silence -Wpedantic for the
 // extension while keeping it on everywhere else.
-#if defined(__GNUC__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wpedantic"
-#endif
 
 RunResult Precompiled::execute(const RunOptions &Opts) const {
   RunResult Result;
@@ -475,6 +519,18 @@ RunResult Precompiled::execute(const RunOptions &Opts) const {
   uint64_t *const Counters = Result.Counters.data();
   const bool CollectOutput = Opts.CollectOutput;
 
+  // Heads compare the running count against one limit: the step budget
+  // or the count just before the next cancel poll, whichever is nearer.
+  // Both engines poll at every CancelPollStride-th counted instruction.
+  uint64_t PollLimit = Cancel ? CancelPollStride - 1 : UINT64_MAX;
+  uint64_t Limit = std::min(MaxSteps, PollLimit);
+  // Set by a limit crossing: the record at which the segment stops, and
+  // the trap and counts the reference engine reports there.
+  const PInstr *StopAt = nullptr;
+  TrapKind StopKind = TrapKind::None;
+  uint64_t StopInstrs = 0;
+  uint64_t StopCycles = 0;
+
   struct PFrame {
     uint32_t ReturnPC;
     int32_t SavedRegs[4]; ///< EBX, ESI, EDI, EBP.
@@ -485,7 +541,6 @@ RunResult Precompiled::execute(const RunOptions &Opts) const {
 
   const PInstr *const Code0 = Code.data();
   const PInstr *In = Code0;
-  uint32_t PC = 0;
 
   auto trapSet = [&](TrapKind K, const char *Why) {
     Result.Trapped = true;
@@ -535,543 +590,375 @@ RunResult Precompiled::execute(const RunOptions &Opts) const {
       return trapSet(TrapKind::StackOverflow, "stack overflow");
     Regs[RegESP] = static_cast<int32_t>(NewESP);
     Cycles += F.PrologueCost;
-    if (CountsFlat)
-      ++CountsFlat[F.Block0Flat];
     return true;
   };
 
-  Regs[RegESP] = static_cast<int32_t>(codegen::StackTop);
-  // _start pushes a fake return address before entering main.
-  if (!push(0))
-    goto done;
-  if (!enter(Funcs[EntryFunc]))
-    goto done;
-  PC = Funcs[EntryFunc].Entry;
-
-  // Count an instruction and check the budget *before* executing it,
-  // exactly like the reference loop (the trapping fetch is counted but
-  // neither executed nor charged). The cancel poll shares the check, at
-  // the same counted-instruction positions as the reference engine, so a
-  // pre-set flag traps bit-identically on either engine.
-#define PGSD_STEP()                                                          \
-  do {                                                                       \
-    if (++Instrs > MaxSteps) {                                               \
-      trapSet(TrapKind::StepBudget, "instruction budget exceeded");          \
-      goto done;                                                             \
-    }                                                                        \
-    if ((Instrs & (CancelPollStride - 1)) == 0 && Cancel &&                  \
-        Cancel->load(std::memory_order_relaxed)) {                           \
-      trapSet(TrapKind::Cancelled, "cancelled by monitor");                  \
-      goto done;                                                             \
-    }                                                                        \
-  } while (0)
-
-#if PGSD_MEXEC_COMPUTED_GOTO
-  // Order must match POp exactly; the static_assert pins the count.
+  // Order must match POp exactly; the static_asserts pin the count.
   static const void *const Targets[] = {
-      &&L_BlockHead,  &&L_MovRR,    &&L_MovRI,     &&L_Load,
-      &&L_Store,      &&L_LoadFrame, &&L_StoreFrame, &&L_LeaFrame,
-      &&L_AddRR,      &&L_SubRR,    &&L_AndRR,     &&L_OrRR,
-      &&L_XorRR,      &&L_CmpRR,    &&L_AddRI,     &&L_SubRI,
-      &&L_AndRI,      &&L_OrRI,     &&L_XorRI,     &&L_CmpRI,
-      &&L_AdcSbbTrap, &&L_ImulRR,   &&L_Cdq,       &&L_Idiv,
-      &&L_Neg,        &&L_Not,      &&L_ShlRI,     &&L_ShrRI,
-      &&L_SarRI,      &&L_ShlRC,    &&L_ShrRC,     &&L_SarRC,
-      &&L_TestRR,     &&L_Setcc,    &&L_Movzx8,    &&L_Push,
-      &&L_PushI,      &&L_Pop,      &&L_AdjustSP,  &&L_CallFunc,
-      &&L_PrintI32,   &&L_PrintChar, &&L_ReadI32,  &&L_InputLen,
-      &&L_Sink,       &&L_Jmp,      &&L_JmpNext,   &&L_Jcc,
-      &&L_Ret,        &&L_Nop,      &&L_ProfInc,   &&L_FellOff,
+      &&L_BlockHead,  &&L_SegHead,   &&L_MovRR,     &&L_MovRI,
+      &&L_Load,       &&L_Store,     &&L_LoadFrame, &&L_StoreFrame,
+      &&L_LeaFrame,   &&L_AddRR,     &&L_SubRR,     &&L_AndRR,
+      &&L_OrRR,       &&L_XorRR,     &&L_CmpRR,     &&L_AddRI,
+      &&L_SubRI,      &&L_AndRI,     &&L_OrRI,      &&L_XorRI,
+      &&L_CmpRI,      &&L_AdcSbbTrap, &&L_ImulRR,   &&L_Cdq,
+      &&L_Idiv,       &&L_Neg,       &&L_Not,       &&L_ShlRI,
+      &&L_ShrRI,      &&L_SarRI,     &&L_ShlRC,     &&L_ShrRC,
+      &&L_SarRC,      &&L_TestRR,    &&L_Setcc,     &&L_Movzx8,
+      &&L_Push,       &&L_PushI,     &&L_Pop,       &&L_AdjustSP,
+      &&L_CallFunc,   &&L_PrintI32,  &&L_PrintChar, &&L_ReadI32,
+      &&L_InputLen,   &&L_Sink,      &&L_Jmp,       &&L_Jcc,
+      &&L_Ret,        &&L_ProfInc,   &&L_FellOff,
   };
   static_assert(sizeof(Targets) / sizeof(Targets[0]) == NumPOps,
                 "dispatch table out of sync with POp");
-#define PGSD_CASE(name) L_##name:
+  // While a segment runs up to a limit crossing, every opcode dispatches
+  // through L_Check first.
+#define PGSD_CHECK4 &&L_Check, &&L_Check, &&L_Check, &&L_Check
+  static const void *const CheckTargets[] = {
+      PGSD_CHECK4, PGSD_CHECK4, PGSD_CHECK4, PGSD_CHECK4, PGSD_CHECK4,
+      PGSD_CHECK4, PGSD_CHECK4, PGSD_CHECK4, PGSD_CHECK4, PGSD_CHECK4,
+      PGSD_CHECK4, PGSD_CHECK4, &&L_Check,   &&L_Check,   &&L_Check,
+  };
+#undef PGSD_CHECK4
+  static_assert(sizeof(CheckTargets) / sizeof(CheckTargets[0]) == NumPOps,
+                "check table out of sync with POp");
+  const void *const *Tab = Targets;
+
+#define PGSD_DISPATCH() goto *Tab[static_cast<size_t>(In->Op)]
 #define PGSD_NEXT()                                                          \
   do {                                                                       \
-    In = Code0 + PC;                                                         \
-    goto *Targets[static_cast<size_t>(In->Op)];                              \
+    ++In;                                                                    \
+    PGSD_DISPATCH();                                                         \
   } while (0)
+
+  Regs[RegESP] = static_cast<int32_t>(codegen::StackTop);
+  // _start pushes a fake return address before entering main.
+  if (!push(0) || !enter(Funcs[EntryFunc]))
+    goto done;
+  In = Code0 + Funcs[EntryFunc].Entry;
+  PGSD_DISPATCH();
+
+L_BlockHead:
+  // Jump targets, fallthrough edges and calls land here, so every block
+  // entry is counted; then the block's first segment is charged.
+  if (CountsFlat)
+    ++CountsFlat[In->Ext];
+L_SegHead:
+  Instrs += static_cast<uint32_t>(In->Imm);
+  Cycles += In->Cost;
+  if (Instrs > Limit)
+    goto cross;
   PGSD_NEXT();
-#else
-#define PGSD_CASE(name) case POp::name:
-#define PGSD_NEXT() goto dispatch
-dispatch:
-  In = Code0 + PC;
-  switch (In->Op) {
-#endif
 
-  PGSD_CASE(BlockHead) {
-    // Pseudo-op: not an instruction, so no step/cost; jump targets and
-    // fallthrough edges land here so every block entry is counted.
-    if (CountsFlat)
-      ++CountsFlat[In->Ext];
-    ++PC;
-    PGSD_NEXT();
+cross: {
+  // The segment's count crosses the limit: the first instruction past
+  // it, at segment index J, is a cancel poll or the budget trap. Each
+  // poll that finds the flag clear moves the limit on by one stride.
+  const uint64_t Base = Instrs - static_cast<uint32_t>(In->Imm);
+  for (;;) {
+    if (Limit == MaxSteps) {
+      StopKind = TrapKind::StepBudget;
+      break;
+    }
+    if (Cancel->load(std::memory_order_relaxed)) {
+      StopKind = TrapKind::Cancelled;
+      break;
+    }
+    PollLimit += CancelPollStride;
+    Limit = std::min(MaxSteps, PollLimit);
+    if (Instrs <= Limit)
+      PGSD_NEXT();
   }
-  PGSD_CASE(MovRR) {
-    PGSD_STEP();
-    Regs[In->A] = Regs[In->B];
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(MovRI) {
-    PGSD_STEP();
-    Regs[In->A] = In->Imm;
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Load) {
-    PGSD_STEP();
-    int32_t V;
-    if (!read32(static_cast<uint32_t>(Regs[In->B] + In->Imm), V))
-      goto done;
-    Regs[In->A] = V;
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Store) {
-    PGSD_STEP();
-    Cycles += In->Cost; // charged before the possibly-trapping write
-    if (!write32(static_cast<uint32_t>(Regs[In->A] + In->Imm),
-                 Regs[In->B]))
-      goto done;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(LoadFrame) {
-    PGSD_STEP();
-    int32_t V;
-    if (!read32(static_cast<uint32_t>(Regs[RegEBP] + In->Imm), V))
-      goto done;
-    Regs[In->A] = V;
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(StoreFrame) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    if (!write32(static_cast<uint32_t>(Regs[RegEBP] + In->Imm),
-                 Regs[In->B]))
-      goto done;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(LeaFrame) {
-    PGSD_STEP();
-    Regs[In->A] = Regs[RegEBP] + In->Imm;
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(AddRR) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) +
-        static_cast<uint32_t>(Regs[In->B]));
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(SubRR) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) -
-        static_cast<uint32_t>(Regs[In->B]));
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(AndRR) {
-    PGSD_STEP();
-    Regs[In->A] &= Regs[In->B];
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(OrRR) {
-    PGSD_STEP();
-    Regs[In->A] |= Regs[In->B];
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(XorRR) {
-    PGSD_STEP();
-    Regs[In->A] ^= Regs[In->B];
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(CmpRR) {
-    PGSD_STEP();
-    Flags.IsTest = false;
-    Flags.A = Regs[In->A];
-    Flags.B = Regs[In->B];
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(AddRI) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) +
-        static_cast<uint32_t>(In->Imm));
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(SubRI) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) -
-        static_cast<uint32_t>(In->Imm));
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(AndRI) {
-    PGSD_STEP();
-    Regs[In->A] &= In->Imm;
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(OrRI) {
-    PGSD_STEP();
-    Regs[In->A] |= In->Imm;
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(XorRI) {
-    PGSD_STEP();
-    Regs[In->A] ^= In->Imm;
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(CmpRI) {
-    PGSD_STEP();
-    Flags.IsTest = false;
-    Flags.A = Regs[In->A];
-    Flags.B = In->Imm;
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(AdcSbbTrap) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    trapSet(TrapKind::BadInstruction, "ADC/SBB not produced by codegen");
+  // Like the reference engine, the trapping fetch is counted but
+  // neither executed nor charged. Records before index J still run; the
+  // first record at or past it is where the segment stops.
+  const uint64_t J = Limit - Base;
+  const uint32_t Row = Side[In - Code0].Row + static_cast<uint32_t>(J);
+  StopInstrs = Limit + 1;
+  StopCycles = Cycles - In->Cost + SegPrefix[Row];
+  StopAt = In + 1;
+  while (Side[StopAt - Code0].Row < Row)
+    ++StopAt;
+  Tab = CheckTargets;
+  PGSD_NEXT();
+}
+
+L_Check:
+  if (In == StopAt) {
+    Instrs = StopInstrs;
+    Cycles = StopCycles;
+    trapSet(StopKind, StopKind == TrapKind::StepBudget
+                          ? "instruction budget exceeded"
+                          : "cancelled by monitor");
     goto done;
   }
-  PGSD_CASE(ImulRR) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) *
-        static_cast<uint32_t>(Regs[In->B]));
+  goto *Targets[static_cast<size_t>(In->Op)];
+
+L_MovRR:
+  Regs[In->A] = Regs[In->B];
+  PGSD_NEXT();
+L_MovRI:
+  Regs[In->A] = In->Imm;
+  PGSD_NEXT();
+L_Load: {
+  int32_t V;
+  if (!read32(static_cast<uint32_t>(Regs[In->B] + In->Imm), V))
+    goto undo;
+  Regs[In->A] = V;
+  PGSD_NEXT();
+}
+L_Store:
+  if (!write32(static_cast<uint32_t>(Regs[In->A] + In->Imm), Regs[In->B]))
+    goto undo;
+  PGSD_NEXT();
+L_LoadFrame: {
+  int32_t V;
+  if (!read32(static_cast<uint32_t>(Regs[RegEBP] + In->Imm), V))
+    goto undo;
+  Regs[In->A] = V;
+  PGSD_NEXT();
+}
+L_StoreFrame:
+  if (!write32(static_cast<uint32_t>(Regs[RegEBP] + In->Imm), Regs[In->B]))
+    goto undo;
+  PGSD_NEXT();
+L_LeaFrame:
+  Regs[In->A] = Regs[RegEBP] + In->Imm;
+  PGSD_NEXT();
+L_AddRR:
+  Regs[In->A] = static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) +
+                                     static_cast<uint32_t>(Regs[In->B]));
+  PGSD_NEXT();
+L_SubRR:
+  Regs[In->A] = static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) -
+                                     static_cast<uint32_t>(Regs[In->B]));
+  PGSD_NEXT();
+L_AndRR:
+  Regs[In->A] &= Regs[In->B];
+  PGSD_NEXT();
+L_OrRR:
+  Regs[In->A] |= Regs[In->B];
+  PGSD_NEXT();
+L_XorRR:
+  Regs[In->A] ^= Regs[In->B];
+  PGSD_NEXT();
+L_CmpRR:
+  Flags.IsTest = false;
+  Flags.A = Regs[In->A];
+  Flags.B = Regs[In->B];
+  PGSD_NEXT();
+L_AddRI:
+  Regs[In->A] = static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) +
+                                     static_cast<uint32_t>(In->Imm));
+  PGSD_NEXT();
+L_SubRI:
+  Regs[In->A] = static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) -
+                                     static_cast<uint32_t>(In->Imm));
+  PGSD_NEXT();
+L_AndRI:
+  Regs[In->A] &= In->Imm;
+  PGSD_NEXT();
+L_OrRI:
+  Regs[In->A] |= In->Imm;
+  PGSD_NEXT();
+L_XorRI:
+  Regs[In->A] ^= In->Imm;
+  PGSD_NEXT();
+L_CmpRI:
+  Flags.IsTest = false;
+  Flags.A = Regs[In->A];
+  Flags.B = In->Imm;
+  PGSD_NEXT();
+L_AdcSbbTrap:
+  trapSet(TrapKind::BadInstruction, "ADC/SBB not produced by codegen");
+  goto undo;
+L_ImulRR:
+  Regs[In->A] = static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) *
+                                     static_cast<uint32_t>(Regs[In->B]));
+  PGSD_NEXT();
+L_Cdq:
+  Regs[RegEDX] = Regs[RegEAX] < 0 ? -1 : 0;
+  PGSD_NEXT();
+L_Idiv: {
+  int64_t Dividend = (static_cast<int64_t>(Regs[RegEDX]) << 32) |
+                     static_cast<uint32_t>(Regs[RegEAX]);
+  int32_t Divisor = Regs[In->B];
+  if (Divisor == 0) {
+    trapSet(TrapKind::DivideByZero, "integer division by zero (#DE)");
+    goto undo;
+  }
+  int64_t Quot = Dividend / Divisor;
+  if (Quot > INT32_MAX || Quot < INT32_MIN) {
+    trapSet(TrapKind::DivideByZero, "integer division overflow (#DE)");
+    goto undo;
+  }
+  Regs[RegEAX] = static_cast<int32_t>(Quot);
+  Regs[RegEDX] = static_cast<int32_t>(Dividend % Divisor);
+  PGSD_NEXT();
+}
+L_Neg:
+  Regs[In->A] = static_cast<int32_t>(0u - static_cast<uint32_t>(Regs[In->A]));
+  PGSD_NEXT();
+L_Not:
+  Regs[In->A] = ~Regs[In->A];
+  PGSD_NEXT();
+L_ShlRI:
+  Regs[In->A] =
+      static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) << In->Ext);
+  PGSD_NEXT();
+L_ShrRI:
+  Regs[In->A] =
+      static_cast<int32_t>(static_cast<uint32_t>(Regs[In->A]) >> In->Ext);
+  PGSD_NEXT();
+L_SarRI:
+  Regs[In->A] = Regs[In->A] >> In->Ext;
+  PGSD_NEXT();
+L_ShlRC:
+  Regs[In->A] = static_cast<int32_t>(
+      static_cast<uint32_t>(Regs[In->A])
+      << (static_cast<uint32_t>(Regs[RegECX]) & 31));
+  PGSD_NEXT();
+L_ShrRC:
+  Regs[In->A] = static_cast<int32_t>(
+      static_cast<uint32_t>(Regs[In->A]) >>
+      (static_cast<uint32_t>(Regs[RegECX]) & 31));
+  PGSD_NEXT();
+L_SarRC:
+  Regs[In->A] = Regs[In->A] >> (static_cast<uint32_t>(Regs[RegECX]) & 31);
+  PGSD_NEXT();
+L_TestRR:
+  Flags.IsTest = true;
+  Flags.A = Regs[In->A];
+  Flags.B = Regs[In->B];
+  PGSD_NEXT();
+L_Setcc:
+  Regs[In->A] = (Regs[In->A] & ~0xFF) |
+                (Flags.eval(static_cast<x86::CondCode>(In->B)) ? 1 : 0);
+  PGSD_NEXT();
+L_Movzx8:
+  Regs[In->A] = Regs[In->B] & 0xFF;
+  PGSD_NEXT();
+L_Push:
+  if (!push(Regs[In->A]))
+    goto undo;
+  PGSD_NEXT();
+L_PushI:
+  if (!push(In->Imm))
+    goto undo;
+  PGSD_NEXT();
+L_Pop: {
+  int32_t V;
+  if (!read32(static_cast<uint32_t>(Regs[RegESP]), V))
+    goto undo;
+  Regs[In->A] = V;
+  Regs[RegESP] += 4;
+  PGSD_NEXT();
+}
+L_AdjustSP:
+  Regs[RegESP] += In->Imm;
+  PGSD_NEXT();
+L_CallFunc: {
+  if (Frames.size() >= MaxDepth) {
+    trapSet(TrapKind::CallDepth, "call depth exceeded");
+    goto undo;
+  }
+  PFrame Fr;
+  Fr.SavedRegs[0] = Regs[RegEBX];
+  Fr.SavedRegs[1] = Regs[RegESI];
+  Fr.SavedRegs[2] = Regs[RegEDI];
+  Fr.SavedRegs[3] = Regs[RegEBP];
+  if (!push(0 /* return address */))
+    goto undo;
+  Fr.SavedESP = static_cast<uint32_t>(Regs[RegESP]) + 4;
+  Fr.ReturnPC = static_cast<uint32_t>(In - Code0) + 1;
+  Frames.push_back(Fr);
+  const PFunc &F = Funcs[In->Ext];
+  if (!enter(F))
+    goto undo;
+  In = Code0 + F.Entry;
+  PGSD_DISPATCH();
+}
+L_PrintI32: {
+  int32_t V;
+  if (!read32(static_cast<uint32_t>(Regs[RegESP]), V))
+    goto undo;
+  fold(static_cast<uint32_t>(V));
+  if (CollectOutput && Result.Output.size() < OutputCapBytes) {
+    char Buf[16];
+    std::snprintf(Buf, sizeof(Buf), "%d\n", V);
+    Result.Output += Buf;
+  }
+  Regs[RegEAX] = 0;
+  PGSD_NEXT();
+}
+L_PrintChar: {
+  int32_t V;
+  if (!read32(static_cast<uint32_t>(Regs[RegESP]), V))
+    goto undo;
+  fold(0x10000u + static_cast<uint8_t>(V));
+  if (CollectOutput && Result.Output.size() < OutputCapBytes)
+    Result.Output += static_cast<char>(V);
+  Regs[RegEAX] = 0;
+  PGSD_NEXT();
+}
+L_ReadI32:
+  Regs[RegEAX] = InputPos < InputSize ? InputData[InputPos++] : 0;
+  PGSD_NEXT();
+L_InputLen:
+  Regs[RegEAX] = static_cast<int32_t>(InputSize - InputPos);
+  PGSD_NEXT();
+L_Sink: {
+  int32_t V;
+  if (!read32(static_cast<uint32_t>(Regs[RegESP]), V))
+    goto undo;
+  fold(static_cast<uint32_t>(V));
+  Regs[RegEAX] = 0;
+  PGSD_NEXT();
+}
+L_Jmp:
+  In = Code0 + In->Ext; // lands on the target's BlockHead
+  PGSD_DISPATCH();
+L_Jcc:
+  if (Flags.eval(static_cast<x86::CondCode>(In->A))) {
     Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
+    In = Code0 + In->Ext;
+  } else {
+    Cycles += static_cast<uint32_t>(In->Imm);
+    ++In;
   }
-  PGSD_CASE(Cdq) {
-    PGSD_STEP();
-    Regs[RegEDX] = Regs[RegEAX] < 0 ? -1 : 0;
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Idiv) {
-    PGSD_STEP();
-    int64_t Dividend = (static_cast<int64_t>(Regs[RegEDX]) << 32) |
-                       static_cast<uint32_t>(Regs[RegEAX]);
-    int32_t Divisor = Regs[In->B];
-    Cycles += In->Cost; // charged before the #DE checks
-    if (Divisor == 0) {
-      trapSet(TrapKind::DivideByZero, "integer division by zero (#DE)");
-      goto done;
-    }
-    int64_t Quot = Dividend / Divisor;
-    if (Quot > INT32_MAX || Quot < INT32_MIN) {
-      trapSet(TrapKind::DivideByZero, "integer division overflow (#DE)");
-      goto done;
-    }
-    Regs[RegEAX] = static_cast<int32_t>(Quot);
-    Regs[RegEDX] = static_cast<int32_t>(Dividend % Divisor);
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Neg) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        0u - static_cast<uint32_t>(Regs[In->A]));
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Not) {
-    PGSD_STEP();
-    Regs[In->A] = ~Regs[In->A];
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(ShlRI) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) << In->Ext);
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(ShrRI) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) >> In->Ext);
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(SarRI) {
-    PGSD_STEP();
-    Regs[In->A] = Regs[In->A] >> In->Ext;
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(ShlRC) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A])
-        << (static_cast<uint32_t>(Regs[RegECX]) & 31));
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(ShrRC) {
-    PGSD_STEP();
-    Regs[In->A] = static_cast<int32_t>(
-        static_cast<uint32_t>(Regs[In->A]) >>
-        (static_cast<uint32_t>(Regs[RegECX]) & 31));
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(SarRC) {
-    PGSD_STEP();
-    Regs[In->A] =
-        Regs[In->A] >> (static_cast<uint32_t>(Regs[RegECX]) & 31);
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(TestRR) {
-    PGSD_STEP();
-    Flags.IsTest = true;
-    Flags.A = Regs[In->A];
-    Flags.B = Regs[In->B];
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Setcc) {
-    PGSD_STEP();
-    Regs[In->A] = (Regs[In->A] & ~0xFF) |
-                  (Flags.eval(static_cast<x86::CondCode>(In->B)) ? 1 : 0);
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Movzx8) {
-    PGSD_STEP();
-    Regs[In->A] = Regs[In->B] & 0xFF;
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Push) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    if (!push(Regs[In->A]))
-      goto done;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(PushI) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    if (!push(In->Imm))
-      goto done;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Pop) {
-    PGSD_STEP();
-    int32_t V;
-    if (!read32(static_cast<uint32_t>(Regs[RegESP]), V))
-      goto done;
-    Regs[In->A] = V;
-    Regs[RegESP] += 4;
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(AdjustSP) {
-    PGSD_STEP();
-    Regs[RegESP] += In->Imm;
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(CallFunc) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    if (Frames.size() >= MaxDepth) {
-      trapSet(TrapKind::CallDepth, "call depth exceeded");
-      goto done;
-    }
-    PFrame Fr;
-    Fr.SavedRegs[0] = Regs[RegEBX];
-    Fr.SavedRegs[1] = Regs[RegESI];
-    Fr.SavedRegs[2] = Regs[RegEDI];
-    Fr.SavedRegs[3] = Regs[RegEBP];
-    if (!push(0 /* return address */))
-      goto done;
-    Fr.SavedESP = static_cast<uint32_t>(Regs[RegESP]) + 4;
-    Fr.ReturnPC = PC + 1;
-    Frames.push_back(Fr);
-    const PFunc &F = Funcs[In->Ext];
-    if (!enter(F))
-      goto done;
-    PC = F.Entry;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(PrintI32) {
-    PGSD_STEP();
-    Cycles += In->Cost; // Call + Intrinsic, before the argument read
-    int32_t V;
-    if (!read32(static_cast<uint32_t>(Regs[RegESP]), V))
-      goto done;
-    fold(static_cast<uint32_t>(V));
-    if (CollectOutput && Result.Output.size() < OutputCapBytes) {
-      char Buf[16];
-      std::snprintf(Buf, sizeof(Buf), "%d\n", V);
-      Result.Output += Buf;
-    }
-    Regs[RegEAX] = 0;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(PrintChar) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    int32_t V;
-    if (!read32(static_cast<uint32_t>(Regs[RegESP]), V))
-      goto done;
-    fold(0x10000u + static_cast<uint8_t>(V));
-    if (CollectOutput && Result.Output.size() < OutputCapBytes)
-      Result.Output += static_cast<char>(V);
-    Regs[RegEAX] = 0;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(ReadI32) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    Regs[RegEAX] = InputPos < InputSize ? InputData[InputPos++] : 0;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(InputLen) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    Regs[RegEAX] = static_cast<int32_t>(InputSize - InputPos);
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Sink) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    int32_t V;
-    if (!read32(static_cast<uint32_t>(Regs[RegESP]), V))
-      goto done;
-    fold(static_cast<uint32_t>(V));
-    Regs[RegEAX] = 0;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Jmp) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    PC = In->Ext; // lands on the target's BlockHead
-    PGSD_NEXT();
-  }
-  PGSD_CASE(JmpNext) {
-    PGSD_STEP();
-    ++PC; // free jump to the lexically next block's BlockHead
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Jcc) {
-    PGSD_STEP();
-    if (Flags.eval(static_cast<x86::CondCode>(In->A))) {
-      Cycles += In->Cost;
-      PC = In->Ext;
-    } else {
-      Cycles += static_cast<uint32_t>(In->Imm);
-      ++PC;
-    }
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Ret) {
-    PGSD_STEP();
-    Cycles += In->Cost; // epilogue: pops + leave + ret, pre-folded
-    if (Frames.empty()) {
-      Result.ExitCode = Regs[RegEAX];
-      goto done;
-    }
-    const PFrame &Fr = Frames.back();
-    Regs[RegEBX] = Fr.SavedRegs[0];
-    Regs[RegESI] = Fr.SavedRegs[1];
-    Regs[RegEDI] = Fr.SavedRegs[2];
-    Regs[RegEBP] = Fr.SavedRegs[3];
-    Regs[RegESP] = static_cast<int32_t>(Fr.SavedESP);
-    PC = Fr.ReturnPC;
-    Frames.pop_back();
-    PGSD_NEXT();
-  }
-  PGSD_CASE(Nop) {
-    PGSD_STEP();
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(ProfInc) {
-    PGSD_STEP();
-    ++Counters[In->Ext];
-    Cycles += In->Cost;
-    ++PC;
-    PGSD_NEXT();
-  }
-  PGSD_CASE(FellOff) {
-    // Unreachable on verified modules (every function's last block ends
-    // in Jmp/Ret); trap instead of running off the stream.
-    PGSD_STEP();
-    trapSet(TrapKind::BadInstruction, "fell off function end");
+  PGSD_DISPATCH();
+L_Ret: {
+  if (Frames.empty()) {
+    Result.ExitCode = Regs[RegEAX];
     goto done;
   }
+  const PFrame &Fr = Frames.back();
+  Regs[RegEBX] = Fr.SavedRegs[0];
+  Regs[RegESI] = Fr.SavedRegs[1];
+  Regs[RegEDI] = Fr.SavedRegs[2];
+  Regs[RegEBP] = Fr.SavedRegs[3];
+  Regs[RegESP] = static_cast<int32_t>(Fr.SavedESP);
+  In = Code0 + Fr.ReturnPC;
+  Frames.pop_back();
+  PGSD_DISPATCH();
+}
+L_ProfInc:
+  ++Counters[In->Ext];
+  PGSD_NEXT();
+L_FellOff:
+  // Unreachable on verified modules (every function's last block ends
+  // in Jmp/Ret); trap instead of running off the stream.
+  trapSet(TrapKind::BadInstruction, "fell off function end");
+  goto done;
 
-#if !PGSD_MEXEC_COMPUTED_GOTO
-  }
-#endif
-
-#undef PGSD_CASE
+#undef PGSD_DISPATCH
 #undef PGSD_NEXT
-#undef PGSD_STEP
 
+undo:
+  // The record at In trapped: take back what its head charged for the
+  // rest of the segment.
+  Instrs -= Side[In - Code0].UndoInstrs;
+  Cycles -= Side[In - Code0].UndoCycles;
 done:
   Result.Cycles10 = Cycles;
   Result.Instructions = Instrs;
@@ -1080,9 +967,7 @@ done:
   return Result;
 }
 
-#if defined(__GNUC__)
 #pragma GCC diagnostic pop
-#endif
 
 RunResult mexec::runWith(Engine E, const MModule &M,
                          const RunOptions &Opts) {

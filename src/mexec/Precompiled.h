@@ -14,14 +14,36 @@
 ///
 ///  - register operands become dense array indices,
 ///  - global symbol references become absolute addresses,
-///  - per-instruction CostModel charges are pre-looked-up and stored
-///    next to the opcode,
 ///  - branch targets are rewritten to flat stream offsets,
 ///  - blocks are threaded in layout order, so fallthrough costs no
-///    dispatch at all, and a jump to the lexically next block (which the
-///    cost model treats as free) becomes its own no-cost opcode,
+///    dispatch at all,
 ///  - polymorphic opcodes (ALU ops, shifts, intrinsics) are split into
 ///    one specialized handler per operation.
+///
+/// The stream is charged per *segment*, not per instruction. A segment
+/// is a straight-line run that ends at a Jcc, a direct call, a Ret or
+/// the end of its block; nothing inside it can branch, so its dynamic
+/// instruction count and its static cycle sum are known at lowering
+/// time. Each segment opens with a head record (a BlockHead at a block
+/// start, a SegHead after a Jcc or call) that charges both at once with
+/// a single limit compare. Handlers then do only their work: only a Jcc
+/// (taken or not-taken cost) and a call's prologue charge cycles at run
+/// time. NOPs and jumps to the lexically next block change no
+/// architectural state, so their records leave the stream entirely;
+/// their count and cost ride in the head.
+///
+/// Two rare paths keep every RunResult exact without re-executing
+/// anything:
+///
+///  - A trap inside a segment takes back, from a per-record side table,
+///    the instructions and cycles the head charged past the trap point,
+///    in the reference engine's charge order (cost before a trapping
+///    store, push, idiv or call; after a successful load or pop).
+///  - The run limit is min(MaxSteps, next cancel poll - 1). A head whose
+///    count would cross it works out where the step-budget or cancel
+///    trap lands inside the segment, switches dispatch to a table whose
+///    entries all pass one check, and runs the segment up to exactly
+///    that counted instruction -- dropped NOPs and free jumps included.
 ///
 /// The compiled image is immutable and reusable: one Precompiled serves
 /// a whole input battery, and concurrent run() calls from ThreadPool
@@ -32,10 +54,11 @@
 /// reference engine (mexec::run) returns -- every field, including
 /// Cycles10, Instructions, Checksum, Output, Counters, BlockCounts, and
 /// trap kind/reason. tests/EngineParityTest.cpp enforces this over the
-/// workload suite, a fuzz corpus, and trapping programs. Runs whose
-/// RunOptions::Costs differ from the baked cost model fall back to the
-/// reference engine (the stream's pre-baked charges would be stale), so
-/// the contract holds for every RunOptions.
+/// workload suite, a fuzz corpus, trapping programs and every step
+/// budget across a call-heavy variant. Runs whose RunOptions::Costs
+/// differ from the baked cost model fall back to the reference engine
+/// (the stream's pre-baked charges would be stale), so the contract
+/// holds for every RunOptions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +79,9 @@ namespace detail {
 /// Specialized opcodes of the flat stream. One handler per enumerator;
 /// the order must match the dispatch table in Precompiled.cpp.
 enum class POp : uint8_t {
-  BlockHead, ///< Pseudo: counts a block entry when CollectBlockCounts.
+  BlockHead, ///< Segment head at a block start; Ext = flat block-count
+             ///< index (counted when CollectBlockCounts).
+  SegHead,   ///< Segment head after a Jcc or call inside a block.
   MovRR,
   MovRI,     ///< Also MovGlobal, with the address pre-resolved into Imm.
   Load,
@@ -96,17 +121,14 @@ enum class POp : uint8_t {
   Pop,
   AdjustSP,
   CallFunc,  ///< Direct call; Ext = callee function index.
-  PrintI32,  ///< One opcode per intrinsic (cost = Call + Intrinsic).
+  PrintI32,  ///< One opcode per intrinsic.
   PrintChar,
   ReadI32,
   InputLen,
   Sink,
   Jmp,       ///< Taken jump; Ext = flat offset of the target BlockHead.
-  JmpNext,   ///< Jump to the lexically next block: free by the cost
-             ///< model, so only the step counter advances.
   Jcc,       ///< A = cc, Ext = taken offset, Cost/Imm = taken/not-taken.
-  Ret,       ///< Cost pre-folded: Saved*Pop + Pop(leave) + Ret.
-  Nop,
+  Ret,
   ProfInc,
   FellOff,   ///< Guard after each function's last block; unreachable on
              ///< verified modules.
@@ -115,25 +137,42 @@ enum class POp : uint8_t {
 /// Number of POp enumerators (dispatch table size).
 inline constexpr size_t NumPOps = static_cast<size_t>(POp::FellOff) + 1;
 
-/// One predecoded instruction: 16 bytes, so four per cache line.
+/// One predecoded instruction: 16 bytes, so four per cache line. Heads
+/// carry their segment's instruction count in Imm and its static
+/// Cycles10 sum in Cost.
 struct PInstr {
   POp Op;
   uint8_t A = 0;     ///< Dst register index, or condition code (Jcc).
   uint8_t B = 0;     ///< Src register index.
-  int32_t Imm = 0;   ///< Immediate / displacement; not-taken cost (Jcc).
-  uint32_t Cost = 0; ///< Pre-looked-up Cycles10 charge.
+  int32_t Imm = 0;   ///< Immediate / displacement; not-taken cost (Jcc);
+                     ///< segment instruction count (heads).
+  uint32_t Cost = 0; ///< Taken cost (Jcc); segment cycle sum (heads).
   uint32_t Ext = 0;  ///< Branch offset / callee index / counter id /
                      ///< shift count / flat block-count index.
 };
 
 static_assert(sizeof(PInstr) == 16, "PInstr must stay cache-friendly");
 
+/// Rare-path facts about one stream record, indexed like the stream.
+/// Only traps and limit crossings read them.
+struct PSide {
+  /// SegPrefix index of this record's own instruction; for a head, of
+  /// its segment's first instruction. Non-decreasing along the stream.
+  uint32_t Row = 0;
+  /// Instructions the head counted past this record: taken back when
+  /// the record traps.
+  uint32_t UndoInstrs = 0;
+  /// Cycles the head charged that the reference engine has not charged
+  /// when this record traps (its own cost stays when the reference
+  /// charges it before the trapping access).
+  uint32_t UndoCycles = 0;
+};
+
 /// Per-function constants resolved at compile time.
 struct PFunc {
-  uint32_t Entry = 0;        ///< Flat offset just past block 0's head.
+  uint32_t Entry = 0;        ///< Flat offset of block 0's head.
   uint32_t FrameDrop = 0;    ///< FrameBytes + 4 * callee-saved pushes.
   uint32_t PrologueCost = 0; ///< Push + MovRR + Alu + Saved * Push.
-  uint32_t Block0Flat = 0;   ///< Flat block-count index of block 0.
 };
 
 } // namespace detail
@@ -165,6 +204,10 @@ private:
   const mir::MModule *Src;
   CostModel Costs;
   std::vector<detail::PInstr> Code;
+  std::vector<detail::PSide> Side;     ///< Parallel to Code.
+  /// One row per segment: entry i is the Cycles10 of the segment's
+  /// first i instructions, dropped ones included.
+  std::vector<uint32_t> SegPrefix;
   std::vector<detail::PFunc> Funcs;
   std::vector<uint32_t> FlatBase;      ///< Function -> flat block base.
   std::vector<uint32_t> BlocksPerFunc; ///< For unflattening BlockCounts.

@@ -100,11 +100,14 @@ void diffExecute(const MModule &Baseline, const MModule &Variant,
     if (RB.Trapped && RB.Trap == mexec::TrapKind::StepBudget)
       continue; // Non-terminating on this input: nothing to compare.
 
-    // NOP insertion at most doubles the dynamic instruction count (one
-    // NOP per original instruction); block shifting adds one jump per
-    // call. Budget accordingly so legitimate NOPs never trip the limit.
+    // NOP insertion adds at most one NOP per original instruction, and
+    // a shift prelude runs a jmp (plus its NOP when the shift runs
+    // first) on every call. Each call costs the baseline at least a
+    // call and a ret, so calls <= Instructions / 2 and the variant runs
+    // at most 3 * Instructions (+1 for the entry call) in any pipeline
+    // order. Budget accordingly so a correct variant never trips it.
     Run.Input = Battery[In];
-    Run.MaxSteps = RB.Instructions * 2 + 4096;
+    Run.MaxSteps = RB.Instructions * 3 + 4096;
     mexec::RunResult RV =
         FastVariant ? FastVariant->run(Run) : mexec::run(Variant, Run);
 

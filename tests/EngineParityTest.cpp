@@ -15,18 +15,24 @@
 //  - programs that trap every way the machine can trap (step budget,
 //    call depth, #DE both ways, bad memory, stack overflow, ADC/SBB),
 //    where the engines must agree on kind, reason string, and the exact
-//    instruction/cycle counts at the trap point,
+//    instruction/cycle counts at the trap point -- including traps that
+//    land mid-segment, next to NOPs the fast engine drops from its
+//    stream, and every step budget from 1 to 2,000 on a call-heavy
+//    variant,
 //  - fault-injected variants (analysis/MirFault.h) that survive
 //    mir::verify, exercising broken-but-executable control flow,
-//  - custom cost models (the baked-stream fallback path).
+//  - custom cost models (the baked-stream fallback path),
+//  - one stream shared by concurrent runs (the battery reuse pattern).
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/MirFault.h"
+#include "codegen/Layout.h"
 #include "diversity/NopInsertion.h"
 #include "driver/Driver.h"
 #include "mexec/Precompiled.h"
 #include "profile/Profile.h"
+#include "verify/Verifier.h"
 #include "workloads/Workloads.h"
 
 #include "MiniCFuzzer.h"
@@ -37,6 +43,7 @@
 #include <climits>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace pgsd;
@@ -314,6 +321,253 @@ TEST(EngineParityTrap, AdcSbbAreBadInstructions) {
   }
 }
 
+namespace {
+
+MInstr nop(x86::NopKind K) {
+  MInstr I;
+  I.Op = MOp::Nop;
+  I.NopK = K;
+  return I;
+}
+
+MInstr movRI(Reg Dst, int32_t Imm) {
+  MInstr I;
+  I.Op = MOp::MovRI;
+  I.Dst = Dst;
+  I.Imm = Imm;
+  return I;
+}
+
+MInstr op(MOp Op, Reg Dst = Reg::EAX, Reg Src = Reg::EAX, int32_t Imm = 0) {
+  MInstr I;
+  I.Op = Op;
+  I.Dst = Dst;
+  I.Src = Src;
+  I.Imm = Imm;
+  return I;
+}
+
+MInstr call(ir::Callee Target) {
+  MInstr I;
+  I.Op = MOp::Call;
+  I.Target = Target;
+  return I;
+}
+
+/// A call-dense program: f(18) makes 8,361 calls, and the then-block's
+/// jump to the lexically next block is a free jump.
+const char *const FibSource = R"(
+  fn f(n) {
+    var r = n;
+    if (n >= 2) { r = f(n - 1) + f(n - 2); }
+    return r;
+  }
+  fn main() { print_int(f(18)); return 0; }
+)";
+
+/// \p Source diversified by every transform at pNOP = 50%, XCHG NOPs
+/// included: NOP runs the fast engine drops, shift preludes, and
+/// reordered, renamed code around many call/return edges.
+MModule allTransformsVariant(const char *Source) {
+  driver::Program P = driver::compileProgram(Source, "variant");
+  EXPECT_TRUE(P.ok()) << P.errors();
+  diversity::DiversityOptions D = diversity::DiversityOptions::uniform(0.5);
+  D.IncludeXchgNops = true;
+  using diversity::TransformKind;
+  MModule V = P.MIR;
+  diversity::PipelineStats Stats =
+      diversity::Pipeline({TransformKind::Nop, TransformKind::Shift,
+                           TransformKind::Sched, TransformKind::Regs})
+          .run(V, D, /*Seed=*/0x5e9);
+  EXPECT_GT(Stats.Nop.NopsInserted, 0u);
+  EXPECT_GT(Stats.Shift.FunctionsShifted, 0u);
+  return V;
+}
+
+} // namespace
+
+TEST(EngineParityTrap, EveryStepBudgetOnACallHeavyVariant) {
+  // Each budget B traps on the (B+1)-th counted instruction. Sweeping
+  // B over the first 2,000 puts that instruction on every kind of
+  // stream position: NOPs and free jumps that have no record, Jcc,
+  // calls, and the first instruction after a return.
+  MModule V = allTransformsVariant(FibSource);
+  mexec::Precompiled PC(V);
+  mexec::RunOptions Opts;
+  Opts.CollectOutput = true;
+  Opts.CollectBlockCounts = true;
+  std::vector<uint64_t> RefCycles;
+  for (uint64_t Budget = 1; Budget <= 2000; ++Budget) {
+    Opts.MaxSteps = Budget;
+    mexec::RunResult Ref = mexec::run(V, Opts);
+    ASSERT_EQ(Ref.Trap, mexec::TrapKind::StepBudget);
+    ASSERT_EQ(Ref.Instructions, Budget + 1);
+    expectSame(Ref, PC.run(Opts), "budget " + std::to_string(Budget));
+    RefCycles.push_back(Ref.Cycles10);
+  }
+  // What the (B+1)-th instruction is, read off the cycles it adds
+  // between budget B and B+1 (default cost model): 0 = free jump, 2/30
+  // = NOP, 6/16 = Jcc, 55 + 8k = call plus prologue, 48 + 8k = ret.
+  unsigned FreeJumps = 0, Nops = 0, Jccs = 0, Calls = 0, AfterRet = 0;
+  for (size_t B = 1; B < RefCycles.size(); ++B) {
+    uint64_t Delta = RefCycles[B] - RefCycles[B - 1];
+    FreeJumps += Delta == 0;
+    Nops += Delta == 2 || Delta == 30;
+    Jccs += Delta == 6 || Delta == 16;
+    Calls += Delta >= 55 && Delta <= 79 && (Delta - 55) % 8 == 0;
+    if (B >= 2) {
+      uint64_t Prev = RefCycles[B - 1] - RefCycles[B - 2];
+      AfterRet += Prev >= 48 && Prev <= 72 && (Prev - 48) % 8 == 0;
+    }
+  }
+  EXPECT_GT(FreeJumps, 0u);
+  EXPECT_GT(Nops, 0u);
+  EXPECT_GT(Jccs, 0u);
+  EXPECT_GT(Calls, 0u);
+  EXPECT_GT(AfterRet, 0u);
+}
+
+TEST(EngineParityTrap, PreSetCancelOnACallHeavyVariant) {
+  MModule V = allTransformsVariant(FibSource);
+  mexec::Precompiled PC(V);
+  std::atomic<bool> Flag{true};
+  mexec::RunOptions Opts;
+  Opts.CollectOutput = true;
+  Opts.CollectBlockCounts = true;
+  Opts.Cancel = &Flag;
+  // The budget before, on, just past and far past the first poll.
+  const uint64_t Stride = mexec::CancelPollStride;
+  for (uint64_t Budget : {Stride - 1, Stride, Stride + 1, uint64_t{4} << 30}) {
+    Opts.MaxSteps = Budget;
+    mexec::RunResult Ref = mexec::run(V, Opts);
+    ASSERT_TRUE(Ref.Trapped);
+    expectSame(Ref, PC.run(Opts), "cancel, budget " + std::to_string(Budget));
+  }
+}
+
+TEST(EngineParity, UnsetCancelFlagChangesNothing) {
+  // A watchdog that never fires: polling a clear flag must leave every
+  // field as it is without a flag, on finishing and on trapping runs.
+  MModule V = allTransformsVariant(FibSource);
+  mexec::Precompiled PC(V);
+  std::atomic<bool> Clear{false};
+  for (uint64_t Budget : {1000ull, 1024ull, 5000ull, 100000ull, 4ull << 30}) {
+    mexec::RunOptions Opts;
+    Opts.CollectOutput = true;
+    Opts.CollectBlockCounts = true;
+    Opts.MaxSteps = Budget;
+    mexec::RunResult Ref = mexec::run(V, Opts);
+    mexec::RunResult Plain = PC.run(Opts);
+    Opts.Cancel = &Clear;
+    std::string What = "budget " + std::to_string(Budget);
+    expectSame(Ref, Plain, What);
+    expectSame(Plain, PC.run(Opts), What + ", clear flag");
+    expectSame(Ref, mexec::run(V, Opts), What + ", clear flag (reference)");
+  }
+}
+
+TEST(EngineParityTrap, TrapsBesideDroppedNops) {
+  // Each trapping instruction sits between NOPs the fast engine never
+  // dispatches: its segment head has already charged them, so the trap
+  // must take back exactly the instructions and cycles after the trap
+  // point -- and keep the trapping op's own cost only where the
+  // reference charges it before the access.
+  using ir::Callee;
+  using ir::Intrinsic;
+  struct Case {
+    const char *Name;
+    std::vector<MInstr> Setup;
+    MInstr Trap;
+    mexec::TrapKind Kind;
+  };
+  MInstr Adc = op(MOp::AluRR, Reg::EAX, Reg::ECX);
+  Adc.Alu = x86::AluOp::Adc;
+  const std::vector<Case> Cases = {
+      {"store", {movRI(Reg::EAX, 42)}, op(MOp::Store, Reg::EAX, Reg::ECX),
+       mexec::TrapKind::BadMemory},
+      {"load", {movRI(Reg::EAX, -4)}, op(MOp::Load, Reg::ECX, Reg::EAX),
+       mexec::TrapKind::BadMemory},
+      {"store-frame", {movRI(Reg::EBP, 0)},
+       op(MOp::StoreFrame, Reg::EAX, Reg::ECX), mexec::TrapKind::BadMemory},
+      {"load-frame", {movRI(Reg::EBP, 0)},
+       op(MOp::LoadFrame, Reg::ECX), mexec::TrapKind::BadMemory},
+      {"pop", {movRI(Reg::ESP, 0)}, op(MOp::Pop, Reg::ECX),
+       mexec::TrapKind::BadMemory},
+      {"push", {movRI(Reg::ESP, static_cast<int32_t>(codegen::StackLimit))},
+       op(MOp::Push, Reg::EAX, Reg::EAX), mexec::TrapKind::StackOverflow},
+      {"push-imm",
+       {movRI(Reg::ESP, static_cast<int32_t>(codegen::StackLimit))},
+       op(MOp::PushI, Reg::EAX, Reg::EAX, 7), mexec::TrapKind::StackOverflow},
+      {"idiv-zero", {movRI(Reg::EAX, 10), op(MOp::Cdq)},
+       op(MOp::Idiv, Reg::EAX, Reg::ECX), mexec::TrapKind::DivideByZero},
+      {"idiv-overflow",
+       {movRI(Reg::EAX, INT32_MIN), op(MOp::Cdq), movRI(Reg::ECX, -1)},
+       op(MOp::Idiv, Reg::EAX, Reg::ECX), mexec::TrapKind::DivideByZero},
+      {"adc", {}, Adc, mexec::TrapKind::BadInstruction},
+      {"print-bad-stack", {movRI(Reg::ESP, 0)},
+       call(Callee::intrinsic(Intrinsic::PrintI32)),
+       mexec::TrapKind::BadMemory},
+      {"sink-bad-stack", {movRI(Reg::ESP, 0)},
+       call(Callee::intrinsic(Intrinsic::Sink)), mexec::TrapKind::BadMemory},
+  };
+  for (const Case &C : Cases) {
+    for (x86::NopKind K : {x86::NopKind::Nop90, x86::NopKind::XchgEspEsp}) {
+      MModule M = handBuilt([&](MBasicBlock &BB) {
+        BB.Instrs.push_back(nop(x86::NopKind::XchgEbpEbp));
+        for (const MInstr &I : C.Setup) {
+          BB.Instrs.push_back(I);
+          BB.Instrs.push_back(nop(K));
+        }
+        BB.Instrs.push_back(nop(K));
+        BB.Instrs.push_back(C.Trap);
+        BB.Instrs.push_back(nop(K));
+        BB.Instrs.push_back(nop(x86::NopKind::XchgEbpEbp));
+      });
+      std::string What = std::string(C.Name) + " after " +
+                         x86::nopInfo(K).Mnemonic;
+      mexec::RunResult Ref = mexec::run(M, {});
+      ASSERT_TRUE(Ref.Trapped) << What;
+      EXPECT_EQ(Ref.Trap, C.Kind) << What;
+      mexec::Precompiled P(M);
+      expectSame(Ref, P.run({}), What);
+    }
+  }
+}
+
+TEST(EngineParityTrap, CallTrapsBesideDroppedNops) {
+  // f calls itself with NOPs around the call: the call-depth trap (at
+  // the call) and the stack-overflow trap (in the callee's prologue,
+  // charged only past the stack check) both land mid-stream.
+  for (x86::NopKind K : {x86::NopKind::Nop90, x86::NopKind::XchgEspEsp}) {
+    for (uint32_t FrameBytes : {0u, 1u << 20}) {
+      MModule M;
+      M.EntryFunction = 0;
+      for (unsigned FI = 0; FI != 2; ++FI) {
+        MFunction F;
+        F.Name = FI == 0 ? "main" : "f";
+        F.FrameBytes = FI == 0 ? 0 : FrameBytes;
+        F.UsesEbx = FI == 1;
+        MBasicBlock BB;
+        BB.Instrs = {nop(K), movRI(Reg::EAX, 1), nop(K),
+                     call(ir::Callee::function(1)), nop(K),
+                     nop(x86::NopKind::XchgEbpEbp), op(MOp::Ret)};
+        F.Blocks.push_back(std::move(BB));
+        M.Functions.push_back(std::move(F));
+      }
+      mexec::RunOptions Opts;
+      Opts.MaxCallDepth = FrameBytes ? 64 : 5;
+      mexec::RunResult Ref = mexec::run(M, Opts);
+      ASSERT_TRUE(Ref.Trapped);
+      EXPECT_EQ(Ref.Trap, FrameBytes ? mexec::TrapKind::StackOverflow
+                                     : mexec::TrapKind::CallDepth);
+      mexec::Precompiled P(M);
+      expectSame(Ref, P.run(Opts),
+                 std::string("recursion after ") + x86::nopInfo(K).Mnemonic +
+                     ", frame " + std::to_string(FrameBytes));
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Fault-injected corpus: broken-but-executable modules.
 //===----------------------------------------------------------------------===//
@@ -346,6 +600,76 @@ TEST(EngineParity, FaultInjectedVariantsMatch) {
   // The corpus must actually exercise faulted modules, not skip its way
   // to green.
   EXPECT_GE(Executed, 12u);
+}
+
+//===----------------------------------------------------------------------===//
+// One stream, many threads
+//===----------------------------------------------------------------------===//
+
+TEST(EngineParity, ConcurrentRunsShareOneStream) {
+  // The verifier and the nvx replicas run one Precompiled from several
+  // workers at once. Runs on the shared stream -- finishing, dividing
+  // by zero and exhausting the budget -- must equal a serial run, and
+  // TSan must see no write to shared state.
+  MModule V = allTransformsVariant(R"(
+    fn f(n) { if (n < 2) { return n; } return f(n - 1) + f(n - 2); }
+    fn main() {
+      var a = read_int();
+      var b = read_int();
+      print_int(f(a & 15));
+      while (a > 200) { a = a + 0; }
+      return 1000 / b;
+    }
+  )");
+  mexec::Precompiled PC(V);
+  const std::vector<std::vector<int32_t>> Battery =
+      verify::defaultInputBattery();
+  mexec::RunOptions Base;
+  Base.CollectOutput = true;
+  Base.CollectBlockCounts = true;
+  Base.MaxSteps = 200'000;
+  std::vector<mexec::RunResult> Serial;
+  bool Finished = false, DivideByZero = false, OutOfBudget = false;
+  for (const std::vector<int32_t> &Input : Battery) {
+    mexec::RunOptions Opts = Base;
+    Opts.Input = Input;
+    Serial.push_back(PC.run(Opts));
+    expectSame(mexec::run(V, Opts), Serial.back(), "serial reference");
+    Finished |= !Serial.back().Trapped;
+    DivideByZero |= Serial.back().Trap == mexec::TrapKind::DivideByZero;
+    OutOfBudget |= Serial.back().Trap == mexec::TrapKind::StepBudget;
+  }
+  EXPECT_TRUE(Finished && DivideByZero && OutOfBudget)
+      << "the battery must finish, divide by zero and exhaust the budget";
+
+  constexpr unsigned Threads = 4;
+  constexpr unsigned Rounds = 3;
+  std::vector<std::vector<mexec::RunResult>> Got(Threads);
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T != Threads; ++T) {
+    Workers.emplace_back([&, T] {
+      for (unsigned Round = 0; Round != Rounds; ++Round) {
+        // Stagger the start so threads overlap on different inputs.
+        for (size_t I = 0; I != Battery.size(); ++I) {
+          size_t In = (I + T) % Battery.size();
+          mexec::RunOptions Opts = Base;
+          Opts.Input = Battery[In];
+          Got[T].push_back(PC.run(Opts));
+        }
+      }
+    });
+  }
+  for (std::thread &W : Workers)
+    W.join();
+  for (unsigned T = 0; T != Threads; ++T) {
+    ASSERT_EQ(Got[T].size(), Rounds * Battery.size());
+    for (size_t K = 0; K != Got[T].size(); ++K) {
+      size_t In = (K % Battery.size() + T) % Battery.size();
+      expectSame(Serial[In], Got[T][K],
+                 "thread " + std::to_string(T) + " input " +
+                     std::to_string(In));
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

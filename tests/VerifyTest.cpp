@@ -386,6 +386,30 @@ TEST(Verify, FirstAttemptCleanPath) {
   EXPECT_TRUE(VV.Report.ok()) << VV.Report.str();
 }
 
+TEST(Verify, CallHeavyShiftedVariantFitsTheStepBudget) {
+  // A shift prelude runs a jmp on every call -- and its own NOP when
+  // the shift precedes NOP insertion -- so a call-dense program grows
+  // past twice its baseline count. Calls are at most half the baseline's
+  // instructions (each costs a call and a ret), so the variant budget
+  // must still hold every correct variant, in either pipeline order.
+  driver::Program P = compileChecked(R"(
+    fn f(n) { if (n < 2) { return n; } return f(n - 1) + f(n - 2); }
+    fn main() { print_int(f(18)); return 0; }
+  )",
+                                     "fib", {});
+  using diversity::TransformKind;
+  for (const Pipeline &Pipe :
+       {Pipeline({TransformKind::Nop, TransformKind::Shift}),
+        Pipeline({TransformKind::Shift, TransformKind::Nop})}) {
+    SCOPED_TRACE(Pipe.label());
+    driver::VerifiedVariant VV = driver::makeVariantVerified(
+        P, Pipe, DiversityOptions::uniform(1.0), /*Seed=*/3);
+    EXPECT_TRUE(VV.ok()) << VV.Report.str();
+    EXPECT_EQ(VV.Attempts, 1u);
+    EXPECT_TRUE(VV.Report.ok()) << VV.Report.str();
+  }
+}
+
 // --- individual check families -----------------------------------------
 
 TEST(Verify, ProfileFlowAcceptsStampedCounts) {
