@@ -119,17 +119,18 @@ bool isInsertedNop(const mir::MInstr &I);
 /// normalization (everything isInsertedNop skips), in order.
 std::vector<const mir::MInstr *> nonNopInstrs(const mir::MBasicBlock &BB);
 
-/// Invokes \p Fn for every register \p I reads, explicit operands and
-/// implicit uses (CDQ/IDIV/Ret read EAX, ShiftRC reads CL, ...) alike.
-/// ESP/EBP uses by push/pop/frame instructions are not reported; those
-/// registers are maintained by the prologue and tracked structurally.
+/// Invokes \p Fn for every register \p I reads, in operand order: the
+/// ordered form of mir::readRegs (same set, same exclusions), for
+/// diagnostics that name each register. Checkers test the mask first
+/// and visit only when it shows a violation.
 void forEachReadReg(const mir::MInstr &I,
                     const std::function<void(x86::Reg)> &Fn);
 
-/// Invokes \p Fn for every register \p I writes. A Call reports
-/// EAX/ECX/EDX (the cdecl caller-saved set): they are *defined* after
-/// the call in the liveness sense, while the CallConv checker separately
-/// rejects reads of the clobbered ECX/EDX.
+/// Invokes \p Fn for every register \p I writes, in operand order: the
+/// ordered form of mir::writtenRegs. A Call reports EAX/ECX/EDX (the
+/// cdecl caller-saved set): they are *defined* after the call in the
+/// liveness sense, while the CallConv checker separately rejects reads
+/// of the clobbered ECX/EDX.
 void forEachWrittenReg(const mir::MInstr &I,
                        const std::function<void(x86::Reg)> &Fn);
 

@@ -142,7 +142,7 @@ struct LivenessDomain {
   }
 
   void transfer(State &S, const MInstr &I, uint32_t, uint32_t) const {
-    forEachWrittenReg(I, [&](Reg W) { S |= regBit(W); });
+    S |= mir::writtenRegs(I);
   }
 
   bool meetInto(State &Into, const State &From) const {
@@ -169,13 +169,15 @@ void detail::checkRegLiveness(const MModule &M, uint32_t FuncIdx,
     const MBasicBlock &BB = F.Blocks[B];
     for (uint32_t K = 0; K != BB.Instrs.size(); ++K) {
       const MInstr &I = BB.Instrs[K];
-      forEachReadReg(I, [&](Reg Read) {
-        if (!(S & regBit(Read)))
-          addDiag(R, Opts, CheckerKind::RegLiveness, F, B, K,
-                  fmt("reads %s, which no definition reaches on every "
-                      "path from entry",
-                      x86::regName(Read)));
-      });
+      // The mask finds a violation; the ordered visitor reports it.
+      if (mir::readRegs(I) & ~S)
+        forEachReadReg(I, [&](Reg Read) {
+          if (!(S & regBit(Read)))
+            addDiag(R, Opts, CheckerKind::RegLiveness, F, B, K,
+                    fmt("reads %s, which no definition reaches on "
+                        "every path from entry",
+                        x86::regName(Read)));
+        });
       Dom.transfer(S, I, B, K);
     }
   }
@@ -461,9 +463,7 @@ struct PoisonDomain {
   State boundary() const { return 0; }
 
   void transfer(State &S, const MInstr &I, uint32_t, uint32_t) const {
-    forEachWrittenReg(I, [&](Reg W) {
-      S &= static_cast<uint8_t>(~regBit(W));
-    });
+    S &= static_cast<uint8_t>(~mir::writtenRegs(I));
     if (I.Op == MOp::Call)
       S |= regBit(Reg::ECX) | regBit(Reg::EDX);
   }
@@ -493,13 +493,14 @@ void detail::checkCallConv(const MModule &M, uint32_t FuncIdx,
     const MBasicBlock &BB = F.Blocks[B];
     for (uint32_t K = 0; K != BB.Instrs.size(); ++K) {
       const MInstr &I = BB.Instrs[K];
-      forEachReadReg(I, [&](Reg Read) {
-        if (S & regBit(Read))
-          addDiag(R, Opts, CK, F, B, K,
-                  fmt("reads %s, which a preceding call clobbered "
-                      "(cdecl caller-saved), before any redefinition",
-                      x86::regName(Read)));
-      });
+      if (mir::readRegs(I) & S)
+        forEachReadReg(I, [&](Reg Read) {
+          if (S & regBit(Read))
+            addDiag(R, Opts, CK, F, B, K,
+                    fmt("reads %s, which a preceding call clobbered "
+                        "(cdecl caller-saved), before any redefinition",
+                        x86::regName(Read)));
+        });
       Dom.transfer(S, I, B, K);
     }
   }
@@ -511,12 +512,14 @@ void detail::checkCallConv(const MModule &M, uint32_t FuncIdx,
       const MInstr &I = BB.Instrs[K];
       // Writes to ESP/EBP happen only in the expanded prologue/epilogue
       // and via AdjustSP; anything else corrupts the frame linkage.
-      forEachWrittenReg(I, [&](Reg W) {
-        if (W == Reg::ESP || W == Reg::EBP)
-          addDiag(R, Opts, CK, F, B, K,
-                  fmt("writes %s outside the prologue/epilogue contract",
-                      x86::regName(W)));
-      });
+      if (mir::writtenRegs(I) & (regBit(Reg::ESP) | regBit(Reg::EBP)))
+        forEachWrittenReg(I, [&](Reg W) {
+          if (W == Reg::ESP || W == Reg::EBP)
+            addDiag(R, Opts, CK, F, B, K,
+                    fmt("writes %s outside the prologue/epilogue "
+                        "contract",
+                        x86::regName(W)));
+        });
       if (I.Op != MOp::Idiv)
         continue;
       // IDIV needs its EDX:EAX dividend established by a CDQ that is

@@ -70,6 +70,16 @@ solveForward(const mir::MFunction &F, const Domain &Dom) {
   if (F.Blocks.empty())
     return R;
 
+  // One flat successor table per solve: the worklist may visit a block
+  // many times before the fixpoint, its successors never change.
+  std::vector<uint32_t> SuccBegin(F.Blocks.size() + 1);
+  std::vector<uint32_t> Succs;
+  for (uint32_t B = 0; B != F.Blocks.size(); ++B) {
+    SuccBegin[B] = static_cast<uint32_t>(Succs.size());
+    F.appendSuccessors(B, Succs);
+  }
+  SuccBegin[F.Blocks.size()] = static_cast<uint32_t>(Succs.size());
+
   R.In[0] = Dom.boundary();
   R.Reached[0] = true;
   std::vector<uint32_t> Worklist{0};
@@ -86,7 +96,8 @@ solveForward(const mir::MFunction &F, const Domain &Dom) {
     for (uint32_t K = 0; K != BB.Instrs.size(); ++K)
       Dom.transfer(S, BB.Instrs[K], B, K);
 
-    for (uint32_t Succ : F.successors(B)) {
+    for (uint32_t J = SuccBegin[B]; J != SuccBegin[B + 1]; ++J) {
+      uint32_t Succ = Succs[J];
       bool Changed;
       if (!R.Reached[Succ]) {
         R.In[Succ] = S;

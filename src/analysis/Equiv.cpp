@@ -7,9 +7,11 @@
 //
 //  * Terms are hash-consed in a per-function arena shared by both sides
 //    of every block pair, so "same symbolic value" is pointer (index)
-//    equality. Entry symbols (RegIn, FlagsIn) mean "at entry of the
-//    block currently being compared" on both sides; comparisons never
-//    cross block pairs, so reusing them across blocks is sound.
+//    equality. The arena indexes its term vector with an open-addressing
+//    table of ids, so ids stay dense and in insertion order. Entry
+//    symbols (RegIn, FlagsIn) mean "at entry of the block currently
+//    being compared" on both sides; comparisons never cross block
+//    pairs, so reusing them across blocks is sound.
 //
 //  * Loads carry a memory epoch -- the number of preceding writes,
 //    calls, and counter increments in the same block -- so two loads
@@ -38,10 +40,11 @@
 #include "obs/Metrics.h"
 
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 using namespace pgsd;
@@ -109,39 +112,50 @@ struct Term {
   }
 };
 
-struct TermHash {
-  size_t operator()(const Term &T) const {
-    uint64_t H = static_cast<uint8_t>(T.Kind);
-    auto Mix = [&H](uint64_t V) {
-      H ^= V + 0x9E3779B97F4A7C15ull + (H << 6) + (H >> 2);
-    };
-    Mix(T.Sub);
-    Mix(static_cast<uint32_t>(T.Imm));
-    Mix(T.X);
-    Mix(T.Y);
-    return static_cast<size_t>(H);
-  }
-};
+/// Mixes every field of \p T into 64 bits (a MurmurHash3 finalizer
+/// over the packed fields), so the low bits index a power-of-two table.
+uint64_t hashTerm(const Term &T) {
+  uint64_t H = static_cast<uint64_t>(T.Kind) |
+               (static_cast<uint64_t>(T.Sub) << 8) |
+               (static_cast<uint64_t>(static_cast<uint32_t>(T.Imm)) << 32);
+  H ^= std::rotl(((static_cast<uint64_t>(T.Y) << 32) | T.X) *
+                     0x9E3779B97F4A7C15ull,
+                 31);
+  H ^= H >> 33;
+  H *= 0xFF51AFD7ED558CCDull;
+  H ^= H >> 33;
+  H *= 0xC4CEB9FE1A85EC53ull;
+  H ^= H >> 33;
+  return H;
+}
 
 /// Hash-consing arena: intern() returns a stable id; identical terms
-/// get identical ids, so symbolic equality is id equality.
+/// get identical ids, so symbolic equality is id equality. Ids are
+/// dense and in insertion order. The index is an open-addressing table
+/// (linear probing, at most half full) of id + 1 over Terms, 0 marking
+/// an empty slot.
 class Arena {
 public:
   /// The floor keeps the entry symbols (8 registers + flags) internable
   /// even under an absurdly small test-provided cap.
-  explicit Arena(uint32_t CapIn) : Cap(CapIn < 64 ? 64 : CapIn) {}
+  explicit Arena(uint32_t CapIn)
+      : Cap(CapIn < 64 ? 64 : CapIn), Slots(InitialSlots, 0) {}
 
-  uint32_t intern(Term T) {
-    auto It = Ids.find(T);
-    if (It != Ids.end())
-      return It->second;
+  uint32_t intern(const Term &T) {
+    size_t Mask = Slots.size() - 1;
+    size_t H = static_cast<size_t>(hashTerm(T)) & Mask;
+    for (; Slots[H] != 0; H = (H + 1) & Mask)
+      if (Terms[Slots[H] - 1] == T)
+        return Slots[H] - 1;
     if (Terms.size() >= Cap) {
       Overflowed = true;
       return 0; // id 0 stays valid; the caller checks overflowed()
     }
     uint32_t Id = static_cast<uint32_t>(Terms.size());
     Terms.push_back(T);
-    Ids.emplace(T, Id);
+    Slots[H] = Id + 1;
+    if (2 * Terms.size() > Slots.size())
+      grow();
     return Id;
   }
 
@@ -149,10 +163,25 @@ public:
   bool overflowed() const { return Overflowed; }
 
 private:
+  static constexpr size_t InitialSlots = 256;
+
+  /// Doubles the table and re-inserts every id in order.
+  void grow() {
+    std::vector<uint32_t> Next(2 * Slots.size(), 0);
+    size_t Mask = Next.size() - 1;
+    for (uint32_t Id = 0; Id != Terms.size(); ++Id) {
+      size_t H = static_cast<size_t>(hashTerm(Terms[Id])) & Mask;
+      while (Next[H] != 0)
+        H = (H + 1) & Mask;
+      Next[H] = Id + 1;
+    }
+    Slots = std::move(Next);
+  }
+
   uint32_t Cap;
   bool Overflowed = false;
   std::vector<Term> Terms;
-  std::unordered_map<Term, uint32_t, TermHash> Ids;
+  std::vector<uint32_t> Slots;
 };
 
 const char *aluStr(x86::AluOp Op) {
@@ -429,11 +458,20 @@ BlockExec execBlock(const MModule &M, const MBasicBlock &BB,
     // interpreter models them deterministically, which is exactly why
     // this class of defect is dynamically invisible); record every read
     // of one so the comparison can demand the dependence traces match.
-    forEachReadReg(I, [&](Reg R) {
-      const Term &T = A[S.Regs[x86::regNum(R)]];
-      if (T.Kind == TK::CallVal && T.Sub != 0)
-        S.PoisonReads.push_back({x86::regNum(R), K});
-    });
+    // The read mask finds such a read; the ordered visitor records it.
+    auto Poisoned = [&](unsigned Rn) {
+      const Term &T = A[S.Regs[Rn]];
+      return T.Kind == TK::CallVal && T.Sub != 0;
+    };
+    bool ReadsPoison = false;
+    for (unsigned Rd = mir::readRegs(I); Rd != 0 && !ReadsPoison;
+         Rd &= Rd - 1)
+      ReadsPoison = Poisoned(static_cast<unsigned>(std::countr_zero(Rd)));
+    if (ReadsPoison)
+      forEachReadReg(I, [&](Reg R) {
+        if (Poisoned(x86::regNum(R)))
+          S.PoisonReads.push_back({x86::regNum(R), K});
+      });
     switch (I.Op) {
     case MOp::MovRR:
       Reg_(I.Dst) = Reg_(I.Src);
@@ -628,12 +666,14 @@ bool provenShiftPrelude(const MModule &VM, const MFunction &VF,
   return true;
 }
 
-/// Module-level preconditions computed lazily and shared by every
-/// function comparison of one proveEquivalent call.
+/// Module-level preconditions shared by every function comparison of
+/// one proveEquivalent call: the caller's facts, and whatever the
+/// prover had to compute itself (at most once per module).
 struct ModuleContext {
   const MModule &BM;
   const MModule &VM;
-  int LivenessOk = -1; ///< -1 unknown, else 0/1.
+  EquivFacts Facts;
+  EquivStats &Stats;
 
   /// Non-identity callee-saved renamings are only sound when neither
   /// module reads EBX/ESI/EDI before defining them (RegLiveness): the
@@ -641,13 +681,15 @@ struct ModuleContext {
   /// "variant pi(r) plays baseline r's role" holds from function entry
   /// even though the caller loaded different values into them.
   bool livenessOk() {
-    if (LivenessOk < 0)
-      LivenessOk =
-          analyzeModule(BM, AnalysisOptions::only(CheckerKind::RegLiveness))
-              .ok() &&
-          analyzeModule(VM, AnalysisOptions::only(CheckerKind::RegLiveness))
-              .ok();
-    return LivenessOk == 1;
+    auto Verdict = [](std::optional<bool> &Known, const MModule &M) {
+      if (!Known)
+        Known = analyzeModule(
+                    M, AnalysisOptions::only(CheckerKind::RegLiveness))
+                    .ok();
+      return *Known;
+    };
+    return Verdict(Facts.BaselineLiveness, BM) &&
+           Verdict(Facts.VariantLiveness, VM);
   }
 };
 
@@ -873,11 +915,21 @@ Verdict compareBlocks(const MModule &BM, const MFunction &BF,
 
 /// Compares one function pair; on refutation or abort, appends exactly
 /// one diagnostic to \p R and returns. \p BM / \p VM are the enclosing
-/// modules (call-target argument counts).
+/// modules (call-target argument counts). \p Witness is the untrusted
+/// CalleeSavedRenamings row register shuffling claims it applied, or
+/// any value >= NumCalleeSavedRenamings for none.
+///
+/// The verdict is a function of the candidates' outcomes in canonical
+/// order, whatever order they are tried in: Proved when any candidate
+/// proves; otherwise Aborted with the first canonical candidate that
+/// ran out of terms; otherwise Refuted with the first canonical
+/// candidate's counterexample. So the witness is tried first and, when
+/// it proves, is the only candidate run; the rest follow in canonical
+/// order, skipping it.
 Verdict compareFunction(const MModule &BM, const MFunction &BF,
                         const MModule &VM, const MFunction &VF,
                         const EquivOptions &Opts, ModuleContext &Ctx,
-                        verify::Report &R) {
+                        unsigned Witness, verify::Report &R) {
   using verify::ErrorCode;
   auto Refute = [&](std::string Context) {
     R.add(ErrorCode::EquivRefuted, std::move(Context));
@@ -922,12 +974,9 @@ Verdict compareFunction(const MModule &BM, const MFunction &BF,
   // is compared with pi(r) playing baseline r's role. The save set
   // must follow the renaming -- pi(r) saved exactly when baseline
   // saves r -- which is also what keeps the emitted prologue/epilogue
-  // contract intact. Identity is enumerated first so unrenamed
-  // variants keep refuting with the counterexample they always have.
-  static constexpr uint8_t Saved[3] = {3, 6, 7};
-  static constexpr uint8_t Perms[6][3] = {
-      {3, 6, 7}, {3, 7, 6}, {6, 3, 7}, {6, 7, 3}, {7, 3, 6}, {7, 6, 3},
-  };
+  // contract intact. Identity is first in the canonical order, so
+  // unrenamed variants keep refuting with the counterexample they
+  // always have.
   auto UsedIn = [](const MFunction &F, uint8_t Rn) {
     return Rn == 3 ? F.UsesEbx : (Rn == 6 ? F.UsesEsi : F.UsesEdi);
   };
@@ -935,58 +984,65 @@ Verdict compareFunction(const MModule &BM, const MFunction &BF,
   // compares identically under every renaming; only identity is worth
   // trying (and the liveness precondition need not be computed).
   auto TouchesSaved = [](const MFunction &F) {
+    constexpr uint8_t SavedMask = (1u << 3) | (1u << 6) | (1u << 7);
     for (const MBasicBlock &BB : F.Blocks)
-      for (const MInstr &I : BB.Instrs) {
-        unsigned D = x86::regNum(I.Dst), S = x86::regNum(I.Src);
-        if (D == 3 || D == 6 || D == 7 || S == 3 || S == 6 || S == 7)
+      for (const MInstr &I : BB.Instrs)
+        if (((1u << x86::regNum(I.Dst)) | (1u << x86::regNum(I.Src))) &
+            SavedMask)
           return true;
-      }
     return false;
   };
   bool OnlyIdentity = !TouchesSaved(BF) && !TouchesSaved(VF);
 
-  bool HaveFirst = false;
-  verify::Report First;
-  for (const auto &P : Perms) {
-    bool Identity = P[0] == 3 && P[1] == 6 && P[2] == 7;
-    bool MetaOk = true;
+  // The soundness gates every candidate passes before it is compared,
+  // whether the witness named it or the canonical order reached it.
+  const uint8_t *Identity = CalleeSavedRenamings[0];
+  auto Eligible = [&](unsigned Row) {
+    const uint8_t *P = CalleeSavedRenamings[Row];
     for (unsigned J = 0; J != 3; ++J)
-      MetaOk = MetaOk && UsedIn(VF, P[J]) == UsedIn(BF, Saved[J]);
-    if (!MetaOk)
-      continue;
-    if (!Identity && (OnlyIdentity || !Ctx.livenessOk()))
-      continue;
+      if (UsedIn(VF, P[J]) != UsedIn(BF, Identity[J]))
+        return false;
+    return Row == 0 || (!OnlyIdentity && Ctx.livenessOk());
+  };
+
+  // Each eligible candidate's outcome, by canonical row; its report
+  // holds the one diagnostic of a refutation or abort.
+  std::array<std::optional<Verdict>, NumCalleeSavedRenamings> Outcome;
+  std::array<verify::Report, NumCalleeSavedRenamings> Sub;
+  auto Proves = [&](unsigned Row) {
+    if (!Eligible(Row))
+      return false;
+    const uint8_t *P = CalleeSavedRenamings[Row];
     std::array<uint8_t, x86::NumRegs> Pi;
     for (unsigned Rn = 0; Rn != x86::NumRegs; ++Rn)
       Pi[Rn] = static_cast<uint8_t>(Rn);
     Pi[3] = P[0];
     Pi[6] = P[1];
     Pi[7] = P[2];
-    verify::Report Sub;
-    Verdict V = compareBlocks(BM, BF, VM, VF, Opts, Shift, Pi, Sub);
-    if (V == Verdict::Proved)
+    ++Ctx.Stats.CandidatesTried;
+    Outcome[Row] = compareBlocks(BM, BF, VM, VF, Opts, Shift, Pi, Sub[Row]);
+    return *Outcome[Row] == Verdict::Proved;
+  };
+  if (Witness < NumCalleeSavedRenamings && Proves(Witness))
+    return Verdict::Proved;
+  for (unsigned Row = 0; Row != NumCalleeSavedRenamings; ++Row)
+    if (Row != Witness && Proves(Row))
       return Verdict::Proved;
-    if (V == Verdict::Aborted) {
-      R.merge(Sub);
-      return Verdict::Aborted;
-    }
-    if (!HaveFirst) {
-      First = std::move(Sub);
-      HaveFirst = true;
-    }
-  }
-  if (!HaveFirst)
-    // No renaming is compatible with the two save sets (or the sound
-    // ones were filtered); the metadata itself is the counterexample.
-    return Refute(format("%s: callee-saved register set differs from "
-                         "baseline",
-                         BF.Name.c_str()));
 
-  // Every compatible renaming refuted; surface the first candidate's
-  // counterexample (identity when the save sets match), keeping the
-  // choice deterministic.
-  R.merge(First);
-  return Verdict::Refuted;
+  // No candidate proved: the first canonical abort, else the first
+  // canonical counterexample (identity's when the save sets match),
+  // keeping the choice deterministic and independent of the witness.
+  for (Verdict Want : {Verdict::Aborted, Verdict::Refuted})
+    for (unsigned Row = 0; Row != NumCalleeSavedRenamings; ++Row)
+      if (Outcome[Row] == Want) {
+        R.merge(Sub[Row]);
+        return Want;
+      }
+  // No renaming is compatible with the two save sets (or the sound
+  // ones were filtered); the metadata itself is the counterexample.
+  return Refute(format("%s: callee-saved register set differs from "
+                       "baseline",
+                       BF.Name.c_str()));
 }
 
 /// Bucket bounds for the per-function proof-time histogram (seconds).
@@ -998,7 +1054,9 @@ constexpr double FuncSecondsBounds[] = {1e-5, 3e-5, 1e-4, 3e-4,
 verify::Report analysis::proveEquivalent(const MModule &Baseline,
                                          const MModule &Variant,
                                          const EquivOptions &Opts,
-                                         EquivStats *Stats) {
+                                         EquivStats *Stats,
+                                         const EquivFacts &Facts,
+                                         std::span<const uint8_t> Witness) {
   obs::Span Prove("equiv.prove");
   verify::Report R;
   EquivStats Local;
@@ -1036,7 +1094,7 @@ verify::Report analysis::proveEquivalent(const MModule &Baseline,
   }
 
   if (R.ok()) {
-    ModuleContext Ctx{Baseline, Variant};
+    ModuleContext Ctx{Baseline, Variant, Facts, St};
     for (size_t F = 0; F != Baseline.Functions.size(); ++F) {
       if (R.Diags.size() >= Opts.MaxDiagnostics)
         break;
@@ -1045,9 +1103,11 @@ verify::Report analysis::proveEquivalent(const MModule &Baseline,
         T0 = std::chrono::duration<double>(
                  std::chrono::steady_clock::now().time_since_epoch())
                  .count();
+      unsigned W =
+          F < Witness.size() ? Witness[F] : NumCalleeSavedRenamings;
       Verdict V =
           compareFunction(Baseline, Baseline.Functions[F], Variant,
-                          Variant.Functions[F], Opts, Ctx, R);
+                          Variant.Functions[F], Opts, Ctx, W, R);
       if (Timed) {
         double T1 = std::chrono::duration<double>(
                         std::chrono::steady_clock::now()

@@ -32,6 +32,21 @@
 ///     terminator, the exit register environment, the exit stack, and
 ///     the exit flags term.
 ///
+/// Register shuffling renames the callee-saved class {EBX, ESI, EDI}, so
+/// each function pair is compared under candidate renamings
+/// (CalleeSavedRenamings). Non-identity candidates need the RegLiveness
+/// verdict of both modules; a caller that has already computed those
+/// verdicts on the exact modules passes them as EquivFacts and the
+/// prover does not analyse either module again. A caller may also pass
+/// the renaming witness register shuffling recorded
+/// (diversity::RegShuffleStats::Renamings): each function tries its
+/// witnessed row first, then the canonical order without it. The
+/// witness is a hint, not a claim: every candidate still has to pass
+/// the same soundness gates and the full block comparison, a refuted
+/// function still reports the first canonical candidate's
+/// counterexample, and a wrong, out-of-range, missing or over-long
+/// witness changes only the time taken, never the report.
+///
 /// A disagreement is a counterexample, reported as a structured
 /// verify::Diagnostic naming the function, the block pair, and the
 /// first mismatching effect with the offending instruction pretty-
@@ -53,9 +68,21 @@
 #include "verify/Diagnostic.h"
 
 #include <cstdint>
+#include <optional>
+#include <span>
 
 namespace pgsd {
 namespace analysis {
+
+/// The renamings of the cdecl callee-saved class {EBX, ESI, EDI}, as
+/// (pi(ebx), pi(esi), pi(edi)) register-number rows, identity first.
+/// The prover tries them in this (canonical) order; register shuffling
+/// draws a row from it (rows 0-1 only when EBX is pinned), so the row
+/// index is the witness the prover accepts.
+inline constexpr unsigned NumCalleeSavedRenamings = 6;
+inline constexpr uint8_t CalleeSavedRenamings[NumCalleeSavedRenamings][3] = {
+    {3, 6, 7}, {3, 7, 6}, {6, 3, 7}, {6, 7, 3}, {7, 3, 6}, {7, 6, 3},
+};
 
 /// Configuration of one equivalence proof.
 struct EquivOptions {
@@ -74,6 +101,20 @@ struct EquivStats {
   uint64_t FunctionsProved = 0;
   uint64_t FunctionsRefuted = 0;
   uint64_t FunctionsAborted = 0;
+  /// Renaming candidates compared block by block, summed over
+  /// functions: one per function when the first candidate proves it.
+  uint64_t CandidatesTried = 0;
+};
+
+/// Verdicts the caller has already computed on the exact modules it
+/// passes to proveEquivalent. An unset verdict is computed by the prover
+/// the first time a non-identity renaming needs it, so passing no facts
+/// gives the same report at the cost of the analysis.
+struct EquivFacts {
+  /// analyzeModule with CheckerKind::RegLiveness enabled found no
+  /// use-before-def on the baseline / on the variant.
+  std::optional<bool> BaselineLiveness;
+  std::optional<bool> VariantLiveness;
 };
 
 /// Proves \p Variant observationally equivalent to \p Baseline. An
@@ -82,10 +123,17 @@ struct EquivStats {
 /// the prover could not finish a function). Exports equiv.* metrics
 /// (modules_checked / proved / refuted / aborted counters and a
 /// per-function wall-time histogram) when telemetry is enabled.
+///
+/// \p Facts must hold for exactly \p Baseline and \p Variant (see
+/// EquivFacts). \p Witness, when non-empty, names one
+/// CalleeSavedRenamings row per function, in function order; it is
+/// untrusted and never changes the report.
 verify::Report proveEquivalent(const mir::MModule &Baseline,
                                const mir::MModule &Variant,
                                const EquivOptions &Opts = EquivOptions(),
-                               EquivStats *Stats = nullptr);
+                               EquivStats *Stats = nullptr,
+                               const EquivFacts &Facts = EquivFacts(),
+                               std::span<const uint8_t> Witness = {});
 
 } // namespace analysis
 } // namespace pgsd

@@ -42,7 +42,7 @@ struct Site {
 
 /// Reaching-definitions mask, same lattice the RegLiveness checker uses
 /// (kept local: the checker's domain is an implementation detail of
-/// Checkers.cpp, and this file must agree with forEachWrittenReg anyway).
+/// Checkers.cpp; both read the one register-effect table).
 struct LiveDomain {
   using State = uint8_t;
   State boundary() const {
@@ -50,9 +50,7 @@ struct LiveDomain {
                                 (1u << x86::regNum(Reg::EBP)));
   }
   void transfer(State &S, const MInstr &I, uint32_t, uint32_t) const {
-    forEachWrittenReg(I, [&](Reg W) {
-      S |= static_cast<uint8_t>(1u << x86::regNum(W));
-    });
+    S |= mir::writtenRegs(I);
   }
   bool meetInto(State &Into, const State &From) const {
     State Met = Into & From;
@@ -128,16 +126,11 @@ std::vector<Site> sitesDroppedDef(const MModule &M) {
           // beyond; eligible when a read of Dst follows in-block before
           // any other definition of it.
           for (uint32_t J = K + 1; J != BB.Instrs.size(); ++J) {
-            bool Reads = false, Writes = false;
-            forEachReadReg(BB.Instrs[J],
-                           [&](Reg R) { Reads |= R == I.Dst; });
-            if (Reads) {
+            if (mir::readRegs(BB.Instrs[J]) & bit(I.Dst)) {
               Sites.push_back({F, B, K, 0});
               break;
             }
-            forEachWrittenReg(BB.Instrs[J],
-                              [&](Reg R) { Writes |= R == I.Dst; });
-            if (Writes)
+            if (mir::writtenRegs(BB.Instrs[J]) & bit(I.Dst))
               break;
           }
         }
@@ -278,10 +271,11 @@ std::vector<Site> sitesLiveRangeSwap(const MModule &M) {
               break;
             }
         }
-        forEachWrittenReg(I, [&](Reg W) {
-          Written |= static_cast<uint8_t>(1u << x86::regNum(W));
-          LastDef[x86::regNum(W)] = I.Op;
-        });
+        const uint8_t W = mir::writtenRegs(I);
+        Written |= W;
+        for (unsigned Rn = 0; Rn != x86::NumRegs; ++Rn)
+          if (W & (1u << Rn))
+            LastDef[Rn] = I.Op;
       }
     }
   return Sites;

@@ -8,6 +8,7 @@
 #include "diversity/RegShuffle.h"
 
 #include "analysis/Analysis.h"
+#include "analysis/Equiv.h"
 
 #include <array>
 #include <cassert>
@@ -15,19 +16,6 @@
 using namespace pgsd;
 using namespace pgsd::diversity;
 using namespace pgsd::mir;
-
-namespace {
-
-// Permutations of {EBX, ESI, EDI} as (pi(ebx), pi(esi), pi(edi))
-// register-number triples, identity first so index 0 is always the
-// no-op draw.
-constexpr uint8_t AllPerms[6][3] = {
-    {3, 6, 7}, {3, 7, 6}, {6, 3, 7}, {6, 7, 3}, {7, 3, 6}, {7, 6, 3},
-};
-// With EBX pinned (8-bit subregister live range), only ESI/EDI move.
-constexpr uint8_t PinnedPerms[2][3] = {{3, 6, 7}, {3, 7, 6}};
-
-} // namespace
 
 RegShuffleStats diversity::shuffleRegisters(MModule &M, Rng &Generator) {
   RegShuffleStats Stats;
@@ -43,18 +31,22 @@ RegShuffleStats diversity::shuffleRegisters(MModule &M, Rng &Generator) {
             (I.Op == MOp::Movzx8 && I.Src == x86::Reg::EBX))
           PinEbx = true;
 
-    const uint8_t(*Perms)[3] = PinEbx ? PinnedPerms : AllPerms;
-    size_t NumPerms = PinEbx ? 2 : 6;
+    // Rows of analysis::CalleeSavedRenamings, identity first: with EBX
+    // pinned (8-bit subregister live range) only rows 0-1, which keep
+    // EBX in place, are drawn.
+    size_t NumPerms = PinEbx ? 2 : analysis::NumCalleeSavedRenamings;
     size_t Pick = static_cast<size_t>(Generator.nextBelow(NumPerms));
+    Stats.Renamings.push_back(static_cast<uint8_t>(Pick));
     if (Pick == 0)
       continue; // identity draw
+    const uint8_t *Perm = analysis::CalleeSavedRenamings[Pick];
 
     std::array<x86::Reg, x86::NumRegs> Map;
     for (unsigned R = 0; R != x86::NumRegs; ++R)
       Map[R] = static_cast<x86::Reg>(R);
-    Map[3] = static_cast<x86::Reg>(Perms[Pick][0]);
-    Map[6] = static_cast<x86::Reg>(Perms[Pick][1]);
-    Map[7] = static_cast<x86::Reg>(Perms[Pick][2]);
+    Map[3] = static_cast<x86::Reg>(Perm[0]);
+    Map[6] = static_cast<x86::Reg>(Perm[1]);
+    Map[7] = static_cast<x86::Reg>(Perm[2]);
 
     for (MBasicBlock &BB : F.Blocks)
       for (MInstr &I : BB.Instrs) {

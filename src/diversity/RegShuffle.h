@@ -36,6 +36,7 @@
 #include "support/Rng.h"
 
 #include <cstdint>
+#include <vector>
 
 namespace pgsd {
 namespace diversity {
@@ -48,6 +49,10 @@ struct RegShuffleStats {
   /// Callee-saved registers moved off their original assignment,
   /// summed over shuffled functions (2 or 3 per function).
   uint64_t RegsRemapped = 0;
+  /// The renaming witness: per function, in function order, the
+  /// analysis::CalleeSavedRenamings row applied (0 for the identity
+  /// draw). The equivalence prover tries that row first.
+  std::vector<uint8_t> Renamings;
 };
 
 /// Shuffles the callee-saved register assignment of every function of

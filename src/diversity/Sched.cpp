@@ -111,12 +111,8 @@ SchedStats diversity::randomizeSchedule(MModule &M,
         N.End = End;
         for (uint32_t K = N.Begin; K != N.End; ++K) {
           const MInstr &Ins = BB.Instrs[K];
-          analysis::forEachReadReg(Ins, [&N](x86::Reg R) {
-            N.Reads |= static_cast<uint8_t>(1u << x86::regNum(R));
-          });
-          analysis::forEachWrittenReg(Ins, [&N](x86::Reg R) {
-            N.Writes |= static_cast<uint8_t>(1u << x86::regNum(R));
-          });
+          N.Reads |= mir::readRegs(Ins);
+          N.Writes |= mir::writtenRegs(Ins);
           if (analysis::flagEffect(Ins) != analysis::FlagEffect::Neutral)
             N.TouchesFlags = true;
           if (Ins.Op == MOp::Setcc)

@@ -177,9 +177,21 @@ driver::makeVariantVerified(const Program &P,
         // Translation validation second: a symbolic equivalence proof
         // against the baseline (analysis/Equiv.h). Still static -- a
         // refutation carries a counterexample and skips differential
-        // execution entirely.
-        if (Effective.CheckEquiv)
-          R = analysis::proveEquivalent(P.MIR, V.MIR);
+        // execution entirely. The prover re-derives nothing this
+        // attempt already knows: the variant's liveness verdict is the
+        // clean analysis just above, on this very module; the
+        // baseline's comes from the cache built on P.MIR (once per
+        // cache, or recalled with its battery). Register shuffling's
+        // witness is a hint the prover checks, never trusts.
+        if (Effective.CheckEquiv) {
+          analysis::EquivFacts Facts;
+          Facts.VariantLiveness = true;
+          if (&Effective.Cache->baseline() == &P.MIR)
+            Facts.BaselineLiveness = Effective.Cache->livenessProved();
+          R = analysis::proveEquivalent(P.MIR, V.MIR,
+                                        analysis::EquivOptions(), nullptr,
+                                        Facts, V.Pipeline.Regs.Renamings);
+        }
         if (!R.ok()) {
           obs::counterAdd("verify.equiv_rejections");
           R.add(verify::ErrorCode::EquivRejected,

@@ -543,53 +543,6 @@ mir::MModule lir::selectInstructions(const ir::Module &M) {
   return MM;
 }
 
-namespace {
-
-/// Registers written by one machine instruction (conservative).
-void forEachWrittenReg(const MInstr &I, bool (&W)[x86::NumRegs]) {
-  auto Mark = [&](Reg R) { W[x86::regNum(R)] = true; };
-  switch (I.Op) {
-  case MOp::MovRR:
-  case MOp::MovRI:
-  case MOp::MovGlobal:
-  case MOp::Load:
-  case MOp::LoadFrame:
-  case MOp::LeaFrame:
-  case MOp::Neg:
-  case MOp::Not:
-  case MOp::ShiftRI:
-  case MOp::ShiftRC:
-  case MOp::Setcc:
-  case MOp::Movzx8:
-  case MOp::ImulRR:
-  case MOp::Pop:
-    Mark(I.Dst);
-    break;
-  case MOp::AluRR:
-  case MOp::AluRI:
-    if (I.Alu != x86::AluOp::Cmp)
-      Mark(I.Dst);
-    break;
-  case MOp::Cdq:
-    Mark(Reg::EDX);
-    break;
-  case MOp::Idiv:
-    Mark(Reg::EAX);
-    Mark(Reg::EDX);
-    break;
-  case MOp::Call:
-    // Caller-saved scratch registers.
-    Mark(Reg::EAX);
-    Mark(Reg::ECX);
-    Mark(Reg::EDX);
-    break;
-  default:
-    break;
-  }
-}
-
-} // namespace
-
 unsigned lir::peephole(mir::MModule &M) {
   unsigned NumChanged = 0;
   for (mir::MFunction &F : M.Functions) {
@@ -619,11 +572,11 @@ unsigned lir::peephole(mir::MModule &M) {
           continue;
         }
         // Invalidate mappings whose register gets overwritten.
-        bool Written[x86::NumRegs] = {false};
-        forEachWrittenReg(I, Written);
+        const uint8_t Written = mir::writtenRegs(I);
         for (auto It = SlotInReg.begin(); It != SlotInReg.end();)
-          It = Written[x86::regNum(It->second)] ? SlotInReg.erase(It)
-                                                : std::next(It);
+          It = Written & (1u << x86::regNum(It->second))
+                   ? SlotInReg.erase(It)
+                   : std::next(It);
         // Record new slot/register facts.
         if (I.Op == MOp::StoreFrame)
           SlotInReg[I.Imm] = I.Src;
@@ -662,8 +615,7 @@ unsigned lir::peephole(mir::MModule &M) {
           continue;
         }
         // Update liveness: writes kill, reads gen.
-        bool Written[x86::NumRegs] = {false};
-        forEachWrittenReg(I, Written);
+        const uint8_t Written = mir::writtenRegs(I);
         // Read-modify-write instructions also read their destination.
         bool ReadsDst = false;
         switch (I.Op) {
@@ -683,7 +635,7 @@ unsigned lir::peephole(mir::MModule &M) {
           break;
         }
         for (unsigned R = 0; R != x86::NumRegs; ++R)
-          if (Written[R])
+          if (Written & (1u << R))
             LiveReg[R] = false;
         if (ReadsDst)
           LiveReg[x86::regNum(I.Dst)] = true;

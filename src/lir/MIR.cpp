@@ -85,9 +85,106 @@ bool mir::isMTerminator(MOp Op) {
   return Op == MOp::Jmp || Op == MOp::Jcc || Op == MOp::Ret;
 }
 
+namespace {
+
+uint8_t bit(Reg R) { return static_cast<uint8_t>(1u << x86::regNum(R)); }
+
+} // namespace
+
+uint8_t mir::readRegs(const MInstr &I) {
+  switch (I.Op) {
+  case MOp::MovRR:
+  case MOp::Movzx8:
+  case MOp::Load:
+  case MOp::StoreFrame:
+  case MOp::Push:
+    return bit(I.Src);
+  case MOp::Store:   // address base and stored value
+  case MOp::AluRR:
+  case MOp::ImulRR:
+  case MOp::TestRR:
+    return bit(I.Dst) | bit(I.Src);
+  case MOp::AluRI:
+  case MOp::Neg:
+  case MOp::Not:
+  case MOp::ShiftRI:
+    return bit(I.Dst);
+  case MOp::ShiftRC: // shift count in CL
+    return bit(I.Dst) | bit(Reg::ECX);
+  case MOp::Cdq:
+  case MOp::Ret: // return value
+    return bit(Reg::EAX);
+  case MOp::Idiv: // divisor and the EDX:EAX dividend
+    return bit(I.Src) | bit(Reg::EAX) | bit(Reg::EDX);
+  case MOp::Setcc:
+  case MOp::MovRI:
+  case MOp::MovGlobal:
+  case MOp::LoadFrame:
+  case MOp::LeaFrame:
+  case MOp::PushI:
+  case MOp::Pop:
+  case MOp::AdjustSP:
+  case MOp::Call:
+  case MOp::Jmp:
+  case MOp::Jcc:
+  case MOp::Nop:
+  case MOp::ProfInc:
+    return 0;
+  }
+  return 0;
+}
+
+uint8_t mir::writtenRegs(const MInstr &I) {
+  switch (I.Op) {
+  case MOp::MovRR:
+  case MOp::MovRI:
+  case MOp::MovGlobal:
+  case MOp::Load:
+  case MOp::LoadFrame:
+  case MOp::LeaFrame:
+  case MOp::Setcc:
+  case MOp::Movzx8:
+  case MOp::Pop:
+  case MOp::ImulRR:
+  case MOp::Neg:
+  case MOp::Not:
+  case MOp::ShiftRI:
+  case MOp::ShiftRC:
+    return bit(I.Dst);
+  case MOp::AluRR:
+  case MOp::AluRI:
+    return I.Alu == x86::AluOp::Cmp ? 0 : bit(I.Dst);
+  case MOp::Cdq:
+    return bit(Reg::EDX);
+  case MOp::Idiv:
+    return bit(Reg::EAX) | bit(Reg::EDX);
+  case MOp::Call:
+    return bit(Reg::EAX) | bit(Reg::ECX) | bit(Reg::EDX);
+  case MOp::Store:
+  case MOp::StoreFrame:
+  case MOp::Push:
+  case MOp::PushI:
+  case MOp::AdjustSP:
+  case MOp::TestRR:
+  case MOp::Jmp:
+  case MOp::Jcc:
+  case MOp::Ret:
+  case MOp::Nop:
+  case MOp::ProfInc:
+    return 0;
+  }
+  return 0;
+}
+
 std::vector<uint32_t> MFunction::successors(uint32_t B) const {
-  assert(B < Blocks.size() && "block out of range");
   std::vector<uint32_t> Succs;
+  appendSuccessors(B, Succs);
+  return Succs;
+}
+
+void MFunction::appendSuccessors(uint32_t B,
+                                 std::vector<uint32_t> &Succs) const {
+  assert(B < Blocks.size() && "block out of range");
   const MBasicBlock &BB = Blocks[B];
   bool SeenJmpOrRet = false;
   for (const MInstr &I : BB.Instrs) {
@@ -102,7 +199,6 @@ std::vector<uint32_t> MFunction::successors(uint32_t B) const {
   }
   if (!SeenJmpOrRet && B + 1 < Blocks.size())
     Succs.push_back(B + 1); // fallthrough
-  return Succs;
 }
 
 namespace {

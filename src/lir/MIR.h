@@ -92,6 +92,22 @@ struct MInstr {
 /// Returns true for Jmp/Jcc/Ret.
 bool isMTerminator(MOp Op);
 
+/// The register-effect table: the registers \p I reads, as a bitmask
+/// with bit x86::regNum(R) set for each, explicit operands and implicit
+/// uses (CDQ/IDIV/Ret read EAX, ShiftRC reads CL, ...) alike. ESP/EBP
+/// uses by push/pop/frame instructions are not included; those
+/// registers are maintained by the prologue and tracked structurally.
+/// Setcc counts as a pure definition: it writes only the low byte, and
+/// the generated code always masks through MOVZX before the value
+/// escapes. analysis::forEachReadReg visits the same set in operand
+/// order, for diagnostics.
+uint8_t readRegs(const MInstr &I);
+
+/// The registers \p I writes, as a bitmask (see readRegs). A Call
+/// writes EAX/ECX/EDX, the cdecl caller-saved set: EAX carries the
+/// return value, ECX/EDX hold garbage. CMP writes nothing.
+uint8_t writtenRegs(const MInstr &I);
+
 /// A machine basic block. Control transfers appear only in the trailing
 /// branch group: zero or more Jcc followed by at most one Jmp, or a Ret.
 /// Execution falls through to the next block when no Jmp/Ret is present.
@@ -119,6 +135,10 @@ struct MFunction {
   /// Successor block ids of block \p B, in branch order; the fallthrough
   /// successor (when the block does not end in Jmp/Ret) comes last.
   std::vector<uint32_t> successors(uint32_t B) const;
+
+  /// Appends successors(B) to \p Out without allocating a vector of its
+  /// own (dataflow solvers build one flat successor table per solve).
+  void appendSuccessors(uint32_t B, std::vector<uint32_t> &Out) const;
 };
 
 /// A machine module: functions plus the global memory image layout.

@@ -7,6 +7,8 @@
 
 #include "verify/BaselineCache.h"
 
+#include "analysis/Analysis.h"
+
 #include <cassert>
 #include <deque>
 #include <mutex>
@@ -22,17 +24,24 @@ struct BaselineCache::Entry {
   std::atomic<bool> Filled{false};
 };
 
+/// One complete battery as the memo stores it, with the baseline's
+/// liveness verdict beside it.
+struct BaselineCache::Stored {
+  std::vector<mexec::RunResult> Runs;
+  bool LivenessProved = false;
+};
+
 namespace {
 
-using Runs = std::vector<mexec::RunResult>;
+using Stored = BaselineCache::Stored;
 
-/// The process-wide battery memo: (key material, complete runs) pairs in
-/// insertion order, so eviction drops the front.
+/// The process-wide battery memo: (key material, complete battery)
+/// pairs in insertion order, so eviction drops the front.
 struct BatteryMemo {
   std::mutex Lock;
-  std::deque<std::pair<std::string, std::shared_ptr<const Runs>>> Table;
+  std::deque<std::pair<std::string, std::shared_ptr<const Stored>>> Table;
 
-  std::shared_ptr<const Runs> find(const std::string &Key) {
+  std::shared_ptr<const Stored> find(const std::string &Key) {
     std::lock_guard<std::mutex> G(Lock);
     for (const auto &[K, R] : Table)
       if (K == Key)
@@ -40,10 +49,10 @@ struct BatteryMemo {
     return nullptr;
   }
 
-  void store(const std::string &Key, std::shared_ptr<const Runs> R) {
+  void store(const std::string &Key, std::shared_ptr<const Stored> R) {
     std::lock_guard<std::mutex> G(Lock);
-    for (const auto &Stored : Table)
-      if (Stored.first == Key)
+    for (const auto &Entry : Table)
+      if (Entry.first == Key)
         return; // A concurrent twin stored the same battery first.
     Table.emplace_back(Key, std::move(R));
     if (Table.size() > BaselineCache::MemoCapacity)
@@ -115,18 +124,31 @@ void BaselineCache::settle() const {
   if (Settled.fetch_add(1, std::memory_order_acq_rel) + 1 != Battery.size() ||
       MemoKey.empty())
     return;
-  auto Complete = std::make_shared<Runs>();
-  Complete->reserve(Battery.size());
+  auto Complete = std::make_shared<Stored>();
+  Complete->Runs.reserve(Battery.size());
   for (size_t I = 0; I != Battery.size(); ++I)
-    Complete->push_back(Entries[I].Result);
+    Complete->Runs.push_back(Entries[I].Result);
+  Complete->LivenessProved = livenessProved();
   memo().store(MemoKey, std::move(Complete));
+}
+
+bool BaselineCache::livenessProved() const {
+  if (Recalled)
+    return Recalled->LivenessProved;
+  std::call_once(LivenessOnce, [&] {
+    Liveness = analysis::analyzeModule(
+                   *Baseline, analysis::AnalysisOptions::only(
+                                  analysis::CheckerKind::RegLiveness))
+                   .ok();
+  });
+  return Liveness;
 }
 
 const mexec::RunResult &BaselineCache::baselineRun(size_t Index) const {
   assert(Index < Battery.size() && "input index outside the battery");
   if (Recalled) {
     Hits.fetch_add(1, std::memory_order_relaxed);
-    return (*Recalled)[Index];
+    return Recalled->Runs[Index];
   }
   Entry &E = Entries[Index];
   bool IRan = false;
@@ -169,7 +191,7 @@ bool BaselineCache::prewarm(size_t Index, const mexec::RunResult &R) {
 const mexec::RunResult *BaselineCache::peek(size_t Index) const {
   assert(Index < Battery.size() && "input index outside the battery");
   if (Recalled)
-    return &(*Recalled)[Index];
+    return &Recalled->Runs[Index];
   const Entry &E = Entries[Index];
   if (!E.Filled.load(std::memory_order_acquire))
     return nullptr;

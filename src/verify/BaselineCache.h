@@ -31,6 +31,13 @@
 /// (or compiling) the baseline; the fill that completes a cache's
 /// battery stores its runs. At most MemoCapacity batteries are kept,
 /// oldest evicted first.
+///
+/// Beside the runs, the cache keeps one static fact about the baseline:
+/// its RegLiveness verdict, which the equivalence prover needs before it
+/// may try a callee-saved renaming. The cache computes it at most once
+/// on its own baseline module, and the memo stores it with the battery,
+/// so a recalled battery recalls the verdict for the same key material.
+///
 /// The memo is one mutex-guarded table; recalled runs are immutable and
 /// shared by reference, so readers never take the lock.
 ///
@@ -46,6 +53,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -124,6 +132,18 @@ public:
   /// construction hit the memo, else 0.
   uint64_t reused() const { return Recalled ? Battery.size() : 0; }
 
+  /// True when analysis::analyzeModule with only the RegLiveness checker
+  /// finds nothing on the baseline module: computed on first request
+  /// (at most once per cache), or recalled with the battery. Safe to
+  /// call concurrently.
+  bool livenessProved() const;
+
+  /// The baseline module the cache was built from.
+  const mir::MModule &baseline() const { return *Baseline; }
+
+  /// A complete battery as the memo stores it (BaselineCache.cpp).
+  struct Stored;
+
 private:
   /// Counts one more installed entry; the one that completes the
   /// battery stores it in the memo (Memo::Shared only).
@@ -136,7 +156,10 @@ private:
   /// Memo key material; empty under Memo::Off.
   std::string MemoKey;
   /// The recalled battery on a memo hit (every entry, immutable).
-  std::shared_ptr<const std::vector<mexec::RunResult>> Recalled;
+  std::shared_ptr<const Stored> Recalled;
+  /// The baseline's liveness verdict, once computed (not on a hit).
+  mutable std::once_flag LivenessOnce;
+  mutable bool Liveness = false;
   /// Compiled baseline stream (fast engine only, not on a memo hit).
   std::optional<mexec::Precompiled> Compiled;
   struct Entry; // Holds a std::once_flag: non-movable, hence the array.

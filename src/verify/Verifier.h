@@ -56,9 +56,10 @@ struct VerifyOptions {
   std::vector<std::vector<int32_t>> InputBattery;
 
   /// Dynamic instruction budget for the baseline run of each input. The
-  /// variant run gets a proportionally larger budget (NOP insertion at
-  /// most doubles the dynamic instruction count), so a variant is never
-  /// failed for executing the NOPs it legitimately contains.
+  /// variant run gets 3 * the baseline's executed instructions + 4096:
+  /// NOP insertion adds at most one NOP per instruction, and a shift
+  /// prelude adds a jump (plus its NOP) per call, so a correct variant
+  /// is never failed for executing what it legitimately contains.
   uint64_t MaxSteps = 50'000'000;
 
   /// Enable the image-integrity family (re-link compare, decode walk,

@@ -25,6 +25,8 @@
 
 #include "gtest/gtest.h"
 
+#include <functional>
+
 using namespace pgsd;
 using analysis::AnalysisOptions;
 using analysis::CheckerKind;
@@ -129,6 +131,41 @@ MBasicBlock block(std::vector<MInstr> Instrs) {
 //===----------------------------------------------------------------------===//
 // Checker unit tests on hand-built MIR
 //===----------------------------------------------------------------------===//
+
+TEST(AnalysisRegisterEffects, MasksEqualTheOrderedVisitors) {
+  // The one register-effect table (mir::readRegs / mir::writtenRegs)
+  // and the ordered visitors diagnostics use must name the same
+  // registers for every opcode, every operand pair, and both ALU
+  // classes (CMP writes nothing; every other ALU op writes Dst).
+  auto Mask = [](auto Visit, const MInstr &I) {
+    uint8_t M = 0;
+    Visit(I, [&M](Reg R) {
+      M |= static_cast<uint8_t>(1u << x86::regNum(R));
+    });
+    return M;
+  };
+  auto Reads = [](const MInstr &I, const std::function<void(Reg)> &Fn) {
+    analysis::forEachReadReg(I, Fn);
+  };
+  auto Writes = [](const MInstr &I, const std::function<void(Reg)> &Fn) {
+    analysis::forEachWrittenReg(I, Fn);
+  };
+  // ProfInc is the last opcode.
+  for (unsigned Op = 0; Op <= static_cast<unsigned>(MOp::ProfInc); ++Op)
+    for (unsigned D = 0; D != x86::NumRegs; ++D)
+      for (unsigned S = 0; S != x86::NumRegs; ++S)
+        for (x86::AluOp A : {x86::AluOp::Cmp, x86::AluOp::Add}) {
+          MInstr I;
+          I.Op = static_cast<MOp>(Op);
+          I.Dst = static_cast<Reg>(D);
+          I.Src = static_cast<Reg>(S);
+          I.Alu = A;
+          EXPECT_EQ(mir::readRegs(I), Mask(Reads, I))
+              << mir::mopName(I.Op) << " " << mir::printInstr(I);
+          EXPECT_EQ(mir::writtenRegs(I), Mask(Writes, I))
+              << mir::mopName(I.Op) << " " << mir::printInstr(I);
+        }
+}
 
 TEST(AnalysisLiveness, CleanDiamondPasses) {
   // Both paths define EDX before the join reads it.

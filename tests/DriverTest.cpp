@@ -6,6 +6,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
+#include "obs/Metrics.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -110,4 +112,54 @@ TEST(Driver, UnoptimizedAndOptimizedShareInterface) {
   EXPECT_LT(Count(O2), Count(O0));
   EXPECT_EQ(driver::execute(O2.MIR, {}, true).Output,
             driver::execute(O0.MIR, {}, true).Output);
+}
+
+TEST(Driver, AdmissionAnalysesTheVariantOnly) {
+  // Static admission runs the RegLiveness checker once per variant
+  // function (the six-checker pass) and never again: the prover takes
+  // the variant's verdict from that pass and the baseline's from the
+  // battery memo, even when a renamed function needs the verdicts.
+  const workloads::Workload W = workloads::specSuite().front();
+  driver::Program P = driver::compileProgram(W.Source, W.Name);
+  ASSERT_TRUE(P.ok());
+  ASSERT_TRUE(driver::profileAndStamp(P, W.TrainInput));
+  const diversity::Pipeline Pipe(
+      {diversity::TransformKind::Nop, diversity::TransformKind::Shift,
+       diversity::TransformKind::Sched, diversity::TransformKind::Regs});
+  auto Opts = diversity::DiversityOptions::profiled(
+      diversity::ProbabilityModel::Log, 0.0, 0.3);
+  const uint64_t Seed = 7;
+
+  // The seed moves a callee-saved register of a function that uses
+  // one, so the identity renaming cannot prove that function.
+  driver::Variant V = driver::makeVariant(P, Pipe, Opts, Seed);
+  bool Renamed = false;
+  for (size_t F = 0; F != P.MIR.Functions.size(); ++F) {
+    const mir::MFunction &B = P.MIR.Functions[F];
+    const mir::MFunction &VF = V.MIR.Functions[F];
+    Renamed |= (B.UsesEbx || B.UsesEsi || B.UsesEdi) &&
+               (B.UsesEbx != VF.UsesEbx || B.UsesEsi != VF.UsesEsi ||
+                B.UsesEdi != VF.UsesEdi);
+  }
+  ASSERT_TRUE(Renamed) << "seed " << Seed << " renames no saved register";
+
+  verify::VerifyOptions VOpts;
+  VOpts.MaxAttempts = 1;
+  // The first call fills the battery memo, and the baseline's verdict
+  // with it.
+  ASSERT_TRUE(driver::makeVariantVerified(P, Pipe, Opts, Seed, VOpts).ok());
+
+  obs::Registry::global().reset();
+  obs::setEnabled(true);
+  driver::VerifiedVariant VV =
+      driver::makeVariantVerified(P, Pipe, Opts, Seed, VOpts);
+  obs::LocalMetrics M = obs::Registry::global().snapshot();
+  obs::setEnabled(false);
+  obs::Registry::global().reset();
+
+  ASSERT_TRUE(VV.ok()) << VV.Report.str();
+  EXPECT_EQ(VV.Attempts, 1u);
+  ASSERT_TRUE(M.Phases.count("analysis.reg-liveness"));
+  EXPECT_EQ(M.Phases.at("analysis.reg-liveness").Count,
+            V.MIR.Functions.size());
 }

@@ -239,6 +239,52 @@ TEST(EquivUnit, ConstantPerturbationRefuted) {
   EXPECT_TRUE(R.has(ErrorCode::EquivRefuted));
 }
 
+TEST(EquivUnit, PoisonReadThroughACopyRefuted) {
+  // After a call, ECX holds garbage under real cdecl; copying it into
+  // EBX carries the garbage along. A variant that reads the copy where
+  // the baseline does not must refute, even though every event, exit
+  // register and exit flags term agree.
+  auto Ins = [](MOp Op, Reg Dst, Reg Src, int32_t Imm = 0) {
+    MInstr I;
+    I.Op = Op;
+    I.Dst = Dst;
+    I.Src = Src;
+    I.Imm = Imm;
+    return I;
+  };
+  MInstr Call;
+  Call.Op = MOp::Call;
+  Call.Target.IsIntrinsic = true;
+  Call.Target.Intr = ir::Intrinsic::ReadI32;
+  MInstr Cmp = Ins(MOp::AluRI, Reg::EAX, Reg::EAX, 0);
+  Cmp.Alu = x86::AluOp::Cmp;
+  MModule B;
+  B.EntryFunction = 0;
+  B.Functions.resize(1);
+  B.Functions[0].Name = "main";
+  B.Functions[0].UsesEbx = true;
+  B.Functions[0].Blocks.resize(1);
+  B.Functions[0].Blocks[0].Instrs = {
+      Call,
+      Ins(MOp::MovRR, Reg::EBX, Reg::ECX), // reads the poisoned ECX
+      Cmp,
+      Ins(MOp::MovRI, Reg::EBX, Reg::EAX),
+      Ins(MOp::Ret, Reg::EAX, Reg::EAX),
+  };
+  MModule V = B;
+  std::vector<MInstr> &VI = V.Functions[0].Blocks[0].Instrs;
+  // The extra read of the copy; the cmp after it re-defines EFLAGS.
+  VI.insert(VI.begin() + 2, Ins(MOp::TestRR, Reg::EBX, Reg::EBX));
+
+  ASSERT_TRUE(proveEquivalent(B, B).ok());
+  verify::Report R = proveEquivalent(B, V);
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.str().find("reads caller-saved ebx while it holds a "
+                         "call-clobbered value"),
+            std::string::npos)
+      << R.str();
+}
+
 TEST(EquivUnit, DiagnosticCapRespected) {
   // Break every function; the report must stop at the cap.
   driver::Program P = compileFixture();

@@ -116,13 +116,29 @@ TEST_P(FuzzMiniCTest, PipelineIsSoundOnGeneratedPrograms) {
     SCOPED_TRACE("pipeline " + Pipe.label());
 
     mir::MModule V = P.MIR;
-    Pipe.run(V, diversity::DiversityOptions::profiled(
-                    diversity::ProbabilityModel::Log, 0.0, 0.4),
-             Seed + 2);
+    diversity::PipelineStats S =
+        Pipe.run(V, diversity::DiversityOptions::profiled(
+                        diversity::ProbabilityModel::Log, 0.0, 0.4),
+                 Seed + 2);
     verify::Report R = analysis::analyzeModule(V);
     EXPECT_TRUE(R.ok()) << R.str();
     verify::Report E = analysis::proveEquivalent(P.MIR, V);
     EXPECT_TRUE(E.ok()) << E.str();
+    // The admission path's hints -- exact liveness facts and the
+    // renaming witness -- leave the report as it was.
+    auto Live = [](const mir::MModule &M) {
+      return analysis::analyzeModule(
+                 M, analysis::AnalysisOptions::only(
+                        analysis::CheckerKind::RegLiveness))
+          .ok();
+    };
+    analysis::EquivFacts Facts;
+    Facts.BaselineLiveness = Live(P.MIR);
+    Facts.VariantLiveness = Live(V);
+    EXPECT_EQ(analysis::proveEquivalent(P.MIR, V, analysis::EquivOptions(),
+                                        nullptr, Facts, S.Regs.Renamings)
+                  .str(),
+              E.str());
     EXPECT_EQ(observe(V, Input), Reference)
         << "pipeline variant diverged";
   }

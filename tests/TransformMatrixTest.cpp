@@ -20,7 +20,10 @@
 //   * fault injection: the two transform-bug fault classes (illegal
 //     reorder across a memory dependence, live-range-violating register
 //     swap) are detected 100% of the time, both by the standalone
-//     prover and through the full admission path.
+//     prover and through the full admission path;
+//   * admission hints: the prover's report is byte-identical with and
+//     without liveness facts and the register-shuffle witness, on
+//     clean variants, on every fault class, and under lying witnesses.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +38,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -329,4 +333,157 @@ TEST(TransformFaults, PipelineVariantsWithInjectedReorderRefuted) {
         << "seed " << Seed;
   }
   EXPECT_GT(Injected, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// 4. Admission hints: liveness facts and the renaming witness change
+//    only the time a proof takes, never its report.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+bool livenessProved(const mir::MModule &M) {
+  return analysis::analyzeModule(
+             M, analysis::AnalysisOptions::only(
+                    analysis::CheckerKind::RegLiveness))
+      .ok();
+}
+
+/// One proof's report and tally.
+struct Proof {
+  verify::Report R;
+  analysis::EquivStats S;
+};
+
+/// Proves \p V against \p Base without hints.
+Proof proveBare(const mir::MModule &Base, const mir::MModule &V) {
+  Proof Out;
+  Out.R = analysis::proveEquivalent(Base, V, analysis::EquivOptions(),
+                                    &Out.S);
+  return Out;
+}
+
+/// Proves \p V against \p Base with facts computed on exactly these
+/// modules and \p Witness as given, and expects the verdict and the
+/// report of \p Bare byte for byte.
+Proof expectSameReport(const Proof &Bare, const mir::MModule &Base,
+                       bool BaseLive, const mir::MModule &V,
+                       std::span<const uint8_t> Witness,
+                       const std::string &What) {
+  analysis::EquivFacts Facts;
+  Facts.BaselineLiveness = BaseLive;
+  Facts.VariantLiveness = livenessProved(V);
+  Proof Out;
+  Out.R = analysis::proveEquivalent(Base, V, analysis::EquivOptions(),
+                                    &Out.S, Facts, Witness);
+  EXPECT_EQ(Bare.R.ok(), Out.R.ok()) << What;
+  EXPECT_EQ(Bare.R.str(), Out.R.str()) << What;
+  EXPECT_EQ(Bare.S.FunctionsProved, Out.S.FunctionsProved) << What;
+  EXPECT_EQ(Bare.S.FunctionsRefuted, Out.S.FunctionsRefuted) << What;
+  EXPECT_EQ(Bare.S.FunctionsAborted, Out.S.FunctionsAborted) << What;
+  return Out;
+}
+
+/// Witnesses that lie: every function shifted to each other row in turn
+/// (so each function sees every non-applied index), one out of range,
+/// an empty one and an over-long one.
+std::vector<std::vector<uint8_t>>
+wrongWitnesses(const std::vector<uint8_t> &Applied) {
+  std::vector<std::vector<uint8_t>> Out;
+  for (unsigned K = 1; K != analysis::NumCalleeSavedRenamings; ++K) {
+    std::vector<uint8_t> W = Applied;
+    for (uint8_t &Row : W)
+      Row = static_cast<uint8_t>((Row + K) %
+                                 analysis::NumCalleeSavedRenamings);
+    Out.push_back(std::move(W));
+  }
+  Out.push_back(std::vector<uint8_t>(Applied.size(), 0xFF));
+  Out.push_back({});
+  std::vector<uint8_t> Long = Applied;
+  Long.insert(Long.end(), {5, 0, 3});
+  Out.push_back(std::move(Long));
+  return Out;
+}
+
+} // namespace
+
+TEST(TransformHints, CleanMatrixReportsAreUnchanged) {
+  auto Opts = diversity::DiversityOptions::profiled(
+      diversity::ProbabilityModel::Log, 0.0, 0.3);
+  const std::vector<Pipeline> Combos = allCombos();
+  uint64_t ShuffledSearches = 0;
+  for (bool Optimize : {true, false}) {
+    for (const workloads::Workload &W : fullSuite()) {
+      driver::Program P = compileStamped(W, Optimize);
+      const bool BaseLive = livenessProved(P.MIR);
+      for (const Pipeline &Pipe : Combos) {
+        for (uint64_t Seed = 1; Seed <= 2; ++Seed) {
+          mir::MModule V = P.MIR;
+          diversity::PipelineStats S = Pipe.run(V, Opts, Seed);
+          const std::vector<uint8_t> &Witness = S.Regs.Renamings;
+          std::string What = W.Name + " (" + (Optimize ? "O2" : "O0") +
+                             ", " + Pipe.label() + ", seed " +
+                             std::to_string(Seed) + ")";
+          Proof Bare = proveBare(P.MIR, V);
+          ASSERT_TRUE(Bare.R.ok()) << What << ": " << Bare.R.str();
+          Proof Hinted =
+              expectSameReport(Bare, P.MIR, BaseLive, V, Witness, What);
+          // The witness names the proving renaming: one candidate per
+          // compared function.
+          EXPECT_EQ(Hinted.S.CandidatesTried, P.MIR.Functions.size())
+              << What;
+          if (!Pipe.contains(TransformKind::Regs)) {
+            EXPECT_TRUE(Witness.empty()) << What;
+            continue;
+          }
+          EXPECT_EQ(Witness.size(), P.MIR.Functions.size()) << What;
+          ShuffledSearches += Bare.S.CandidatesTried - Bare.S.FunctionsProved;
+          if (Seed == 1)
+            for (const std::vector<uint8_t> &Wrong : wrongWitnesses(Witness))
+              expectSameReport(Bare, P.MIR, BaseLive, V, Wrong,
+                               What + " wrong witness");
+        }
+      }
+    }
+  }
+  // Without the witness, some shuffled function needed the search.
+  EXPECT_GT(ShuffledSearches, 0u);
+}
+
+TEST(TransformHints, FaultReportsAreUnchanged) {
+  // Every fault class, injected into a four-transform variant: the
+  // witness (now partly wrong) and the exact facts of the mutant must
+  // leave each refutation's text as it was.
+  auto Opts = diversity::DiversityOptions::profiled(
+      diversity::ProbabilityModel::Log, 0.0, 0.3);
+  const Pipeline Pipe({TransformKind::Nop, TransformKind::Shift,
+                       TransformKind::Sched, TransformKind::Regs});
+  unsigned Injected[analysis::NumAllMirFaultClasses] = {};
+  unsigned Refuted = 0;
+  for (const workloads::Workload &W : fullSuite()) {
+    driver::Program P = compileStamped(W, /*Optimize=*/true);
+    const bool BaseLive = livenessProved(P.MIR);
+    for (unsigned C = 0; C != analysis::NumAllMirFaultClasses; ++C) {
+      auto Class = static_cast<analysis::MirFaultClass>(C);
+      for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+        mir::MModule V = P.MIR;
+        diversity::PipelineStats S = Pipe.run(V, Opts, Seed);
+        if (!analysis::injectMirFault(V, Class, Seed))
+          continue;
+        ++Injected[C];
+        std::string What = W.Name + " " +
+                           analysis::mirFaultClassName(Class) + " seed " +
+                           std::to_string(Seed);
+        Proof Bare = proveBare(P.MIR, V);
+        Refuted += !Bare.R.ok();
+        expectSameReport(Bare, P.MIR, BaseLive, V, S.Regs.Renamings, What);
+        expectSameReport(Bare, P.MIR, BaseLive, V, {},
+                         What + " no witness");
+      }
+    }
+  }
+  for (unsigned C = 0; C != analysis::NumAllMirFaultClasses; ++C)
+    EXPECT_GT(Injected[C], 0u) << analysis::mirFaultClassName(
+        static_cast<analysis::MirFaultClass>(C));
+  EXPECT_GT(Refuted, 0u);
 }
