@@ -16,8 +16,14 @@
 //    15-byte window after its offset, which is what makes the
 //    incremental rescan's dirty-range widening sound.
 //
-// ScannerParityTest pins byte-identical results between the two across
-// the workload battery, fuzzed programs, and random incremental edits.
+// The multi-version sweeps build on the same decode fact (factAt): the
+// Survivor probe reads each diversified image through a lazily filled
+// fact table, and the Table 3 counter buckets every version's
+// (offset, hash) list by offset instead of hashing identities.
+//
+// ScannerParityTest pins byte-identical results between the fast paths
+// and the oracle across the workload battery, fuzzed programs under
+// varied options, and random incremental edits.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +35,6 @@
 #include "x86/Nops.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 using namespace pgsd;
 using namespace pgsd::gadget;
@@ -69,6 +74,9 @@ uint64_t hashBytes(uint64_t Hash, const uint8_t *Bytes, size_t Size) {
   return Hash;
 }
 
+/// FNV-1a offset basis: the empty normalized sequence's hash.
+constexpr uint64_t FnvBasis = 1469598103934665603ull;
+
 /// Per-offset decode-fact flag bits (FactFlags). The class bits mirror
 /// the reference oracle's check order: free branch, then IntN (a
 /// terminator only when IncludeSyscallGadgets), then usable body; the
@@ -81,11 +89,72 @@ enum : uint8_t {
   FBody = 1 << 2,       ///< Usable gadget body (InstrClass::Normal).
   FNopDefault = 1 << 3, ///< Whole instruction is a default-set NOP.
   FNopXchg = 1 << 4,    ///< Whole instruction is a bus-locking XCHG NOP.
+  FKnown = 1 << 7,      ///< Lazy fact tables only: the fact is filled.
 };
 
 /// Architectural x86 instruction length limit; the decoder never emits
 /// a longer instruction, which bounds how far one decode fact can read.
 constexpr size_t MaxInstrBytes = 15;
+
+/// The decode fact at offset \p I: instruction length (0 = invalid)
+/// and FactFlags bits. The one definition of what the fast paths know
+/// about an offset -- ImageScan's table pass and the lazy Survivor
+/// probe both call it, so Table 1 NOP matching lives here only.
+inline void factAt(const uint8_t *Data, size_t Size, size_t I, uint8_t &Len,
+                   uint8_t &Flags) {
+  Len = 0;
+  Flags = 0;
+  uint8_t DLen = 0;
+  x86::InstrClass Class = x86::InstrClass::Invalid;
+  if (!x86::decodeLenClass(Data + I, Size - I, DLen, Class) || DLen == 0)
+    return;
+  Len = DLen;
+  switch (Class) {
+  case x86::InstrClass::Ret:
+  case x86::InstrClass::RetImm:
+  case x86::InstrClass::RetFar:
+  case x86::InstrClass::CallInd:
+  case x86::InstrClass::JmpInd:
+    Flags |= FFree;
+    break;
+  case x86::InstrClass::IntN:
+    Flags |= FIntN;
+    break;
+  case x86::InstrClass::Normal:
+    Flags |= FBody;
+    break;
+  default:
+    break;
+  }
+  // Whole-instruction NOP match, inlined from the Table 1 rows
+  // (matchNopAt + nopInfo(Kind).Length == Len): the table is seven
+  // fixed 1-2 byte encodings with disjoint first bytes, and the call
+  // overhead is a third of the per-offset budget here.
+  if (Len == 1) {
+    if (Data[I] == 0x90)
+      Flags |= FNopDefault;
+  } else if (Len == 2) {
+    const uint8_t B0 = Data[I], B1 = Data[I + 1];
+    if ((B0 == 0x89 && (B1 == 0xE4 || B1 == 0xED)) ||
+        (B0 == 0x8D && (B1 == 0x36 || B1 == 0x3F)))
+      Flags |= FNopDefault;
+    else if (B0 == 0x87 && (B1 == 0xE4 || B1 == 0xED))
+      Flags |= FNopXchg;
+  }
+}
+
+/// True when a fact with \p Flags is removed by Section 5.2's NOP
+/// normalization under \p Opts.
+inline bool isNormalizedNop(uint8_t Flags, const ScanOptions &Opts) {
+  return (Flags & FNopDefault) != 0 ||
+         (Opts.IncludeXchgNops && (Flags & FNopXchg) != 0);
+}
+
+/// True when a fact with \p Flags ends a gadget under \p Opts.
+inline bool isTerminator(uint8_t Flags, const ScanOptions &Opts) {
+  return (Flags & FFree) != 0 ||
+         (Opts.IncludeSyscallGadgets && (Flags & FIntN) != 0);
+}
 
 /// Records one ImageScan (re)build in the telemetry registry.
 void noteScan(bool Incremental, size_t ImageSize, uint64_t Decoded) {
@@ -118,32 +187,6 @@ void shiftTail(std::vector<T> &V, size_t OldSize, size_t NewSize,
               V.begin() + static_cast<ptrdiff_t>(FactHi));
     V.resize(NewSize);
   }
-}
-
-/// The (offset, normalized hash) identity used by the multi-version
-/// analysis.
-uint64_t identityOf(uint32_t Offset, uint64_t Hash) {
-  return Hash ^ (static_cast<uint64_t>(Offset) * 0x9e3779b97f4a7c15ull);
-}
-
-/// Answers every threshold from one counting pass: bucket identities by
-/// occurrence count, suffix-sum, then each query is a table lookup.
-std::vector<uint64_t>
-thresholdCounts(const std::unordered_map<uint64_t, unsigned> &Occurrences,
-                const std::vector<unsigned> &Thresholds,
-                size_t NumVersions) {
-  // AtLeast[C] = number of identities occurring in >= C versions; the
-  // extra slot keeps AtLeast[NumVersions + 1] = 0 for over-large
-  // thresholds. No identity can occur more than once per version.
-  std::vector<uint64_t> AtLeast(NumVersions + 2, 0);
-  for (const auto &E : Occurrences)
-    ++AtLeast[std::min<size_t>(E.second, NumVersions)];
-  for (size_t C = NumVersions + 1; C-- > 0;)
-    AtLeast[C] += AtLeast[C + 1];
-  std::vector<uint64_t> Result(Thresholds.size(), 0);
-  for (size_t T = 0; T != Thresholds.size(); ++T)
-    Result[T] = Thresholds[T] > NumVersions ? 0 : AtLeast[Thresholds[T]];
-  return Result;
 }
 
 /// Resolves ScanOptions::Jobs: 0 = all cores, clamped to the task count.
@@ -185,51 +228,8 @@ void ImageScan::fullScan() {
 }
 
 void ImageScan::decodeFacts(size_t Begin, size_t End) {
-  const uint8_t *Data = Bytes.data();
-  const size_t Size = Bytes.size();
-  for (size_t I = Begin; I < End; ++I) {
-    uint8_t Len = 0;
-    uint8_t Flags = 0;
-    uint8_t DLen = 0;
-    x86::InstrClass Class = x86::InstrClass::Invalid;
-    if (x86::decodeLenClass(Data + I, Size - I, DLen, Class) && DLen != 0) {
-      Len = DLen;
-      switch (Class) {
-      case x86::InstrClass::Ret:
-      case x86::InstrClass::RetImm:
-      case x86::InstrClass::RetFar:
-      case x86::InstrClass::CallInd:
-      case x86::InstrClass::JmpInd:
-        Flags |= FFree;
-        break;
-      case x86::InstrClass::IntN:
-        Flags |= FIntN;
-        break;
-      case x86::InstrClass::Normal:
-        Flags |= FBody;
-        break;
-      default:
-        break;
-      }
-      // Whole-instruction NOP match, inlined from the Table 1 rows
-      // (matchNopAt + nopInfo(Kind).Length == Len): the table is seven
-      // fixed 1-2 byte encodings with disjoint first bytes, and the
-      // call overhead is a third of the per-offset budget here.
-      if (Len == 1) {
-        if (Data[I] == 0x90)
-          Flags |= FNopDefault;
-      } else if (Len == 2) {
-        const uint8_t B0 = Data[I], B1 = Data[I + 1];
-        if ((B0 == 0x89 && (B1 == 0xE4 || B1 == 0xED)) ||
-            (B0 == 0x8D && (B1 == 0x36 || B1 == 0x3F)))
-          Flags |= FNopDefault;
-        else if (B0 == 0x87 && (B1 == 0xE4 || B1 == 0xED))
-          Flags |= FNopXchg;
-      }
-    }
-    FactLen[I] = Len;
-    FactFlags[I] = Flags;
-  }
+  for (size_t I = Begin; I < End; ++I)
+    factAt(Bytes.data(), Bytes.size(), I, FactLen[I], FactFlags[I]);
 }
 
 void ImageScan::computeDP(size_t Begin, size_t End) {
@@ -245,8 +245,7 @@ void ImageScan::computeDP(size_t Begin, size_t End) {
       const uint8_t Flags = FactFlags[I];
       // Same precedence as the reference oracle: terminators first,
       // then the usable-body continuation.
-      if ((Flags & FFree) ||
-          (Opts.IncludeSyscallGadgets && (Flags & FIntN))) {
+      if (isTerminator(Flags, Opts)) {
         N = 1;
         B = Len;
       } else if (Flags & FBody) {
@@ -367,15 +366,12 @@ bool ImageScan::normalizedHashAt(uint32_t Offset, uint64_t &HashOut,
                                  unsigned &NonNopInstrsOut) const {
   if (!hasGadgetAt(Offset))
     return false;
-  uint64_t Hash = 1469598103934665603ull; // FNV offset basis
+  uint64_t Hash = FnvBasis;
   unsigned NonNop = 0;
   uint32_t Pos = Offset;
   for (uint16_t K = SuffixInstrs[Offset]; K != 0; --K) {
     const uint8_t Len = FactLen[Pos];
-    const uint8_t Flags = FactFlags[Pos];
-    const bool IsNop = (Flags & FNopDefault) != 0 ||
-                       (Opts.IncludeXchgNops && (Flags & FNopXchg) != 0);
-    if (!IsNop) {
+    if (!isNormalizedNop(FactFlags[Pos], Opts)) {
       Hash = hashBytes(Hash, Bytes.data() + Pos, Len);
       ++NonNop;
     }
@@ -475,45 +471,194 @@ gadget::survivingGadgets(const ImageScan &Original,
 
 namespace {
 
-/// (offset, normalized hash) of every gadget in \p OrigScan, ascending.
-/// Computed once and shared across all diversified versions.
-std::vector<SurvivingGadget> collectOrigHashes(const ImageScan &OrigScan) {
+/// (offset, normalized hash) of every gadget in \p Scan, ascending.
+std::vector<SurvivingGadget> gadgetHashes(const ImageScan &Scan) {
   std::vector<SurvivingGadget> Hashes;
-  const size_t Size = OrigScan.size();
+  const size_t Size = Scan.size();
   for (size_t Offset = 0; Offset != Size; ++Offset) {
     uint64_t Hash;
     unsigned NonNop;
-    if (OrigScan.normalizedHashAt(static_cast<uint32_t>(Offset), Hash,
-                                  NonNop))
+    if (Scan.normalizedHashAt(static_cast<uint32_t>(Offset), Hash, NonNop))
       Hashes.push_back({static_cast<uint32_t>(Offset), Hash});
   }
   return Hashes;
 }
 
+/// The same list computed by the reference oracle.
+std::vector<SurvivingGadget>
+referenceGadgetHashes(const std::vector<uint8_t> &Text,
+                      const ScanOptions &Opts) {
+  std::vector<SurvivingGadget> Hashes;
+  std::vector<std::pair<uint32_t, uint8_t>> Scratch;
+  Scratch.reserve(Opts.MaxInstrs);
+  for (const Gadget &G : scanGadgets(Text.data(), Text.size(), Opts)) {
+    uint64_t Hash;
+    unsigned NonNop;
+    if (normalizedGadgetHash(Text.data(), Text.size(), G.Offset, Opts, Hash,
+                             NonNop, Scratch))
+      Hashes.push_back({G.Offset, Hash});
+  }
+  return Hashes;
+}
+
+/// A diversified image read through decode facts filled on first touch.
+/// Probe chains from neighbouring original-gadget offsets share most of
+/// their instructions, so each offset is decoded at most once however
+/// many chains cross it, and offsets no chain reaches are never decoded.
+class LazyFacts {
+public:
+  explicit LazyFacts(const std::vector<uint8_t> &Text)
+      : Data(Text.data()), Size(Text.size()), Facts(Text.size()) {}
+
+  /// Normalized hash of the gadget starting at \p Offset; false when
+  /// none starts there. Walks the chain with decodeGadgetAt's rules,
+  /// then hashes it as ImageScan::normalizedHashAt does.
+  bool hashAt(uint32_t Offset, const ScanOptions &Opts, uint64_t &HashOut) {
+    size_t Pos = Offset;
+    unsigned N = 0;
+    for (;;) {
+      if (N == Opts.MaxInstrs || Pos >= Size)
+        return false; // no terminator within the window or the image
+      const Fact &F = at(Pos);
+      if (F.Len == 0)
+        return false;
+      ++N;
+      if (isTerminator(F.Flags, Opts))
+        break;
+      if ((F.Flags & FBody) == 0)
+        return false; // direct control flow, privileged, syscall
+      Pos += F.Len;
+    }
+    uint64_t Hash = FnvBasis;
+    Pos = Offset;
+    for (; N != 0; --N) {
+      const Fact &F = Facts[Pos];
+      if (!isNormalizedNop(F.Flags, Opts))
+        Hash = hashBytes(Hash, Data + Pos, F.Len);
+      Pos += F.Len;
+    }
+    HashOut = Hash;
+    return true;
+  }
+
+private:
+  struct Fact {
+    uint8_t Len = 0;
+    uint8_t Flags = 0; ///< FactFlags bits; FKnown once filled.
+  };
+
+  const Fact &at(size_t I) {
+    Fact &F = Facts[I];
+    if ((F.Flags & FKnown) == 0) {
+      factAt(Data, Size, I, F.Len, F.Flags);
+      F.Flags |= FKnown;
+    }
+    return F;
+  }
+
+  const uint8_t *Data;
+  size_t Size;
+  std::vector<Fact> Facts;
+};
+
 /// Survivor pass probing \p Diversified lazily: candidate matches sit at
 /// identical offsets, so only the original's gadget offsets (a small
-/// minority of the image) need decoding on the diversified side --
-/// cheaper than building a full variant scan, with byte-identical
-/// results (the per-offset probe IS the reference oracle's query).
+/// minority of the image) are walked on the diversified side -- cheaper
+/// than building a full variant scan. Equality with the reference
+/// oracle is pinned by ScannerParityTest, not by construction.
 std::vector<SurvivingGadget>
 probeSurvivors(const std::vector<SurvivingGadget> &OrigHashes,
                const std::vector<uint8_t> &Diversified,
                const ScanOptions &Opts) {
   std::vector<SurvivingGadget> Survivors;
-  std::vector<std::pair<uint32_t, uint8_t>> Scratch;
-  Scratch.reserve(Opts.MaxInstrs);
+  LazyFacts Div(Diversified);
   for (const SurvivingGadget &G : OrigHashes) {
     if (G.Offset >= Diversified.size())
       break; // ascending offsets: nothing further can match
     uint64_t HashB;
-    unsigned NonNopB;
-    if (gadget::normalizedGadgetHash(Diversified.data(), Diversified.size(),
-                                     G.Offset, Opts, HashB, NonNopB,
-                                     Scratch) &&
-        HashB == G.NormHash)
+    if (Div.hashAt(G.Offset, Opts, HashB) && HashB == G.NormHash)
       Survivors.push_back(G);
   }
   return Survivors;
+}
+
+/// Runs \p Body(I) for every version index I < \p N: serially on the
+/// calling thread, or sharded over a support::ThreadPool. Workers
+/// accumulate telemetry into per-version sinks (obs cost contract: no
+/// registry lock inside the pool), merged in version order after the
+/// barrier.
+template <typename BodyFn>
+void forEachVersion(size_t N, unsigned JobsOpt, const BodyFn &Body) {
+  const unsigned Jobs = effectiveJobs(JobsOpt, N);
+  if (Jobs <= 1) {
+    for (size_t I = 0; I != N; ++I)
+      Body(I);
+    return;
+  }
+  std::vector<obs::LocalMetrics> Sinks(obs::enabled() ? N : 0);
+  support::ThreadPool Pool(Jobs);
+  for (size_t I = 0; I != N; ++I)
+    Pool.enqueue([&Body, &Sinks, I] {
+      obs::ScopedSink Guard(Sinks.empty() ? nullptr : &Sinks[I]);
+      Body(I);
+    });
+  Pool.wait();
+  for (const obs::LocalMetrics &Sink : Sinks)
+    obs::Registry::global().merge(Sink);
+}
+
+/// Table 3's counter. Each list holds one version's gadgets as
+/// (offset, normalized hash) in ascending offset order, at most one per
+/// offset; an identity is the exact (offset, hash) pair. Bucketing every
+/// list by offset through a prefix-summed index, then sorting the at
+/// most Lists.size() hashes of each bucket, makes each identity one run
+/// of equal hashes whose length is the number of versions holding it.
+/// Returns, per threshold, the identities in at least that many
+/// versions.
+std::vector<uint64_t>
+countIdentities(const std::vector<std::vector<SurvivingGadget>> &Lists,
+                const std::vector<unsigned> &Thresholds) {
+  const size_t NumVersions = Lists.size();
+  size_t Span = 0;
+  for (const std::vector<SurvivingGadget> &L : Lists)
+    if (!L.empty())
+      Span = std::max<size_t>(Span, size_t(L.back().Offset) + 1);
+  // Begin[O + 1] counts offset O's entries; after the prefix sum, offset
+  // O's bucket is Hashes[Begin[O], Begin[O + 1]).
+  std::vector<size_t> Begin(Span + 1, 0);
+  for (const std::vector<SurvivingGadget> &L : Lists)
+    for (const SurvivingGadget &G : L)
+      ++Begin[size_t(G.Offset) + 1];
+  for (size_t O = 0; O != Span; ++O)
+    Begin[O + 1] += Begin[O];
+  std::vector<uint64_t> Hashes(Begin[Span]);
+  std::vector<size_t> Cursor(Begin.begin(), Begin.end() - 1);
+  for (const std::vector<SurvivingGadget> &L : Lists)
+    for (const SurvivingGadget &G : L)
+      Hashes[Cursor[G.Offset]++] = G.NormHash;
+
+  // AtLeast[C] = number of identities occurring in >= C versions; the
+  // extra slot keeps AtLeast[NumVersions + 1] = 0 for over-large
+  // thresholds.
+  std::vector<uint64_t> AtLeast(NumVersions + 2, 0);
+  for (size_t O = 0; O != Span; ++O) {
+    const auto First = Hashes.begin() + static_cast<ptrdiff_t>(Begin[O]);
+    const auto Last = Hashes.begin() + static_cast<ptrdiff_t>(Begin[O + 1]);
+    std::sort(First, Last);
+    for (auto Run = First; Run != Last;) {
+      const auto RunEnd = std::find_if(
+          Run, Last, [H = *Run](uint64_t Other) { return Other != H; });
+      ++AtLeast[std::min<size_t>(static_cast<size_t>(RunEnd - Run),
+                                 NumVersions)];
+      Run = RunEnd;
+    }
+  }
+  for (size_t C = NumVersions + 1; C-- > 0;)
+    AtLeast[C] += AtLeast[C + 1];
+  std::vector<uint64_t> Result(Thresholds.size(), 0);
+  for (size_t T = 0; T != Thresholds.size(); ++T)
+    Result[T] = Thresholds[T] > NumVersions ? 0 : AtLeast[Thresholds[T]];
+  return Result;
 }
 
 } // namespace
@@ -551,7 +696,7 @@ gadget::survivingGadgets(const std::vector<uint8_t> &Original,
     DivScan.rescan(Diversified);
     return survivingGadgets(OrigScan, DivScan);
   }
-  return probeSurvivors(collectOrigHashes(OrigScan), Diversified, Opts);
+  return probeSurvivors(gadgetHashes(OrigScan), Diversified, Opts);
 }
 
 std::vector<std::vector<SurvivingGadget>>
@@ -569,8 +714,8 @@ gadget::survivingGadgetsMulti(const std::vector<uint8_t> &Original,
   // its gadgets; both are immutable once built, so workers read them
   // concurrently without synchronization.
   const ImageScan OrigScan(Original.data(), Original.size(), Opts);
-  const std::vector<SurvivingGadget> OrigHashes = collectOrigHashes(OrigScan);
-  auto ScanOne = [&OrigScan, &OrigHashes, &Versions, &Opts, &Out](size_t I) {
+  const std::vector<SurvivingGadget> OrigHashes = gadgetHashes(OrigScan);
+  forEachVersion(Versions.size(), Opts.Jobs, [&](size_t I) {
     if (Opts.Incremental) {
       // Seed from the original scan: the variant diff is typically a
       // small fraction of the image, so the rescan re-decodes only the
@@ -581,26 +726,7 @@ gadget::survivingGadgetsMulti(const std::vector<uint8_t> &Original,
     } else {
       Out[I] = probeSurvivors(OrigHashes, Versions[I], Opts);
     }
-  };
-  const unsigned Jobs = effectiveJobs(Opts.Jobs, Versions.size());
-  if (Jobs <= 1) {
-    for (size_t I = 0; I != Versions.size(); ++I)
-      ScanOne(I);
-    return Out;
-  }
-  // Workers accumulate telemetry into per-version sinks (obs cost
-  // contract: no registry lock inside the pool), merged in version
-  // order after the barrier.
-  std::vector<obs::LocalMetrics> Sinks(obs::enabled() ? Versions.size() : 0);
-  support::ThreadPool Pool(Jobs);
-  for (size_t I = 0; I != Versions.size(); ++I)
-    Pool.enqueue([&ScanOne, &Sinks, I] {
-      obs::ScopedSink Guard(Sinks.empty() ? nullptr : &Sinks[I]);
-      ScanOne(I);
-    });
-  Pool.wait();
-  for (const obs::LocalMetrics &Sink : Sinks)
-    obs::Registry::global().merge(Sink);
+  });
   return Out;
 }
 
@@ -609,71 +735,17 @@ gadget::gadgetsInAtLeast(const std::vector<std::vector<uint8_t>> &Versions,
                          const std::vector<unsigned> &Thresholds,
                          const ScanOptions &Opts) {
   obs::Span Sp("gadget.multiversion");
-  // Identity = (offset, normalized content hash). Count occurrences
-  // across versions; each version contributes at most one occurrence
-  // per identity (one gadget per start offset).
-  std::unordered_map<uint64_t, unsigned> Occurrences;
+  // Each version contributes its (offset, hash) list; workers fill the
+  // lists and one count runs after the barrier, so the result is
+  // independent of Jobs.
+  std::vector<std::vector<SurvivingGadget>> Lists(Versions.size());
   if (Opts.ForceReference) {
-    std::vector<std::pair<uint32_t, uint8_t>> Scratch;
-    Scratch.reserve(Opts.MaxInstrs);
-    for (const std::vector<uint8_t> &Text : Versions) {
-      std::vector<Gadget> Gadgets =
-          scanGadgets(Text.data(), Text.size(), Opts);
-      for (const Gadget &G : Gadgets) {
-        uint64_t Hash;
-        unsigned NonNop;
-        if (!normalizedGadgetHash(Text.data(), Text.size(), G.Offset, Opts,
-                                  Hash, NonNop, Scratch))
-          continue;
-        ++Occurrences[identityOf(G.Offset, Hash)];
-      }
-    }
-    return thresholdCounts(Occurrences, Thresholds, Versions.size());
-  }
-
-  auto Accumulate = [&Opts](const std::vector<uint8_t> &Text,
-                            std::unordered_map<uint64_t, unsigned> &Map) {
-    ImageScan Scan(Text.data(), Text.size(), Opts);
-    const size_t Size = Scan.size();
-    for (size_t Offset = 0; Offset != Size; ++Offset) {
-      uint64_t Hash;
-      unsigned NonNop;
-      if (!Scan.normalizedHashAt(static_cast<uint32_t>(Offset), Hash,
-                                 NonNop))
-        continue;
-      ++Map[identityOf(static_cast<uint32_t>(Offset), Hash)];
-    }
-  };
-
-  const unsigned Jobs = effectiveJobs(Opts.Jobs, Versions.size());
-  if (Jobs <= 1) {
-    for (const std::vector<uint8_t> &Text : Versions)
-      Accumulate(Text, Occurrences);
-    return thresholdCounts(Occurrences, Thresholds, Versions.size());
-  }
-  // Contiguous version shards, one occurrence map per worker. Counts
-  // are additive and an identity's total is independent of which shard
-  // saw it, so merging in shard order makes the result bit-identical to
-  // the serial accumulation regardless of scheduling.
-  const size_t N = Versions.size();
-  std::vector<std::unordered_map<uint64_t, unsigned>> Maps(Jobs);
-  std::vector<obs::LocalMetrics> Sinks(obs::enabled() ? Jobs : 0);
-  support::ThreadPool Pool(Jobs);
-  for (unsigned W = 0; W != Jobs; ++W) {
-    const size_t Begin = N * W / Jobs;
-    const size_t End = N * (W + 1) / Jobs;
-    Pool.enqueue([&Accumulate, &Versions, &Maps, &Sinks, W, Begin, End] {
-      obs::ScopedSink Guard(Sinks.empty() ? nullptr : &Sinks[W]);
-      for (size_t I = Begin; I != End; ++I)
-        Accumulate(Versions[I], Maps[W]);
+    for (size_t I = 0; I != Versions.size(); ++I)
+      Lists[I] = referenceGadgetHashes(Versions[I], Opts);
+  } else {
+    forEachVersion(Versions.size(), Opts.Jobs, [&](size_t I) {
+      Lists[I] = gadgetHashes(ImageScan(Versions[I], Opts));
     });
   }
-  Pool.wait();
-  for (const obs::LocalMetrics &Sink : Sinks)
-    obs::Registry::global().merge(Sink);
-  Occurrences = std::move(Maps[0]);
-  for (unsigned W = 1; W != Jobs; ++W)
-    for (const auto &E : Maps[W])
-      Occurrences[E.first] += E.second;
-  return thresholdCounts(Occurrences, Thresholds, Versions.size());
+  return countIdentities(Lists, Thresholds);
 }

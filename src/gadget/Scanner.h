@@ -22,9 +22,10 @@
 ///   only make sequences more similar, so the count conservatively
 ///   overestimates survival.
 ///
-/// * multi-version survival: how many gadget identities (offset +
-///   normalized content) appear in at least K of N diversified versions
-///   (the paper's Table 3: K in {2, 5, 12} of N = 25).
+/// * multi-version survival: how many gadget identities -- the exact
+///   (offset, normalized hash) pair -- appear in at least K of N
+///   diversified versions (the paper's Table 3: K in {2, 5, 12} of
+///   N = 25).
 ///
 /// Two implementations back these queries (DESIGN.md section 15):
 ///
@@ -41,6 +42,13 @@
 ///   (re-decode only the regions perturbed by a byte diff) and is
 ///   immutable after construction, so one original-image scan can be
 ///   shared read-only across worker threads.
+///
+/// The multi-version sweeps reuse ImageScan's per-offset decode fact
+/// without building a scan per version where they can: the Survivor
+/// probe reads each diversified image through a lazily filled fact
+/// table, and the Table 3 counter buckets (offset, hash) lists by
+/// offset. Neither asks the oracle, so their equality with it is pinned
+/// by ScannerParityTest rather than holding by construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -216,20 +224,29 @@ std::vector<SurvivingGadget> survivingGadgets(const ImageScan &Original,
                                               const ImageScan &Diversified);
 
 /// Survivor comparison of every version against one original, sharing a
-/// single original-image scan. Opts.Jobs shards versions across a
-/// support::ThreadPool; Opts.Incremental seeds each version scan from
-/// the original scan and rescans only the diffed ranges. Results are
-/// index-aligned with \p Versions and independent of Jobs.
+/// single original-image scan and its (offset, hash) gadget list. Each
+/// version is probed only at those offsets, through a per-version fact
+/// table that decodes an offset on first touch and never twice; the
+/// probe walks and hashes chains by ImageScan's rules. Opts.Jobs shards
+/// versions across a support::ThreadPool; Opts.Incremental instead
+/// seeds a full scan of each version from the original scan and
+/// rescans only the diffed ranges. Results are index-aligned with
+/// \p Versions, independent of Jobs, and equal to the ForceReference
+/// oracle's (ScannerParityTest pins this across options and versions).
 std::vector<std::vector<SurvivingGadget>>
 survivingGadgetsMulti(const std::vector<uint8_t> &Original,
                       const std::vector<std::vector<uint8_t>> &Versions,
                       const ScanOptions &Opts = ScanOptions());
 
 /// Multi-version analysis: returns, for each threshold in \p Thresholds,
-/// how many gadget identities (offset, normalized content) occur in at
-/// least that many of the \p Versions. Opts.Jobs shards the per-version
-/// scans; per-worker occurrence maps are merged deterministically, so
-/// the result is independent of Jobs.
+/// how many gadget identities occur in at least that many of the
+/// \p Versions. An identity is the exact (offset, normalized hash) pair.
+/// Each version yields its ascending (offset, hash) list -- from an
+/// ImageScan, or from the oracle under ForceReference -- and one counter
+/// buckets all lists by offset (a prefix-summed index), sorts the at
+/// most Versions.size() hashes at each offset and counts equal runs.
+/// Opts.Jobs shards the per-version lists; the count runs once after
+/// the barrier, so the result is independent of Jobs.
 std::vector<uint64_t>
 gadgetsInAtLeast(const std::vector<std::vector<uint8_t>> &Versions,
                  const std::vector<unsigned> &Thresholds,

@@ -20,7 +20,10 @@
 //    straddling the image start/end and instruction boundaries;
 //  * parallel multi-version sweeps (Jobs > 1, shared original scan,
 //    incremental seeding) against both the serial fast path and the
-//    reference oracle.
+//    reference oracle, on workloads and on fuzzed programs across the
+//    option space, with unequal-length, empty and absent versions;
+//  * Table 3's counts for three workloads pinned to fixed values, so the
+//    identity the multi-version counter uses cannot drift unnoticed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +39,7 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -178,11 +182,78 @@ TEST(ScannerParity, WorkloadSuiteAllPipelines) {
 // Multi-version sweeps: serial, parallel, incremental, reference
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Table 3's counts by definition, independent of the library's counter:
+/// the reference oracle's gadgets of every version keyed by the exact
+/// (offset, normalized hash) pair in an ordered map.
+std::vector<uint64_t>
+countByDefinition(const std::vector<std::vector<uint8_t>> &Versions,
+                  const std::vector<unsigned> &Thresholds,
+                  const ScanOptions &Opts) {
+  ScanOptions Ref = Opts;
+  Ref.ForceReference = true;
+  std::map<std::pair<uint32_t, uint64_t>, unsigned> Occurrences;
+  for (const std::vector<uint8_t> &Text : Versions)
+    for (const Gadget &G : gadget::scanGadgets(Text.data(), Text.size(), Ref)) {
+      uint64_t Hash = 0;
+      unsigned NonNop = 0;
+      if (gadget::normalizedGadgetHash(Text.data(), Text.size(), G.Offset,
+                                       Ref, Hash, NonNop))
+        ++Occurrences[{G.Offset, Hash}];
+    }
+  std::vector<uint64_t> Counts;
+  for (unsigned T : Thresholds)
+    Counts.push_back(static_cast<uint64_t>(std::count_if(
+        Occurrences.begin(), Occurrences.end(),
+        [T](const auto &E) { return E.second >= T; })));
+  return Counts;
+}
+
+/// Both multi-version sweeps against the reference oracle under \p Opts
+/// (whose Jobs, Incremental and ForceReference are overridden here):
+/// gadgetsInAtLeast at Jobs 1, 4 and 0 (all cores) and on the oracle
+/// against countByDefinition, survivingGadgetsMulti at the same Jobs
+/// with and without incremental seeding.
+void expectSweepParity(const std::vector<uint8_t> &Original,
+                       const std::vector<std::vector<uint8_t>> &Versions,
+                       const std::vector<unsigned> &Thresholds,
+                       ScanOptions Opts, const std::string &What) {
+  ScanOptions Ref = Opts;
+  Ref.ForceReference = true;
+  Ref.Jobs = 1;
+  const std::vector<uint64_t> WantCounts =
+      countByDefinition(Versions, Thresholds, Opts);
+  EXPECT_EQ(gadget::gadgetsInAtLeast(Versions, Thresholds, Ref), WantCounts)
+      << What << " reference";
+  const std::vector<std::vector<SurvivingGadget>> WantSurv =
+      gadget::survivingGadgetsMulti(Original, Versions, Ref);
+  ASSERT_EQ(WantSurv.size(), Versions.size()) << What;
+  for (unsigned Jobs : {1u, 4u, 0u}) {
+    Opts.Jobs = Jobs;
+    const std::string Tag = What + " jobs=" + std::to_string(Jobs);
+    Opts.Incremental = false;
+    EXPECT_EQ(gadget::gadgetsInAtLeast(Versions, Thresholds, Opts),
+              WantCounts)
+        << Tag;
+    for (bool Incremental : {false, true}) {
+      Opts.Incremental = Incremental;
+      const auto Got = gadget::survivingGadgetsMulti(Original, Versions, Opts);
+      ASSERT_EQ(Got.size(), WantSurv.size()) << Tag;
+      for (size_t I = 0; I != Got.size(); ++I)
+        expectSameSurvivors(Got[I], WantSurv[I],
+                            Tag + (Incremental ? " incr" : "") + " v" +
+                                std::to_string(I));
+    }
+  }
+}
+
+} // namespace
+
 TEST(ScannerParity, MultiVersionThresholdsAndSweeps) {
   // A handful of representative workloads (the full suite runs above);
   // N versions each, every execution strategy must agree exactly.
   const char *Names[] = {"470.lbm", "401.bzip2", "458.sjeng"};
-  const std::vector<unsigned> Thresholds = {1, 2, 5, 8, 9, 100};
   for (const char *Name : Names) {
     const workloads::Workload &W = workloads::specWorkload(Name);
     driver::Program P = driver::compileProgram(W.Source, W.Name);
@@ -192,44 +263,145 @@ TEST(ScannerParity, MultiVersionThresholdsAndSweeps) {
     for (uint64_t Seed = 1; Seed <= 8; ++Seed)
       Versions.push_back(
           variantText(P, diversity::TransformKind::Nop, Seed));
+    expectSweepParity(Base, Versions, {1, 2, 5, 8, 9, 100}, ScanOptions(),
+                      Name);
+  }
+}
 
-    ScanOptions Ref;
-    Ref.ForceReference = true;
-    const std::vector<uint64_t> Want =
-        gadget::gadgetsInAtLeast(Versions, Thresholds, Ref);
-
-    ScanOptions Serial;
-    EXPECT_EQ(gadget::gadgetsInAtLeast(Versions, Thresholds, Serial), Want)
-        << Name;
-    ScanOptions Par;
-    Par.Jobs = 4;
-    EXPECT_EQ(gadget::gadgetsInAtLeast(Versions, Thresholds, Par), Want)
-        << Name;
-    ScanOptions AllCores;
-    AllCores.Jobs = 0;
-    EXPECT_EQ(gadget::gadgetsInAtLeast(Versions, Thresholds, AllCores),
-              Want)
-        << Name;
-
-    // survivingGadgetsMulti: all strategies against per-pair reference.
-    std::vector<std::vector<SurvivingGadget>> WantSurv;
-    for (const auto &V : Versions)
-      WantSurv.push_back(gadget::survivingGadgets(Base, V, Ref));
-    for (unsigned Jobs : {1u, 4u}) {
-      for (bool Incremental : {false, true}) {
-        ScanOptions O;
-        O.Jobs = Jobs;
-        O.Incremental = Incremental;
-        auto Got = gadget::survivingGadgetsMulti(Base, Versions, O);
-        ASSERT_EQ(Got.size(), WantSurv.size());
-        for (size_t I = 0; I != Got.size(); ++I)
-          expectSameSurvivors(Got[I], WantSurv[I],
-                              std::string(Name) + " multi jobs=" +
-                                  std::to_string(Jobs) +
-                                  (Incremental ? " incr" : "") + " v" +
-                                  std::to_string(I));
+TEST(ScannerParity, MultiVersionSweepsUnderVariedOptions) {
+  // Every window size 1-12 crossed with both NOP sets and both
+  // terminator sets, one fuzzed program per combination. Versions mix
+  // the four single-transform pipelines, so their lengths differ, with
+  // edited copies of the baseline that keep most offsets aligned: a
+  // Table 1 NOP inserted mid-image lengthens every gadget straddling
+  // it by one instruction (the window edge), and random overwrites
+  // create and destroy gadgets in place.
+  const std::vector<std::vector<uint8_t>> Nops = {
+      {0x90}, {0x89, 0xE4}, {0x8D, 0x3F}, {0x87, 0xED}};
+  unsigned Combos = 0;
+  for (unsigned MaxInstrs = 1; MaxInstrs <= 12; ++MaxInstrs) {
+    for (bool Xchg : {false, true}) {
+      for (bool Syscall : {false, true}) {
+        const uint64_t Seed = 1000 + Combos;
+        MiniCFuzzer Fuzzer(Seed);
+        driver::Program P = driver::compileProgram(
+            Fuzzer.generate(), "fuzz-" + std::to_string(Seed),
+            /*Optimize=*/(Seed & 1));
+        ASSERT_TRUE(P.ok()) << "seed " << Seed;
+        const std::vector<uint8_t> Base = driver::linkBaseline(P).Text;
+        std::vector<std::vector<uint8_t>> Versions;
+        for (diversity::TransformKind Kind : AllKinds)
+          Versions.push_back(variantText(P, Kind, Seed * 8 + Versions.size()));
+        Rng Gen(Seed);
+        auto Below = [&Gen](size_t N) {
+          return static_cast<size_t>(
+              Gen.nextBelow(static_cast<uint32_t>(N)));
+        };
+        for (unsigned V = 0; V != 2; ++V) {
+          std::vector<uint8_t> Edited = Base;
+          const std::vector<uint8_t> &Nop = Nops[Below(Nops.size())];
+          Edited.insert(Edited.begin() +
+                            static_cast<ptrdiff_t>(Below(Edited.size())),
+                        Nop.begin(), Nop.end());
+          Versions.push_back(std::move(Edited));
+        }
+        std::vector<uint8_t> Overwritten = Base;
+        for (unsigned K = 0; K != 4; ++K)
+          Overwritten[Below(Overwritten.size())] =
+              static_cast<uint8_t>(Gen.nextBelow(256));
+        Versions.push_back(std::move(Overwritten));
+        ScanOptions Opts;
+        Opts.MaxInstrs = MaxInstrs;
+        Opts.IncludeXchgNops = Xchg;
+        Opts.IncludeSyscallGadgets = Syscall;
+        expectSweepParity(Base, Versions, {0, 1, 2, 3, 7, 8}, Opts,
+                          "fuzz seed " + std::to_string(Seed) + " w=" +
+                              std::to_string(MaxInstrs) +
+                              " x=" + std::to_string(Xchg) +
+                              " s=" + std::to_string(Syscall));
+        ++Combos;
       }
     }
+  }
+  EXPECT_EQ(Combos, 48u);
+}
+
+TEST(ScannerParity, MultiVersionUnequalEmptyAndAbsentVersions) {
+  const workloads::Workload &W = workloads::specWorkload("429.mcf");
+  driver::Program P = driver::compileProgram(W.Source, W.Name);
+  ASSERT_TRUE(P.ok());
+  const std::vector<uint8_t> Base = driver::linkBaseline(P).Text;
+  const std::vector<uint8_t> Nop =
+      variantText(P, diversity::TransformKind::Nop, 11);
+  std::vector<uint8_t> Grown =
+      variantText(P, diversity::TransformKind::Shift, 12);
+  Grown.insert(Grown.end(), Base.begin(), Base.end());
+  // Shorter and longer than the original, the original itself, an empty
+  // image, and a prefix cut mid-image.
+  const std::vector<std::vector<uint8_t>> Versions = {
+      Nop,
+      Grown,
+      Base,
+      {},
+      std::vector<uint8_t>(Nop.begin(), Nop.begin() + static_cast<ptrdiff_t>(
+                                            Nop.size() / 3)),
+      variantText(P, diversity::TransformKind::Regs, 13),
+  };
+  const std::vector<unsigned> Thresholds = {0, 1, 2, 3, 6, 7};
+  ScanOptions Default;
+  expectSweepParity(Base, Versions, Thresholds, Default, "unequal default");
+  ScanOptions Narrow;
+  Narrow.MaxInstrs = 3;
+  Narrow.IncludeXchgNops = false;
+  Narrow.IncludeSyscallGadgets = true;
+  expectSweepParity(Base, Versions, Thresholds, Narrow, "unequal narrow");
+  // An empty original leaves nothing to survive.
+  expectSweepParity({}, Versions, Thresholds, Default, "empty original");
+
+  // No versions at all: every threshold counts zero identities and the
+  // Survivor sweep returns no lists.
+  const std::vector<std::vector<uint8_t>> None;
+  expectSweepParity(Base, None, Thresholds, Default, "no versions");
+  EXPECT_EQ(gadget::gadgetsInAtLeast(None, Thresholds, Default),
+            std::vector<uint64_t>(Thresholds.size(), 0));
+  EXPECT_TRUE(gadget::survivingGadgetsMulti(Base, None, Default).empty());
+}
+
+TEST(ScannerParity, Table3CountsPinned) {
+  // gadgetsInAtLeast(..., {2, 5, 12}) over Table 3's pNOP=0-30%
+  // configuration, seeds 1-25. The values come from the earlier counter,
+  // which keyed a hash map by an XOR fold of offset and hash; the
+  // exact-pair counter must reproduce them on the fast path at one and
+  // all cores and on the reference oracle.
+  struct Pin {
+    const char *Name;
+    std::vector<uint64_t> Counts;
+  };
+  const Pin Pins[] = {{"470.lbm", {374, 135, 75}},
+                      {"401.bzip2", {426, 81, 66}},
+                      {"458.sjeng", {1943, 124, 81}}};
+  const auto Opts = diversity::DiversityOptions::profiled(
+      diversity::ProbabilityModel::Log, 0.00, 0.30);
+  for (const Pin &Pinned : Pins) {
+    const workloads::Workload &W = workloads::specWorkload(Pinned.Name);
+    driver::Program P = driver::compileProgram(W.Source, W.Name);
+    ASSERT_TRUE(P.ok()) << Pinned.Name;
+    ASSERT_TRUE(driver::profileAndStamp(P, W.TrainInput)) << Pinned.Name;
+    std::vector<std::vector<uint8_t>> Versions;
+    for (uint64_t Seed = 1; Seed <= 25; ++Seed)
+      Versions.push_back(driver::makeVariant(P, Opts, Seed).Image.Text);
+    for (unsigned Jobs : {1u, 0u}) {
+      ScanOptions Fast;
+      Fast.Jobs = Jobs;
+      EXPECT_EQ(gadget::gadgetsInAtLeast(Versions, {2, 5, 12}, Fast),
+                Pinned.Counts)
+          << Pinned.Name << " jobs=" << Jobs;
+    }
+    ScanOptions Ref;
+    Ref.ForceReference = true;
+    EXPECT_EQ(gadget::gadgetsInAtLeast(Versions, {2, 5, 12}, Ref),
+              Pinned.Counts)
+        << Pinned.Name << " reference";
   }
 }
 
