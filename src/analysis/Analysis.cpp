@@ -103,16 +103,6 @@ bool analysis::isInsertedNop(const MInstr &I) {
   return I.Op == MOp::Nop;
 }
 
-std::vector<const MInstr *>
-analysis::nonNopInstrs(const mir::MBasicBlock &BB) {
-  std::vector<const MInstr *> Out;
-  Out.reserve(BB.Instrs.size());
-  for (const MInstr &I : BB.Instrs)
-    if (!isInsertedNop(I))
-      Out.push_back(&I);
-  return Out;
-}
-
 void analysis::forEachReadReg(const MInstr &I,
                               const std::function<void(Reg)> &Fn) {
   switch (I.Op) {

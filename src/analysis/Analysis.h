@@ -108,16 +108,11 @@ FlagEffect flagEffect(const mir::MInstr &I);
 
 /// True when \p I is an inserted diversity NOP: an instruction the
 /// NOP-insertion pass may have added and every comparison against the
-/// baseline must ignore. This is the single definition shared by the
-/// verifier's NOP-only structural diff and the equivalence prover's
-/// normalization, so the two can never disagree about what counts as an
-/// inserted NOP. Every MOp::Nop carries a Table 1 candidate (x86/Nops.h)
-/// and is flag-transparent by construction (flagEffect == Neutral).
+/// baseline must ignore. The equivalence prover's normalization uses
+/// this one definition. Every MOp::Nop carries a Table 1 candidate
+/// (x86/Nops.h) and is flag-transparent by construction (flagEffect ==
+/// Neutral).
 bool isInsertedNop(const mir::MInstr &I);
-
-/// Returns pointers to the instructions of \p BB that survive NOP
-/// normalization (everything isInsertedNop skips), in order.
-std::vector<const mir::MInstr *> nonNopInstrs(const mir::MBasicBlock &BB);
 
 /// Invokes \p Fn for every register \p I reads, in operand order: the
 /// ordered form of mir::readRegs (same set, same exclusions), for

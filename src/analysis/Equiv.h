@@ -25,8 +25,7 @@
 ///     term (CMP/TEST build definitions, everything analysis::flagEffect
 ///     classifies as Clobbers invalidates), a symbolic push stack, and
 ///     an ordered trace of memory / call / profile-counter events,
-///  3. normalizes away inserted NOPs (analysis::isInsertedNop, the same
-///     classification the verifier's structural diff uses), and
+///  3. normalizes away inserted NOPs (analysis::isInsertedNop), and
 ///  4. requires the two sides to agree on the full event trace, every
 ///     conditional branch condition and (shift-corrected) target, the
 ///     terminator, the exit register environment, the exit stack, and

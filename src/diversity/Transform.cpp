@@ -161,11 +161,6 @@ bool Pipeline::contains(TransformKind K) const {
   return std::find(Kinds.begin(), Kinds.end(), K) != Kinds.end();
 }
 
-bool Pipeline::structurePreserving() const {
-  return !contains(TransformKind::Sched) &&
-         !contains(TransformKind::Regs);
-}
-
 std::string Pipeline::label() const {
   std::string L;
   for (TransformKind K : Kinds) {

@@ -116,13 +116,6 @@ public:
   const std::vector<TransformKind> &kinds() const { return Kinds; }
   bool contains(TransformKind K) const;
 
-  /// True when every transform in the list preserves the baseline's
-  /// instruction sequence up to inserted NOPs and shift preludes -- the
-  /// precondition of the verifier's NOP-only structural diff. Schedule
-  /// randomization and register shuffling break it (legitimately), so
-  /// the driver disables that check for pipelines containing them.
-  bool structurePreserving() const;
-
   /// Short label like "nop+sched" for reports.
   std::string label() const;
 

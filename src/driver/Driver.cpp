@@ -8,7 +8,6 @@
 #include "driver/Driver.h"
 
 #include "analysis/Analysis.h"
-#include "analysis/Equiv.h"
 #include "frontend/Lower.h"
 #include "frontend/Parser.h"
 #include "lir/ISel.h"
@@ -134,11 +133,6 @@ driver::makeVariantVerified(const Program &P,
   VerifiedVariant Out;
   verify::VerifyOptions Effective = VOpts;
   Effective.Link = Link;
-  // The structural diff only models NOP insertion and shift preludes;
-  // reordering/renaming pipelines are screened by the equivalence
-  // prover and differential execution instead.
-  Effective.CheckStructure =
-      VOpts.CheckStructure && Pipe.structurePreserving();
   // Every retry attempt diffs against the same baseline on the same
   // battery; share one baseline run cache across the whole retry loop
   // (unless the caller -- e.g. makeVariantsBatch -- already supplied a
@@ -161,46 +155,12 @@ driver::makeVariantVerified(const Program &P,
     Variant V = makeVariant(P, Pipe, Opts, S, Link);
     if (Effective.InjectFault)
       Effective.InjectFault(V.MIR, V.Image, S);
-    // Static screening first: when the analyzer can refute the variant
-    // from its MIR alone, skip the much more expensive differential
-    // execution and go straight to the next seed.
     obs::counterAdd("verify.attempts");
     verify::Report R;
     {
       obs::Span VS("pipeline.verify");
-      R = analysis::analyzeModule(V.MIR);
-      if (!R.ok()) {
-        obs::counterAdd("verify.static_rejections");
-        R.add(verify::ErrorCode::StaticAnalysisRejected,
-              "variant rejected by static analysis before execution");
-      } else {
-        // Translation validation second: a symbolic equivalence proof
-        // against the baseline (analysis/Equiv.h). Still static -- a
-        // refutation carries a counterexample and skips differential
-        // execution entirely. The prover re-derives nothing this
-        // attempt already knows: the variant's liveness verdict is the
-        // clean analysis just above, on this very module; the
-        // baseline's comes from the cache built on P.MIR (once per
-        // cache, or recalled with its battery). Register shuffling's
-        // witness is a hint the prover checks, never trusts.
-        if (Effective.CheckEquiv) {
-          analysis::EquivFacts Facts;
-          Facts.VariantLiveness = true;
-          if (&Effective.Cache->baseline() == &P.MIR)
-            Facts.BaselineLiveness = Effective.Cache->livenessProved();
-          R = analysis::proveEquivalent(P.MIR, V.MIR,
-                                        analysis::EquivOptions(), nullptr,
-                                        Facts, V.Pipeline.Regs.Renamings);
-        }
-        if (!R.ok()) {
-          obs::counterAdd("verify.equiv_rejections");
-          R.add(verify::ErrorCode::EquivRejected,
-                "variant rejected by translation validation before "
-                "execution");
-        } else {
-          R = verify::verifyVariant(P.MIR, V.MIR, V.Image, Effective);
-        }
-      }
+      R = verify::verifyVariant(P.MIR, V.MIR, V.Image, Effective,
+                                V.Pipeline.Regs.Renamings);
     }
     Out.Attempts = Attempt + 1;
     if (R.ok()) {

@@ -114,20 +114,16 @@ struct VerifiedVariant {
 };
 
 /// Produces a *verified* diversified variant of \p P under transform
-/// pipeline \p Pipe: builds a variant, runs verify::verifyVariant on it,
-/// and on failure retries with seeds from verify::deriveRetrySeed
-/// (bounded by VOpts.MaxAttempts). When every attempt fails, degrades
+/// pipeline \p Pipe: builds a variant, admits or rejects it through
+/// verify::verifyVariant (the one admission function, with the
+/// pipeline's renaming witness), and on rejection retries with seeds
+/// from verify::RetrySchedule (bounded by VOpts.MaxAttempts). Every
+/// attempt shares one baseline cache: the caller's, or one built here
+/// in the process-wide battery memo. When every attempt fails, degrades
 /// gracefully to the undiversified baseline image and reports
 /// ErrorCode::RetriesExhausted instead of aborting -- a deployment
 /// pipeline prefers an unprotected-but-correct binary plus a loud
 /// diagnostic over no binary at all.
-///
-/// The verifier's NOP-only structural diff
-/// (VerifyOptions::CheckStructure) presumes the baseline's instruction
-/// sequence survives up to inserted NOPs and shift preludes; pipelines
-/// containing schedule randomization or register shuffling legitimately
-/// break that, so the check is disabled for them automatically (the
-/// equivalence prover and differential execution still run).
 VerifiedVariant
 makeVariantVerified(const Program &P, const diversity::Pipeline &Pipe,
                     const diversity::DiversityOptions &Opts, uint64_t Seed,

@@ -42,8 +42,6 @@ const char *verify::errorCodeName(ErrorCode Code) {
     return "image-decode-invalid";
   case ErrorCode::BranchTargetOutOfRange:
     return "branch-target-out-of-range";
-  case ErrorCode::StructuralMismatch:
-    return "structural-mismatch";
   case ErrorCode::AnalysisCfgMalformed:
     return "analysis-cfg-malformed";
   case ErrorCode::AnalysisUseBeforeDef:

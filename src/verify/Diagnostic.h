@@ -51,7 +51,6 @@ enum class ErrorCode : uint8_t {
   ImageTextMismatch,      ///< .text differs from re-emission of the MIR.
   ImageDecodeInvalid,     ///< .text does not decode as valid IA-32.
   BranchTargetOutOfRange, ///< A rel branch escapes the image.
-  StructuralMismatch,     ///< Variant minus NOPs != baseline MIR.
 
   // Static analysis (analysis/): one code per checker, so tests and
   // tools can assert *which* invariant a mutation broke.

@@ -118,8 +118,8 @@ bool FaultInjector::mangleBranchTarget(MModule &Variant,
   Br.Imm = static_cast<int32_t>((static_cast<uint32_t>(Br.Imm) + 1) %
                                 Fn.Blocks.size());
   // Keep the pair coherent: the image honestly encodes the corrupted
-  // MIR, so detection must come from the structural or differential
-  // checks rather than a trivial MIR/image byte disagreement.
+  // MIR, so detection must come from the prover or differential
+  // execution rather than a trivial MIR/image byte disagreement.
   Image = codegen::link(Variant, Link);
   return true;
 }

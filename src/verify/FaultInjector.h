@@ -57,9 +57,9 @@ const char *faultClassName(FaultClass Class);
 /// Applies one fault of a chosen class to a (MIR, image) pair. Site
 /// selection is seeded and deterministic. MIR-level faults re-link the
 /// image from the corrupted MIR so the pair stays internally coherent
-/// (detection must come from the semantic/structural checks, not from a
-/// trivial MIR/image disagreement); image-level faults leave the MIR
-/// untouched.
+/// (detection must come from the prover, profile or differential
+/// checks, not from a trivial MIR/image disagreement); image-level
+/// faults leave the MIR untouched.
 class FaultInjector {
 public:
   explicit FaultInjector(uint64_t Seed,

@@ -8,6 +8,7 @@
 #include "verify/Verifier.h"
 
 #include "analysis/Analysis.h"
+#include "analysis/Equiv.h"
 #include "mexec/Interp.h"
 #include "mexec/Precompiled.h"
 #include "obs/Metrics.h"
@@ -129,103 +130,6 @@ void diffExecute(const MModule &Baseline, const MModule &Variant,
     if (!RB.Trapped && RB.ExitCode != RV.ExitCode)
       R.add(ErrorCode::ExitCodeMismatch,
             format("input #%zu: %d != %d", In, RB.ExitCode, RV.ExitCode));
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Structural invariant: variant minus NOPs == baseline
-//===----------------------------------------------------------------------===//
-
-/// Field-by-field instruction equality, with the variant's branch
-/// targets shifted down by \p BranchShift (nonzero when the variant
-/// carries a block-shift prelude).
-bool sameInstr(const MInstr &B, const MInstr &V, uint32_t BranchShift) {
-  if (B.Op != V.Op)
-    return false;
-  int32_t VImm = V.Imm;
-  if (V.Op == MOp::Jmp || V.Op == MOp::Jcc)
-    VImm -= static_cast<int32_t>(BranchShift);
-  if (B.Dst != V.Dst || B.Src != V.Src || B.Imm != VImm ||
-      B.Alu != V.Alu || B.Shift != V.Shift || B.CC != V.CC)
-    return false;
-  if (B.Op == MOp::Call) {
-    if (B.Target.IsIntrinsic != V.Target.IsIntrinsic)
-      return false;
-    if (B.Target.IsIntrinsic)
-      return B.Target.Intr == V.Target.Intr;
-    return B.Target.Func == V.Target.Func;
-  }
-  return true;
-}
-
-/// NOP normalization for the structural diff. The classification of
-/// what counts as an inserted NOP is owned by analysis/ so this diff
-/// and the equivalence prover (analysis/Equiv.h) can never disagree.
-std::vector<const MInstr *> stripNops(const MBasicBlock &BB) {
-  return analysis::nonNopInstrs(BB);
-}
-
-/// True when \p F starts with the two-block prelude insertBlockShift
-/// produces: `jmp 2` then an all-NOP pad ending in `jmp 2`.
-bool hasShiftPrelude(const MFunction &F, size_t BaselineBlocks) {
-  if (F.Blocks.size() != BaselineBlocks + 2)
-    return false;
-  auto B0 = stripNops(F.Blocks[0]);
-  auto B1 = stripNops(F.Blocks[1]);
-  auto IsJmp2 = [](const std::vector<const MInstr *> &Is) {
-    return Is.size() == 1 && Is[0]->Op == MOp::Jmp && Is[0]->Imm == 2;
-  };
-  return IsJmp2(B0) && IsJmp2(B1);
-}
-
-void diffStructure(const MModule &Baseline, const MModule &Variant,
-                   Report &R) {
-  if (Baseline.Functions.size() != Variant.Functions.size()) {
-    R.add(ErrorCode::StructuralMismatch,
-          format("function count %zu != %zu", Variant.Functions.size(),
-                 Baseline.Functions.size()));
-    return;
-  }
-  if (Baseline.EntryFunction != Variant.EntryFunction)
-    R.add(ErrorCode::StructuralMismatch, "entry function differs");
-
-  for (size_t FI = 0; FI != Baseline.Functions.size(); ++FI) {
-    const MFunction &BF = Baseline.Functions[FI];
-    const MFunction &VF = Variant.Functions[FI];
-    uint32_t Shift = 0;
-    if (hasShiftPrelude(VF, BF.Blocks.size())) {
-      Shift = 2;
-    } else if (VF.Blocks.size() != BF.Blocks.size()) {
-      R.add(ErrorCode::StructuralMismatch,
-            format("%s: block count %zu != %zu", BF.Name.c_str(),
-                   VF.Blocks.size(), BF.Blocks.size()));
-      continue;
-    }
-    for (size_t BI = 0; BI != BF.Blocks.size(); ++BI) {
-      const MBasicBlock &BB = BF.Blocks[BI];
-      const MBasicBlock &VB = VF.Blocks[BI + Shift];
-      if (BB.ProfileCount != VB.ProfileCount)
-        R.add(ErrorCode::StructuralMismatch,
-              format("%s block %zu: profile count %" PRIu64
-                     " != baseline %" PRIu64,
-                     BF.Name.c_str(), BI, VB.ProfileCount,
-                     BB.ProfileCount));
-      auto BIs = stripNops(BB);
-      auto VIs = stripNops(VB);
-      if (BIs.size() != VIs.size()) {
-        R.add(ErrorCode::StructuralMismatch,
-              format("%s block %zu: %zu non-NOP instrs vs baseline %zu",
-                     BF.Name.c_str(), BI, VIs.size(), BIs.size()));
-        continue;
-      }
-      for (size_t I = 0; I != BIs.size(); ++I)
-        if (!sameInstr(*BIs[I], *VIs[I], Shift)) {
-          R.add(ErrorCode::StructuralMismatch,
-                format("%s block %zu instr %zu: %s differs from baseline",
-                       BF.Name.c_str(), BI, I, mopName(VIs[I]->Op)));
-          break;
-        }
-    }
   }
 }
 
@@ -353,25 +257,60 @@ Report verify::verifyProfileFlow(const MModule &M) {
   return R;
 }
 
+Report verify::verifyExecution(const MModule &Baseline,
+                               const MModule &Variant,
+                               const VerifyOptions &Opts) {
+  Report R;
+  diffExecute(Baseline, Variant, Opts, R);
+  return R;
+}
+
 Report verify::verifyVariant(const MModule &Baseline,
                              const MModule &Variant,
                              const codegen::Image &Image,
-                             const VerifyOptions &Opts) {
-  Report R;
+                             const VerifyOptions &Opts,
+                             std::span<const uint8_t> Witness) {
+  // Static screening first: when the analyzer can refute the variant
+  // from its MIR alone, skip everything after it.
+  Report R = analysis::analyzeModule(Variant);
+  if (!R.ok()) {
+    obs::counterAdd("verify.static_rejections");
+    R.add(ErrorCode::StaticAnalysisRejected,
+          "variant rejected by static analysis before execution");
+    return R;
+  }
+  // Translation validation second: a symbolic equivalence proof against
+  // the baseline (analysis/Equiv.h). Still static -- a refutation
+  // carries a counterexample and skips execution entirely. The prover
+  // re-derives nothing already known: the variant's liveness verdict is
+  // the clean analysis just above, on this very module; the baseline's
+  // comes from a cache built on this very baseline (once per cache, or
+  // recalled with its battery).
+  if (Opts.CheckEquiv) {
+    analysis::EquivFacts Facts;
+    Facts.VariantLiveness = true;
+    if (Opts.Cache && &Opts.Cache->baseline() == &Baseline)
+      Facts.BaselineLiveness = Opts.Cache->livenessProved();
+    R = analysis::proveEquivalent(Baseline, Variant,
+                                  analysis::EquivOptions(), nullptr, Facts,
+                                  Witness);
+    if (!R.ok()) {
+      obs::counterAdd("verify.equiv_rejections");
+      R.add(ErrorCode::EquivRejected,
+            "variant rejected by translation validation before execution");
+      return R;
+    }
+  }
   std::string Problem = mir::verify(Variant);
   if (!Problem.empty()) {
     R.add(ErrorCode::MIRInvalid, Problem);
     return R; // Executing an invalid module would assert.
   }
-  if (Opts.CheckStructure) {
-    obs::Span S("verify.structure");
-    diffStructure(Baseline, Variant, R);
-  }
-  if (Opts.CheckProfile) {
+  {
     obs::Span S("verify.profile");
     checkProfileFlow(Variant, R);
   }
-  if (Opts.CheckImage) {
+  {
     obs::Span S("verify.image");
     checkImage(Variant, Image, Opts.Link, R);
   }

@@ -9,26 +9,28 @@
 /// Generate-and-check: the paper's claim that NOP insertion "does not
 /// affect program semantics" (Section 3) is trusted by construction in
 /// the transformation pass, and *checked* here before a variant is
-/// accepted. Every diversified build flows through verifyVariant, which
-/// runs three independent check families:
+/// accepted. verifyVariant is the one admission function: the variant
+/// factory (driver::makeVariantVerified), `pgsdc diversify` and the
+/// tests all admit a variant through it. It runs, in order:
 ///
-///  1. Differential execution: baseline and variant MIR run on a
-///     deterministic input battery; exit code, output checksum, output
-///     text, and trap behaviour must agree input-for-input.
-///  2. Image integrity: the linked .text must byte-match a deterministic
+///  1. Static analysis: the six analysis/ checkers on the variant MIR.
+///  2. Translation validation: the equivalence prover (analysis/Equiv.h)
+///     must prove the variant observationally equivalent to the
+///     baseline. Either static stage rejects the variant on its own;
+///     nothing later runs.
+///  3. mir::verify, then profile flow: stamped counts must respect CFG
+///     flow conservation.
+///  4. Image integrity: the linked .text must byte-match a deterministic
 ///     re-emission of the variant MIR, decode end-to-end as valid IA-32,
 ///     and keep every relative branch target inside the image.
-///  3. Structural invariant: deleting NOP instructions (and the optional
-///     block-shift prelude) from the variant MIR must reproduce the
-///     baseline MIR exactly -- instruction-for-instruction, profile
-///     counts included -- and stamped profile counts must respect CFG
-///     flow conservation.
+///  5. Differential execution: baseline and variant MIR run on a
+///     deterministic input battery; exit code, output checksum, output
+///     text, and trap behaviour must agree input-for-input.
 ///
-/// The checks are deliberately redundant: a corrupted image is caught
-/// whether or not it changes behaviour on the battery, and a semantic
-/// divergence is caught whether or not the image decodes cleanly. The
-/// fault-injection harness (verify/FaultInjector.h) asserts that every
-/// supported corruption class trips at least one check.
+/// The checks overlap on purpose, and tests/AdmissionCoverageTest.cpp
+/// measures how: it injects every verify::FaultInjector and
+/// analysis::MirFault class, runs each check on its own, and pins which
+/// checks catch each class and that none escapes verifyVariant.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +44,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 namespace pgsd {
@@ -62,22 +65,13 @@ struct VerifyOptions {
   /// is never failed for executing what it legitimately contains.
   uint64_t MaxSteps = 50'000'000;
 
-  /// Enable the image-integrity family (re-link compare, decode walk,
-  /// branch-target bounds).
-  bool CheckImage = true;
-
-  /// Enable the NOP-only structural diff against the baseline MIR.
-  bool CheckStructure = true;
-
-  /// Enable CFG flow-conservation checks on stamped profile counts.
-  bool CheckProfile = true;
-
-  /// Enable the translation-validation stage in
-  /// driver::makeVariantVerified: the symbolic equivalence prover
-  /// (analysis/Equiv.h) must prove the variant observationally
-  /// equivalent to the baseline before any dynamic verification runs.
-  /// A refutation rejects the attempt with ErrorCode::EquivRejected and
-  /// moves the retry schedule to the next seed.
+  /// Enable the translation-validation stage of verifyVariant: the
+  /// symbolic equivalence prover (analysis/Equiv.h) must prove the
+  /// variant observationally equivalent to the baseline before any
+  /// dynamic verification runs. A refutation rejects the variant with
+  /// ErrorCode::EquivRejected (and moves driver::makeVariantVerified's
+  /// retry schedule to the next seed). Tests turn it off to reach
+  /// differential execution with a fault the prover would refute.
   bool CheckEquiv = true;
 
   /// Link options the image under test was produced with; the re-link
@@ -173,13 +167,27 @@ private:
   unsigned Next = 0;
 };
 
-/// Verifies \p Variant (with linked image \p Image) against \p Baseline.
-/// Returns an empty report when the variant is behaviourally identical
-/// and structurally sound.
+/// Admits or rejects \p Variant (with linked image \p Image) against
+/// \p Baseline through every check in the order of the file comment.
+/// Returns an empty report when the variant is admitted. A static
+/// rejection ends with ErrorCode::StaticAnalysisRejected or
+/// ErrorCode::EquivRejected. \p Witness is register shuffling's
+/// per-function renaming row (RegShuffleStats::Renamings), a hint the
+/// prover checks and never trusts. When Opts.Cache was built on
+/// \p Baseline itself, the prover takes the baseline's liveness verdict
+/// from it instead of re-deriving it.
 Report verifyVariant(const mir::MModule &Baseline,
                      const mir::MModule &Variant,
                      const codegen::Image &Image,
-                     const VerifyOptions &Opts);
+                     const VerifyOptions &Opts,
+                     std::span<const uint8_t> Witness = {});
+
+/// The differential-execution family alone: \p Variant must match
+/// \p Baseline input-for-input on the battery. Precondition:
+/// mir::verify(Variant) is clean.
+Report verifyExecution(const mir::MModule &Baseline,
+                       const mir::MModule &Variant,
+                       const VerifyOptions &Opts);
 
 /// The image-integrity family alone (re-link compare, decode walk,
 /// branch-target bounds). Exposed for tools that have an image but no

@@ -5,7 +5,7 @@
 //
 // Tier-2 stress coverage of the parallel variant factory: every workload
 // of the SPEC-like suite, many seeds each, 8 workers, through the *full*
-// verified path (default input battery, image and structural checks),
+// admission path (analysis, prover, default input battery, image check),
 // asserting zero rejected variants and bounded retry counts.
 //
 // Scale is environment-keyed so the binary serves two ctest tiers:

@@ -507,10 +507,9 @@ TEST(BatteryMemo, WarmMemoStillRejectsSemanticFaults) {
       driver::makeVariantsBatch(P, Nop, Opts, Seeds, B).allAccepted());
 
   // Only differential execution can see this fault: the constant changes
-  // in the MIR and the image is re-linked from it, and the static and
-  // structural screens are off.
+  // in the MIR and the image is re-linked from it, and the prover is
+  // off.
   B.Verify.CheckEquiv = false;
-  B.Verify.CheckStructure = false;
   B.Verify.MaxAttempts = 1;
   B.Verify.InjectFault = [](mir::MModule &M, codegen::Image &Img,
                             uint64_t) {

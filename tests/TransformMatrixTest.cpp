@@ -230,12 +230,7 @@ TEST(TransformStreams, DefaultPipelineIsNopOnly) {
   Pipeline Default;
   ASSERT_EQ(Default.kinds().size(), 1u);
   EXPECT_EQ(Default.kinds().front(), TransformKind::Nop);
-  EXPECT_TRUE(Default.structurePreserving());
   EXPECT_EQ(Default.label(), "nop");
-  EXPECT_FALSE(Pipeline({TransformKind::Sched}).structurePreserving());
-  EXPECT_FALSE(Pipeline({TransformKind::Regs}).structurePreserving());
-  EXPECT_TRUE(Pipeline({TransformKind::Nop, TransformKind::Shift})
-                  .structurePreserving());
 }
 
 TEST(TransformStreams, ParseListRejectsBadInput) {

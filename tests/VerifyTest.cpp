@@ -200,8 +200,8 @@ TEST(Verify, FaultClassesMapToExpectedDiagnostics) {
   DiversityOptions Config = DiversityOptions::uniform(0.6);
   verify::VerifyOptions VOpts;
 
-  // The image-level classes must trip the image-integrity family; the
-  // profile class must trip a profile/structural check.
+  // The image-level classes must trip the image-integrity family, the
+  // mangled branch the prover, and the profile class the flow check.
   struct Expect {
     verify::FaultClass Class;
     std::vector<verify::ErrorCode> AnyOf;
@@ -217,9 +217,10 @@ TEST(Verify, FaultClassesMapToExpectedDiagnostics) {
         verify::ErrorCode::BranchTargetOutOfRange}},
       {verify::FaultClass::WrongLengthNop,
        {verify::ErrorCode::ImageTextMismatch}},
+      {verify::FaultClass::MangledBranchTarget,
+       {verify::ErrorCode::EquivRefuted}},
       {verify::FaultClass::CorruptProfileCount,
-       {verify::ErrorCode::ProfileFlowInvalid,
-        verify::ErrorCode::StructuralMismatch}},
+       {verify::ErrorCode::ProfileFlowInvalid}},
   };
   for (const Expect &E : Cases) {
     bool Injected = false;
@@ -438,12 +439,13 @@ TEST(Verify, ImageCheckAcceptsHonestLink) {
   EXPECT_TRUE(R.ok()) << R.str();
 }
 
-TEST(Verify, StructuralCheckCatchesNonNopDivergence) {
+TEST(Verify, AdmissionRefutesNonNopDivergence) {
   driver::Program P = mathProgram();
   driver::Variant V =
       driver::makeVariant(P, DiversityOptions::uniform(0.5), 4);
   // Mutate a real (non-NOP) instruction's immediate: still a valid,
-  // linkable program, but no longer NOP-equivalent to the baseline.
+  // linkable program, but no longer equivalent to the baseline. The
+  // prover refutes it before anything executes.
   bool Mutated = false;
   for (mir::MFunction &F : V.MIR.Functions) {
     for (mir::MBasicBlock &BB : F.Blocks)
@@ -457,11 +459,8 @@ TEST(Verify, StructuralCheckCatchesNonNopDivergence) {
   codegen::Image Img = codegen::link(V.MIR, codegen::LinkOptions());
   verify::VerifyOptions VOpts;
   verify::Report R = verify::verifyVariant(P.MIR, V.MIR, Img, VOpts);
-  EXPECT_FALSE(R.ok());
-  EXPECT_TRUE(R.has(verify::ErrorCode::StructuralMismatch) ||
-              R.has(verify::ErrorCode::ChecksumMismatch) ||
-              R.has(verify::ErrorCode::OutputMismatch))
-      << R.str();
+  EXPECT_TRUE(R.has(verify::ErrorCode::EquivRefuted)) << R.str();
+  EXPECT_TRUE(R.has(verify::ErrorCode::EquivRejected)) << R.str();
 }
 
 // --- diagnostics plumbing ----------------------------------------------

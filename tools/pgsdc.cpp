@@ -486,6 +486,17 @@ void printPipelineStats(const diversity::Pipeline &Pipe,
   }
 }
 
+/// Exit code for a variant verify::verifyVariant rejected: the two
+/// static stages -- dataflow analysis and translation validation --
+/// apart from every other verification failure.
+int rejectionExit(const verify::Report &R) {
+  if (R.has(verify::ErrorCode::StaticAnalysisRejected))
+    return ExitAnalysisFailed;
+  if (R.has(verify::ErrorCode::EquivRejected))
+    return ExitEquivRefuted;
+  return ExitVerifyFailed;
+}
+
 /// `diversify`: build the variant through the transform pipeline,
 /// report per-transform stats, then verify it.
 int cmdDiversify(const Options &Opts) {
@@ -515,15 +526,14 @@ int cmdDiversify(const Options &Opts) {
   std::printf("gadgets: %zu baseline, %zu surviving at original offsets\n",
               BaseGadgets.size(), Survivors.size());
 
-  // Every diversified build flows through the verifier before the tool
-  // reports success.
-  verify::VerifyOptions VOpts;
-  VOpts.CheckStructure = Opts.Pipe.structurePreserving();
-  verify::Report Report = verify::verifyVariant(P.MIR, V, Img, VOpts);
+  // Every diversified build goes through the one admission function
+  // before the tool reports success.
+  verify::Report Report = verify::verifyVariant(
+      P.MIR, V, Img, verify::VerifyOptions(), Stats.Regs.Renamings);
   if (!Report.ok()) {
     std::fprintf(stderr, "pgsdc: variant failed verification:\n%s",
                  Report.str().c_str());
-    return ExitVerifyFailed;
+    return rejectionExit(Report);
   }
 
   mexec::RunResult RBase = driver::execute(P.MIR, Input);
@@ -555,21 +565,13 @@ int cmdVerify(const Options &Opts) {
                  "pgsdc: verification failed after %u attempts; "
                  "baseline image emitted\n",
                  VV.Attempts);
-    // Distinguish the two static rejection stages -- dataflow analysis
-    // and translation validation -- from dynamic verification failures.
-    if (VV.Report.has(verify::ErrorCode::StaticAnalysisRejected))
-      return ExitAnalysisFailed;
-    if (VV.Report.has(verify::ErrorCode::EquivRejected))
-      return ExitEquivRefuted;
-    return ExitVerifyFailed;
+    return rejectionExit(VV.Report);
   }
-  // Non-structure-preserving pipelines (sched, regs) run without the
-  // structural check, so the banner names only what actually ran.
   std::printf("verified: %s transforms=%s seed=%llu attempts=%u "
-              "(differential, image%s checks passed)\n",
+              "(static, equivalence, profile, image, differential checks "
+              "passed)\n",
               D.label().c_str(), Opts.Pipe.label().c_str(),
-              static_cast<unsigned long long>(VV.SeedUsed), VV.Attempts,
-              Opts.Pipe.structurePreserving() ? ", structural" : "");
+              static_cast<unsigned long long>(VV.SeedUsed), VV.Attempts);
   printPipelineStats(Opts.Pipe, VV.V.Pipeline);
   std::printf("  .text %zu bytes\n", VV.V.Image.Text.size());
   return ExitOK;
