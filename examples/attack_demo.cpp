@@ -105,7 +105,8 @@ int main() {
   std::printf("\nafter diversification (pNOP=0-30%%, log heuristic):\n");
   unsigned FeasibleVariants = 0;
   for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
-    driver::Variant V = driver::makeVariant(P, Opts, Seed);
+    driver::Variant V =
+        driver::makeVariant(P, diversity::Pipeline(), Opts, Seed);
     auto Survivors = gadget::survivingGadgets(Base.Text, V.Image.Text);
     auto DivGadgets =
         gadget::classifyGadgets(V.Image.Text.data(), V.Image.Text.size());

@@ -84,7 +84,8 @@ int main() {
     std::vector<std::set<uint64_t>> Populations;
     double Slowdown = 0;
     for (uint64_t Seed = 1; Seed <= PopulationSize; ++Seed) {
-      driver::Variant V = driver::makeVariant(P, Opts, Seed);
+      driver::Variant V =
+          driver::makeVariant(P, diversity::Pipeline(), Opts, Seed);
       Populations.push_back(gadgetIdentities(V.Image.Text));
       Distinct.emplace(V.Image.Text.begin(), V.Image.Text.end());
       Slowdown +=

@@ -98,7 +98,8 @@ int main() {
   };
 
   for (const Config &C : Configs) {
-    driver::Variant V = driver::makeVariant(P, C.Opts, /*Seed=*/42);
+    driver::Variant V = driver::makeVariant(P, diversity::Pipeline(), C.Opts,
+                                             /*Seed=*/42);
     mexec::RunResult R = driver::execute(V.MIR, RefInput, true);
     if (R.Checksum != Base.Checksum || R.Trapped) {
       std::fprintf(stderr, "%s: variant diverged!\n", C.Name);

@@ -3,33 +3,37 @@
 // Part of the PGSD project, a reproduction of "Profile-guided Automated
 // Software Diversity" (Homescu et al., CGO 2013).
 //
-// Small-scale versions of the paper's evaluation claims, asserted as
-// properties so regressions in any pipeline stage show up here:
+// Small-scale versions of the paper's evaluation claims, computed by the
+// same bench/Experiments.h functions that print the full-size tables and
+// asserted as properties, so regressions in any pipeline stage show up
+// here:
 //   * Figure 4 shape: overhead ordering across insertion configs.
 //   * Table 2 shape: diversification kills most gadgets; profiling adds
 //     only a modest number of extra survivors.
 //   * Table 3 shape: the multi-version floor equals the undiversified
 //     runtime stub's contribution.
 //   * Section 5.2: the attack dies on diversified variants.
+//   * The experiments' rows do not depend on the worker count.
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
-#include "gadget/Attack.h"
-#include "gadget/Scanner.h"
-#include "workloads/Workloads.h"
+#include "bench/Experiments.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace pgsd;
-using diversity::DiversityOptions;
-using diversity::ProbabilityModel;
+using namespace pgsd::experiments;
 
 namespace {
 
-/// A benchmark-like program with one hot kernel and sizable cold code.
-driver::Program benchProgram() {
-  std::string Source = R"(
+/// A benchmark-like workload with one hot kernel and sizable cold code;
+/// it reads no input, so train and ref are both empty.
+workloads::Workload benchWorkload() {
+  workloads::Workload W;
+  W.Name = "bench";
+  W.Source = R"(
 fn kernel(n) {
   var s = 0;
   var i = 0;
@@ -46,213 +50,116 @@ fn main() {
   return 0;
 }
 )";
-  workloads::appendColdLibrary(Source, 20, 99);
-  driver::Program P = driver::compileProgram(Source, "bench");
-  EXPECT_TRUE(P.ok()) << P.errors();
-  EXPECT_TRUE(driver::profileAndStamp(P, {}));
-  return P;
+  workloads::appendColdLibrary(W.Source, 20, 99);
+  return W;
 }
 
-double meanOverheadPct(const driver::Program &P, DiversityOptions Opts,
-                       unsigned Seeds) {
-  double Base = driver::execute(P.MIR, {}).cycles();
-  double Sum = 0;
-  for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
-    mir::MModule V = P.MIR;
-    diversity::Pipeline().run(V, Opts, Seed);
-    Sum += driver::execute(V, {}).cycles() / Base - 1.0;
-  }
-  return 100.0 * Sum / Seeds;
-}
+// Column indices into paperConfigs().
+enum { P50, P30, P25_50, P10_50, P0_30 };
 
 } // namespace
 
 TEST(Figure4Shape, OverheadOrderingAcrossConfigs) {
-  driver::Program P = benchProgram();
-  double P50 = meanOverheadPct(P, DiversityOptions::uniform(0.5), 3);
-  double P30 = meanOverheadPct(P, DiversityOptions::uniform(0.3), 3);
-  double P25_50 = meanOverheadPct(
-      P, DiversityOptions::profiled(ProbabilityModel::Log, 0.25, 0.5), 3);
-  double P10_50 = meanOverheadPct(
-      P, DiversityOptions::profiled(ProbabilityModel::Log, 0.10, 0.5), 3);
-  double P0_30 = meanOverheadPct(
-      P, DiversityOptions::profiled(ProbabilityModel::Log, 0.0, 0.3), 3);
+  const std::vector<double> Pct =
+      figure4({benchWorkload()}, 3).Rows[0].OverheadPct;
 
   // The paper's ordering (Figure 4).
-  EXPECT_GT(P50, P30);
-  EXPECT_GT(P30, P10_50);
-  EXPECT_GT(P25_50, P10_50);
-  EXPECT_GT(P10_50, P0_30);
+  EXPECT_GT(Pct[P50], Pct[P30]);
+  EXPECT_GT(Pct[P30], Pct[P10_50]);
+  EXPECT_GT(Pct[P25_50], Pct[P10_50]);
+  EXPECT_GT(Pct[P10_50], Pct[P0_30]);
   // Naive insertion is expensive; profile-guided 0-30% is negligible.
-  EXPECT_GT(P50, 5.0);
-  EXPECT_LT(P0_30, 1.5);
+  EXPECT_GT(Pct[P50], 5.0);
+  EXPECT_LT(Pct[P0_30], 1.5);
   // "Reduction factor of 5x compared to naive NOP insertion".
-  EXPECT_GT(P50 / std::max(P0_30, 0.1), 4.0);
+  EXPECT_GT(Pct[P50] / std::max(Pct[P0_30], 0.1), 4.0);
 }
 
 TEST(Figure4Shape, BothEndsOfRangeMatter) {
   // Section 5.1: lowering pmin (25% -> 10%) roughly halves overhead.
-  driver::Program P = benchProgram();
-  double P25_50 = meanOverheadPct(
-      P, DiversityOptions::profiled(ProbabilityModel::Log, 0.25, 0.5), 3);
-  double P10_50 = meanOverheadPct(
-      P, DiversityOptions::profiled(ProbabilityModel::Log, 0.10, 0.5), 3);
-  EXPECT_LT(P10_50, 0.7 * P25_50);
+  const std::vector<double> Pct =
+      figure4({benchWorkload()}, 3).Rows[0].OverheadPct;
+  EXPECT_LT(Pct[P10_50], 0.7 * Pct[P25_50]);
 }
 
 TEST(Figure4Shape, LinearHeuristicWorseThanLog) {
   // With exponential count spread, the linear heuristic polarizes mid
   // blocks toward pmax, inserting more NOPs in warm code.
-  driver::Program P = benchProgram();
-  auto NopsInserted = [&](ProbabilityModel Model) {
-    mir::MModule V = P.MIR;
-    return diversity::Pipeline()
-        .run(V, DiversityOptions::profiled(Model, 0.0, 0.5), 1)
-        .Nop.NopsInserted;
-  };
-  EXPECT_GT(NopsInserted(ProbabilityModel::Linear),
-            NopsInserted(ProbabilityModel::Log));
+  Ablation A = ablation({benchWorkload()}, 1);
+  ASSERT_EQ(A.Heuristics.size(), 2u);
+  ASSERT_EQ(A.Heuristics[0].Model, diversity::ProbabilityModel::Linear);
+  EXPECT_GT(A.Heuristics[0].Nops, A.Heuristics[1].Nops);
 }
 
 TEST(Table2Shape, MostGadgetsDie) {
-  driver::Program P = benchProgram();
-  codegen::Image Base = driver::linkBaseline(P);
-  auto BaseGadgets =
-      gadget::scanGadgets(Base.Text.data(), Base.Text.size());
-  ASSERT_GT(BaseGadgets.size(), 100u);
-
-  auto Opts = DiversityOptions::uniform(0.5);
-  double SurvivorSum = 0;
-  for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
-    driver::Variant V = driver::makeVariant(P, Opts, Seed);
-    SurvivorSum += static_cast<double>(
-        gadget::survivingGadgets(Base.Text, V.Image.Text).size());
-  }
-  double MeanSurvivors = SurvivorSum / 5.0;
+  Table2Row Row = table2({benchWorkload()}, 5)[0];
+  ASSERT_GT(Row.Baseline, 100u);
   // Far fewer gadgets survive than exist; survivors are dominated by
   // the fixed stub at the image start.
-  EXPECT_LT(MeanSurvivors, 0.5 * static_cast<double>(BaseGadgets.size()));
+  EXPECT_LT(Row.MeanSurvivors[P50], 0.5 * static_cast<double>(Row.Baseline));
 }
 
 TEST(Table2Shape, ProfilingAddsOnlyModestExtraSurvivors) {
-  driver::Program P = benchProgram();
-  codegen::Image Base = driver::linkBaseline(P);
-  auto MeanSurvivors = [&](DiversityOptions Opts) {
-    double Sum = 0;
-    for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
-      driver::Variant V = driver::makeVariant(P, Opts, Seed);
-      Sum += static_cast<double>(
-          gadget::survivingGadgets(Base.Text, V.Image.Text).size());
-    }
-    return Sum / 5.0;
-  };
-  double Naive = MeanSurvivors(DiversityOptions::uniform(0.5));
-  double Profiled = MeanSurvivors(
-      DiversityOptions::profiled(ProbabilityModel::Log, 0.0, 0.3));
+  Table2Row Row = table2({benchWorkload()}, 5)[0];
+  double Naive = Row.MeanSurvivors[P50];
+  double Profiled = Row.MeanSurvivors[P0_30];
   // Profiled insertion leaves somewhat more survivors (it inserts fewer
   // NOPs), but the absolute impact stays small (paper Section 5.2).
   EXPECT_GE(Profiled, Naive * 0.8);
-  auto BaseGadgets =
-      gadget::scanGadgets(Base.Text.data(), Base.Text.size());
-  EXPECT_LT(Profiled - Naive,
-            0.25 * static_cast<double>(BaseGadgets.size()));
+  EXPECT_LT(Profiled - Naive, 0.25 * static_cast<double>(Row.Baseline));
 }
 
 TEST(Table3Shape, MultiVersionFloorIsTheStub) {
-  driver::Program P = benchProgram();
-  auto Opts = DiversityOptions::profiled(ProbabilityModel::Log, 0.0, 0.3);
-  std::vector<std::vector<uint8_t>> Versions;
-  uint32_t StubSize = 0;
-  for (uint64_t Seed = 1; Seed <= 9; ++Seed) {
-    driver::Variant V = driver::makeVariant(P, Opts, Seed);
-    StubSize = V.Image.StubSize;
-    Versions.push_back(V.Image.Text);
-  }
-  auto Counts = gadget::gadgetsInAtLeast(Versions, {2, 5, 9});
+  Table3 T = table3({benchWorkload()}, 9, {2, 5, 9});
+  const std::vector<uint64_t> &Counts = T.Rows[0].Counts[P0_30];
   // Monotone in the threshold.
   EXPECT_GE(Counts[0], Counts[1]);
   EXPECT_GE(Counts[1], Counts[2]);
 
   // The all-versions floor equals the gadgets of the shared stub
   // (byte-identical at identical offsets in every version).
-  auto StubGadgets = gadget::scanGadgets(Versions[0].data(), StubSize);
-  EXPECT_GE(Counts[2], StubGadgets.size());
+  EXPECT_GE(Counts[2], T.StubGadgets);
   // ...plus at most a small aligned-prologue residue.
-  EXPECT_LE(Counts[2], StubGadgets.size() + 40);
+  EXPECT_LE(Counts[2], T.StubGadgets + 40);
 }
 
 TEST(Table3Shape, DiversifyingTheStubRemovesTheFloor) {
   // The paper: "this could be easily fixed in practice by also
   // diversifying the C library code."
-  driver::Program P = benchProgram();
-  auto Opts = DiversityOptions::profiled(ProbabilityModel::Log, 0.0, 0.3);
-  std::vector<std::vector<uint8_t>> Versions;
-  for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
-    codegen::LinkOptions Link;
-    Link.DiversifyStub = true;
-    Link.StubSeed = Seed; // a fresh stub per version
-    driver::Variant V = driver::makeVariant(P, Opts, Seed, Link);
-    Versions.push_back(V.Image.Text);
-  }
-  auto CountsDiv = gadget::gadgetsInAtLeast(Versions, {6});
-
-  std::vector<std::vector<uint8_t>> Fixed;
-  for (uint64_t Seed = 1; Seed <= 6; ++Seed)
-    Fixed.push_back(
-        driver::makeVariant(P, Opts, Seed).Image.Text);
-  auto CountsFixed = gadget::gadgetsInAtLeast(Fixed, {6});
-  EXPECT_LT(CountsDiv[0], CountsFixed[0]);
+  StubFloor Floor = stubFloor(benchWorkload(), 6, 6);
+  EXPECT_LT(Floor.Diversified, Floor.Fixed);
 }
 
 TEST(CaseStudy, AttackDiesOnEveryProfileAndVariant) {
   // A fast version of the Section 5.2 experiment: 2 scripts x 3 variants.
-  workloads::Workload Php = workloads::phpInterpreter();
-  driver::Program P = driver::compileProgram(Php.Source, Php.Name);
-  ASSERT_TRUE(P.ok()) << P.errors();
-  codegen::Image Base = driver::linkBaseline(P);
-
-  auto BaseOutcome =
-      gadget::checkAttackOnImage(Base.Text, gadget::AttackModel::RopGadget);
-  ASSERT_TRUE(BaseOutcome.Feasible) << BaseOutcome.Missing;
-
-  for (size_t ScriptIdx : {0u, 3u}) {
-    const auto &Script = workloads::clbgScripts()[ScriptIdx];
-    driver::Program Prof = driver::compileProgram(Php.Source, Php.Name);
-    ASSERT_TRUE(driver::profileAndStamp(Prof, Script.Input));
-    auto Opts = DiversityOptions::profiled(ProbabilityModel::Log, 0.0, 0.3);
-    for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
-      driver::Variant V = driver::makeVariant(Prof, Opts, Seed);
-      auto Survivors = gadget::survivingGadgets(Base.Text, V.Image.Text);
-      auto Gadgets = gadget::classifyGadgets(V.Image.Text.data(),
-                                             V.Image.Text.size());
-      auto Usable = gadget::filterToSurvivors(Gadgets, Survivors);
-      auto Rop = gadget::checkAttack(Usable, gadget::AttackModel::RopGadget);
-      auto Micro =
-          gadget::checkAttack(Usable, gadget::AttackModel::Microgadget);
-      EXPECT_FALSE(Rop.Feasible)
-          << Script.Name << " seed " << Seed << " still attackable";
-      EXPECT_FALSE(Micro.Feasible);
-    }
+  CaseStudy CS = caseStudy(
+      {workloads::clbgScripts()[0], workloads::clbgScripts()[3]}, 3);
+  ASSERT_TRUE(CS.BaseRopFeasible);
+  for (const CaseStudyRow &Row : CS.Rows) {
+    EXPECT_EQ(Row.RopFeasible, 0u) << Row.Script << " still attackable";
+    EXPECT_EQ(Row.MicroFeasible, 0u) << Row.Script;
   }
 }
 
 TEST(Scale, SurvivingFractionFallsWithBinarySize) {
   // Table 2's headline: bigger binaries -> smaller surviving fraction.
-  auto FractionFor = [](const char *Name) {
-    const workloads::Workload &W = workloads::specWorkload(Name);
-    driver::Program P = driver::compileProgram(W.Source, W.Name);
-    EXPECT_TRUE(P.ok());
-    EXPECT_TRUE(driver::profileAndStamp(P, W.TrainInput));
-    codegen::Image Base = driver::linkBaseline(P);
-    auto BaseGadgets =
-        gadget::scanGadgets(Base.Text.data(), Base.Text.size());
-    auto Opts = DiversityOptions::profiled(ProbabilityModel::Log, 0.0, 0.3);
-    driver::Variant V = driver::makeVariant(P, Opts, 1);
-    auto Survivors = gadget::survivingGadgets(Base.Text, V.Image.Text);
-    return static_cast<double>(Survivors.size()) /
-           static_cast<double>(BaseGadgets.size());
-  };
-  double Small = FractionFor("470.lbm");
-  double Large = FractionFor("403.gcc");
-  EXPECT_LT(Large, Small);
+  // One pNOP=0-30% variant each; rows come back sorted by size.
+  std::vector<Table2Row> Rows = table2(
+      {workloads::specWorkload("470.lbm"), workloads::specWorkload("403.gcc")},
+      1);
+  ASSERT_EQ(Rows[0].Name, "470.lbm");
+  ASSERT_EQ(Rows[1].Name, "403.gcc");
+  EXPECT_LT(Rows[1].survivingPct(), Rows[0].survivingPct());
+}
+
+TEST(Experiments, RowsIndependentOfWorkerCount) {
+  // The pooled cells write their own slots and rows are reduced in
+  // suite order, so one worker and four give identical rows.
+  const std::vector<workloads::Workload> Suite = {
+      workloads::specWorkload("401.bzip2"), workloads::specWorkload("429.mcf"),
+      workloads::specWorkload("462.libquantum")};
+  const std::vector<unsigned> Thresholds = paperThresholds(2);
+  EXPECT_EQ(figure4(Suite, 2, 1), figure4(Suite, 2, 4));
+  EXPECT_EQ(table2(Suite, 2, 1), table2(Suite, 2, 4));
+  EXPECT_EQ(table3(Suite, 2, Thresholds, 1), table3(Suite, 2, Thresholds, 4));
 }
