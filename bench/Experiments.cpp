@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <stdexcept>
 #include <tuple>
@@ -34,18 +35,29 @@ using diversity::ProbabilityModel;
 
 namespace {
 
-/// Runs Fn(0) .. Fn(N-1) on a pool of \p Jobs workers (0 = all cores)
-/// and rethrows the first exception a task raised.
+/// Runs Fn(0) .. Fn(N-1) on a pool of \p Jobs workers (0 = all cores).
+/// When tasks throw, rethrows the exception of the lowest index, so the
+/// failure reported does not depend on scheduling.
 void parallelFor(size_t N, unsigned Jobs,
                  const std::function<void(size_t)> &Fn) {
   if (N == 0)
     return;
   unsigned Workers = Jobs ? Jobs : support::ThreadPool::defaultConcurrency();
+  std::vector<std::exception_ptr> Errors(N);
   support::ThreadPool Pool(static_cast<unsigned>(
       std::min<size_t>(Workers, N)));
   for (size_t I = 0; I != N; ++I)
-    Pool.enqueue([&Fn, I] { Fn(I); });
+    Pool.enqueue([&Fn, &Errors, I] {
+      try {
+        Fn(I);
+      } catch (...) {
+        Errors[I] = std::current_exception();
+      }
+    });
   Pool.wait();
+  for (const std::exception_ptr &E : Errors)
+    if (E)
+      std::rethrow_exception(E);
 }
 
 /// Compiles \p Source and profiles it on \p TrainInput.

@@ -22,8 +22,9 @@
 /// A workload that fails to compile or train, a diversified variant that
 /// diverges from its baseline, and a failed self-check (the prover
 /// refuting a combo variant, an unrunnable nvx corruption accepted at
-/// load) throw std::runtime_error, which the pool rethrows to the
-/// caller. Verdicts a caller gates on (Table 1
+/// load) throw std::runtime_error, which reaches the caller. When several
+/// pooled cells throw, the caller gets the first in cell order (suite
+/// order for per-workload cells), whatever the scheduling. Verdicts a caller gates on (Table 1
 /// verification, attack feasibility, nvx detection) are returned as data.
 ///
 //===----------------------------------------------------------------------===//

@@ -9,12 +9,12 @@
 //    decode afresh from every byte offset with a MaxInstrs window. This
 //    is the executable specification of what a gadget is.
 //
-//  * The decode-once scanner (ImageScan): one linear pass decodes each
+//  * The decode-once scanner (ImageScan): one backward pass decodes each
 //    offset exactly once into a flat fact table (length + class/NOP flag
-//    bits), then a backward DP computes the gadget suffix at every
-//    offset. Every stored DP value is a pure function of the MaxInstrs x
-//    15-byte window after its offset, which is what makes the
-//    incremental rescan's dirty-range widening sound.
+//    bits) and computes the gadget suffix DP entry at that offset.
+//    Every stored DP value is a pure function of the MaxInstrs x 15-byte
+//    window after its offset, which is what makes the incremental
+//    rescan's dirty-range widening sound.
 //
 // The multi-version sweeps build on the same decode fact (factAt): the
 // Survivor probe reads each diversified image through a lazily filled
@@ -35,6 +35,7 @@
 #include "x86/Nops.h"
 
 #include <algorithm>
+#include <array>
 
 using namespace pgsd;
 using namespace pgsd::gadget;
@@ -96,51 +97,54 @@ enum : uint8_t {
 /// a longer instruction, which bounds how far one decode fact can read.
 constexpr size_t MaxInstrBytes = 15;
 
+/// FactFlags class bit of each InstrClass, by the decoder's own
+/// predicates; 0 for direct control flow, privileged and invalid
+/// instructions.
+constexpr std::array<uint8_t, size_t(x86::InstrClass::Invalid) + 1>
+buildClassFlags() {
+  std::array<uint8_t, size_t(x86::InstrClass::Invalid) + 1> T{};
+  for (size_t C = 0; C != T.size(); ++C) {
+    x86::Decoded D;
+    D.Class = static_cast<x86::InstrClass>(C);
+    if (D.isFreeBranch())
+      T[C] = FFree;
+    else if (D.Class == x86::InstrClass::IntN)
+      T[C] = FIntN;
+    else if (D.isUsableBody())
+      T[C] = FBody;
+  }
+  return T;
+}
+constexpr auto ClassFlags = buildClassFlags();
+
 /// The decode fact at offset \p I: instruction length (0 = invalid)
 /// and FactFlags bits. The one definition of what the fast paths know
 /// about an offset -- ImageScan's table pass and the lazy Survivor
-/// probe both call it, so Table 1 NOP matching lives here only.
-inline void factAt(const uint8_t *Data, size_t Size, size_t I, uint8_t &Len,
-                   uint8_t &Flags) {
-  Len = 0;
-  Flags = 0;
+/// probe both call it, so Table 1 NOP matching lives here only. Written
+/// without data-dependent branches: lengths and classes at arbitrary
+/// offsets are too irregular to predict.
+[[gnu::always_inline]] inline void factAt(const uint8_t *Data, size_t Size,
+                                          size_t I, uint8_t &Len,
+                                          uint8_t &Flags) {
   uint8_t DLen = 0;
   x86::InstrClass Class = x86::InstrClass::Invalid;
-  if (!x86::decodeLenClass(Data + I, Size - I, DLen, Class) || DLen == 0)
-    return;
-  Len = DLen;
-  switch (Class) {
-  case x86::InstrClass::Ret:
-  case x86::InstrClass::RetImm:
-  case x86::InstrClass::RetFar:
-  case x86::InstrClass::CallInd:
-  case x86::InstrClass::JmpInd:
-    Flags |= FFree;
-    break;
-  case x86::InstrClass::IntN:
-    Flags |= FIntN;
-    break;
-  case x86::InstrClass::Normal:
-    Flags |= FBody;
-    break;
-  default:
-    break;
-  }
+  // An invalid decode has class Invalid, whose class bits are 0.
+  Len = x86::decodeLenClass(Data + I, Size - I, DLen, Class) ? DLen : 0;
   // Whole-instruction NOP match, inlined from the Table 1 rows
   // (matchNopAt + nopInfo(Kind).Length == Len): the table is seven
-  // fixed 1-2 byte encodings with disjoint first bytes, and the call
-  // overhead is a third of the per-offset budget here.
-  if (Len == 1) {
-    if (Data[I] == 0x90)
-      Flags |= FNopDefault;
-  } else if (Len == 2) {
-    const uint8_t B0 = Data[I], B1 = Data[I + 1];
-    if ((B0 == 0x89 && (B1 == 0xE4 || B1 == 0xED)) ||
-        (B0 == 0x8D && (B1 == 0x36 || B1 == 0x3F)))
-      Flags |= FNopDefault;
-    else if (B0 == 0x87 && (B1 == 0xE4 || B1 == 0xED))
-      Flags |= FNopXchg;
-  }
+  // fixed 1-2 byte encodings with disjoint first bytes. B1 is only read
+  // past I when the instruction covers it.
+  const unsigned B0 = Data[I], B1 = Data[I + (Len >= 2)];
+  const unsigned Pair = B0 << 8 | B1;
+  const bool One = Len == 1, Two = Len == 2;
+  const bool NopDefault =
+      (One & (B0 == 0x90)) |
+      (Two & ((Pair == 0x89E4) | (Pair == 0x89ED) | (Pair == 0x8D36) |
+              (Pair == 0x8D3F)));
+  const bool NopXchg = Two & ((Pair == 0x87E4) | (Pair == 0x87ED));
+  Flags = static_cast<uint8_t>(ClassFlags[size_t(Class)] |
+                               (NopDefault ? FNopDefault : 0) |
+                               (NopXchg ? FNopXchg : 0));
 }
 
 /// True when a fact with \p Flags is removed by Section 5.2's NOP
@@ -150,10 +154,9 @@ inline bool isNormalizedNop(uint8_t Flags, const ScanOptions &Opts) {
          (Opts.IncludeXchgNops && (Flags & FNopXchg) != 0);
 }
 
-/// True when a fact with \p Flags ends a gadget under \p Opts.
-inline bool isTerminator(uint8_t Flags, const ScanOptions &Opts) {
-  return (Flags & FFree) != 0 ||
-         (Opts.IncludeSyscallGadgets && (Flags & FIntN) != 0);
+/// The FactFlags bits that end a gadget under \p Opts.
+inline uint8_t terminatorMask(const ScanOptions &Opts) {
+  return FFree | (Opts.IncludeSyscallGadgets ? FIntN : 0);
 }
 
 /// Records one ImageScan (re)build in the telemetry registry.
@@ -216,55 +219,61 @@ ImageScan::ImageScan(const std::vector<uint8_t> &Text,
 
 void ImageScan::fullScan() {
   const size_t Size = Bytes.size();
-  FactLen.assign(Size, 0);
-  FactFlags.assign(Size, 0);
-  SuffixInstrs.assign(Size, 0);
-  SuffixLen.assign(Size, 0);
-  decodeFacts(0, Size);
-  computeDP(0, Size);
+  FactLen.resize(Size);
+  FactFlags.resize(Size);
+  SuffixInstrs.resize(Size);
+  SuffixLen.resize(Size);
+  scanBackward(0, 0, Size);
   DecodedBytes = Size;
   LastIncremental = false;
   noteScan(/*Incremental=*/false, Size, Size);
 }
 
-void ImageScan::decodeFacts(size_t Begin, size_t End) {
-  for (size_t I = Begin; I < End; ++I)
-    factAt(Bytes.data(), Bytes.size(), I, FactLen[I], FactFlags[I]);
-}
-
-void ImageScan::computeDP(size_t Begin, size_t End) {
+void ImageScan::scanBackward(size_t DPBegin, size_t FactBegin, size_t End) {
+  // Raw pointers in locals: the uint8_t stores below may alias anything,
+  // which would otherwise reload every vector's data pointer per offset.
+  const uint8_t *Data = Bytes.data();
   const size_t Size = Bytes.size();
+  uint8_t *Lens = FactLen.data();
+  uint8_t *FlagsAt = FactFlags.data();
+  uint16_t *Instrs = SuffixInstrs.data();
+  uint32_t *Lengths = SuffixLen.data();
   // SuffixInstrs is uint16_t; windows beyond 65535 instructions would
-  // take hours under the reference oracle anyway.
+  // take hours under the reference oracle anyway. A zero window admits
+  // no gadget.
   const unsigned EffMax = std::min(Opts.MaxInstrs, 65535u);
-  for (size_t I = End; I-- > Begin;) {
-    uint16_t N = 0;
-    uint32_t B = 0;
-    const uint8_t Len = FactLen[I];
-    if (Len != 0 && EffMax != 0) {
-      const uint8_t Flags = FactFlags[I];
-      // Same precedence as the reference oracle: terminators first,
-      // then the usable-body continuation.
-      if (isTerminator(Flags, Opts)) {
-        N = 1;
-        B = Len;
-      } else if (Flags & FBody) {
-        const size_t Next = I + Len;
-        if (Next < Size) {
-          const uint16_t NextN = SuffixInstrs[Next];
-          // Extending a suffix of EffMax instructions would overflow
-          // the window; extending one of 0 means no terminator (or a
-          // disqualifier) lies within reach.
-          if (NextN != 0 && NextN < EffMax) {
-            N = static_cast<uint16_t>(NextN + 1);
-            B = SuffixLen[Next] + Len;
-          }
-        }
-      }
+  const uint8_t TermMask = EffMax == 0 ? 0 : terminatorMask(Opts);
+  // The DP entry at I from its fact: a pure function of the fact and the
+  // entry at I + Len, which the backward order has already made final.
+  // Same precedence as the reference oracle: terminators first, then the
+  // usable-body continuation. An invalid fact has no flags, so neither
+  // applies.
+  auto Step = [&](size_t I, uint8_t Len, uint8_t Flags) {
+    const size_t Next = I + Len;
+    uint16_t NextN = 0;
+    uint32_t NextB = 0;
+    if (Next < Size) {
+      NextN = Instrs[Next];
+      NextB = Lengths[Next];
     }
-    SuffixInstrs[I] = N;
-    SuffixLen[I] = B;
+    // Extending a suffix of EffMax instructions would overflow the
+    // window; extending one of 0 means no terminator (or a disqualifier)
+    // lies within reach.
+    const bool Term = (Flags & TermMask) != 0;
+    const bool Extend =
+        ((Flags & FBody) != 0) & (NextN != 0) & (NextN < EffMax);
+    Instrs[I] = static_cast<uint16_t>(Term ? 1 : Extend ? NextN + 1 : 0);
+    Lengths[I] = Term ? Len : Extend ? NextB + Len : 0;
+  };
+  for (size_t I = End; I-- > FactBegin;) {
+    uint8_t Len, Flags;
+    factAt(Data, Size, I, Len, Flags);
+    Lens[I] = Len;
+    FlagsAt[I] = Flags;
+    Step(I, Len, Flags);
   }
+  for (size_t I = FactBegin; I-- > DPBegin;)
+    Step(I, Lens[I], FlagsAt[I]);
 }
 
 void ImageScan::rescan(const uint8_t *NewText, size_t NewSize) {
@@ -310,8 +319,7 @@ void ImageScan::rescan(const uint8_t *NewText, size_t NewSize) {
   shiftTail(SuffixLen, OldSize, NewSize, FactHi);
   Bytes.assign(NewText, NewText + NewSize);
 
-  decodeFacts(FactLo, FactHi);
-  computeDP(DPLo, FactHi);
+  scanBackward(DPLo, FactLo, FactHi);
   DecodedBytes = FactHi - FactLo;
   LastIncremental = true;
   noteScan(/*Incremental=*/true, NewSize, DecodedBytes);
@@ -504,7 +512,8 @@ referenceGadgetHashes(const std::vector<uint8_t> &Text,
 /// A diversified image read through decode facts filled on first touch.
 /// Probe chains from neighbouring original-gadget offsets share most of
 /// their instructions, so each offset is decoded at most once however
-/// many chains cross it, and offsets no chain reaches are never decoded.
+/// many chains cross it, and offsets no chain reaches are never decoded;
+/// filled() counts the decoded ones.
 class LazyFacts {
 public:
   explicit LazyFacts(const std::vector<uint8_t> &Text)
@@ -514,6 +523,7 @@ public:
   /// none starts there. Walks the chain with decodeGadgetAt's rules,
   /// then hashes it as ImageScan::normalizedHashAt does.
   bool hashAt(uint32_t Offset, const ScanOptions &Opts, uint64_t &HashOut) {
+    const uint8_t TermMask = terminatorMask(Opts);
     size_t Pos = Offset;
     unsigned N = 0;
     for (;;) {
@@ -523,7 +533,7 @@ public:
       if (F.Len == 0)
         return false;
       ++N;
-      if (isTerminator(F.Flags, Opts))
+      if (F.Flags & TermMask)
         break;
       if ((F.Flags & FBody) == 0)
         return false; // direct control flow, privileged, syscall
@@ -541,6 +551,8 @@ public:
     return true;
   }
 
+  size_t filled() const { return Filled; }
+
 private:
   struct Fact {
     uint8_t Len = 0;
@@ -552,6 +564,7 @@ private:
     if ((F.Flags & FKnown) == 0) {
       factAt(Data, Size, I, F.Len, F.Flags);
       F.Flags |= FKnown;
+      ++Filled;
     }
     return F;
   }
@@ -559,6 +572,7 @@ private:
   const uint8_t *Data;
   size_t Size;
   std::vector<Fact> Facts;
+  size_t Filled = 0;
 };
 
 /// Survivor pass probing \p Diversified lazily: candidate matches sit at
@@ -578,6 +592,12 @@ probeSurvivors(const std::vector<SurvivingGadget> &OrigHashes,
     uint64_t HashB;
     if (Div.hashAt(G.Offset, Opts, HashB) && HashB == G.NormHash)
       Survivors.push_back(G);
+  }
+  // The probed image counts as scanned, and only its filled offsets as
+  // decoded, so gadget.bytes_decoded / bytes_scanned shows the saving.
+  if (obs::enabled()) {
+    obs::counterAdd("gadget.bytes_scanned", Diversified.size());
+    obs::counterAdd("gadget.bytes_decoded", Div.filled());
   }
   return Survivors;
 }

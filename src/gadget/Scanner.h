@@ -34,11 +34,11 @@
 ///   It is the executable specification, kept behind
 ///   ScanOptions::ForceReference and pinned by ScannerParityTest.
 ///
-/// * The *decode-once scanner* (ImageScan) decodes each offset exactly
-///   once into a flat side table of (length, class) facts, then a
-///   backward dynamic-programming pass computes the gadget suffix
-///   starting at every offset -- O(Size) decodes, byte-identical
-///   results. ImageScan additionally supports incremental rescans
+/// * The *decode-once scanner* (ImageScan) walks the image backward
+///   once, decoding each offset exactly once into a flat side table of
+///   (length, class) facts and, in the same step, computing by dynamic
+///   programming the gadget suffix starting there -- O(Size) decodes,
+///   byte-identical results. ImageScan additionally supports incremental rescans
 ///   (re-decode only the regions perturbed by a byte diff) and is
 ///   immutable after construction, so one original-image scan can be
 ///   shared read-only across worker threads.
@@ -105,8 +105,8 @@ struct SurvivingGadget {
 
 /// Decode-once gadget index over one .text image.
 ///
-/// Construction runs one linear decode pass (each offset decoded exactly
-/// once into a flat fact table) plus a backward DP pass, after which
+/// Construction runs one backward pass that decodes each offset exactly
+/// once into a flat fact table and fills its DP entry, after which
 /// every query -- gadget enumeration, per-offset instruction boundaries,
 /// normalized content hashes -- is answered without touching the decoder
 /// again. rescan() diffs the new image against the held bytes and
@@ -172,8 +172,10 @@ public:
 
 private:
   void fullScan();
-  void decodeFacts(size_t Begin, size_t End);
-  void computeDP(size_t Begin, size_t End);
+  /// One backward pass over [DPBegin, End): decodes the facts of
+  /// [FactBegin, End) and recomputes every DP entry (DPBegin <=
+  /// FactBegin <= End).
+  void scanBackward(size_t DPBegin, size_t FactBegin, size_t End);
 
   ScanOptions Opts;
   std::vector<uint8_t> Bytes;      ///< Held image (diff base + hashes).

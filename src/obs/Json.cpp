@@ -66,13 +66,6 @@ std::string obs::jsonNumber(double Value) {
   return normalizeDecimalPoint(Buf);
 }
 
-std::string obs::jsonNumber(double Value, int Decimals) {
-  Value = clampFinite(Value);
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%.*f", Decimals, Value);
-  return normalizeDecimalPoint(Buf);
-}
-
 std::string obs::jsonUInt(uint64_t Value) {
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "%llu",

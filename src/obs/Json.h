@@ -59,9 +59,6 @@ namespace obs {
 /// (NaN -> 0, +/-inf -> +/-DBL_MAX).
 std::string jsonNumber(double Value);
 
-/// Same, with fixed \p Decimals fraction digits (for stable bench rows).
-std::string jsonNumber(double Value, int Decimals);
-
 /// Formats an unsigned integer (always valid JSON).
 std::string jsonUInt(uint64_t Value);
 

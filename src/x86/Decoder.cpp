@@ -7,6 +7,7 @@
 
 #include "x86/Decoder.h"
 
+#include <algorithm>
 #include <array>
 
 using namespace pgsd;
@@ -284,7 +285,7 @@ constexpr OpTable TwoByteTable = buildTwoByteTable();
 constexpr size_t MaxInstrLen = 15;
 
 /// Returns true if \p Byte is a legacy prefix.
-bool isPrefixByte(uint8_t Byte) {
+constexpr bool isPrefixByte(uint8_t Byte) {
   switch (Byte) {
   case 0xF0: // LOCK
   case 0xF2: // REPNE
@@ -303,11 +304,9 @@ bool isPrefixByte(uint8_t Byte) {
   }
 }
 
-} // namespace
-
 /// Consumes the ModRM byte plus SIB and displacement; returns the number
 /// of bytes consumed, or 0 when truncated.
-static size_t modRMSize(const uint8_t *Bytes, size_t Size, bool Addr16) {
+constexpr size_t modRMSize(const uint8_t *Bytes, size_t Size, bool Addr16) {
   if (Size < 1)
     return 0;
   uint8_t ModRM = Bytes[0];
@@ -339,6 +338,204 @@ static size_t modRMSize(const uint8_t *Bytes, size_t Size, bool Addr16) {
   return Consumed <= Size ? Consumed : 0;
 }
 
+/// Immediate, displacement and far-pointer bytes an entry with \p Flags
+/// takes under the given operand and address sizes.
+constexpr size_t immBytes(uint8_t Flags, bool Op16, bool Addr16) {
+  size_t Bytes = 0;
+  if (Flags & FImm8)
+    Bytes += 1;
+  if (Flags & FImm16)
+    Bytes += 2;
+  if (Flags & FImmZ)
+    Bytes += Op16 ? 2 : 4;
+  if (Flags & FRel8)
+    Bytes += 1;
+  if (Flags & FRelZ)
+    Bytes += Op16 ? 2 : 4;
+  if (Flags & FMoffs)
+    Bytes += Addr16 ? 2 : 4;
+  if (Flags & FFarPtr)
+    Bytes += (Op16 ? 2 : 4) + 2;
+  return Bytes;
+}
+
+using detail::FastRefine;
+
+/// Per-ModRM refinements of groups and special cases: the class of
+/// opcode \p Op (from the 0F map when \p TwoByte) with table class
+/// \p Class once its /reg field and register form are known, and the
+/// immediate bytes the refinement adds. decodeImpl applies this per
+/// decode and buildFastTables compiles it into rows, so the rules live
+/// here only.
+constexpr FastRefine refine(bool TwoByte, uint8_t Op, uint8_t ModRM,
+                            bool Op16, InstrClass Class) {
+  const uint8_t ModField = ModRM >> 6;
+  const uint8_t RegField = (ModRM >> 3) & 7;
+  FastRefine R{Class, 0};
+  if (!TwoByte) {
+    switch (Op) {
+    case 0x62: // BOUND: register form undefined
+    case 0xC4: // LES: register form undefined
+    case 0xC5: // LDS: register form undefined
+    case 0x8D: // LEA: register form undefined
+      if (ModField == 3)
+        R.Class = InstrClass::Invalid;
+      break;
+    case 0x8E: // MOV sreg, rm: loading CS is undefined
+      if (RegField == 1)
+        R.Class = InstrClass::Invalid;
+      break;
+    case 0x8F: // POP rm: only /0 defined
+      if (RegField != 0)
+        R.Class = InstrClass::Invalid;
+      break;
+    case 0xC6:
+    case 0xC7: // MOV rm, imm: only /0 defined
+      if (RegField != 0)
+        R.Class = InstrClass::Invalid;
+      break;
+    case 0xF6: // group 3 rm8: /0,/1 TEST take imm8
+    case 0xF7: // group 3 rm32: /0,/1 TEST take immZ
+      if (RegField <= 1)
+        R.ExtraImm = Op == 0xF6 ? 1 : (Op16 ? 2 : 4);
+      break;
+    case 0xFE: // group 4: only INC/DEC rm8
+      if (RegField > 1)
+        R.Class = InstrClass::Invalid;
+      break;
+    case 0xFF: // group 5
+      switch (RegField) {
+      case 0:
+      case 1: // INC/DEC rm32
+        break;
+      case 2: // CALL rm32
+        R.Class = InstrClass::CallInd;
+        break;
+      case 3: // CALL far m16:32 (memory only)
+        R.Class = ModField == 3 ? InstrClass::Invalid : InstrClass::CallInd;
+        break;
+      case 4: // JMP rm32
+        R.Class = InstrClass::JmpInd;
+        break;
+      case 5: // JMP far m16:32 (memory only)
+        R.Class = ModField == 3 ? InstrClass::Invalid : InstrClass::JmpInd;
+        break;
+      case 6: // PUSH rm32
+        break;
+      default: // /7 undefined
+        R.Class = InstrClass::Invalid;
+        break;
+      }
+      break;
+    default:
+      break;
+    }
+  } else {
+    switch (Op) {
+    case 0xB2: // LSS
+    case 0xB4: // LFS
+    case 0xB5: // LGS: register forms undefined
+      if (ModField == 3)
+        R.Class = InstrClass::Invalid;
+      break;
+    case 0xC7: // group 9: only CMPXCHG8B m64 (/1, memory)
+      if (RegField != 1 || ModField == 3)
+        R.Class = InstrClass::Invalid;
+      break;
+    default:
+      break;
+    }
+  }
+  return R;
+}
+
+/// True when two group rows refine every mod and /reg alike.
+constexpr bool sameRow(const FastRefine (&A)[32], const FastRefine (&B)[32]) {
+  for (unsigned I = 0; I != 32; ++I)
+    if (A[I].Class != B[I].Class || A[I].ExtraImm != B[I].ExtraImm)
+      return false;
+  return true;
+}
+
+/// Compiles the opcode map into decodeLenClass's fast-path tables, for
+/// inputs with no prefix (32-bit operand and address size) and enough
+/// bytes that nothing is truncated. Each opcode's 32 classes by mod and
+/// /reg (refined for ModRM opcodes, its table class repeated otherwise)
+/// become a row; equal rows are shared, and constant evaluation rejects
+/// more than MaxFastGroups of them.
+constexpr detail::FastTables buildFastTables() {
+  using namespace detail;
+  FastTables T{};
+  for (unsigned SibBase5 = 0; SibBase5 != 2; ++SibBase5)
+    for (unsigned M = 0; M != 256; ++M) {
+      const uint8_t Buf[MaxInstrLen] = {static_cast<uint8_t>(M),
+                                        static_cast<uint8_t>(SibBase5 * 5)};
+      T.ModRMLen[SibBase5][M] =
+          static_cast<uint8_t>(modRMSize(Buf, MaxInstrLen, false));
+    }
+  unsigned NumGroups = 0;
+  for (unsigned I = 0; I != 512; ++I) {
+    const bool TwoByte = I >= 256;
+    const uint8_t Op = static_cast<uint8_t>(I);
+    if ((!TwoByte && (Op == 0x0F || isPrefixByte(Op))) ||
+        (TwoByte && (Op == 0x38 || Op == 0x3A)))
+      continue; // Fixed = 0: the escape, or the general decoder
+    const OpInfo &Info = TwoByte ? TwoByteTable[Op] : OneByteTable[Op];
+    const bool HasModRM = (Info.Flags & FModRM) != 0;
+    FastOp &F = T.Ops[I];
+    F.Fixed = static_cast<uint8_t>((TwoByte ? 2 : 1) +
+                                   immBytes(Info.Flags, false, false));
+    F.ModRMSel = HasModRM ? 0 : 2;
+    FastRefine Row[32] = {};
+    for (unsigned R = 0; R != 32; ++R)
+      Row[R] = HasModRM ? refine(TwoByte, Op, static_cast<uint8_t>(R << 3),
+                                 false, Info.Class)
+                        : FastRefine{Info.Class, 0};
+    unsigned G = 0;
+    while (G != NumGroups && !sameRow(T.Groups[G], Row))
+      ++G;
+    if (G == NumGroups) {
+      for (unsigned R = 0; R != 32; ++R)
+        T.Groups[G][R] = Row[R];
+      ++NumGroups;
+    }
+    F.Group = static_cast<uint8_t>(G);
+  }
+  return T;
+}
+
+} // namespace
+
+constexpr detail::FastTables detail::Fast = buildFastTables();
+
+namespace {
+
+/// Longest instruction the fast path can report.
+constexpr unsigned maxFastLength() {
+  using namespace detail;
+  unsigned Max = 0;
+  for (const FastOp &F : Fast.Ops) {
+    unsigned ModRMMax = 0, ExtraMax = 0;
+    for (const auto &Row : {Fast.ModRMLen[F.ModRMSel],
+                            Fast.ModRMLen[F.ModRMSel + 1]})
+      for (unsigned M = 0; M != 256; ++M)
+        ModRMMax = std::max<unsigned>(ModRMMax, Row[M]);
+    for (const FastRefine &R : Fast.Groups[F.Group])
+      ExtraMax = std::max<unsigned>(ExtraMax, R.ExtraImm);
+    Max = std::max(Max, F.Fixed + ModRMMax + ExtraMax);
+  }
+  return Max;
+}
+
+// With at least FastMinBytes bytes and no prefix, decodeImpl can neither
+// run out of input nor exceed the architectural limit, so the fast path
+// needs no bounds checks.
+static_assert(maxFastLength() <= detail::FastMinBytes &&
+                  detail::FastMinBytes <= MaxInstrLen,
+              "fast-path instructions must fit the bytes it requires");
+
+} // namespace
+
 static int64_t readImm(const uint8_t *Bytes, size_t Width) {
   uint32_t Value = 0;
   for (size_t I = 0; I < Width; ++I)
@@ -355,11 +552,12 @@ static int64_t readImm(const uint8_t *Bytes, size_t Width) {
 
 /// Shared decode body. \p WantFields selects between the full decode
 /// (operand fields materialized into \p Out) and the length/class-only
-/// variant used by the bulk gadget scan, which skips every write and
+/// variant behind decodeLenClass's fallback, which skips every write and
 /// immediate read that does not affect (valid, Length, Class). The two
 /// instantiations share all length and classification logic by
-/// construction; DecoderTest and ScannerParityTest additionally pin
-/// them equal over random byte streams.
+/// construction; the fast path's tables are compiled from the same
+/// helpers (immBytes, modRMSize, refine), and DecoderTest pins it equal
+/// to decodeInstr over every 3-byte prefix.
 template <bool WantFields>
 static bool decodeImpl(const uint8_t *Bytes, size_t Size, Decoded &Out) {
   if constexpr (WantFields)
@@ -452,25 +650,9 @@ static bool decodeImpl(const uint8_t *Bytes, size_t Size, Decoded &Out) {
     }
     Pos += MSize;
   }
-  const uint8_t ModField = ModRM >> 6;
-  const uint8_t RegField = (ModRM >> 3) & 7;
 
   // Immediates / displacements.
-  size_t ImmBytes = 0;
-  if (Info->Flags & FImm8)
-    ImmBytes += 1;
-  if (Info->Flags & FImm16)
-    ImmBytes += 2;
-  if (Info->Flags & FImmZ)
-    ImmBytes += Op16 ? 2 : 4;
-  if (Info->Flags & FRel8)
-    ImmBytes += 1;
-  if (Info->Flags & FRelZ)
-    ImmBytes += Op16 ? 2 : 4;
-  if (Info->Flags & FMoffs)
-    ImmBytes += Addr16 ? 2 : 4;
-  if (Info->Flags & FFarPtr)
-    ImmBytes += (Op16 ? 2 : 4) + 2;
+  const size_t ImmBytes = immBytes(Info->Flags, Op16, Addr16);
   if (Pos + ImmBytes > Size) {
     Out.Class = InstrClass::Invalid;
     return false;
@@ -498,91 +680,19 @@ static bool decodeImpl(const uint8_t *Bytes, size_t Size, Decoded &Out) {
   Out.Length = static_cast<uint8_t>(Pos);
 
   // Per-ModRM refinements of groups and special cases.
-  if (!TwoByte) {
-    switch (Op) {
-    case 0x62: // BOUND: register form undefined
-    case 0xC4: // LES: register form undefined
-    case 0xC5: // LDS: register form undefined
-    case 0x8D: // LEA: register form undefined
-      if (ModField == 3)
-        Out.Class = InstrClass::Invalid;
-      break;
-    case 0x8E: // MOV sreg, rm: loading CS is undefined
-      if (RegField == 1)
-        Out.Class = InstrClass::Invalid;
-      break;
-    case 0x8F: // POP rm: only /0 defined
-      if (RegField != 0)
-        Out.Class = InstrClass::Invalid;
-      break;
-    case 0xC6:
-    case 0xC7: // MOV rm, imm: only /0 defined
-      if (RegField != 0)
-        Out.Class = InstrClass::Invalid;
-      break;
-    case 0xF6: // group 3 rm8: /0,/1 TEST take imm8
-    case 0xF7: // group 3 rm32: /0,/1 TEST take immZ
-      if (RegField <= 1) {
-        size_t W = Op == 0xF6 ? 1 : (Op16 ? 2 : 4);
-        if (Out.Length + W > Size || Out.Length + W > MaxInstrLen) {
-          Out.Class = InstrClass::Invalid;
-          return false;
-        }
-        if constexpr (WantFields) {
-          Out.HasImm = true;
-          Out.Imm = readImm(Bytes + Out.Length, W);
-        }
-        Out.Length = static_cast<uint8_t>(Out.Length + W);
-      }
-      break;
-    case 0xFE: // group 4: only INC/DEC rm8
-      if (RegField > 1)
-        Out.Class = InstrClass::Invalid;
-      break;
-    case 0xFF: // group 5
-      switch (RegField) {
-      case 0:
-      case 1: // INC/DEC rm32
-        break;
-      case 2: // CALL rm32
-        Out.Class = InstrClass::CallInd;
-        break;
-      case 3: // CALL far m16:32 (memory only)
-        Out.Class =
-            ModField == 3 ? InstrClass::Invalid : InstrClass::CallInd;
-        break;
-      case 4: // JMP rm32
-        Out.Class = InstrClass::JmpInd;
-        break;
-      case 5: // JMP far m16:32 (memory only)
-        Out.Class =
-            ModField == 3 ? InstrClass::Invalid : InstrClass::JmpInd;
-        break;
-      case 6: // PUSH rm32
-        break;
-      default: // /7 undefined
-        Out.Class = InstrClass::Invalid;
-        break;
-      }
-      break;
-    default:
-      break;
+  const FastRefine R = refine(TwoByte, Op, ModRM, Op16, Out.Class);
+  Out.Class = R.Class;
+  if (R.ExtraImm != 0) {
+    const size_t W = R.ExtraImm;
+    if (Out.Length + W > Size || Out.Length + W > MaxInstrLen) {
+      Out.Class = InstrClass::Invalid;
+      return false;
     }
-  } else {
-    switch (Op) {
-    case 0xB2: // LSS
-    case 0xB4: // LFS
-    case 0xB5: // LGS: register forms undefined
-      if (ModField == 3)
-        Out.Class = InstrClass::Invalid;
-      break;
-    case 0xC7: // group 9: only CMPXCHG8B m64 (/1, memory)
-      if (RegField != 1 || ModField == 3)
-        Out.Class = InstrClass::Invalid;
-      break;
-    default:
-      break;
+    if constexpr (WantFields) {
+      Out.HasImm = true;
+      Out.Imm = readImm(Bytes + Out.Length, W);
     }
+    Out.Length = static_cast<uint8_t>(Out.Length + W);
   }
 
   return Out.Class != InstrClass::Invalid;
@@ -592,8 +702,9 @@ bool x86::decodeInstr(const uint8_t *Bytes, size_t Size, Decoded &Out) {
   return decodeImpl<true>(Bytes, Size, Out);
 }
 
-bool x86::decodeLenClass(const uint8_t *Bytes, size_t Size,
-                         uint8_t &LengthOut, InstrClass &ClassOut) {
+bool x86::detail::decodeLenClassSlow(const uint8_t *Bytes, size_t Size,
+                                     uint8_t &LengthOut,
+                                     InstrClass &ClassOut) {
   Decoded Scratch;
   bool Ok = decodeImpl<false>(Bytes, Size, Scratch);
   LengthOut = Scratch.Length;

@@ -75,7 +75,7 @@ struct Decoded {
 
   /// True for the "free branch" kinds the paper's scanner accepts as
   /// gadget terminators: "returns, indirect calls, or jumps".
-  bool isFreeBranch() const {
+  constexpr bool isFreeBranch() const {
     return Class == InstrClass::Ret || Class == InstrClass::RetImm ||
            Class == InstrClass::RetFar || Class == InstrClass::CallInd ||
            Class == InstrClass::JmpInd;
@@ -104,7 +104,7 @@ struct Decoded {
   }
 
   /// True when the instruction can appear inside a usable gadget body.
-  bool isUsableBody() const { return Class == InstrClass::Normal; }
+  constexpr bool isUsableBody() const { return Class == InstrClass::Normal; }
 };
 
 /// Decodes the instruction starting at \p Bytes (at most \p Size bytes).
@@ -114,14 +114,88 @@ struct Decoded {
 /// still filled with Class == Invalid in that case.
 bool decodeInstr(const uint8_t *Bytes, size_t Size, Decoded &Out);
 
-/// Length/class-only decode for bulk scanning: same (valid, length,
-/// class) verdict as decodeInstr for every byte string -- both compile
-/// from one shared template -- but skips materializing operand fields
-/// and immediate values. The gadget scanner's fact pass calls this once
-/// per image offset, where the skipped work is a measurable fraction of
-/// the whole scan.
-bool decodeLenClass(const uint8_t *Bytes, size_t Size, uint8_t &LengthOut,
-                    InstrClass &ClassOut);
+namespace detail {
+
+// Tables behind decodeLenClass's fast path. Decoder.cpp derives every
+// entry at compile time from the one opcode map (its OneByteTable and
+// TwoByteTable) and from the ModRM sizing and group-refinement rules
+// decodeInstr itself runs, so they are a compiled form of that map, not
+// a second one.
+
+/// One opcode's descriptor, for 32-bit operand and address size.
+struct FastOp {
+  /// Opcode plus immediate bytes; 0 sends the input to the general
+  /// decoder (legacy prefixes, 0F 38, 0F 3A; 0F itself is the escape).
+  uint8_t Fixed = 0;
+  /// First FastTables::ModRMLen row: 0 with a ModRM byte, 2 (zeros)
+  /// without one.
+  uint8_t ModRMSel = 0;
+  /// FastTables::Groups row: the opcode's refinements by mod and /reg,
+  /// or a row repeating its table class when it has none.
+  uint8_t Group = 0;
+};
+
+/// One cell of a group row: the class after the /reg and register-form
+/// rules, and the immediate bytes they add (group 3's TEST).
+struct FastRefine {
+  InstrClass Class = InstrClass::Invalid;
+  uint8_t ExtraImm = 0;
+};
+
+/// Distinct group rows the builder may produce (checked statically).
+constexpr unsigned MaxFastGroups = 32;
+
+struct FastTables {
+  /// [0, 256): one-byte map; [256, 512): the 0F map.
+  FastOp Ops[512];
+  /// ModRM + SIB + displacement bytes, indexed by [FastOp::ModRMSel +
+  /// (SIB base == 5)][ModRM]: row 1 adds the disp32 of a no-base SIB;
+  /// rows 2 and 3 are zero, for opcodes without ModRM.
+  uint8_t ModRMLen[4][256];
+  /// Indexed by [FastOp::Group][ModRM >> 3], i.e. by mod and /reg.
+  FastRefine Groups[MaxFastGroups][32];
+};
+
+extern const FastTables Fast;
+
+/// Fewest bytes the fast path needs: with no prefix and 32-bit sizes no
+/// instruction is longer, so nothing it decodes can be truncated.
+constexpr size_t FastMinBytes = 15;
+
+/// The general decoder's length/class entry (decodeInstr's template).
+bool decodeLenClassSlow(const uint8_t *Bytes, size_t Size,
+                        uint8_t &LengthOut, InstrClass &ClassOut);
+
+} // namespace detail
+
+/// Length/class-only decode for bulk scanning: the same (valid, Length,
+/// Class) triple as decodeInstr for every byte string, without operand
+/// fields or immediate values. Inputs with no legacy prefix, no 0F 38 /
+/// 0F 3A escape and at least 15 bytes take three table lookups in
+/// detail::Fast and no branch on the bytes beyond that test; every
+/// other input runs decodeInstr's own template. DecoderTest pins the
+/// two equal over every 3-byte prefix. Inline so the gadget scanner,
+/// which calls it once per image offset, pays no call on the fast path.
+inline bool decodeLenClass(const uint8_t *Bytes, size_t Size,
+                           uint8_t &LengthOut, InstrClass &ClassOut) {
+  using namespace detail;
+  if (Size >= FastMinBytes) {
+    const unsigned Escape = Bytes[0] == 0x0F;
+    const FastOp &Op = Fast.Ops[Escape ? 256 + Bytes[1] : Bytes[0]];
+    if (Op.Fixed != 0) {
+      // Opcodes without ModRM read the next bytes too, into zero
+      // lengths and their class's identity row.
+      const uint8_t *ModRM = Bytes + 1 + Escape;
+      const FastRefine &R = Fast.Groups[Op.Group][ModRM[0] >> 3];
+      LengthOut = static_cast<uint8_t>(
+          Op.Fixed + R.ExtraImm +
+          Fast.ModRMLen[Op.ModRMSel + ((ModRM[1] & 7) == 5)][ModRM[0]]);
+      ClassOut = R.Class;
+      return R.Class != InstrClass::Invalid;
+    }
+  }
+  return decodeLenClassSlow(Bytes, Size, LengthOut, ClassOut);
+}
 
 } // namespace x86
 } // namespace pgsd

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 using namespace pgsd;
@@ -279,3 +281,60 @@ TEST_P(DecoderFuzzTest, ArbitraryBytesNeverMisbehave) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecoderFuzzTest,
                          ::testing::Range<uint64_t>(0, 8));
+
+/// decodeLenClass against decodeInstr on every 3-byte prefix (opcode,
+/// ModRM and SIB of a one-byte instruction; 0F, opcode and ModRM of a
+/// two-byte one), each followed by two fixed random tails: the (valid,
+/// Length, Class) triples must be equal, Length included on invalid
+/// decodes. The tails' first bytes differ in SIB base (5 or not), so
+/// the two-byte map's SIB forms are covered both ways. A sample of the
+/// prefixes is also cut to every length from 1 to 15, where the fast
+/// path hands over to the general decoder.
+TEST(Decoder, LenClassMatchesDecodeInstrOnEveryThreeBytePrefix) {
+  constexpr size_t TailBytes = 16;
+  Rng R(0x5EEDF00D);
+  uint8_t Tails[2][TailBytes];
+  for (auto &Tail : Tails)
+    for (uint8_t &B : Tail)
+      B = static_cast<uint8_t>(R.next());
+  Tails[0][0] = static_cast<uint8_t>((Tails[0][0] & ~7u) | 5u);
+  Tails[1][0] = static_cast<uint8_t>((Tails[1][0] & ~7u) | 4u);
+
+  uint8_t Buf[3 + TailBytes];
+  unsigned Failures = 0;
+  auto Check = [&](size_t Size) {
+    Decoded D;
+    const bool FullOk = decodeInstr(Buf, Size, D);
+    uint8_t Len = 0;
+    InstrClass Class = InstrClass::Invalid;
+    const bool LeanOk = decodeLenClass(Buf, Size, Len, Class);
+    if (LeanOk == FullOk && Len == D.Length && Class == D.Class)
+      return;
+    if (++Failures > 10)
+      return;
+    std::string Hex;
+    for (size_t I = 0; I != Size; ++I) {
+      static const char Digits[] = "0123456789ABCDEF";
+      Hex += Digits[Buf[I] >> 4];
+      Hex += Digits[Buf[I] & 15];
+      Hex += ' ';
+    }
+    ADD_FAILURE() << "bytes " << Hex << "(size " << Size << "): decodeInstr ("
+                  << FullOk << ", " << int(D.Length) << ", "
+                  << int(D.Class) << ") vs decodeLenClass (" << LeanOk
+                  << ", " << int(Len) << ", " << int(Class) << ")";
+  };
+  for (const auto &Tail : Tails) {
+    std::copy(Tail, Tail + TailBytes, Buf + 3);
+    for (uint32_t P = 0; P != 1u << 24; ++P) {
+      Buf[0] = static_cast<uint8_t>(P >> 16);
+      Buf[1] = static_cast<uint8_t>(P >> 8);
+      Buf[2] = static_cast<uint8_t>(P);
+      Check(sizeof(Buf));
+      if (P % 4099 == 0)
+        for (size_t Size = 1; Size <= 15; ++Size)
+          Check(Size);
+    }
+  }
+  EXPECT_EQ(Failures, 0u);
+}

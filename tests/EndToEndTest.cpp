@@ -22,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 using namespace pgsd;
 using namespace pgsd::experiments;
@@ -162,4 +164,27 @@ TEST(Experiments, RowsIndependentOfWorkerCount) {
   EXPECT_EQ(figure4(Suite, 2, 1), figure4(Suite, 2, 4));
   EXPECT_EQ(table2(Suite, 2, 1), table2(Suite, 2, 4));
   EXPECT_EQ(table3(Suite, 2, Thresholds, 1), table3(Suite, 2, Thresholds, 4));
+}
+
+TEST(Experiments, FailureNamesFirstFailingWorkloadInSuiteOrder) {
+  // Two workloads fail to compile. The first takes longer to fail (a
+  // large body before its syntax error), so with four workers the
+  // second usually fails first in time; the error must still name the
+  // first in suite order, on every run.
+  workloads::Workload SlowBad = benchWorkload();
+  SlowBad.Name = "slow-bad";
+  SlowBad.Source += "\nfn broken( {\n";
+  workloads::Workload FastBad;
+  FastBad.Name = "fast-bad";
+  FastBad.Source = "fn main( {";
+  const std::vector<workloads::Workload> Suite = {SlowBad, FastBad};
+  for (unsigned Run = 0; Run != 20; ++Run) {
+    try {
+      (void)table2(Suite, 1, 4);
+      ADD_FAILURE() << "run " << Run << ": no error";
+    } catch (const std::runtime_error &E) {
+      EXPECT_EQ(std::string(E.what()).rfind("slow-bad:", 0), 0u)
+          << "run " << Run << ": " << E.what();
+    }
+  }
 }

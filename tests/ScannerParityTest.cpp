@@ -28,6 +28,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
+#include "obs/Metrics.h"
 #include "gadget/Scanner.h"
 #include "support/Rng.h"
 #include "workloads/Workloads.h"
@@ -597,4 +598,42 @@ TEST(ScannerParity, OptionMatrixOnStub) {
       }
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Telemetry: the lazy Survivor probe reports what it decoded
+//===----------------------------------------------------------------------===//
+
+TEST(ScannerParity, ProbeSweepReportsDecodedBelowScanned) {
+  // The default Survivor sweep scans the original in full and probes
+  // each version lazily: every probed image counts as scanned, but only
+  // the offsets the probe filled count as decoded, whatever Jobs is.
+  const workloads::Workload &W = workloads::specWorkload("401.bzip2");
+  driver::Program P = driver::compileProgram(W.Source, W.Name);
+  ASSERT_TRUE(P.ok());
+  const std::vector<uint8_t> Base = driver::linkBaseline(P).Text;
+  std::vector<std::vector<uint8_t>> Versions;
+  uint64_t VersionBytes = 0;
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
+    Versions.push_back(variantText(P, diversity::TransformKind::Nop, Seed));
+    VersionBytes += Versions.back().size();
+  }
+  std::map<unsigned, std::pair<uint64_t, uint64_t>> ByJobs;
+  for (unsigned Jobs : {1u, 2u}) {
+    obs::Registry::global().reset();
+    obs::setEnabled(true);
+    ScanOptions Opts;
+    Opts.Jobs = Jobs;
+    gadget::survivingGadgetsMulti(Base, Versions, Opts);
+    obs::setEnabled(false);
+    const obs::LocalMetrics Snap = obs::Registry::global().snapshot();
+    obs::Registry::global().reset();
+    const uint64_t Scanned = Snap.Counters.at("gadget.bytes_scanned");
+    const uint64_t Decoded = Snap.Counters.at("gadget.bytes_decoded");
+    EXPECT_EQ(Scanned, Base.size() + VersionBytes) << "jobs " << Jobs;
+    EXPECT_GT(Decoded, Base.size()) << "jobs " << Jobs;
+    EXPECT_LT(Decoded, Scanned) << "jobs " << Jobs;
+    ByJobs[Jobs] = {Scanned, Decoded};
+  }
+  EXPECT_EQ(ByJobs[1], ByJobs[2]);
 }
