@@ -39,7 +39,8 @@ BatchResult driver::makeVariantsBatch(const Program &P,
   // one shared read-only cache runs the baseline once per input for the
   // whole batch instead of once per variant attempt, and the process-wide
   // battery memo lets a later batch of the same program recall the whole
-  // battery instead of running it again. Entries fill under per-entry
+  // battery instead of running it again. Nothing runs, compiles or is
+  // looked up until a variant actually executes. Entries fill under per-entry
   // once_flags, so sharing the cache across workers is race-free and --
   // because each baseline run is a pure function of (baseline, input) --
   // does not disturb the Jobs-independence determinism contract.
@@ -97,6 +98,7 @@ BatchResult driver::makeVariantsBatch(const Program &P,
   R.BaselineCacheHits = Cache.hits();
   R.BaselineCacheFills = Cache.fills();
   R.BaselineCacheReused = Cache.reused();
+  R.DiffIdentical = Cache.identical();
 
   R.WallSeconds =
       support::elapsedSeconds(WallStart, support::monotonicSeconds());
@@ -133,6 +135,7 @@ BatchResult driver::makeVariantsBatch(const Program &P,
     obs::counterAdd("verify.baseline_cache.hits", R.BaselineCacheHits);
     obs::counterAdd("verify.baseline_cache.fills", R.BaselineCacheFills);
     obs::counterAdd("verify.baseline_cache.reused", R.BaselineCacheReused);
+    obs::counterAdd("verify.diff_identical", R.DiffIdentical);
     obs::gaugeSet("batch.jobs", R.Jobs);
     obs::gaugeSet("batch.wall_seconds", R.WallSeconds);
     obs::gaugeSet("batch.cpu_seconds", R.CpuSeconds);

@@ -67,14 +67,20 @@ struct BatchResult {
   /// Baseline differential runs served from the shared
   /// verify::BaselineCache (vs. computed). Across a healthy batch,
   /// Fills stays at most battery-size while Hits grows with
-  /// seeds x inputs: the baseline executes once per input, not once per
-  /// variant attempt.
+  /// executed attempts x inputs: the baseline executes once per input,
+  /// not once per variant attempt.
   uint64_t BaselineCacheHits = 0;
   uint64_t BaselineCacheFills = 0;
   /// Battery entries recalled from the process-wide baseline memo: the
-  /// battery size when an earlier call already ran this program's
-  /// complete battery (then Fills is 0), else 0.
+  /// battery size when a variant executed and an earlier call had
+  /// already run this program's complete battery (then Fills is 0),
+  /// else 0.
   uint64_t BaselineCacheReused = 0;
+  /// Attempts whose differential execution mir::equalModuloNops settled
+  /// without running (every NOP-only variant). They consult no cache
+  /// entry, so Hits + Fills == (attempts reaching differential
+  /// execution - DiffIdentical) x battery size.
+  uint64_t DiffIdentical = 0;
   /// Worker exceptions the pool dropped because another task's exception
   /// was already pending rethrow: wait() surfaces only the first, so a
   /// nonzero count here is the only trace that *more than one* seed's

@@ -139,11 +139,17 @@ driver::makeVariantVerified(const Program &P,
   // wider-scoped one). The battery memo carries it across calls, so
   // repeated calls for one program run its baseline battery once.
   std::optional<verify::BaselineCache> LocalCache;
-  if (!Effective.Cache) {
+  if (!Effective.Cache)
     Effective.Cache = &LocalCache.emplace(
         P.MIR, Effective, verify::BaselineCache::Memo::Shared);
+  // A local cache's accounting is final once the attempts are done; a
+  // caller's cache is exported by the caller.
+  auto ExportLocalCache = [&] {
+    if (!LocalCache)
+      return;
     obs::counterAdd("verify.baseline_cache.reused", LocalCache->reused());
-  }
+    obs::counterAdd("verify.diff_identical", LocalCache->identical());
+  };
   // One schedule object walks the attempt seeds; with the default
   // SeedStride of 0 this reproduces the historical
   // deriveRetrySeed(Seed, Attempt) sequence exactly.
@@ -167,6 +173,7 @@ driver::makeVariantVerified(const Program &P,
       Out.V = std::move(V);
       Out.SeedUsed = S;
       obs::counterAdd("verify.accepted");
+      ExportLocalCache();
       return Out;
     }
     obs::counterAdd("verify.rejected_attempts");
@@ -181,6 +188,7 @@ driver::makeVariantVerified(const Program &P,
   // Every attempt failed: degrade to the undiversified baseline image
   // rather than shipping an unverified variant or nothing at all.
   obs::counterAdd("verify.fallbacks");
+  ExportLocalCache();
   Out.UsedFallback = true;
   Out.SeedUsed = Seed;
   Out.V.MIR = P.MIR;

@@ -170,6 +170,22 @@ std::string print(const MModule &M);
 /// ranges, SETcc/MOVZX subregister constraints, and frame-slot alignment.
 std::string verify(const MModule &M);
 
+/// True when \p Variant is \p Baseline plus NOPs, as NOP insertion
+/// builds it:
+///  * with every MOp::Nop deleted from both, the modules are equal in
+///    every field print() shows that execution reads -- entry function,
+///    counter count, global sizes and initializers, per-function params,
+///    frame shape, value-slot floor and callee-saved flags, and every
+///    field of every other instruction. Names and ProfileCount are not
+///    compared: no engine reads them;
+///  * every NOP of the variant is immediately followed by a non-NOP
+///    instruction of its own block, so no block holds more NOPs than
+///    other instructions.
+/// Both engines only charge cycles and count a step for a NOP, so the
+/// two modules then trap, print, checksum and exit alike on every input,
+/// and the variant's steps are at most twice the baseline's plus one.
+bool equalModuloNops(const MModule &Baseline, const MModule &Variant);
+
 } // namespace mir
 } // namespace pgsd
 

@@ -207,6 +207,7 @@ ServeResult serve::serveVariants(const driver::Program &P,
       support::elapsedSeconds(WallStart, support::monotonicSeconds());
   R.BaselineCacheHits = Cache.hits();
   R.BaselineCacheFills = Cache.fills();
+  R.DiffIdentical = Cache.identical();
   R.StoreCorrupt = Store.corruptions();
 
   std::vector<double> ServedLatencies;
@@ -254,6 +255,7 @@ ServeResult serve::serveVariants(const driver::Program &P,
     obs::counterAdd("serve.baseline_prewarmed", R.BaselinePrewarmed);
     obs::counterAdd("verify.baseline_cache.hits", R.BaselineCacheHits);
     obs::counterAdd("verify.baseline_cache.fills", R.BaselineCacheFills);
+    obs::counterAdd("verify.diff_identical", R.DiffIdentical);
     obs::gaugeSet("serve.jobs", R.Jobs);
     obs::gaugeSet("serve.queue_capacity", R.QueueCapacity);
     obs::gaugeSet("serve.queue_peak_depth", R.QueuePeakDepth);

@@ -113,6 +113,9 @@ struct ServeResult {
   uint64_t BaselinePrewarmed = 0; ///< Cache entries restored from disk.
   uint64_t BaselineCacheHits = 0;
   uint64_t BaselineCacheFills = 0;
+  /// Fill attempts settled by mir::equalModuloNops without executing
+  /// (every attempt of the default {nop} pipeline).
+  uint64_t DiffIdentical = 0;
   unsigned Jobs = 0;
   unsigned QueueCapacity = 0;
   unsigned QueuePeakDepth = 0;

@@ -8,6 +8,7 @@
 #include "verify/BaselineCache.h"
 
 #include "analysis/Analysis.h"
+#include "obs/Metrics.h"
 
 #include <cassert>
 #include <deque>
@@ -22,13 +23,6 @@ struct BaselineCache::Entry {
   /// Release-published after the once body ran, so peek() can observe a
   /// completed Result without touching the once_flag.
   std::atomic<bool> Filled{false};
-};
-
-/// One complete battery as the memo stores it, with the baseline's
-/// liveness verdict beside it.
-struct BaselineCache::Stored {
-  std::vector<mexec::RunResult> Runs;
-  bool LivenessProved = false;
 };
 
 namespace {
@@ -102,39 +96,56 @@ void verify::appendBatteryMaterial(
 
 BaselineCache::BaselineCache(const mir::MModule &BaselineMod,
                              const VerifyOptions &Opts, Memo M)
-    : Baseline(&BaselineMod), MaxSteps(Opts.MaxSteps), Engine(Opts.Engine) {
+    : Baseline(&BaselineMod), MaxSteps(Opts.MaxSteps), Engine(Opts.Engine),
+      Mode(M) {
   Battery = Opts.InputBattery.empty() ? defaultInputBattery()
                                       : Opts.InputBattery;
   Entries = std::make_unique<Entry[]>(Battery.size());
-  if (M == Memo::Shared) {
-    MemoKey = memoKey(BaselineMod, Battery, MaxSteps, Engine);
-    Recalled = memo().find(MemoKey);
-    if (Recalled)
-      return; // Nothing will execute: skip compiling the baseline.
-  }
-  if (Engine == mexec::Engine::Fast)
-    Compiled.emplace(BaselineMod);
 }
 
 BaselineCache::~BaselineCache() = default;
 
+const BaselineCache::Stored *BaselineCache::recalled() const {
+  if (Mode != Memo::Shared)
+    return nullptr;
+  std::call_once(MemoOnce, [&] {
+    obs::Span S("verify.baseline_memo_lookup");
+    MemoKey = memoKey(*Baseline, Battery, MaxSteps, Engine);
+    Recalled = memo().find(MemoKey);
+    Consulted.store(true, std::memory_order_release);
+  });
+  return Recalled.get();
+}
+
+const BaselineCache::Stored *BaselineCache::recalledIfConsulted() const {
+  return Consulted.load(std::memory_order_acquire) ? Recalled.get()
+                                                   : nullptr;
+}
+
+uint64_t BaselineCache::reused() const {
+  return recalledIfConsulted() ? Battery.size() : 0;
+}
+
+uint64_t BaselineCache::recall() const {
+  recalled();
+  return reused();
+}
+
 void BaselineCache::settle() const {
   // acq_rel: the increment that completes the battery synchronizes with
-  // every earlier one, so all entries' Results are visible to it.
+  // every earlier one, so all entries' Results are visible to it. Every
+  // installing call consulted the memo first, so MemoKey is set.
   if (Settled.fetch_add(1, std::memory_order_acq_rel) + 1 != Battery.size() ||
-      MemoKey.empty())
+      Mode != Memo::Shared)
     return;
   auto Complete = std::make_shared<Stored>();
-  Complete->Runs.reserve(Battery.size());
+  Complete->reserve(Battery.size());
   for (size_t I = 0; I != Battery.size(); ++I)
-    Complete->Runs.push_back(Entries[I].Result);
-  Complete->LivenessProved = livenessProved();
+    Complete->push_back(Entries[I].Result);
   memo().store(MemoKey, std::move(Complete));
 }
 
 bool BaselineCache::livenessProved() const {
-  if (Recalled)
-    return Recalled->LivenessProved;
   std::call_once(LivenessOnce, [&] {
     Liveness = analysis::analyzeModule(
                    *Baseline, analysis::AnalysisOptions::only(
@@ -146,13 +157,18 @@ bool BaselineCache::livenessProved() const {
 
 const mexec::RunResult &BaselineCache::baselineRun(size_t Index) const {
   assert(Index < Battery.size() && "input index outside the battery");
-  if (Recalled) {
+  if (const Stored *S = recalled()) {
     Hits.fetch_add(1, std::memory_order_relaxed);
-    return Recalled->Runs[Index];
+    return (*S)[Index];
   }
   Entry &E = Entries[Index];
   bool IRan = false;
   std::call_once(E.Once, [&] {
+    if (Engine == mexec::Engine::Fast)
+      std::call_once(CompileOnce, [&] {
+        obs::Span S("verify.baseline_compile");
+        Compiled.emplace(*Baseline);
+      });
     mexec::RunOptions Run;
     Run.Input = Battery[Index];
     Run.CollectOutput = true;
@@ -172,7 +188,7 @@ const mexec::RunResult &BaselineCache::baselineRun(size_t Index) const {
 
 bool BaselineCache::prewarm(size_t Index, const mexec::RunResult &R) {
   assert(Index < Battery.size() && "input index outside the battery");
-  if (Recalled)
+  if (recalled())
     return false; // Every entry is already installed.
   Entry &E = Entries[Index];
   bool IRan = false;
@@ -190,8 +206,8 @@ bool BaselineCache::prewarm(size_t Index, const mexec::RunResult &R) {
 
 const mexec::RunResult *BaselineCache::peek(size_t Index) const {
   assert(Index < Battery.size() && "input index outside the battery");
-  if (Recalled)
-    return &Recalled->Runs[Index];
+  if (const Stored *S = recalledIfConsulted())
+    return &(*S)[Index];
   const Entry &E = Entries[Index];
   if (!E.Filled.load(std::memory_order_acquire))
     return nullptr;

@@ -14,11 +14,19 @@
 /// (for the fast engine), and computes each input's baseline RunResult
 /// on first use only.
 ///
+/// Laziness: construction only resolves the battery. The memo lookup
+/// below and the baseline compile wait for the first request that needs
+/// them, so a batch whose variants never execute (every NOP-only variant
+/// is settled by mir::equalModuloNops) prints, compiles and runs nothing
+/// for its battery. The two steps are timed as the obs phases
+/// verify.baseline_memo_lookup and verify.baseline_compile.
+///
 /// Thread-safety: entries fill under a per-entry std::once_flag, so
 /// ThreadPool workers can share one const BaselineCache without
 /// coordination; whoever asks first computes, everyone else blocks until
-/// the result is published and then reads it read-only. Hit/fill
-/// counters are atomic and surface in driver::BatchResult.
+/// the result is published and then reads it read-only. The memo lookup
+/// and the compile run under once_flags of their own. Hit/fill counters
+/// are atomic and surface in driver::BatchResult.
 ///
 /// Battery memo: a cache built with Memo::Shared also takes part in a
 /// process-wide, content-addressed memo of *complete* baseline
@@ -30,13 +38,16 @@
 /// hash is trusted). A hit recalls the stored runs instead of executing
 /// (or compiling) the baseline; the fill that completes a cache's
 /// battery stores its runs. At most MemoCapacity batteries are kept,
-/// oldest evicted first.
+/// oldest evicted first. The lookup happens on the first baselineRun(),
+/// prewarm() or recall().
 ///
 /// Beside the runs, the cache keeps one static fact about the baseline:
 /// its RegLiveness verdict, which the equivalence prover needs before it
 /// may try a callee-saved renaming. The cache computes it at most once
-/// on its own baseline module, and the memo stores it with the battery,
-/// so a recalled battery recalls the verdict for the same key material.
+/// on its own baseline module. The memo does not carry it: the prover
+/// asks before any variant executes, and one RegLiveness run costs about
+/// an eighth of the mir::print a memo lookup needs (0.5 vs 4.0 ms on
+/// 483.xalancbmk, the largest workload).
 ///
 /// The memo is one mutex-guarded table; recalled runs are immutable and
 /// shared by reference, so readers never take the lock.
@@ -76,10 +87,10 @@ public:
   static constexpr size_t MemoCapacity = 64;
 
   /// Resolves the battery from \p Opts (falling back to
-  /// defaultInputBattery()). With Memo::Shared, a stored battery for the
-  /// same key material is recalled and nothing executes; otherwise, when
-  /// Opts.Engine is Fast, the baseline is compiled eagerly so every
-  /// entry fill reuses one stream.
+  /// defaultInputBattery()). Nothing else happens until a request needs
+  /// it: with Memo::Shared the first request looks the battery up in the
+  /// memo (a hit executes nothing), and when Opts.Engine is Fast the
+  /// first baseline run compiles the baseline once for every entry fill.
   BaselineCache(const mir::MModule &Baseline, const VerifyOptions &Opts,
                 Memo M = Memo::Off);
   ~BaselineCache();
@@ -129,22 +140,46 @@ public:
   }
 
   /// Entries recalled from the process-wide memo: battery().size() when
-  /// construction hit the memo, else 0.
-  uint64_t reused() const { return Recalled ? Battery.size() : 0; }
+  /// the memo has been consulted and held this battery, else 0. Never
+  /// consults the memo itself.
+  uint64_t reused() const;
+
+  /// Consults the process-wide memo now (Memo::Shared, once per cache),
+  /// as the first baselineRun() would, and returns reused().
+  uint64_t recall() const;
+
+  /// Counts one verification attempt that differential execution settled
+  /// by mir::equalModuloNops, consulting no entry. Safe to call
+  /// concurrently.
+  void noteIdentical() const {
+    Identical.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Attempts settled by mir::equalModuloNops (noteIdentical()).
+  uint64_t identical() const {
+    return Identical.load(std::memory_order_relaxed);
+  }
 
   /// True when analysis::analyzeModule with only the RegLiveness checker
-  /// finds nothing on the baseline module: computed on first request
-  /// (at most once per cache), or recalled with the battery. Safe to
-  /// call concurrently.
+  /// finds nothing on the baseline module: computed on first request (at
+  /// most once per cache). Safe to call concurrently.
   bool livenessProved() const;
 
   /// The baseline module the cache was built from.
   const mir::MModule &baseline() const { return *Baseline; }
 
-  /// A complete battery as the memo stores it (BaselineCache.cpp).
-  struct Stored;
+  /// A complete battery as the memo stores it: one run per input.
+  using Stored = std::vector<mexec::RunResult>;
 
 private:
+  /// The recalled battery, consulting the memo on first call; null on a
+  /// miss and under Memo::Off.
+  const Stored *recalled() const;
+
+  /// The recalled battery when the memo has been consulted and hit, else
+  /// null. Never consults the memo.
+  const Stored *recalledIfConsulted() const;
+
   /// Counts one more installed entry; the one that completes the
   /// battery stores it in the memo (Memo::Shared only).
   void settle() const;
@@ -152,20 +187,26 @@ private:
   const mir::MModule *Baseline;
   uint64_t MaxSteps;
   mexec::Engine Engine;
+  Memo Mode;
   std::vector<std::vector<int32_t>> Battery;
-  /// Memo key material; empty under Memo::Off.
-  std::string MemoKey;
-  /// The recalled battery on a memo hit (every entry, immutable).
-  std::shared_ptr<const Stored> Recalled;
-  /// The baseline's liveness verdict, once computed (not on a hit).
+  /// The memo lookup: key material and the recalled battery on a hit
+  /// (every entry, immutable), published by Consulted.
+  mutable std::once_flag MemoOnce;
+  mutable std::string MemoKey;
+  mutable std::shared_ptr<const Stored> Recalled;
+  mutable std::atomic<bool> Consulted{false};
+  /// The baseline's liveness verdict, once computed.
   mutable std::once_flag LivenessOnce;
   mutable bool Liveness = false;
-  /// Compiled baseline stream (fast engine only, not on a memo hit).
-  std::optional<mexec::Precompiled> Compiled;
+  /// Compiled baseline stream (fast engine only), built by the first
+  /// entry fill.
+  mutable std::once_flag CompileOnce;
+  mutable std::optional<mexec::Precompiled> Compiled;
   struct Entry; // Holds a std::once_flag: non-movable, hence the array.
   std::unique_ptr<Entry[]> Entries;
   mutable std::atomic<uint64_t> Hits{0};
   mutable std::atomic<uint64_t> Fills{0};
+  mutable std::atomic<uint64_t> Identical{0};
   std::atomic<uint64_t> Prewarmed{0};
   /// Entries filled or prewarmed so far.
   mutable std::atomic<size_t> Settled{0};

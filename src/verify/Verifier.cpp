@@ -80,6 +80,17 @@ std::string format(const char *Fmt, ...) {
 
 void diffExecute(const MModule &Baseline, const MModule &Variant,
                  const VerifyOptions &Opts, Report &R) {
+  // A variant that is its baseline plus at most one NOP before each
+  // instruction runs the baseline's instruction sequence with NOPs in
+  // between: same trap, output, checksum and exit code on every input,
+  // in at most 2 * Instructions + 1 steps, inside the budget below. No
+  // input could report anything, so none runs.
+  if (mir::equalModuloNops(Baseline, Variant)) {
+    if (Opts.Cache)
+      Opts.Cache->noteIdentical();
+    return;
+  }
+
   // The baseline side comes from the caller's shared cache when one is
   // provided; otherwise a local cache still resolves the battery once
   // per diffExecute call and memoizes nothing beyond it (each input's
@@ -284,8 +295,7 @@ Report verify::verifyVariant(const MModule &Baseline,
   // carries a counterexample and skips execution entirely. The prover
   // re-derives nothing already known: the variant's liveness verdict is
   // the clean analysis just above, on this very module; the baseline's
-  // comes from a cache built on this very baseline (once per cache, or
-  // recalled with its battery).
+  // comes from a cache built on this very baseline (once per cache).
   if (Opts.CheckEquiv) {
     analysis::EquivFacts Facts;
     Facts.VariantLiveness = true;

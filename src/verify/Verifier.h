@@ -25,7 +25,9 @@
 ///     and keep every relative branch target inside the image.
 ///  5. Differential execution: baseline and variant MIR run on a
 ///     deterministic input battery; exit code, output checksum, output
-///     text, and trap behaviour must agree input-for-input.
+///     text, and trap behaviour must agree input-for-input. A variant
+///     that mir::equalModuloNops the baseline is settled without
+///     running: it agrees on every input, not just the battery's.
 ///
 /// The checks overlap on purpose, and tests/AdmissionCoverageTest.cpp
 /// measures how: it injects every verify::FaultInjector and
@@ -62,7 +64,11 @@ struct VerifyOptions {
   /// variant run gets 3 * the baseline's executed instructions + 4096:
   /// NOP insertion adds at most one NOP per instruction, and a shift
   /// prelude adds a jump (plus its NOP) per call, so a correct variant
-  /// is never failed for executing what it legitimately contains.
+  /// is never failed for executing what it legitimately contains. The
+  /// NOP bound is checked, not assumed: mir::equalModuloNops, which
+  /// settles NOP-only variants without running them, requires every NOP
+  /// to precede a non-NOP of its block (at most 2 * Instructions + 1
+  /// steps); a variant that breaks it runs under this budget.
   uint64_t MaxSteps = 50'000'000;
 
   /// Enable the translation-validation stage of verifyVariant: the
@@ -97,10 +103,11 @@ struct VerifyOptions {
 
   /// Optional shared baseline run cache (verify/BaselineCache.h). When
   /// set, diffExecute takes its battery and baseline RunResults from the
-  /// cache instead of re-running the baseline; the cache must have been
-  /// built from the same baseline module and equivalent options. When
-  /// null, callers that verify repeatedly (retry loops, batches) still
-  /// get a per-call battery built exactly once.
+  /// cache instead of re-running the baseline, and counts the attempts
+  /// it settles without running (BaselineCache::identical()); the cache
+  /// must have been built from the same baseline module and equivalent
+  /// options. When null, callers that verify repeatedly (retry loops,
+  /// batches) still get a per-call battery built exactly once.
   const BaselineCache *Cache = nullptr;
 
   /// Test seam: invoked on each candidate variant before verification
@@ -183,8 +190,9 @@ Report verifyVariant(const mir::MModule &Baseline,
                      std::span<const uint8_t> Witness = {});
 
 /// The differential-execution family alone: \p Variant must match
-/// \p Baseline input-for-input on the battery. Precondition:
-/// mir::verify(Variant) is clean.
+/// \p Baseline input-for-input on the battery, unless
+/// mir::equalModuloNops(Baseline, Variant) already settles that it does
+/// on every input. Precondition: mir::verify(Variant) is clean.
 Report verifyExecution(const mir::MModule &Baseline,
                        const mir::MModule &Variant,
                        const VerifyOptions &Opts);

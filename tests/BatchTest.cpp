@@ -29,8 +29,12 @@ using namespace pgsd;
 
 namespace {
 
-/// Every batch here runs the default {nop} pipeline.
+/// Batches here run the default {nop} pipeline, whose variants
+/// differential execution settles by mir::equalModuloNops without
+/// running them, unless they must reach execution: then {nop,sched}.
 const diversity::Pipeline Nop;
+const diversity::Pipeline NopSched({diversity::TransformKind::Nop,
+                                    diversity::TransformKind::Sched});
 
 /// Byte-wise equality of two verified variants, stats included.
 void expectIdentical(const driver::VerifiedVariant &A,
@@ -89,15 +93,18 @@ TEST_P(BatchParityTest, SerialAndParallelImagesAreByteIdentical) {
   EXPECT_EQ(A.TotalAttempts, B.TotalAttempts);
   // The workload battery is known-good: nothing should be rejected.
   EXPECT_TRUE(B.allAccepted());
-  // The baseline runs at most once per input per process (the battery
-  // here is a single stream): a batch either fills it or recalls it
-  // from the battery memo, the second batch always recalls it, and
-  // every variant attempt is served from memory -- under any job count.
-  EXPECT_EQ(A.BaselineCacheFills + A.BaselineCacheReused, 1u);
-  EXPECT_EQ(B.BaselineCacheFills, 0u);
-  EXPECT_EQ(B.BaselineCacheReused, 1u);
-  EXPECT_EQ(A.BaselineCacheHits + A.BaselineCacheFills, A.TotalAttempts);
-  EXPECT_EQ(B.BaselineCacheHits + B.BaselineCacheFills, B.TotalAttempts);
+  // Every {nop} attempt is its baseline plus NOPs, so differential
+  // execution settles it without running: the baseline never runs,
+  // compiles or is looked up in the memo -- under any job count. Each
+  // attempt is either settled or served from the one-input battery.
+  EXPECT_EQ(A.DiffIdentical, A.TotalAttempts);
+  EXPECT_EQ(B.DiffIdentical, B.TotalAttempts);
+  EXPECT_EQ(A.BaselineCacheFills + A.BaselineCacheReused, 0u);
+  EXPECT_EQ(B.BaselineCacheFills + B.BaselineCacheReused, 0u);
+  EXPECT_EQ(A.BaselineCacheHits + A.BaselineCacheFills + A.DiffIdentical,
+            A.TotalAttempts);
+  EXPECT_EQ(B.BaselineCacheHits + B.BaselineCacheFills + B.DiffIdentical,
+            B.TotalAttempts);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -138,9 +145,13 @@ TEST(Batch, CountersAccountForEverySeed) {
   for (size_t I = 0; I != Seeds.size(); ++I)
     EXPECT_EQ(R.Variants[I].SeedUsed, Seeds[I]) << I;
   // Default battery: the baseline fills each input's cache entry at
-  // most once; with 8 seeds sharing one cache, most requests must hit.
-  EXPECT_LE(R.BaselineCacheFills, verify::defaultInputBattery().size());
-  EXPECT_GT(R.BaselineCacheHits, R.BaselineCacheFills);
+  // most once, and every attempt is either settled modulo NOPs or
+  // requests the whole battery. A {nop} batch settles every attempt.
+  const size_t N = verify::defaultInputBattery().size();
+  EXPECT_LE(R.BaselineCacheFills, N);
+  EXPECT_EQ(R.BaselineCacheHits + R.BaselineCacheFills,
+            (R.TotalAttempts - R.DiffIdentical) * N);
+  EXPECT_EQ(R.DiffIdentical, R.TotalAttempts);
 }
 
 TEST(Batch, MetricsAgreeWithBatchResultCounters) {
@@ -174,6 +185,7 @@ TEST(Batch, MetricsAgreeWithBatchResultCounters) {
             R.BaselineCacheFills);
   EXPECT_EQ(Snap.Counters.at("verify.baseline_cache.reused"),
             R.BaselineCacheReused);
+  EXPECT_EQ(Snap.Counters.at("verify.diff_identical"), R.DiffIdentical);
   EXPECT_EQ(Snap.Counters.at("verify.attempts"), R.TotalAttempts);
   EXPECT_EQ(Snap.Counters.at("batch.suppressed_exceptions"),
             R.SuppressedExceptions);
@@ -333,14 +345,16 @@ TEST(BatteryMemo, SecondBatchRecallsTheWholeBattery) {
 
   // The first batch runs the whole battery or recalls all of it.
   driver::BatchResult First =
-      driver::makeVariantsBatch(P, Nop, Opts, Seeds, B);
+      driver::makeVariantsBatch(P, NopSched, Opts, Seeds, B);
   EXPECT_EQ(First.BaselineCacheFills + First.BaselineCacheReused, N);
 
   driver::BatchResult Second =
-      driver::makeVariantsBatch(P, Nop, Opts, Seeds, B);
+      driver::makeVariantsBatch(P, NopSched, Opts, Seeds, B);
   EXPECT_EQ(Second.BaselineCacheFills, 0u);
   EXPECT_EQ(Second.BaselineCacheReused, N);
-  EXPECT_EQ(Second.BaselineCacheHits, Second.TotalAttempts * N);
+  EXPECT_LT(Second.DiffIdentical, Second.TotalAttempts);
+  EXPECT_EQ(Second.BaselineCacheHits,
+            (Second.TotalAttempts - Second.DiffIdentical) * N);
   ASSERT_EQ(Second.Variants.size(), Seeds.size());
   for (size_t I = 0; I != Seeds.size(); ++I) {
     expectIdentical(First.Variants[I], Second.Variants[I], I);
@@ -354,7 +368,8 @@ TEST(BatteryMemo, SecondBatchRecallsTheWholeBattery) {
   obs::Registry::global().reset();
   obs::setEnabled(true);
   driver::VerifiedVariant One = driver::makeVariantVerified(
-      P, Nop, Opts, Seeds[0], verify::VerifyOptions(), codegen::LinkOptions());
+      P, NopSched, Opts, Seeds[0], verify::VerifyOptions(),
+      codegen::LinkOptions());
   obs::LocalMetrics Snap = obs::Registry::global().snapshot();
   obs::setEnabled(false);
   obs::Registry::global().reset();
@@ -379,7 +394,7 @@ TEST(BatteryMemo, RecalledRunsEqualFreshRunsOnEveryWorkload) {
     fillAll(verify::BaselineCache(P.MIR, VOpts, Memo::Shared));
 
     verify::BaselineCache Recalled(P.MIR, VOpts, Memo::Shared);
-    ASSERT_EQ(Recalled.reused(), Recalled.battery().size());
+    ASSERT_EQ(Recalled.recall(), Recalled.battery().size());
     for (size_t I = 0; I != Fresh.battery().size(); ++I) {
       SCOPED_TRACE("input #" + std::to_string(I));
       expectSameRun(Recalled.baselineRun(I), Fresh.baselineRun(I));
@@ -393,31 +408,31 @@ TEST(BatteryMemo, EveryKeyFieldDiscriminates) {
   verify::VerifyOptions VOpts;
   VOpts.InputBattery = {{1}, {2, 3}};
   fillAll(verify::BaselineCache(P.MIR, VOpts, Memo::Shared));
-  EXPECT_EQ(verify::BaselineCache(P.MIR, VOpts, Memo::Shared).reused(), 2u);
+  EXPECT_EQ(verify::BaselineCache(P.MIR, VOpts, Memo::Shared).recall(), 2u);
 
   // A private cache neither recalls nor stores.
-  EXPECT_EQ(verify::BaselineCache(P.MIR, VOpts).reused(), 0u);
+  EXPECT_EQ(verify::BaselineCache(P.MIR, VOpts).recall(), 0u);
 
   // Global initializer: table[1] = 7 instead of 202.
   driver::Program Q = memoProgram(7);
-  EXPECT_EQ(verify::BaselineCache(Q.MIR, VOpts, Memo::Shared).reused(), 0u);
+  EXPECT_EQ(verify::BaselineCache(Q.MIR, VOpts, Memo::Shared).recall(), 0u);
 
   // Battery: one input changed, and the same words regrouped.
   verify::VerifyOptions Other = VOpts;
   Other.InputBattery = {{1}, {2, 4}};
-  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).reused(), 0u);
+  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).recall(), 0u);
   Other.InputBattery = {{1, 2}, {3}};
-  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).reused(), 0u);
+  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).recall(), 0u);
 
   // Step budget.
   Other = VOpts;
   Other.MaxSteps = VOpts.MaxSteps - 1;
-  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).reused(), 0u);
+  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).recall(), 0u);
 
   // Engine.
   Other = VOpts;
   Other.Engine = mexec::Engine::Reference;
-  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).reused(), 0u);
+  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).recall(), 0u);
 }
 
 TEST(BatteryMemo, OnlyCompleteBatteriesAreStored) {
@@ -431,10 +446,10 @@ TEST(BatteryMemo, OnlyCompleteBatteriesAreStored) {
   }
   {
     verify::BaselineCache Next(P.MIR, VOpts, Memo::Shared);
-    EXPECT_EQ(Next.reused(), 0u);
+    EXPECT_EQ(Next.recall(), 0u);
     fillAll(Next);
   }
-  EXPECT_EQ(verify::BaselineCache(P.MIR, VOpts, Memo::Shared).reused(), 3u);
+  EXPECT_EQ(verify::BaselineCache(P.MIR, VOpts, Memo::Shared).recall(), 3u);
 }
 
 TEST(BatteryMemo, OldestBatteryIsEvictedPastCapacity) {
@@ -449,7 +464,7 @@ TEST(BatteryMemo, OldestBatteryIsEvictedPastCapacity) {
     fillAll(verify::BaselineCache(P.MIR, Opts[Tag], Memo::Shared));
   };
   auto Kept = [&](int32_t Tag) {
-    return verify::BaselineCache(P.MIR, Opts[Tag], Memo::Shared).reused() ==
+    return verify::BaselineCache(P.MIR, Opts[Tag], Memo::Shared).recall() ==
            1;
   };
   for (int32_t Tag = 0; Tag != Cap; ++Tag)
@@ -471,7 +486,7 @@ TEST(BatteryMemo, ConcurrentBatchesOfOneProgramAgree) {
 
   driver::BatchResult R[2];
   auto Run = [&](int I) {
-    R[I] = driver::makeVariantsBatch(P, Nop, Opts, Seeds, B);
+    R[I] = driver::makeVariantsBatch(P, NopSched, Opts, Seeds, B);
   };
   std::thread T0(Run, 0), T1(Run, 1);
   T0.join();
@@ -489,7 +504,7 @@ TEST(BatteryMemo, ConcurrentBatchesOfOneProgramAgree) {
     expectIdentical(R[0].Variants[I], R[1].Variants[I], I);
 
   driver::BatchResult After =
-      driver::makeVariantsBatch(P, Nop, Opts, Seeds, B);
+      driver::makeVariantsBatch(P, NopSched, Opts, Seeds, B);
   EXPECT_EQ(After.BaselineCacheReused, N);
   EXPECT_EQ(After.BaselineCacheFills, 0u);
 }
@@ -520,10 +535,61 @@ TEST(BatteryMemo, WarmMemoStillRejectsSemanticFaults) {
             I.Imm = 1235;
     Img = codegen::link(M, codegen::LinkOptions());
   };
+  // The faulty variants execute: the first faulty batch leaves the
+  // whole battery in the memo (if nothing else had), the second recalls
+  // it and still rejects every seed.
+  driver::BatchResult Cold = driver::makeVariantsBatch(P, Nop, Opts, Seeds, B);
+  EXPECT_EQ(Cold.Rejected, Seeds.size());
   driver::BatchResult R = driver::makeVariantsBatch(P, Nop, Opts, Seeds, B);
+  EXPECT_EQ(R.DiffIdentical, 0u);
   EXPECT_EQ(R.BaselineCacheReused, verify::defaultInputBattery().size());
   EXPECT_EQ(R.Rejected, Seeds.size());
   for (const driver::VerifiedVariant &V : R.Variants)
     EXPECT_TRUE(V.Report.has(verify::ErrorCode::ChecksumMismatch))
         << V.Report.str();
+}
+
+TEST(BatteryMemo, NopBatchRunsNothingForTheBattery) {
+  driver::Program P = memoProgram(606);
+  const auto Opts = diversity::DiversityOptions::uniform(0.5);
+  std::vector<uint64_t> Seeds = {1, 2, 3, 4};
+  driver::BatchOptions B;
+  B.Jobs = 2;
+  // A battery no other test stores, so an executing batch must fill it.
+  B.Verify.InputBattery = {{3}, uniqueInput()};
+
+  auto Run = [&](const diversity::Pipeline &Pipe, driver::BatchResult &R) {
+    obs::Registry::global().reset();
+    obs::setEnabled(true);
+    R = driver::makeVariantsBatch(P, Pipe, Opts, Seeds, B);
+    obs::LocalMetrics Snap = obs::Registry::global().snapshot();
+    obs::setEnabled(false);
+    obs::Registry::global().reset();
+    return Snap;
+  };
+
+  // Every {nop} attempt is settled modulo NOPs: no baseline entry fills,
+  // the baseline is never compiled, and the memo is never looked up.
+  driver::BatchResult R;
+  obs::LocalMetrics Snap = Run(Nop, R);
+  EXPECT_TRUE(R.allAccepted());
+  EXPECT_EQ(R.DiffIdentical, R.TotalAttempts);
+  EXPECT_EQ(R.BaselineCacheFills, 0u);
+  EXPECT_EQ(R.BaselineCacheHits, 0u);
+  EXPECT_EQ(R.BaselineCacheReused, 0u);
+  EXPECT_EQ(Snap.Counters.at("verify.diff_identical"), R.TotalAttempts);
+  EXPECT_EQ(Snap.Phases.count("verify.baseline_compile"), 0u);
+  EXPECT_EQ(Snap.Phases.count("verify.baseline_memo_lookup"), 0u);
+
+  // The same batch under {nop,sched} executes its variants, and then
+  // compiles and looks up exactly once.
+  driver::BatchResult S;
+  Snap = Run(NopSched, S);
+  EXPECT_TRUE(S.allAccepted());
+  EXPECT_LT(S.DiffIdentical, S.TotalAttempts);
+  EXPECT_EQ(S.BaselineCacheFills, B.Verify.InputBattery.size());
+  ASSERT_EQ(Snap.Phases.count("verify.baseline_compile"), 1u);
+  EXPECT_EQ(Snap.Phases.at("verify.baseline_compile").Count, 1u);
+  ASSERT_EQ(Snap.Phases.count("verify.baseline_memo_lookup"), 1u);
+  EXPECT_EQ(Snap.Phases.at("verify.baseline_memo_lookup").Count, 1u);
 }

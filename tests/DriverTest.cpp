@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/Batch.h"
 #include "driver/Driver.h"
 #include "obs/Metrics.h"
 #include "workloads/Workloads.h"
@@ -118,7 +119,8 @@ TEST(Driver, AdmissionAnalysesTheVariantOnly) {
   // Static admission runs the RegLiveness checker once per variant
   // function (the six-checker pass) and never again: the prover takes
   // the variant's verdict from that pass and the baseline's from the
-  // battery memo, even when a renamed function needs the verdicts.
+  // shared baseline cache, which derives it once for all attempts, even
+  // when a renamed function needs the verdicts.
   const workloads::Workload W = workloads::specSuite().front();
   driver::Program P = driver::compileProgram(W.Source, W.Name);
   ASSERT_TRUE(P.ok());
@@ -143,23 +145,21 @@ TEST(Driver, AdmissionAnalysesTheVariantOnly) {
   }
   ASSERT_TRUE(Renamed) << "seed " << Seed << " renames no saved register";
 
-  verify::VerifyOptions VOpts;
-  VOpts.MaxAttempts = 1;
-  // The first call fills the battery memo, and the baseline's verdict
-  // with it.
-  ASSERT_TRUE(driver::makeVariantVerified(P, Pipe, Opts, Seed, VOpts).ok());
-
+  // Two attempts share one batch cache.
+  driver::BatchOptions B;
+  B.Jobs = 1;
+  B.Verify.MaxAttempts = 1;
   obs::Registry::global().reset();
   obs::setEnabled(true);
-  driver::VerifiedVariant VV =
-      driver::makeVariantVerified(P, Pipe, Opts, Seed, VOpts);
+  driver::BatchResult R =
+      driver::makeVariantsBatch(P, Pipe, Opts, {Seed, Seed}, B);
   obs::LocalMetrics M = obs::Registry::global().snapshot();
   obs::setEnabled(false);
   obs::Registry::global().reset();
 
-  ASSERT_TRUE(VV.ok()) << VV.Report.str();
-  EXPECT_EQ(VV.Attempts, 1u);
+  ASSERT_TRUE(R.allAccepted());
+  EXPECT_EQ(R.TotalAttempts, 2u);
   ASSERT_TRUE(M.Phases.count("analysis.reg-liveness"));
   EXPECT_EQ(M.Phases.at("analysis.reg-liveness").Count,
-            V.MIR.Functions.size());
+            2 * V.MIR.Functions.size() + P.MIR.Functions.size());
 }

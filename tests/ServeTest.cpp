@@ -75,6 +75,14 @@ protected:
     return O;
   }
 
+  /// The {nop,sched} pipeline: its variants reach differential
+  /// execution, where {nop} variants are settled modulo NOPs, so tests
+  /// of the baseline artifact use it.
+  static diversity::Pipeline nopSched() {
+    return diversity::Pipeline(
+        {diversity::TransformKind::Nop, diversity::TransformKind::Sched});
+  }
+
   /// The on-disk path of the variant entry for \p Seed under
   /// baseOptions() -- what the crash-recovery tests corrupt.
   fs::path variantPath(const serve::ServeOptions &O, uint64_t Seed) const {
@@ -311,6 +319,7 @@ TEST_F(ServeTest, StoreOpenFailsOnUncreatablePath) {
 
 TEST_F(ServeTest, ColdRunFillsThenRestartHits) {
   serve::ServeOptions O = baseOptions();
+  O.Pipe = nopSched();
   O.Requests = 6;
 
   serve::ServeResult Cold = serve::serveVariants(P, O);
@@ -347,6 +356,29 @@ TEST_F(ServeTest, ColdRunFillsThenRestartHits) {
   EXPECT_LT(Warm.P50LatencySeconds, Cold.P50LatencySeconds);
 }
 
+TEST_F(ServeTest, NopFillsNeverRunTheBaseline) {
+  // Default {nop} pipeline: every fill attempt is settled modulo NOPs,
+  // so the baseline neither runs nor leaves an artifact to prewarm.
+  serve::ServeOptions O = baseOptions();
+  O.Requests = 3;
+  serve::ServeResult Cold = serve::serveVariants(P, O);
+  ASSERT_TRUE(Cold.ok()) << Cold.Error;
+  EXPECT_EQ(Cold.Fills, 3u);
+  uint64_t Attempts = 0;
+  for (const serve::RequestResult &Req : Cold.Requests)
+    Attempts += Req.Attempts;
+  EXPECT_EQ(Cold.DiffIdentical, Attempts);
+  EXPECT_EQ(Cold.BaselineCacheFills, 0u);
+  EXPECT_EQ(Cold.BaselineCacheHits, 0u);
+
+  O.BaseSeed = 100;
+  serve::ServeResult Next = serve::serveVariants(P, O);
+  ASSERT_TRUE(Next.ok()) << Next.Error;
+  EXPECT_EQ(Next.Fills, 3u);
+  EXPECT_EQ(Next.BaselinePrewarmed, 0u);
+  EXPECT_EQ(Next.BaselineCacheFills, 0u);
+}
+
 TEST_F(ServeTest, CrashRecoveryRecompilesCorruptEntry) {
   serve::ServeOptions O = baseOptions();
   O.Requests = 3;
@@ -381,6 +413,7 @@ TEST_F(ServeTest, CrashRecoveryRecompilesCorruptEntry) {
 
 TEST_F(ServeTest, BaselinePrewarmServesFreshSeeds) {
   serve::ServeOptions O = baseOptions();
+  O.Pipe = nopSched();
   O.Requests = 2;
   serve::ServeResult First = serve::serveVariants(P, O);
   ASSERT_TRUE(First.ok()) << First.Error;
@@ -400,6 +433,7 @@ TEST_F(ServeTest, BaselinePrewarmServesFreshSeeds) {
 TEST_F(ServeTest, CustomBatteryIgnoresDefaultBaselineArtifact) {
   // Warm the store with a default-battery run...
   serve::ServeOptions O = baseOptions();
+  O.Pipe = nopSched();
   O.Verify = verify::VerifyOptions();
   O.Requests = 2;
   serve::ServeResult Warm = serve::serveVariants(P, O);

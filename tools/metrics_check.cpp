@@ -17,6 +17,10 @@
 //     coordinator phases batch.setup + batch.fanout partition the batch
 //     window, so their wall sum must land within 10% of the
 //     batch.wall_seconds gauge, and the verify counters must be present.
+//     verify.diff_identical (attempts mir::equalModuloNops settled
+//     without executing) cannot exceed the attempts that reached
+//     differential execution: batch.attempts_total minus the static and
+//     equivalence rejections.
 //  4. With --nvx (the file came from `pgsdc nvx --metrics`): the vote
 //     outcome counters must partition nvx.rounds exactly, ejections
 //     cannot exceed respawns plus the replica count (every ejection
@@ -48,6 +52,9 @@
 //     cache_hits + cache_fills), the request-latency histogram must
 //     have observed exactly one value per served request, and the
 //     queue's peak depth can never exceed its capacity.
+//     verify.diff_identical must be present and cannot exceed the fill
+//     attempts that reached differential execution (verify.attempts
+//     minus the static and equivalence rejections).
 //
 // Exit 0 on success, 1 with a diagnostic on the first failed check.
 // Key lookups scan for the literal `"<key>": ` the deterministic obs
@@ -89,6 +96,27 @@ bool findNumber(const std::string &Text, const std::string &Key,
 
 bool hasKey(const std::string &Text, const std::string &Key) {
   return Text.find("\"" + Key + "\"") != std::string::npos;
+}
+
+/// Checks verify.diff_identical against the \p Attempts that reached
+/// verification: an attempt is settled modulo NOPs only after both
+/// static stages passed it. The rejection counters are absent when
+/// zero. Returns the process exit code (0 when the bound holds).
+int checkDiffIdentical(const std::string &Text, const char *AttemptsKey) {
+  double Identical = 0, Attempts = 0, Static = 0, Equiv = 0;
+  if (!findNumber(Text, "verify.diff_identical", Identical))
+    return fail("metrics missing \"verify.diff_identical\"");
+  (void)findNumber(Text, AttemptsKey, Attempts);
+  (void)findNumber(Text, "verify.static_rejections", Static);
+  (void)findNumber(Text, "verify.equiv_rejections", Equiv);
+  if (Identical > Attempts - Static - Equiv) {
+    std::fprintf(stderr,
+                 "metrics_check: verify.diff_identical %.0f exceeds %s "
+                 "%.0f minus %.0f static and %.0f equiv rejections\n",
+                 Identical, AttemptsKey, Attempts, Static, Equiv);
+    return 1;
+  }
+  return 0;
 }
 
 } // namespace
@@ -142,9 +170,12 @@ int main(int Argc, char **Argv) {
     for (const char *Key :
          {"batch.seeds", "batch.accepted", "batch.attempts_total",
           "verify.baseline_cache.hits", "verify.baseline_cache.fills",
-          "verify.baseline_cache.reused", "batch.setup", "batch.fanout"})
+          "verify.baseline_cache.reused", "verify.diff_identical",
+          "batch.setup", "batch.fanout"})
       if (!hasKey(Text, Key))
         return fail(std::string("batch metrics missing \"") + Key + "\"");
+    if (int Rc = checkDiffIdentical(Text, "batch.attempts_total"))
+      return Rc;
 
     // The batch wall clock starts after Sinks allocation and stops
     // before finalize, and setup/fanout are the only phases the
@@ -392,10 +423,13 @@ int main(int Argc, char **Argv) {
          {"serve.requests", "serve.served", "serve.cache_hits",
           "serve.cache_fills", "serve.shed", "serve.failed",
           "serve.store_corrupt", "serve.queue_capacity",
-          "serve.queue_peak_depth"})
+          "serve.queue_peak_depth", "verify.diff_identical"})
       if (!hasKey(Text, Key))
         return fail(std::string("serve metrics missing \"") + Key +
                     "\"");
+    // verify.attempts is absent when no request needed a fill.
+    if (int Rc = checkDiffIdentical(Text, "verify.attempts"))
+      return Rc;
 
     // Every request ends exactly one way: served (from the store or a
     // fresh fill), shed by admission control, or failed. The outcome

@@ -656,10 +656,13 @@ int cmdBatch(const Options &Opts) {
               "utilization %.1fx)\n",
               R.variantsPerSecond(), R.WallSeconds, R.CpuSeconds,
               R.WallSeconds > 0 ? R.CpuSeconds / R.WallSeconds : 0.0);
-  std::printf("baseline cache: %llu fills, %llu hits, %llu reused\n",
+  std::printf("baseline cache: %llu fills, %llu hits, %llu reused; "
+              "%llu attempts equal to the baseline modulo NOPs, not "
+              "executed\n",
               static_cast<unsigned long long>(R.BaselineCacheFills),
               static_cast<unsigned long long>(R.BaselineCacheHits),
-              static_cast<unsigned long long>(R.BaselineCacheReused));
+              static_cast<unsigned long long>(R.BaselineCacheReused),
+              static_cast<unsigned long long>(R.DiffIdentical));
   if (obs::enabled())
     printPhaseTable(stdout);
   if (!R.allAccepted()) {
@@ -868,10 +871,13 @@ int cmdServe(const Options &Opts) {
               U(Opts.Requests), R.Jobs, R.QueueCapacity, U(R.Hits),
               U(R.Fills), U(R.Shed), U(R.Failed));
   std::printf("store: %s: %llu corrupt entries healed, %llu baseline "
-              "runs prewarmed (cache: %llu fills, %llu hits)\n",
+              "runs prewarmed\n",
               Opts.StoreDir.c_str(), U(R.StoreCorrupt),
-              U(R.BaselinePrewarmed), U(R.BaselineCacheFills),
-              U(R.BaselineCacheHits));
+              U(R.BaselinePrewarmed));
+  std::printf("baseline cache: %llu fills, %llu hits; %llu attempts "
+              "equal to the baseline modulo NOPs, not executed\n",
+              U(R.BaselineCacheFills), U(R.BaselineCacheHits),
+              U(R.DiffIdentical));
   std::printf("served: %llu variants, %llu pairwise distinct; "
               "peak queue depth %u\n",
               U(R.Served), U(R.DistinctVariants), R.QueuePeakDepth);
