@@ -11,6 +11,7 @@
 #include "frontend/Lower.h"
 #include "frontend/Parser.h"
 #include "lir/ISel.h"
+#include "mexec/RunMemo.h"
 #include "obs/Metrics.h"
 #include "passes/Passes.h"
 #include "verify/BaselineCache.h"
@@ -120,7 +121,9 @@ mexec::RunResult driver::execute(const mir::MModule &MIR,
   mexec::RunOptions Opts;
   Opts.Input = Input;
   Opts.CollectOutput = CollectOutput;
-  return mexec::runWith(E, MIR, Opts);
+  if (E == mexec::Engine::Reference)
+    return mexec::run(MIR, Opts);
+  return mexec::runMemoized(MIR, Opts);
 }
 
 VerifiedVariant

@@ -96,6 +96,14 @@ codegen::Image linkBaseline(const Program &P,
 
 /// Executes machine IR on \p Input with the default cost model, on the
 /// fast (precompiled) engine unless \p E selects the reference oracle.
+/// The fast engine runs each (module with NOPs removed, input) pair once
+/// per process and derives every module equal to it modulo NOPs from
+/// that run's segment counts (mexec::runMemoized): a NOP-only variant's
+/// result is its baseline's plus each NOP's cost times the entries into
+/// its segment, exactly what a run returns. It still runs the module
+/// when the stored run trapped, the derived count would exceed the step
+/// budget, or the module is not its NOP-free form plus single NOPs. The
+/// reference engine always executes, so it stays the oracle.
 mexec::RunResult execute(const mir::MModule &MIR,
                          const std::vector<int32_t> &Input,
                          bool CollectOutput = false,

@@ -446,6 +446,60 @@ bool mir::equalModuloNops(const MModule &Baseline, const MModule &Variant) {
   return true;
 }
 
+namespace {
+
+/// Folds one 64-bit word into a running digest (a multiply-xorshift
+/// step: cheap, and every input bit reaches the high half).
+void mix(uint64_t &H, uint64_t V) {
+  H = (H ^ V) * 0x9e3779b97f4a7c15ull;
+  H ^= H >> 29;
+}
+
+} // namespace
+
+uint64_t mir::hashModuloNops(const MModule &M) {
+  uint64_t H = 0x6a09e667f3bcc909ull;
+  mix(H, static_cast<uint32_t>(M.EntryFunction));
+  mix(H, M.NumProfCounters);
+  mix(H, M.Globals.size());
+  for (const ir::Global &G : M.Globals) {
+    mix(H, G.SizeBytes);
+    mix(H, G.Init.size());
+    for (int32_t W : G.Init)
+      mix(H, static_cast<uint32_t>(W));
+  }
+  mix(H, M.Functions.size());
+  for (const MFunction &F : M.Functions) {
+    mix(H, F.NumParams | static_cast<uint64_t>(F.FrameBytes) << 32);
+    mix(H, static_cast<uint32_t>(F.ValueSlotsLowDisp) |
+               static_cast<uint64_t>(F.UsesEbx) << 32 |
+               static_cast<uint64_t>(F.UsesEsi) << 33 |
+               static_cast<uint64_t>(F.UsesEdi) << 34);
+    mix(H, F.Blocks.size());
+    for (const MBasicBlock &BB : F.Blocks) {
+      uint64_t Kept = 0;
+      for (const MInstr &I : BB.Instrs) {
+        if (I.Op == MOp::Nop)
+          continue;
+        ++Kept;
+        mix(H, static_cast<uint64_t>(I.Op) |
+                   static_cast<uint64_t>(I.Dst) << 8 |
+                   static_cast<uint64_t>(I.Src) << 16 |
+                   static_cast<uint64_t>(I.Alu) << 24 |
+                   static_cast<uint64_t>(I.Shift) << 32 |
+                   static_cast<uint64_t>(I.CC) << 40 |
+                   static_cast<uint64_t>(I.NopK) << 48 |
+                   static_cast<uint64_t>(I.Target.IsIntrinsic) << 56 |
+                   static_cast<uint64_t>(I.Target.Intr) << 57);
+        mix(H, static_cast<uint32_t>(I.Imm) |
+                   static_cast<uint64_t>(I.Target.Func) << 32);
+      }
+      mix(H, Kept); // block boundary
+    }
+  }
+  return H;
+}
+
 std::string mir::verify(const MModule &M) {
   std::string Problem;
   for (const MFunction &F : M.Functions) {

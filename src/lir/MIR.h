@@ -186,6 +186,11 @@ std::string verify(const MModule &M);
 /// and the variant's steps are at most twice the baseline's plus one.
 bool equalModuloNops(const MModule &Baseline, const MModule &Variant);
 
+/// A 64-bit digest of everything equalModuloNops compares, NOPs skipped:
+/// modules that are equal modulo NOPs have equal digests. It only picks
+/// candidates; a match still needs equalModuloNops.
+uint64_t hashModuloNops(const MModule &M);
+
 } // namespace mir
 } // namespace pgsd
 

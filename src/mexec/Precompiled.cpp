@@ -116,6 +116,9 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
     BlocksPerFunc[FI] = static_cast<uint32_t>(M.Functions[FI].Blocks.size());
     NumFlatBlocks += BlocksPerFunc[FI];
   }
+  // Segments are numbered as forEachSegmentInstr numbers them: a block's
+  // first segment by its flat block index, the rest after every block.
+  NumSegments = NumFlatBlocks;
 
   // The open segment: its head's offset, its running count and cycle
   // sum, and its records with the cycles the reference engine has
@@ -174,7 +177,7 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
         uint32_t Own = 0;         // static Cycles10 charge
         bool Dropped = false;     // no record: the head charges it
         bool ChargedAfter = false; // charged only after a successful read
-        bool EndsSegment = false;
+        const bool EndsSegment = endsSegment(MI);
         switch (MI.Op) {
         case MOp::MovRR:
           P.Op = POp::MovRR;
@@ -371,11 +374,9 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
             P.Op = POp::CallFunc;
             P.Ext = static_cast<uint32_t>(MI.Target.Func);
             Own = C.Call;
-            EndsSegment = true;
           }
           break;
         case MOp::Jmp:
-          EndsSegment = true;
           if (static_cast<uint32_t>(MI.Imm) ==
               static_cast<uint32_t>(B) + 1) {
             // Lexically-next target: free by the cost model, and the
@@ -396,12 +397,10 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
                               static_cast<uint32_t>(MI.Imm));
           P.Cost = C.JccTaken;
           P.Imm = static_cast<int32_t>(C.JccNotTaken);
-          EndsSegment = true;
           break;
         case MOp::Ret:
           P.Op = POp::Ret;
           Own = RetCost;
-          EndsSegment = true;
           break;
         case MOp::Nop:
           Dropped = true;
@@ -417,7 +416,7 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
         // would overflow it (only absurd cost models get here).
         if (SegCycles > UINT32_MAX - Own) {
           closeSegment();
-          openSegment(POp::SegHead, 0);
+          openSegment(POp::SegHead, NumSegments++);
         }
         uint32_t Row = static_cast<uint32_t>(SegPrefix.size());
         SegPrefix.push_back(SegCycles);
@@ -431,7 +430,7 @@ Precompiled::Precompiled(const MModule &M, const CostModel &C)
         SegCycles += Own;
         if (EndsSegment && I + 1 != Instrs.size()) {
           closeSegment();
-          openSegment(POp::SegHead, 0);
+          openSegment(POp::SegHead, NumSegments++);
         }
       }
       closeSegment();
@@ -451,7 +450,14 @@ RunResult Precompiled::run(const RunOptions &Opts) const {
   // by definition, so rare custom-cost runs take that path.
   if (!(Opts.Costs == Costs))
     return mexec::run(*Src, Opts);
-  return execute(Opts);
+  return execute(Opts, nullptr);
+}
+
+RunResult
+Precompiled::runCountingSegments(const RunOptions &Opts,
+                                 std::vector<uint64_t> &SegmentEntries) const {
+  assert(Opts.Costs == Costs && "segment counts need the baked costs");
+  return execute(Opts, &SegmentEntries);
 }
 
 // The dispatch loop uses GNU computed gotos; silence -Wpedantic for the
@@ -459,24 +465,28 @@ RunResult Precompiled::run(const RunOptions &Opts) const {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wpedantic"
 
-RunResult Precompiled::execute(const RunOptions &Opts) const {
+RunResult Precompiled::execute(const RunOptions &Opts,
+                               std::vector<uint64_t> *SegmentEntries) const {
   RunResult Result;
   Result.Counters.assign(NumCounters, 0);
   if (Opts.CollectOutput)
     Result.Output.reserve(OutputReserveBytes);
 
+  // One count per segment; the first NumFlatBlocks are the block counts.
   std::vector<uint64_t> FlatCounts;
   const bool Collect = Opts.CollectBlockCounts;
-  if (Collect)
-    FlatCounts.assign(NumFlatBlocks, 0);
+  if (Collect || SegmentEntries)
+    FlatCounts.assign(NumSegments, 0);
   auto Unflatten = [&] {
-    if (!Collect)
-      return;
-    Result.BlockCounts.resize(BlocksPerFunc.size());
-    for (size_t F = 0; F != BlocksPerFunc.size(); ++F) {
-      const uint64_t *Base = FlatCounts.data() + FlatBase[F];
-      Result.BlockCounts[F].assign(Base, Base + BlocksPerFunc[F]);
+    if (Collect) {
+      Result.BlockCounts.resize(BlocksPerFunc.size());
+      for (size_t F = 0; F != BlocksPerFunc.size(); ++F) {
+        const uint64_t *Base = FlatCounts.data() + FlatBase[F];
+        Result.BlockCounts[F].assign(Base, Base + BlocksPerFunc[F]);
+      }
     }
+    if (SegmentEntries)
+      *SegmentEntries = std::move(FlatCounts);
   };
 
   if (InitTraps) {
@@ -515,7 +525,8 @@ RunResult Precompiled::execute(const RunOptions &Opts) const {
   const uint64_t MaxSteps = Opts.MaxSteps;
   const std::atomic<bool> *const Cancel = Opts.Cancel;
   const size_t MaxDepth = Opts.MaxCallDepth;
-  uint64_t *const CountsFlat = Collect ? FlatCounts.data() : nullptr;
+  uint64_t *const CountsFlat = FlatCounts.empty() ? nullptr
+                                                 : FlatCounts.data();
   uint64_t *const Counters = Result.Counters.data();
   const bool CollectOutput = Opts.CollectOutput;
 
@@ -639,11 +650,12 @@ RunResult Precompiled::execute(const RunOptions &Opts) const {
   PGSD_DISPATCH();
 
 L_BlockHead:
-  // Jump targets, fallthrough edges and calls land here, so every block
-  // entry is counted; then the block's first segment is charged.
+L_SegHead:
+  // Jump targets, fallthrough edges and calls land on a BlockHead, and a
+  // not-taken Jcc or a return on a SegHead, so a counted run counts every
+  // block entry and every segment entry; then the segment is charged.
   if (CountsFlat)
     ++CountsFlat[In->Ext];
-L_SegHead:
   Instrs += static_cast<uint32_t>(In->Imm);
   Cycles += In->Cost;
   if (Instrs > Limit)

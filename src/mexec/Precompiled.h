@@ -45,6 +45,12 @@
 ///    entries all pass one check, and runs the segment up to exactly
 ///    that counted instruction -- dropped NOPs and free jumps included.
 ///
+/// A counted run (block counts, or runCountingSegments) counts every
+/// head it enters, in one array numbered by forEachSegmentInstr below:
+/// the first entries are the flat block counts, the rest the segments
+/// that open after a Jcc or call inside a block. A run that counts
+/// nothing executes the same records with one untaken branch per head.
+///
 /// The compiled image is immutable and reusable: one Precompiled serves
 /// a whole input battery, and concurrent run() calls from ThreadPool
 /// workers are safe because all mutable run state is local (scratch
@@ -79,9 +85,10 @@ namespace detail {
 /// Specialized opcodes of the flat stream. One handler per enumerator;
 /// the order must match the dispatch table in Precompiled.cpp.
 enum class POp : uint8_t {
-  BlockHead, ///< Segment head at a block start; Ext = flat block-count
-             ///< index (counted when CollectBlockCounts).
-  SegHead,   ///< Segment head after a Jcc or call inside a block.
+  BlockHead, ///< Segment head at a block start; Ext = its segment
+             ///< number, which is its flat block index.
+  SegHead,   ///< Segment head after a Jcc or call inside a block; Ext =
+             ///< its segment number (after every block's).
   MovRR,
   MovRI,     ///< Also MovGlobal, with the address pre-resolved into Imm.
   Load,
@@ -148,7 +155,7 @@ struct PInstr {
                      ///< segment instruction count (heads).
   uint32_t Cost = 0; ///< Taken cost (Jcc); segment cycle sum (heads).
   uint32_t Ext = 0;  ///< Branch offset / callee index / counter id /
-                     ///< shift count / flat block-count index.
+                     ///< shift count / segment number (heads).
 };
 
 static_assert(sizeof(PInstr) == 16, "PInstr must stay cache-friendly");
@@ -177,6 +184,48 @@ struct PFunc {
 
 } // namespace detail
 
+/// True when \p I closes its segment: a Jcc, a direct call, a Jmp or a
+/// Ret. Nothing else can branch, so a NOP never closes one.
+inline bool endsSegment(const mir::MInstr &I) {
+  switch (I.Op) {
+  case mir::MOp::Jcc:
+  case mir::MOp::Jmp:
+  case mir::MOp::Ret:
+    return true;
+  case mir::MOp::Call:
+    return !I.Target.IsIntrinsic;
+  default:
+    return false;
+  }
+}
+
+/// Calls \p Visit(Segment, Instr) for every instruction of \p M in stream
+/// order, with the segment numbers a counted Precompiled run reports:
+/// segment b opens flat block b (functions in order, then blocks), and
+/// each instruction that ends a segment and is not its block's last
+/// opens the next number after every block's. Returns the segment
+/// count, which equals Precompiled::numSegments() unless the stream
+/// split a segment whose cycle sum overflowed its head (absurd cost
+/// models only).
+template <typename Fn>
+uint32_t forEachSegmentInstr(const mir::MModule &M, Fn &&Visit) {
+  uint32_t Next = 0;
+  for (const mir::MFunction &F : M.Functions)
+    Next += static_cast<uint32_t>(F.Blocks.size());
+  uint32_t Block = 0;
+  for (const mir::MFunction &F : M.Functions) {
+    for (const mir::MBasicBlock &BB : F.Blocks) {
+      uint32_t Seg = Block++;
+      for (size_t I = 0; I != BB.Instrs.size(); ++I) {
+        Visit(Seg, BB.Instrs[I]);
+        if (endsSegment(BB.Instrs[I]) && I + 1 != BB.Instrs.size())
+          Seg = Next++;
+      }
+    }
+  }
+  return Next;
+}
+
 /// A module lowered to the flat stream. Immutable after construction;
 /// run() is const and thread-safe (per-thread scratch memory).
 class Precompiled {
@@ -192,14 +241,27 @@ public:
   /// this delegates to the reference engine directly.
   RunResult run(const RunOptions &Opts) const;
 
+  /// As run(), and also sets \p SegmentEntries[s] to the number of times
+  /// segment s (numbered as by forEachSegmentInstr) was entered; its
+  /// first entries are the flat block counts. The segments counted on a
+  /// trapped run include the one that trapped. Requires Opts.Costs ==
+  /// bakedCosts(): the reference engine knows no segments.
+  RunResult runCountingSegments(const RunOptions &Opts,
+                                std::vector<uint64_t> &SegmentEntries) const;
+
   /// The cost model the stream was compiled against.
   const CostModel &bakedCosts() const { return Costs; }
+
+  /// Number of segments: flat blocks plus heads inside blocks.
+  uint32_t numSegments() const { return NumSegments; }
 
   /// Flat stream length in PInstrs (tests and benches).
   size_t streamLength() const { return Code.size(); }
 
 private:
-  RunResult execute(const RunOptions &Opts) const;
+  /// \p SegmentEntries, when not null, receives the segment counts.
+  RunResult execute(const RunOptions &Opts,
+                    std::vector<uint64_t> *SegmentEntries) const;
 
   const mir::MModule *Src;
   CostModel Costs;
@@ -212,6 +274,7 @@ private:
   std::vector<uint32_t> FlatBase;      ///< Function -> flat block base.
   std::vector<uint32_t> BlocksPerFunc; ///< For unflattening BlockCounts.
   uint32_t NumFlatBlocks = 0;
+  uint32_t NumSegments = 0;
   uint32_t EntryFunc = 0;
   uint32_t NumCounters = 0;
   /// Global initialization replayed at the start of every run, already

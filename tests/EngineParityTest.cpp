@@ -24,13 +24,23 @@
 //  - custom cost models (the baked-stream fallback path),
 //  - one stream shared by concurrent runs (the battery reuse pattern).
 //
+// The derived path (mexec::runMemoized, what driver::execute runs on
+// the fast engine) is one more engine under the same contract: every
+// runBoth comparison also checks it, and its own cases cover every
+// suite program under the paper's configurations, NOPs that only a
+// not-taken Jcc reaches, trapping and over-budget runs that must fall
+// back, and concurrent derivations of one program's variants.
+//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/MirFault.h"
+#include "bench/Experiments.h"
 #include "codegen/Layout.h"
 #include "diversity/NopInsertion.h"
 #include "driver/Driver.h"
 #include "mexec/Precompiled.h"
+#include "mexec/RunMemo.h"
+#include "obs/Metrics.h"
 #include "profile/Profile.h"
 #include "verify/Verifier.h"
 #include "workloads/Workloads.h"
@@ -81,6 +91,8 @@ void runBoth(const MModule &M, const mexec::RunOptions &Opts,
   // diffExecute reuse patterns): a second run from the same stream must
   // reproduce the first.
   expectSame(Ref, P.run(Opts), What + " (stream reuse)");
+  // Filled, derived or run plainly, the memo returns the same run.
+  expectSame(Ref, mexec::runMemoized(M, Opts), What + " (run memo)");
 }
 
 mexec::RunOptions fullCollect(const std::vector<int32_t> &Input) {
@@ -178,6 +190,7 @@ void runBothSource(const char *Source, const mexec::RunOptions &Opts,
   EXPECT_EQ(Ref.Trap, Expect);
   mexec::Precompiled PC(P.MIR, Opts.Costs);
   expectSame(Ref, PC.run(Opts), What);
+  expectSame(Ref, mexec::runMemoized(P.MIR, Opts), What + " (run memo)");
 }
 
 /// Builds `main() { eax = A; <op>; ret }` by hand for instructions the
@@ -719,4 +732,230 @@ TEST(EngineParity, EngineNamesRoundTrip) {
   EXPECT_EQ(E, mexec::Engine::Reference);
   EXPECT_FALSE(mexec::parseEngine("turbo", E));
   EXPECT_EQ(E, mexec::Engine::Reference); // untouched on failure
+}
+
+//===----------------------------------------------------------------------===//
+// Derived runs: mexec::runMemoized against Precompiled::run
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The run memo's counters, read from the global registry (now() turns
+/// telemetry on, so the counts that follow it are recorded).
+struct MemoCounts {
+  uint64_t Fills = 0, Derived = 0, Fallbacks = 0;
+
+  static MemoCounts now() {
+    obs::setEnabled(true);
+    obs::LocalMetrics S = obs::Registry::global().snapshot();
+    auto Get = [&](const char *Key) -> uint64_t {
+      auto It = S.Counters.find(Key);
+      return It == S.Counters.end() ? 0 : It->second;
+    };
+    return {Get("mexec.run_memo.fills"), Get("mexec.run_memo.derived"),
+            Get("mexec.run_memo.fallbacks")};
+  }
+  MemoCounts operator-(const MemoCounts &O) const {
+    return {Fills - O.Fills, Derived - O.Derived, Fallbacks - O.Fallbacks};
+  }
+};
+
+size_t countNops(const MModule &M) {
+  size_t N = 0;
+  for (const MFunction &F : M.Functions)
+    for (const MBasicBlock &BB : F.Blocks)
+      for (const MInstr &I : BB.Instrs)
+        N += I.Op == MOp::Nop;
+  return N;
+}
+
+MModule nopVariant(const MModule &Base,
+                   const diversity::DiversityOptions &Opts, uint64_t Seed) {
+  MModule V = Base;
+  diversity::Pipeline().run(V, Opts, Seed);
+  return V;
+}
+
+} // namespace
+
+TEST(EngineParityDerived, PaperConfigsOnEverySuiteProgram) {
+  // Every suite program under each Figure 4 configuration, three seeds,
+  // the third with the bus-locking XCHG pair enabled: each variant's run
+  // is derived from one run of its baseline and must equal a real run
+  // field for field, block counts included.
+  const MemoCounts Before = MemoCounts::now();
+  size_t Programs = 0, Variants = 0;
+  for (const workloads::Workload &W : workloads::specSuite()) {
+    ++Programs;
+    driver::Program P = driver::compileProgram(W.Source, W.Name);
+    ASSERT_TRUE(P.ok()) << P.errors();
+    ASSERT_TRUE(driver::profileAndStamp(P, W.TrainInput));
+    const mexec::RunOptions Opts = fullCollect(W.TrainInput);
+    expectSame(mexec::Precompiled(P.MIR).run(Opts),
+               mexec::runMemoized(P.MIR, Opts), W.Name + " baseline");
+    for (const experiments::Config &C : experiments::paperConfigs()) {
+      for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+        diversity::DiversityOptions D = C.Opts;
+        D.IncludeXchgNops = Seed == 3;
+        MModule V = nopVariant(P.MIR, D, Seed);
+        expectSame(mexec::Precompiled(V).run(Opts),
+                   mexec::runMemoized(V, Opts),
+                   W.Name + " " + C.Label + " seed " +
+                       std::to_string(Seed));
+        ++Variants;
+      }
+    }
+  }
+  const MemoCounts D = MemoCounts::now() - Before;
+  // One run per program at most; every call derived.
+  EXPECT_LE(D.Fills, Programs);
+  EXPECT_EQ(D.Derived, Variants + Programs);
+  EXPECT_EQ(D.Fallbacks, 0u);
+}
+
+TEST(EngineParityDerived, NopsAfterATakenJccCountSegmentsNotBlocks) {
+  // A NOP between a block's Jcc and its Jmp runs only when the Jcc falls
+  // through. Derived from block counts it would be charged on every
+  // entry to its block; segment counts charge it exactly.
+  driver::Program P = driver::compileProgram(R"(
+    fn main() {
+      var n = read_int();
+      var s = 0;
+      var i = 0;
+      while (i < n) {
+        if (i % 3 == 0) { s = s + i; } else { s = s - 1; }
+        i = i + 1;
+      }
+      print_int(s);
+      return 0;
+    }
+  )",
+                                             "segments");
+  ASSERT_TRUE(P.ok()) << P.errors();
+  MModule V = P.MIR;
+  size_t Placed = 0;
+  for (MFunction &F : V.Functions) {
+    for (MBasicBlock &BB : F.Blocks) {
+      for (size_t I = 0; I + 1 < BB.Instrs.size(); ++I) {
+        if (BB.Instrs[I].Op != MOp::Jcc)
+          continue;
+        MInstr Nop;
+        Nop.Op = MOp::Nop;
+        Nop.NopK = x86::NopKind::XchgEbpEbp;
+        BB.Instrs.insert(BB.Instrs.begin() + static_cast<long>(I) + 1, Nop);
+        ++Placed;
+        ++I;
+      }
+    }
+  }
+  ASSERT_GT(Placed, 0u) << "no block holds a Jcc before its last instr";
+  ASSERT_TRUE(mir::equalModuloNops(P.MIR, V));
+
+  const mexec::RunOptions Opts = fullCollect({30});
+  const mexec::RunResult Real = mexec::Precompiled(V).run(Opts);
+  const MemoCounts Before = MemoCounts::now();
+  expectSame(Real, mexec::runMemoized(V, Opts), "derived from segments");
+  EXPECT_EQ((MemoCounts::now() - Before).Derived, 1u);
+
+  const mexec::RunResult Base = mexec::Precompiled(P.MIR).run(Opts);
+  uint64_t ByBlock = Base.Instructions;
+  for (size_t F = 0; F != V.Functions.size(); ++F)
+    for (size_t B = 0; B != V.Functions[F].Blocks.size(); ++B)
+      for (const MInstr &I : V.Functions[F].Blocks[B].Instrs)
+        ByBlock += I.Op == MOp::Nop ? Base.BlockCounts[F][B] : 0;
+  EXPECT_GT(ByBlock, Real.Instructions)
+      << "block counts must overcount here, or this case tests nothing";
+}
+
+TEST(EngineParityDerived, TrappedOrOverBudgetBaseFallsBack) {
+  driver::Program P = driver::compileProgram(R"(
+    fn main() {
+      var a = read_int();
+      var s = 0;
+      var i = 0;
+      while (i < 40) { s = s + i * a; i = i + 1; }
+      print_int(s);
+      return 1000 / a;
+    }
+  )",
+                                             "trap");
+  ASSERT_TRUE(P.ok()) << P.errors();
+  MModule V = nopVariant(P.MIR, diversity::DiversityOptions::uniform(0.5), 1);
+  ASSERT_GT(countNops(V), 0u);
+  ASSERT_TRUE(mir::equalModuloNops(P.MIR, V));
+
+  // Dividing by zero: the baseline itself is answered from its stored
+  // run, trap included; its NOP-only variant must run.
+  mexec::RunOptions Opts;
+  Opts.CollectOutput = true;
+  Opts.CollectBlockCounts = true;
+  Opts.Input = {0};
+  MemoCounts Before = MemoCounts::now();
+  const mexec::RunResult BaseTrap = mexec::runMemoized(P.MIR, Opts);
+  EXPECT_EQ(BaseTrap.Trap, mexec::TrapKind::DivideByZero);
+  expectSame(mexec::run(P.MIR, Opts), BaseTrap, "trapping baseline");
+  expectSame(mexec::Precompiled(V).run(Opts), mexec::runMemoized(V, Opts),
+             "trapping variant");
+  MemoCounts D = MemoCounts::now() - Before;
+  EXPECT_EQ(D.Fills, 1u);
+  EXPECT_EQ(D.Derived, 1u);
+  EXPECT_EQ(D.Fallbacks, 1u);
+
+  // A budget the baseline finishes in exactly but the variant exceeds:
+  // the derived count is over MaxSteps, so the variant must run (and
+  // trap on the budget).
+  Opts.Input = {7};
+  Opts.MaxSteps = mexec::Precompiled(P.MIR).run(Opts).Instructions;
+  Before = MemoCounts::now();
+  expectSame(mexec::run(P.MIR, Opts), mexec::runMemoized(P.MIR, Opts),
+             "baseline at its exact budget");
+  const mexec::RunResult Over = mexec::runMemoized(V, Opts);
+  EXPECT_EQ(Over.Trap, mexec::TrapKind::StepBudget);
+  expectSame(mexec::Precompiled(V).run(Opts), Over, "variant over budget");
+  D = MemoCounts::now() - Before;
+  EXPECT_EQ(D.Derived, 1u);
+  EXPECT_EQ(D.Fallbacks, 1u);
+}
+
+TEST(EngineParityDerived, ConcurrentDerivationsOfOneProgram) {
+  // Four threads derive one program's variants at once from a cold
+  // memo entry, so they race on its fill: every result must equal a
+  // serial real run, and TSan must see no unguarded shared write.
+  const workloads::Workload &W = workloads::specWorkload("429.mcf");
+  driver::Program P = driver::compileProgram(W.Source, W.Name);
+  ASSERT_TRUE(P.ok()) << P.errors();
+  ASSERT_TRUE(driver::profileAndStamp(P, W.TrainInput));
+  mexec::RunOptions Opts;
+  Opts.Input = W.TrainInput;
+  Opts.CollectOutput = true;
+  Opts.MaxSteps = 40'000'000; // a key no other case fills
+  std::vector<MModule> Variants = {P.MIR};
+  std::vector<mexec::RunResult> Serial;
+  for (const experiments::Config &C : experiments::paperConfigs())
+    for (uint64_t Seed = 11; Seed <= 12; ++Seed)
+      Variants.push_back(nopVariant(P.MIR, C.Opts, Seed));
+  for (const MModule &V : Variants)
+    Serial.push_back(mexec::Precompiled(V).run(Opts));
+
+  constexpr unsigned Threads = 4;
+  std::vector<std::vector<mexec::RunResult>> Got(Threads);
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T != Threads; ++T) {
+    Workers.emplace_back([&, T] {
+      for (size_t I = 0; I != Variants.size(); ++I)
+        Got[T].push_back(mexec::runMemoized(
+            Variants[(I + T) % Variants.size()], Opts));
+    });
+  }
+  for (std::thread &Wk : Workers)
+    Wk.join();
+  for (unsigned T = 0; T != Threads; ++T) {
+    ASSERT_EQ(Got[T].size(), Variants.size());
+    for (size_t I = 0; I != Variants.size(); ++I) {
+      size_t V = (I + T) % Variants.size();
+      expectSame(Serial[V], Got[T][I],
+                 "thread " + std::to_string(T) + " variant " +
+                     std::to_string(V));
+    }
+  }
 }

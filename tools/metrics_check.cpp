@@ -6,7 +6,7 @@
 // Standalone validator for pgsd-metrics-v1 files:
 //
 //   metrics_check metrics.json [--batch] [--nvx] [--equiv] [--transforms]
-//                              [--gadget] [--serve]
+//                              [--gadget] [--serve] [--diversify]
 //
 // Checks, in order:
 //  1. The file is syntactically valid JSON (obs::validateJson, the same
@@ -55,6 +55,13 @@
 //     verify.diff_identical must be present and cannot exceed the fill
 //     attempts that reached differential execution (verify.attempts
 //     minus the static and equivalence rejections).
+//  9. Always, when the run memo reports: every fast-engine
+//     driver::execute call is answered by a derivation or a plain run,
+//     and a fill happens only inside such a call, so
+//     mexec.run_memo.fills <= derived + fallbacks. With --diversify (the
+//     file came from `pgsdc diversify --metrics`, which runs the
+//     baseline and the variant on the given input), the counters must
+//     be present and answer exactly those two calls.
 //
 // Exit 0 on success, 1 with a diagnostic on the first failed check.
 // Key lookups scan for the literal `"<key>": ` the deterministic obs
@@ -125,11 +132,11 @@ int main(int Argc, char **Argv) {
   if (Argc < 2) {
     std::fprintf(stderr, "usage: metrics_check <metrics.json> [--batch] "
                          "[--nvx] [--equiv] [--transforms] [--gadget] "
-                         "[--serve]\n");
+                         "[--serve] [--diversify]\n");
     return 1;
   }
   bool Batch = false, Nvx = false, Equiv = false, Transforms = false,
-       Gadget = false, Serve = false;
+       Gadget = false, Serve = false, Diversify = false;
   for (int I = 2; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--batch") == 0)
       Batch = true;
@@ -143,6 +150,8 @@ int main(int Argc, char **Argv) {
       Gadget = true;
     else if (std::strcmp(Argv[I], "--serve") == 0)
       Serve = true;
+    else if (std::strcmp(Argv[I], "--diversify") == 0)
+      Diversify = true;
     else
       return fail(std::string("unknown option '") + Argv[I] + "'");
   }
@@ -495,6 +504,31 @@ int main(int Argc, char **Argv) {
     }
   }
 
+  {
+    // Zero-valued counters are not exported, so each may be absent.
+    double Fills = 0, Derived = 0, Fallbacks = 0;
+    bool Any = findNumber(Text, "mexec.run_memo.fills", Fills);
+    Any |= findNumber(Text, "mexec.run_memo.derived", Derived);
+    Any |= findNumber(Text, "mexec.run_memo.fallbacks", Fallbacks);
+    if (Fills > Derived + Fallbacks) {
+      std::fprintf(stderr,
+                   "metrics_check: mexec.run_memo.fills %.0f exceeds "
+                   "derived %.0f + fallbacks %.0f\n",
+                   Fills, Derived, Fallbacks);
+      return 1;
+    }
+    if (Diversify && !Any)
+      return fail("diversify metrics missing the mexec.run_memo counters");
+    if (Diversify && Derived + Fallbacks != 2) {
+      std::fprintf(stderr,
+                   "metrics_check: mexec.run_memo derived %.0f + "
+                   "fallbacks %.0f do not answer the 2 runs of "
+                   "diversify\n",
+                   Derived, Fallbacks);
+      return 1;
+    }
+  }
+
   std::string Suffix;
   if (Batch)
     Suffix += " (batch invariants hold)";
@@ -508,6 +542,8 @@ int main(int Argc, char **Argv) {
     Suffix += " (gadget invariants hold)";
   if (Serve)
     Suffix += " (serve invariants hold)";
+  if (Diversify)
+    Suffix += " (diversify invariants hold)";
   std::printf("metrics_check: %s OK%s\n", Argv[1], Suffix.c_str());
   return 0;
 }

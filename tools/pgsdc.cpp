@@ -538,14 +538,24 @@ int cmdDiversify(const Options &Opts) {
 
   mexec::RunResult RBase = driver::execute(P.MIR, Input);
   mexec::RunResult RVar = driver::execute(V, Input);
-  if (!RBase.Trapped && !RVar.Trapped) {
-    std::printf("slowdown on given input: %+.2f%% (checksums %s)\n",
-                100.0 * (RVar.cycles() / RBase.cycles() - 1.0),
-                RBase.Checksum == RVar.Checksum ? "match" : "DIFFER");
-    if (RBase.Checksum != RVar.Checksum)
-      return ExitVerifyFailed;
+  if (RBase.Trapped || RVar.Trapped) {
+    // The variant must trap where its baseline does; a trap on one side
+    // only, or of another kind, fails like a checksum mismatch.
+    auto Outcome = [](const mexec::RunResult &R) {
+      return R.Trapped ? std::string("trapped (") +
+                             mexec::trapKindName(R.Trap) + ")"
+                       : std::string("finished");
+    };
+    const bool Same = RBase.Trap == RVar.Trap;
+    std::printf("run on given input: baseline %s, variant %s (traps %s)\n",
+                Outcome(RBase).c_str(), Outcome(RVar).c_str(),
+                Same ? "match" : "DIFFER");
+    return Same ? ExitOK : ExitVerifyFailed;
   }
-  return ExitOK;
+  std::printf("slowdown on given input: %+.2f%% (checksums %s)\n",
+              100.0 * (RVar.cycles() / RBase.cycles() - 1.0),
+              RBase.Checksum == RVar.Checksum ? "match" : "DIFFER");
+  return RBase.Checksum == RVar.Checksum ? ExitOK : ExitVerifyFailed;
 }
 
 int cmdVerify(const Options &Opts) {
