@@ -166,15 +166,17 @@ driver::makeVariantVerified(const Program &P,
       Effective.InjectFault(V.MIR, V.Image, S);
     obs::counterAdd("verify.attempts");
     verify::Report R;
+    bool ModuloNops = false;
     {
       obs::Span VS("pipeline.verify");
       R = verify::verifyVariant(P.MIR, V.MIR, V.Image, Effective,
-                                V.Pipeline.Regs.Renamings);
+                                V.Pipeline.Regs.Renamings, &ModuloNops);
     }
     Out.Attempts = Attempt + 1;
     if (R.ok()) {
       Out.V = std::move(V);
       Out.SeedUsed = S;
+      Out.ModuloNops = ModuloNops;
       obs::counterAdd("verify.accepted");
       ExportLocalCache();
       return Out;

@@ -116,6 +116,10 @@ struct VerifiedVariant {
   uint64_t SeedUsed = 0;  ///< Seed of the accepted attempt.
   unsigned Attempts = 0;  ///< Variant builds tried (1 when first passed).
   bool UsedFallback = false; ///< True when V is the undiversified image.
+  /// True when the accepted attempt was settled by equality modulo NOPs
+  /// to its analyzer-clean baseline (verify::verifyVariant's stage 0),
+  /// so no analysis, proof or run of the variant was needed.
+  bool ModuloNops = false;
 
   /// True when a diversified variant passed verification.
   bool ok() const { return !UsedFallback; }

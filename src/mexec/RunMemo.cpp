@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -43,35 +44,62 @@ struct Entry {
 };
 
 /// The process-wide memo: RunMemoCapacity slots, least recently used
-/// evicted first.
+/// evicted first, and the fills in flight, so that concurrent misses on
+/// one pair wait for a single fill instead of each running the base.
 class Memo {
 public:
-  std::shared_ptr<const Entry> find(uint64_t Digest, const RunOptions &Opts) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    for (Slot &S : Slots) {
-      if (S.E->matches(Digest, Opts.Input, Opts.MaxSteps,
-                       Opts.MaxCallDepth)) {
-        S.LastUse = ++Clock;
-        return S.E;
+  /// The entry for (\p Digest, \p Opts): a stored one, or the result of
+  /// the fill of that pair already in flight, awaited without the lock
+  /// (null when that fill found nothing to store). When there is
+  /// neither, returns null with \p Claimed set: the caller fills the
+  /// pair and must then call publish().
+  std::shared_ptr<const Entry> find(uint64_t Digest, const RunOptions &Opts,
+                                    bool &Claimed) {
+    std::shared_future<std::shared_ptr<const Entry>> Pending;
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      for (Slot &S : Slots) {
+        if (S.E->matches(Digest, Opts.Input, Opts.MaxSteps,
+                         Opts.MaxCallDepth)) {
+          S.LastUse = ++Clock;
+          return S.E;
+        }
+      }
+      for (const Fill &F : Fills) {
+        if (F.matches(Digest, Opts)) {
+          Pending = F.Result;
+          break;
+        }
+      }
+      if (!Pending.valid()) {
+        Fill &F = Fills.emplace_back();
+        F.Digest = Digest;
+        F.Opts = &Opts;
+        F.Result = F.Done.get_future().share();
+        Claimed = true;
+        return nullptr;
       }
     }
-    return nullptr;
+    return Pending.get();
   }
 
-  void insert(std::shared_ptr<const Entry> E) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Slot *Victim = nullptr;
-    for (Slot &S : Slots)
-      if (S.E->matches(E->Digest, E->Input, E->MaxSteps, E->MaxCallDepth))
-        Victim = &S; // a concurrent fill of the same pair
-    if (!Victim && Slots.size() == RunMemoCapacity)
-      Victim = &*std::min_element(
-          Slots.begin(), Slots.end(),
-          [](const Slot &A, const Slot &B) { return A.LastUse < B.LastUse; });
-    if (!Victim)
-      Victim = &Slots.emplace_back();
-    Victim->E = std::move(E);
-    Victim->LastUse = ++Clock;
+  /// Ends the fill of (\p Digest, \p Opts) that find() handed out,
+  /// storing \p E when it is not null and waking its waiters.
+  void publish(uint64_t Digest, const RunOptions &Opts,
+               std::shared_ptr<const Entry> E) {
+    std::promise<std::shared_ptr<const Entry>> Done;
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      auto It = std::find_if(Fills.begin(), Fills.end(), [&](const Fill &F) {
+        return F.matches(Digest, Opts);
+      });
+      assert(It != Fills.end() && "publish without a claimed fill");
+      Done = std::move(It->Done);
+      Fills.erase(It);
+      if (E)
+        insert(E);
+    }
+    Done.set_value(std::move(E));
   }
 
 private:
@@ -79,8 +107,36 @@ private:
     std::shared_ptr<const Entry> E;
     uint64_t LastUse = 0;
   };
+  /// A fill in flight. Opts points into the filling caller's frame,
+  /// which outlives the fill.
+  struct Fill {
+    uint64_t Digest = 0;
+    const RunOptions *Opts = nullptr;
+    std::promise<std::shared_ptr<const Entry>> Done;
+    std::shared_future<std::shared_ptr<const Entry>> Result;
+
+    bool matches(uint64_t D, const RunOptions &O) const {
+      return Digest == D && Opts->MaxSteps == O.MaxSteps &&
+             Opts->MaxCallDepth == O.MaxCallDepth && Opts->Input == O.Input;
+    }
+  };
+
+  /// Stores \p E in the least recently used slot. Called with the lock.
+  void insert(std::shared_ptr<const Entry> E) {
+    Slot *Victim = nullptr;
+    if (Slots.size() == RunMemoCapacity)
+      Victim = &*std::min_element(
+          Slots.begin(), Slots.end(),
+          [](const Slot &A, const Slot &B) { return A.LastUse < B.LastUse; });
+    else
+      Victim = &Slots.emplace_back();
+    Victim->E = std::move(E);
+    Victim->LastUse = ++Clock;
+  }
+
   std::mutex Mutex;
   std::vector<Slot> Slots;
+  std::vector<Fill> Fills;
   uint64_t Clock = 0;
 };
 
@@ -98,8 +154,8 @@ MModule stripNops(const MModule &M) {
   return Out;
 }
 
-/// Runs the NOP-free form of \p M, counting segment entries, and stores
-/// the run. Null when \p M is not that form plus single NOPs.
+/// Runs the NOP-free form of \p M, counting segment entries. Null when
+/// \p M is not that form plus single NOPs.
 std::shared_ptr<const Entry> fill(const MModule &M, uint64_t Digest,
                                   const RunOptions &Opts) {
   auto E = std::make_shared<Entry>();
@@ -121,7 +177,6 @@ std::shared_ptr<const Entry> fill(const MModule &M, uint64_t Digest,
   E->Segmented = P.numSegments() ==
                  forEachSegmentInstr(E->Base, [](uint32_t, const MInstr &) {});
   obs::counterAdd("mexec.run_memo.fills");
-  memo().insert(E);
   return E;
 }
 
@@ -181,11 +236,25 @@ RunResult mexec::runMemoized(const MModule &M, const RunOptions &Opts) {
   if (Opts.Cancel || !(Opts.Costs == CostModel()))
     return Plain();
   const uint64_t Digest = mir::hashModuloNops(M);
-  std::shared_ptr<const Entry> E = memo().find(Digest, Opts);
-  if (E && !mir::equalModuloNops(E->Base, M))
+  // A fill that found nothing to store hands its waiters null; they
+  // look again, and one of them claims the next fill.
+  std::shared_ptr<const Entry> E;
+  bool Claimed = false;
+  while (!E && !Claimed)
+    E = memo().find(Digest, Opts, Claimed);
+  if (Claimed) {
+    try {
+      E = fill(M, Digest, Opts);
+    } catch (...) {
+      memo().publish(Digest, Opts, nullptr);
+      throw;
+    }
+    memo().publish(Digest, Opts, E);
+    if (!E)
+      return Plain();
+  } else if (!mir::equalModuloNops(E->Base, M)) {
     return Plain();
-  if (!E && !(E = fill(M, Digest, Opts)))
-    return Plain();
+  }
   std::optional<RunResult> R = derive(*E, M, Opts);
   if (!R)
     return Plain();

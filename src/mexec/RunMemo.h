@@ -44,7 +44,9 @@
 /// is derived or a fallback, so fills <= derived + fallbacks.
 ///
 /// Thread-safe: entries are immutable once stored, and one mutex guards
-/// only the lookup and the insertion, never a run.
+/// only the lookup and the insertion, never a run. Concurrent misses on
+/// one pair are merged: the first fills, the others wait for its entry,
+/// so a cold pair is run once however many threads ask for it.
 ///
 //===----------------------------------------------------------------------===//
 

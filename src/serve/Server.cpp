@@ -47,13 +47,13 @@ ServeResult serve::serveVariants(const driver::Program &P,
   }();
   verify::VerifyOptions Verify = O.Verify;
   Verify.Cache = &Cache;
-  std::string BaseMaterial;
+  KeyPrefix BaseKey;
   StoreKey BaselineKey;
 
   {
     obs::Span S(Obs ? "serve.setup" : nullptr);
-    BaseMaterial = baseKeyMaterial(P.MIR, O.Link);
-    BaselineKey = makeBaselineKey(BaseMaterial, O.Verify);
+    BaseKey = hashKeyPrefix(baseKeyMaterial(P.MIR, O.Link));
+    BaselineKey = makeBaselineKey(BaseKey, O.Verify);
     if (!Store.open(&R.Error))
       return R; // Unwritable store: fail loudly at startup, not later.
 
@@ -88,8 +88,7 @@ ServeResult serve::serveVariants(const driver::Program &P,
     for (uint64_t I = 0; I != O.Requests; ++I) {
       const uint64_t Seed = O.BaseSeed + I;
       const double Start = support::monotonicSeconds();
-      const StoreKey Key =
-          makeVariantKey(BaseMaterial, O.Pipe, O.Diversity, Seed);
+      const StoreKey Key = makeVariantKey(BaseKey, O.Pipe, O.Diversity, Seed);
 
       RequestResult Req;
       Req.Seed = Seed;

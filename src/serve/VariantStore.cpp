@@ -70,15 +70,17 @@ void appendBaseMaterial(std::string &M, const mir::MModule &Baseline,
   M += '\0';
 }
 
-StoreKey keyOf(const std::string &Material) {
+/// The key of \p Base's material followed by \p Suffix: both streams
+/// continue over the suffix, and Hi folds the total length. FNV-1a is a
+/// left fold, so this equals hashing the concatenation whole.
+StoreKey keyOf(const KeyPrefix &Base, const std::string &Suffix) {
   StoreKey K;
   // Two decorrelated FNV streams (distinct bases; the second also folds
   // the length) give a 128-bit address -- collision-free for any
   // realistic fleet size.
-  K.Lo = serve::fnv1a64(Material.data(), Material.size());
-  uint64_t Len = Material.size();
-  K.Hi = serve::fnv1a64(Material.data(), Material.size(),
-                        0x9e3779b97f4a7c15ull);
+  K.Lo = serve::fnv1a64(Suffix.data(), Suffix.size(), Base.Lo);
+  uint64_t Len = Base.Size + Suffix.size();
+  K.Hi = serve::fnv1a64(Suffix.data(), Suffix.size(), Base.Hi);
   K.Hi = serve::fnv1a64(&Len, sizeof Len, K.Hi);
   return K;
 }
@@ -241,6 +243,14 @@ std::string serve::baseKeyMaterial(const mir::MModule &Baseline,
   return M;
 }
 
+KeyPrefix serve::hashKeyPrefix(const std::string &BaseMaterial) {
+  KeyPrefix P;
+  P.Lo = fnv1a64(BaseMaterial.data(), BaseMaterial.size(), P.Lo);
+  P.Hi = fnv1a64(BaseMaterial.data(), BaseMaterial.size(), P.Hi);
+  P.Size = BaseMaterial.size();
+  return P;
+}
+
 StoreKey serve::makeVariantKey(const mir::MModule &Baseline,
                                const diversity::Pipeline &Pipe,
                                const diversity::DiversityOptions &D,
@@ -253,8 +263,14 @@ StoreKey serve::makeVariantKey(const std::string &BaseMaterial,
                                const diversity::Pipeline &Pipe,
                                const diversity::DiversityOptions &D,
                                uint64_t Seed) {
-  std::string M = BaseMaterial;
-  M += Pipe.label();
+  return makeVariantKey(hashKeyPrefix(BaseMaterial), Pipe, D, Seed);
+}
+
+StoreKey serve::makeVariantKey(const KeyPrefix &Base,
+                               const diversity::Pipeline &Pipe,
+                               const diversity::DiversityOptions &D,
+                               uint64_t Seed) {
+  std::string M = Pipe.label();
   M += '\0';
   // Serialize every DiversityOptions field explicitly -- label() is a
   // human-facing summary and must not be trusted to discriminate.
@@ -266,7 +282,7 @@ StoreKey serve::makeVariantKey(const std::string &BaseMaterial,
   M += D.IncludeXchgNops ? ":x" : ":-";
   M += '\0';
   M += std::to_string(Seed);
-  return keyOf(M);
+  return keyOf(Base, M);
 }
 
 StoreKey serve::makeBaselineKey(const mir::MModule &Baseline,
@@ -277,15 +293,19 @@ StoreKey serve::makeBaselineKey(const mir::MModule &Baseline,
 
 StoreKey serve::makeBaselineKey(const std::string &BaseMaterial,
                                 const verify::VerifyOptions &Verify) {
-  std::string M = BaseMaterial;
-  M += "baseline";
+  return makeBaselineKey(hashKeyPrefix(BaseMaterial), Verify);
+}
+
+StoreKey serve::makeBaselineKey(const KeyPrefix &Base,
+                                const verify::VerifyOptions &Verify) {
+  std::string M = "baseline";
   M += '\0';
   verify::appendBatteryMaterial(M,
                                 Verify.InputBattery.empty()
                                     ? verify::defaultInputBattery()
                                     : Verify.InputBattery,
                                 Verify.MaxSteps);
-  return keyOf(M);
+  return keyOf(Base, M);
 }
 
 //===----------------------------------------------------------------------===//

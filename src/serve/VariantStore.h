@@ -18,7 +18,9 @@
 /// the diversity options, the request seed, the link options, and a
 /// store format version. Same inputs, same key, process-independent; any
 /// change to source, profile, pipeline, or engine version re-keys and
-/// naturally invalidates.
+/// naturally invalidates. The per-program part of that material comes
+/// first, so a server hashes it once (hashKeyPrefix) and each request
+/// only its own short suffix; the key is the same either way.
 ///
 /// Durability contract:
 ///  * Publication is write-to-temp + std::filesystem::rename, so a crash
@@ -82,6 +84,24 @@ uint64_t fnv1a64(const void *Data, size_t Size,
 std::string baseKeyMaterial(const mir::MModule &Baseline,
                             const codegen::LinkOptions &Link);
 
+/// Key material hashed up to a point: the mid-states of both FNV-1a
+/// streams of StoreKey (Lo from the standard offset basis, Hi from the
+/// golden-ratio word) and the bytes hashed so far. A key is both streams
+/// continued over the rest of its material, with Hi then folding the
+/// total length; FNV-1a is a left fold, so a key derived from a prefix
+/// equals the key of the whole material, bit for bit.
+struct KeyPrefix {
+  uint64_t Lo = 0xcbf29ce484222325ull;
+  uint64_t Hi = 0x9e3779b97f4a7c15ull;
+  uint64_t Size = 0;
+};
+
+/// \p BaseMaterial (a baseKeyMaterial()) hashed once. The serve loop
+/// derives every request's key from it, hashing only the short
+/// per-request suffix (pipeline, diversity options, seed) instead of
+/// the whole printed module (5 KB to 607 KB on the suite) per request.
+KeyPrefix hashKeyPrefix(const std::string &BaseMaterial);
+
 /// Content address of the variant determined by (profile-stamped
 /// baseline \p Baseline, \p Pipe, \p D, request seed \p Seed, \p Link).
 StoreKey makeVariantKey(const mir::MModule &Baseline,
@@ -94,12 +114,22 @@ StoreKey makeVariantKey(const std::string &BaseMaterial,
                         const diversity::Pipeline &Pipe,
                         const diversity::DiversityOptions &D, uint64_t Seed);
 
+/// makeVariantKey from baseKeyMaterial() hashed by hashKeyPrefix(): the
+/// same key, at the cost of the per-request suffix only.
+StoreKey makeVariantKey(const KeyPrefix &Base,
+                        const diversity::Pipeline &Pipe,
+                        const diversity::DiversityOptions &D, uint64_t Seed);
+
 /// Content address of the baseline artifact (per-input baseline runs)
 /// for precomputed baseKeyMaterial() verified under \p Verify: the
 /// variant key material minus the per-request fields, plus the resolved
 /// input battery and MaxSteps the runs were taken with -- an artifact is
 /// prewarmed by battery index, so a different battery must miss.
 StoreKey makeBaselineKey(const std::string &BaseMaterial,
+                         const verify::VerifyOptions &Verify);
+
+/// makeBaselineKey from baseKeyMaterial() hashed by hashKeyPrefix().
+StoreKey makeBaselineKey(const KeyPrefix &Base,
                          const verify::VerifyOptions &Verify);
 
 /// makeBaselineKey for (\p Baseline, \p Link) under the default

@@ -145,6 +145,12 @@ void BaselineCache::settle() const {
   memo().store(MemoKey, std::move(Complete));
 }
 
+bool BaselineCache::analysisClean() const {
+  std::call_once(AnalysisOnce,
+                 [&] { Clean = analysis::analyzeModule(*Baseline).ok(); });
+  return Clean;
+}
+
 bool BaselineCache::livenessProved() const {
   std::call_once(LivenessOnce, [&] {
     Liveness = analysis::analyzeModule(

@@ -41,13 +41,18 @@
 /// oldest evicted first. The lookup happens on the first baselineRun(),
 /// prewarm() or recall().
 ///
-/// Beside the runs, the cache keeps one static fact about the baseline:
-/// its RegLiveness verdict, which the equivalence prover needs before it
-/// may try a callee-saved renaming. The cache computes it at most once
-/// on its own baseline module. The memo does not carry it: the prover
-/// asks before any variant executes, and one RegLiveness run costs about
-/// an eighth of the mir::print a memo lookup needs (0.5 vs 4.0 ms on
-/// 483.xalancbmk, the largest workload).
+/// Beside the runs, the cache keeps two static facts about the baseline,
+/// each computed at most once on its own baseline module, never taken
+/// from anywhere else:
+///  - analysisClean(): the six-checker analysis finds nothing. A
+///    variant equal to a clean baseline modulo NOPs is admitted without
+///    its own analysis or proof (verifyVariant).
+///  - livenessProved(): its RegLiveness verdict, which the equivalence
+///    prover needs before it may try a callee-saved renaming.
+/// The memo carries neither: both are asked before any variant
+/// executes, and one RegLiveness run costs about an eighth of the
+/// mir::print a memo lookup needs (0.5 vs 4.0 ms on 483.xalancbmk, the
+/// largest workload).
 ///
 /// The memo is one mutex-guarded table; recalled runs are immutable and
 /// shared by reference, so readers never take the lock.
@@ -160,6 +165,11 @@ public:
     return Identical.load(std::memory_order_relaxed);
   }
 
+  /// True when analysis::analyzeModule with all six checkers finds
+  /// nothing on the baseline module: computed on first request (at most
+  /// once per cache). Safe to call concurrently.
+  bool analysisClean() const;
+
   /// True when analysis::analyzeModule with only the RegLiveness checker
   /// finds nothing on the baseline module: computed on first request (at
   /// most once per cache). Safe to call concurrently.
@@ -195,6 +205,9 @@ private:
   mutable std::string MemoKey;
   mutable std::shared_ptr<const Stored> Recalled;
   mutable std::atomic<bool> Consulted{false};
+  /// The baseline's six-checker verdict, once computed.
+  mutable std::once_flag AnalysisOnce;
+  mutable bool Clean = false;
   /// The baseline's liveness verdict, once computed.
   mutable std::once_flag LivenessOnce;
   mutable bool Liveness = false;

@@ -78,19 +78,16 @@ std::string format(const char *Fmt, ...) {
 // Differential execution
 //===----------------------------------------------------------------------===//
 
+/// Runs baseline and variant on every battery input. Callers settle a
+/// variant that mir::equalModuloNops its baseline without calling this:
+/// it is its baseline plus at most one NOP before each instruction, so
+/// it runs the baseline's instruction sequence with NOPs in between --
+/// same trap, output, checksum and exit code on every input, in at most
+/// 2 * Instructions + 1 steps, inside the budget below. No input could
+/// report anything. verifyVariant does call this for such a variant of
+/// an unclean baseline, which the variant's own analysis rejects first.
 void diffExecute(const MModule &Baseline, const MModule &Variant,
                  const VerifyOptions &Opts, Report &R) {
-  // A variant that is its baseline plus at most one NOP before each
-  // instruction runs the baseline's instruction sequence with NOPs in
-  // between: same trap, output, checksum and exit code on every input,
-  // in at most 2 * Instructions + 1 steps, inside the budget below. No
-  // input could report anything, so none runs.
-  if (mir::equalModuloNops(Baseline, Variant)) {
-    if (Opts.Cache)
-      Opts.Cache->noteIdentical();
-    return;
-  }
-
   // The baseline side comes from the caller's shared cache when one is
   // provided; otherwise a local cache still resolves the battery once
   // per diffExecute call and memoizes nothing beyond it (each input's
@@ -272,17 +269,77 @@ Report verify::verifyExecution(const MModule &Baseline,
                                const MModule &Variant,
                                const VerifyOptions &Opts) {
   Report R;
+  if (mir::equalModuloNops(Baseline, Variant)) {
+    if (Opts.Cache)
+      Opts.Cache->noteIdentical();
+    return R;
+  }
   diffExecute(Baseline, Variant, Opts, R);
   return R;
 }
+
+namespace {
+
+/// The six-checker verdict on \p Baseline: from Opts.Cache when that
+/// cache was built on this very module (once per cache), else computed
+/// here.
+bool baselineAnalysisClean(const MModule &Baseline,
+                           const VerifyOptions &Opts) {
+  if (Opts.Cache && &Opts.Cache->baseline() == &Baseline)
+    return Opts.Cache->analysisClean();
+  return analysis::analyzeModule(Baseline).ok();
+}
+
+/// The checks every admitted variant passes, however it was settled:
+/// mir::verify, then profile flow and image integrity. Returns false
+/// when the module is invalid (nothing may execute or link it).
+bool checkStructure(const MModule &Variant, const codegen::Image &Image,
+                    const VerifyOptions &Opts, Report &R) {
+  std::string Problem = mir::verify(Variant);
+  if (!Problem.empty()) {
+    R.add(ErrorCode::MIRInvalid, Problem);
+    return false;
+  }
+  {
+    obs::Span S("verify.profile");
+    checkProfileFlow(Variant, R);
+  }
+  {
+    obs::Span S("verify.image");
+    checkImage(Variant, Image, Opts.Link, R);
+  }
+  return true;
+}
+
+} // namespace
 
 Report verify::verifyVariant(const MModule &Baseline,
                              const MModule &Variant,
                              const codegen::Image &Image,
                              const VerifyOptions &Opts,
-                             std::span<const uint8_t> Witness) {
-  // Static screening first: when the analyzer can refute the variant
-  // from its MIR alone, skip everything after it.
+                             std::span<const uint8_t> Witness,
+                             bool *ModuloNops) {
+  if (ModuloNops)
+    *ModuloNops = false;
+  // The relation first: a variant equal to its baseline modulo NOPs
+  // gets the baseline's verdict from every checker (see the contract in
+  // Verifier.h), equals it on every input, and so needs neither its own
+  // analysis, nor a proof, nor a run once the baseline's analysis is
+  // clean. An unclean baseline takes the full path below, so its
+  // diagnostics come from the variant's own analysis as ever.
+  if (mir::equalModuloNops(Baseline, Variant) &&
+      baselineAnalysisClean(Baseline, Opts)) {
+    if (Opts.Cache)
+      Opts.Cache->noteIdentical();
+    if (ModuloNops)
+      *ModuloNops = true;
+    Report R;
+    checkStructure(Variant, Image, Opts, R);
+    return R;
+  }
+
+  // Static screening: when the analyzer can refute the variant from its
+  // MIR alone, skip everything after it.
   Report R = analysis::analyzeModule(Variant);
   if (!R.ok()) {
     obs::counterAdd("verify.static_rejections");
@@ -290,12 +347,12 @@ Report verify::verifyVariant(const MModule &Baseline,
           "variant rejected by static analysis before execution");
     return R;
   }
-  // Translation validation second: a symbolic equivalence proof against
-  // the baseline (analysis/Equiv.h). Still static -- a refutation
-  // carries a counterexample and skips execution entirely. The prover
-  // re-derives nothing already known: the variant's liveness verdict is
-  // the clean analysis just above, on this very module; the baseline's
-  // comes from a cache built on this very baseline (once per cache).
+  // Translation validation: a symbolic equivalence proof against the
+  // baseline (analysis/Equiv.h). Still static -- a refutation carries a
+  // counterexample and skips execution entirely. The prover re-derives
+  // nothing already known: the variant's liveness verdict is the clean
+  // analysis just above, on this very module; the baseline's comes from
+  // a cache built on this very baseline (once per cache).
   if (Opts.CheckEquiv) {
     analysis::EquivFacts Facts;
     Facts.VariantLiveness = true;
@@ -311,19 +368,8 @@ Report verify::verifyVariant(const MModule &Baseline,
       return R;
     }
   }
-  std::string Problem = mir::verify(Variant);
-  if (!Problem.empty()) {
-    R.add(ErrorCode::MIRInvalid, Problem);
+  if (!checkStructure(Variant, Image, Opts, R))
     return R; // Executing an invalid module would assert.
-  }
-  {
-    obs::Span S("verify.profile");
-    checkProfileFlow(Variant, R);
-  }
-  {
-    obs::Span S("verify.image");
-    checkImage(Variant, Image, Opts.Link, R);
-  }
   {
     obs::Span S("verify.diff_execute");
     diffExecute(Baseline, Variant, Opts, R);

@@ -13,6 +13,13 @@
 /// factory (driver::makeVariantVerified), `pgsdc diversify` and the
 /// tests all admit a variant through it. It runs, in order:
 ///
+///  0. Equality modulo NOPs: when mir::equalModuloNops(Baseline,
+///     Variant) holds and the baseline's six-checker analysis is clean
+///     (BaselineCache::analysisClean(), once per cache), the variant is
+///     settled: stages 1, 2 and 5 are skipped, stages 3 and 4 still run,
+///     and the attempt counts in BaselineCache::identical(). Otherwise
+///     every stage below runs, and an unclean baseline's variant is
+///     rejected by its own analysis, with its own diagnostics.
 ///  1. Static analysis: the six analysis/ checkers on the variant MIR.
 ///  2. Translation validation: the equivalence prover (analysis/Equiv.h)
 ///     must prove the variant observationally equivalent to the
@@ -25,9 +32,31 @@
 ///     and keep every relative branch target inside the image.
 ///  5. Differential execution: baseline and variant MIR run on a
 ///     deterministic input battery; exit code, output checksum, output
-///     text, and trap behaviour must agree input-for-input. A variant
-///     that mir::equalModuloNops the baseline is settled without
-///     running: it agrees on every input, not just the battery's.
+///     text, and trap behaviour must agree input-for-input.
+///
+/// Why stage 0 may skip stages 1, 2 and 5. The relation says: deleting
+/// every MOp::Nop from both modules leaves them equal in every field
+/// execution reads, and every NOP of the variant is followed by a
+/// non-NOP of its own block. Then the variant runs the baseline's
+/// instruction sequence with NOPs in between, so it agrees with it on
+/// every input (stage 5), and the prover would prove it (stage 2). Each
+/// checker of stage 1 gives the variant the baseline's verdict:
+///
+///  - a NOP is the identity of every checker's transfer function:
+///    flagEffect(MOp::Nop) is Neutral (EflagsFlow), mir::readRegs and
+///    mir::writtenRegs are empty for it (RegLiveness, and CallConv's
+///    caller-saved reads and ESP/EBP writes), it moves no stack pointer
+///    (StackBalance) and touches no frame slot (FrameBounds). Every
+///    non-NOP therefore sees the state it sees in the baseline;
+///  - no checker reports a NOP itself: it has no branch, call or counter
+///    target (CfgWellFormed's range checks) and no 8-bit operand;
+///  - the position-based rules admit NOPs: CfgWellFormed allows NOPs
+///    inside the trailing branch group, CallConv skips NOPs between CDQ
+///    and IDIV, and no variant NOP ends a block, so a block's terminator
+///    stays its last instruction and the last block cannot fall through.
+///
+/// tests/MirEquivTest.cpp pins the consequence on the suite: every
+/// NOP-only variant gets its baseline's analyzer verdict and is proved.
 ///
 /// The checks overlap on purpose, and tests/AdmissionCoverageTest.cpp
 /// measures how: it injects every verify::FaultInjector and
@@ -103,11 +132,13 @@ struct VerifyOptions {
 
   /// Optional shared baseline run cache (verify/BaselineCache.h). When
   /// set, diffExecute takes its battery and baseline RunResults from the
-  /// cache instead of re-running the baseline, and counts the attempts
-  /// it settles without running (BaselineCache::identical()); the cache
-  /// must have been built from the same baseline module and equivalent
-  /// options. When null, callers that verify repeatedly (retry loops,
-  /// batches) still get a per-call battery built exactly once.
+  /// cache instead of re-running the baseline, verifyVariant takes the
+  /// baseline's analysis verdict from it, and the attempts settled by
+  /// mir::equalModuloNops are counted there (BaselineCache::identical());
+  /// the cache must have been built from the same baseline module and
+  /// equivalent options. When null, callers that verify repeatedly
+  /// (retry loops, batches) still get a per-call battery built exactly
+  /// once.
   const BaselineCache *Cache = nullptr;
 
   /// Test seam: invoked on each candidate variant before verification
@@ -181,13 +212,15 @@ private:
 /// ErrorCode::EquivRejected. \p Witness is register shuffling's
 /// per-function renaming row (RegShuffleStats::Renamings), a hint the
 /// prover checks and never trusts. When Opts.Cache was built on
-/// \p Baseline itself, the prover takes the baseline's liveness verdict
-/// from it instead of re-deriving it.
+/// \p Baseline itself, the baseline's analysis and liveness verdicts
+/// come from it instead of being re-derived. \p ModuloNops, when given,
+/// is set to whether stage 0 settled the variant.
 Report verifyVariant(const mir::MModule &Baseline,
                      const mir::MModule &Variant,
                      const codegen::Image &Image,
                      const VerifyOptions &Opts,
-                     std::span<const uint8_t> Witness = {});
+                     std::span<const uint8_t> Witness = {},
+                     bool *ModuloNops = nullptr);
 
 /// The differential-execution family alone: \p Variant must match
 /// \p Baseline input-for-input on the battery, unless

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 
 using namespace pgsd;
@@ -344,12 +343,10 @@ std::string nopPlacement(const mir::MModule &M) {
     for (size_t B = 0; B != M.Functions[F].Blocks.size(); ++B) {
       const auto &Instrs = M.Functions[F].Blocks[B].Instrs;
       for (size_t I = 0; I != Instrs.size(); ++I)
-        if (Instrs[I].Op == mir::MOp::Nop) {
-          char Buf[64];
-          std::snprintf(Buf, sizeof(Buf), "%zu:%zu:%zu:%u;", F, B, I,
-                        static_cast<unsigned>(Instrs[I].NopK));
-          Sig += Buf;
-        }
+        if (Instrs[I].Op == mir::MOp::Nop)
+          Sig += std::to_string(F) + ':' + std::to_string(B) + ':' +
+                 std::to_string(I) + ':' +
+                 std::to_string(static_cast<unsigned>(Instrs[I].NopK)) + ';';
     }
   return Sig;
 }

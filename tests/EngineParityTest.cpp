@@ -920,7 +920,8 @@ TEST(EngineParityDerived, TrappedOrOverBudgetBaseFallsBack) {
 TEST(EngineParityDerived, ConcurrentDerivationsOfOneProgram) {
   // Four threads derive one program's variants at once from a cold
   // memo entry, so they race on its fill: every result must equal a
-  // serial real run, and TSan must see no unguarded shared write.
+  // serial real run, TSan must see no unguarded shared write, and the
+  // racing misses must share a single fill.
   const workloads::Workload &W = workloads::specWorkload("429.mcf");
   driver::Program P = driver::compileProgram(W.Source, W.Name);
   ASSERT_TRUE(P.ok()) << P.errors();
@@ -938,6 +939,7 @@ TEST(EngineParityDerived, ConcurrentDerivationsOfOneProgram) {
     Serial.push_back(mexec::Precompiled(V).run(Opts));
 
   constexpr unsigned Threads = 4;
+  const MemoCounts Before = MemoCounts::now();
   std::vector<std::vector<mexec::RunResult>> Got(Threads);
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T != Threads; ++T) {
@@ -949,6 +951,9 @@ TEST(EngineParityDerived, ConcurrentDerivationsOfOneProgram) {
   }
   for (std::thread &Wk : Workers)
     Wk.join();
+  const MemoCounts Delta = MemoCounts::now() - Before;
+  EXPECT_EQ(Delta.Fills, 1u);
+  EXPECT_EQ(Delta.Derived, Threads * Variants.size());
   for (unsigned T = 0; T != Threads; ++T) {
     ASSERT_EQ(Got[T].size(), Variants.size());
     for (size_t I = 0; I != Variants.size(); ++I) {

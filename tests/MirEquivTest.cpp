@@ -12,12 +12,24 @@
 // and prints like its baseline once its NOPs are deleted; every other
 // kind of change breaks it.
 //
+// verify::verifyVariant admits such a variant on the relation alone,
+// once its baseline's analysis is clean. The Admission tests pin why no
+// verdict moves: every NOP-only variant gets its baseline's analyzer
+// verdict and is proved, an unclean baseline's variant is still
+// rejected by its own analysis, and a settled attempt runs neither the
+// analyzer nor the prover.
+//
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Analysis.h"
+#include "analysis/Equiv.h"
 #include "analysis/MirFault.h"
 #include "bench/Experiments.h"
+#include "codegen/Linker.h"
 #include "driver/Driver.h"
 #include "mexec/Precompiled.h"
+#include "obs/Metrics.h"
+#include "verify/BaselineCache.h"
 #include "verify/Verifier.h"
 #include "workloads/Workloads.h"
 
@@ -231,4 +243,110 @@ TEST(MirEquiv, OnlyOneNopMayPrecedeEachInstruction) {
   mir::MModule Trailing = P.MIR;
   Trailing.Functions[F].Blocks[B].Instrs.push_back(Nop);
   EXPECT_FALSE(mir::equalModuloNops(P.MIR, Trailing));
+}
+
+//===----------------------------------------------------------------------===//
+// Admission by the relation
+//===----------------------------------------------------------------------===//
+
+TEST(MirEquivAdmission, NopVariantsKeepTheBaselineVerdictAndAreProved) {
+  const std::vector<diversity::DiversityOptions> Configs = configs();
+  size_t Variants = 0;
+  for (const driver::Program &P : programs()) {
+    SCOPED_TRACE(P.MIR.Name);
+    const verify::Report Base = analysis::analyzeModule(P.MIR);
+    ASSERT_TRUE(Base.ok()) << Base.str();
+    for (size_t C = 0; C != Configs.size(); ++C) {
+      for (uint64_t Seed : {1, 2, 3}) {
+        SCOPED_TRACE("config " + std::to_string(C) + " seed " +
+                     std::to_string(Seed));
+        driver::Variant V = driver::makeVariant(P, NopOnly, Configs[C], Seed);
+        ++Variants;
+        ASSERT_TRUE(mir::equalModuloNops(P.MIR, V.MIR));
+        const verify::Report Own = analysis::analyzeModule(V.MIR);
+        EXPECT_EQ(Own.ok(), Base.ok()) << Own.str();
+        const verify::Report Proof =
+            analysis::proveEquivalent(P.MIR, V.MIR);
+        EXPECT_TRUE(Proof.ok()) << Proof.str();
+      }
+    }
+  }
+  EXPECT_EQ(Variants, programs().size() * Configs.size() * 3);
+}
+
+TEST(MirEquivAdmission, UncleanBaselineVariantIsRejectedByItsOwnAnalysis) {
+  // The checker-aligned classes the NOP pass can run on: a CFG break or
+  // a flag clobber in the baseline would trip the pass's own assertion.
+  const analysis::MirFaultClass Classes[] = {
+      analysis::MirFaultClass::DroppedDef,
+      analysis::MirFaultClass::UnbalancedPush,
+      analysis::MirFaultClass::FrameEscape,
+      analysis::MirFaultClass::CallContractBreak,
+  };
+  for (analysis::MirFaultClass Class : Classes) {
+    SCOPED_TRACE(analysis::mirFaultClassName(Class));
+    unsigned Rejected = 0;
+    for (const driver::Program &P : programs()) {
+      mir::MModule Base = P.MIR;
+      if (!analysis::injectMirFault(Base, Class, 5))
+        continue;
+      if (analysis::analyzeModule(Base).ok())
+        continue; // The analyzer does not see this site; nothing to pin.
+      mir::MModule V = Base;
+      diversity::Pipeline().run(V, configs()[0], 9);
+      ASSERT_TRUE(mir::equalModuloNops(Base, V)) << P.MIR.Name;
+
+      verify::VerifyOptions Opts;
+      verify::BaselineCache Cache(Base, Opts);
+      Opts.Cache = &Cache;
+      bool ModuloNops = true;
+      verify::Report R = verify::verifyVariant(Base, V, codegen::link(V),
+                                               Opts, {}, &ModuloNops);
+      EXPECT_FALSE(ModuloNops) << P.MIR.Name;
+      EXPECT_FALSE(Cache.analysisClean());
+      EXPECT_EQ(Cache.identical(), 0u);
+      // Exactly the diagnostics of the variant's own analysis.
+      verify::Report Want = analysis::analyzeModule(V);
+      Want.add(verify::ErrorCode::StaticAnalysisRejected,
+               "variant rejected by static analysis before execution");
+      EXPECT_EQ(R.str(), Want.str()) << P.MIR.Name;
+      EXPECT_TRUE(R.has(verify::ErrorCode::StaticAnalysisRejected));
+      ++Rejected;
+    }
+    EXPECT_GT(Rejected, 0u);
+  }
+}
+
+TEST(MirEquivAdmission, SettledAttemptRunsNeitherAnalyzerNorProver) {
+  const driver::Program &P = programs()[0];
+  driver::Variant V = driver::makeVariant(P, NopOnly, configs()[0], 4);
+  ASSERT_TRUE(mir::equalModuloNops(P.MIR, V.MIR));
+  verify::VerifyOptions Opts;
+  verify::BaselineCache Cache(P.MIR, Opts);
+  Opts.Cache = &Cache;
+  ASSERT_TRUE(Cache.analysisClean()); // the baseline's analysis, up front
+
+  const bool WasEnabled = obs::enabled();
+  obs::setEnabled(true);
+  obs::LocalMetrics Sink;
+  bool ModuloNops = false;
+  verify::Report R;
+  {
+    obs::ScopedSink Route(&Sink);
+    R = verify::verifyVariant(P.MIR, V.MIR, V.Image, Opts, {}, &ModuloNops);
+  }
+  obs::setEnabled(WasEnabled);
+
+  EXPECT_TRUE(R.ok()) << R.str();
+  EXPECT_TRUE(ModuloNops);
+  EXPECT_EQ(Cache.identical(), 1u);
+  EXPECT_EQ(Cache.fills() + Cache.hits(), 0u);
+  for (const auto &[Name, Stats] : Sink.Phases) {
+    EXPECT_NE(Name.rfind("analysis.", 0), 0u) << Name;
+    EXPECT_NE(Name, "equiv.prove");
+    EXPECT_NE(Name, "verify.diff_execute");
+  }
+  // The structural checks still ran.
+  EXPECT_TRUE(Sink.Phases.count("verify.profile"));
+  EXPECT_TRUE(Sink.Phases.count("verify.image"));
 }

@@ -169,6 +169,76 @@ TEST_F(ServeTest, BaselineKeyCoversBatteryAndSteps) {
   EXPECT_FALSE(Default == serve::makeBaselineKey(Material, V));
 }
 
+/// A store key as hashing the whole \p Material gives it: both FNV-1a
+/// streams over every byte, Hi then folding the length. Keys derived
+/// from a hashed prefix must equal it, or a store filled before
+/// hashKeyPrefix existed would stop hitting.
+serve::StoreKey fullMaterialKey(const std::string &Material) {
+  serve::StoreKey K;
+  K.Lo = serve::fnv1a64(Material.data(), Material.size());
+  uint64_t Len = Material.size();
+  K.Hi = serve::fnv1a64(Material.data(), Material.size(),
+                        0x9e3779b97f4a7c15ull);
+  K.Hi = serve::fnv1a64(&Len, sizeof Len, K.Hi);
+  return K;
+}
+
+TEST(ServeKeyTest, PrefixKeysEqualFullMaterialKeysOnTheSuite) {
+  const codegen::LinkOptions Link;
+  diversity::DiversityOptions Xchg = diversity::DiversityOptions::uniform(0.5);
+  Xchg.IncludeXchgNops = true;
+  const std::pair<diversity::Pipeline, diversity::DiversityOptions> Requests[] =
+      {{diversity::Pipeline(),
+        diversity::DiversityOptions::profiled(
+            diversity::ProbabilityModel::Log, 0.0, 0.3)},
+       {diversity::Pipeline({diversity::TransformKind::Nop,
+                             diversity::TransformKind::Sched}),
+        Xchg}};
+  for (const workloads::Workload &W : workloads::specSuite()) {
+    SCOPED_TRACE(W.Name);
+    driver::Program P = driver::compileProgram(W.Source, W.Name);
+    ASSERT_TRUE(P.ok()) << P.errors();
+    const std::string Material = serve::baseKeyMaterial(P.MIR, Link);
+    const serve::KeyPrefix Prefix = serve::hashKeyPrefix(Material);
+    for (const auto &[Pipe, D] : Requests) {
+      for (uint64_t Seed : {0ull, 7ull, 0xfedcba9876543210ull}) {
+        std::string Whole = Material;
+        Whole += Pipe.label();
+        Whole += '\0';
+        Whole += std::to_string(static_cast<unsigned>(D.Model)) + ':' +
+                 std::to_string(D.PMin) + ':' + std::to_string(D.PMax) +
+                 (D.IncludeXchgNops ? ":x" : ":-");
+        Whole += '\0';
+        Whole += std::to_string(Seed);
+        const serve::StoreKey Want = fullMaterialKey(Whole);
+        EXPECT_EQ(serve::makeVariantKey(Prefix, Pipe, D, Seed), Want);
+        EXPECT_EQ(serve::makeVariantKey(Material, Pipe, D, Seed), Want);
+        EXPECT_EQ(serve::makeVariantKey(P.MIR, Pipe, D, Seed, Link), Want);
+      }
+    }
+    std::string Whole = Material + "baseline";
+    Whole += '\0';
+    const verify::VerifyOptions V;
+    verify::appendBatteryMaterial(Whole, verify::defaultInputBattery(),
+                                  V.MaxSteps);
+    const serve::StoreKey Want = fullMaterialKey(Whole);
+    EXPECT_EQ(serve::makeBaselineKey(Prefix, V), Want);
+    EXPECT_EQ(serve::makeBaselineKey(Material, V), Want);
+    EXPECT_EQ(serve::makeBaselineKey(P.MIR, Link), Want);
+  }
+}
+
+TEST_F(ServeTest, VariantKeyIsPinned) {
+  // Existing stores are addressed by this key: a change here re-keys
+  // every entry ever published, so it must come with a StoreVersion bump.
+  const serve::StoreKey K = serve::makeVariantKey(
+      P.MIR, diversity::Pipeline(),
+      diversity::DiversityOptions::profiled(diversity::ProbabilityModel::Log,
+                                            0.0, 0.3),
+      7, codegen::LinkOptions());
+  EXPECT_EQ(K.hex(), "70ba25ce39c762dbabfbb56181d3ceb4");
+}
+
 TEST_F(ServeTest, KeysCoverGlobalLayoutAndInitializers) {
   // Two pairs whose MIR instructions print identically: one differs
   // only in a global initializer (same .text, different baseline runs),

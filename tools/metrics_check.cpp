@@ -17,10 +17,11 @@
 //     coordinator phases batch.setup + batch.fanout partition the batch
 //     window, so their wall sum must land within 10% of the
 //     batch.wall_seconds gauge, and the verify counters must be present.
-//     verify.diff_identical (attempts mir::equalModuloNops settled
-//     without executing) cannot exceed the attempts that reached
-//     differential execution: batch.attempts_total minus the static and
-//     equivalence rejections.
+//     Every attempt ends admission's static part exactly one way, so
+//     verify.diff_identical (settled by mir::equalModuloNops before the
+//     static stages) + verify.static_rejections (refuted by the
+//     analyzer) + equiv.modules_checked (handed to the prover, which
+//     batch and serve always run) must equal batch.attempts_total.
 //  4. With --nvx (the file came from `pgsdc nvx --metrics`): the vote
 //     outcome counters must partition nvx.rounds exactly, ejections
 //     cannot exceed respawns plus the replica count (every ejection
@@ -52,9 +53,9 @@
 //     cache_hits + cache_fills), the request-latency histogram must
 //     have observed exactly one value per served request, and the
 //     queue's peak depth can never exceed its capacity.
-//     verify.diff_identical must be present and cannot exceed the fill
-//     attempts that reached differential execution (verify.attempts
-//     minus the static and equivalence rejections).
+//     verify.diff_identical must be present, and the same three
+//     counters as in step 3 must partition the fill attempts
+//     (verify.attempts).
 //  9. Always, when the run memo reports: every fast-engine
 //     driver::execute call is answered by a derivation or a plain run,
 //     and a fill happens only inside such a call, so
@@ -105,22 +106,26 @@ bool hasKey(const std::string &Text, const std::string &Key) {
   return Text.find("\"" + Key + "\"") != std::string::npos;
 }
 
-/// Checks verify.diff_identical against the \p Attempts that reached
-/// verification: an attempt is settled modulo NOPs only after both
-/// static stages passed it. The rejection counters are absent when
-/// zero. Returns the process exit code (0 when the bound holds).
-int checkDiffIdentical(const std::string &Text, const char *AttemptsKey) {
-  double Identical = 0, Attempts = 0, Static = 0, Equiv = 0;
+/// Checks that the attempts counted under \p AttemptsKey are
+/// partitioned by how admission's static part ended: settled modulo
+/// NOPs before it (verify.diff_identical), rejected by the analyzer
+/// (verify.static_rejections), or handed to the prover
+/// (equiv.modules_checked; the prover is always on in batch and serve).
+/// Counters other than verify.diff_identical are absent when zero.
+/// Returns the process exit code (0 when the partition holds).
+int checkAttemptPartition(const std::string &Text, const char *AttemptsKey) {
+  double Identical = 0, Attempts = 0, Static = 0, Proved = 0;
   if (!findNumber(Text, "verify.diff_identical", Identical))
     return fail("metrics missing \"verify.diff_identical\"");
   (void)findNumber(Text, AttemptsKey, Attempts);
   (void)findNumber(Text, "verify.static_rejections", Static);
-  (void)findNumber(Text, "verify.equiv_rejections", Equiv);
-  if (Identical > Attempts - Static - Equiv) {
+  (void)findNumber(Text, "equiv.modules_checked", Proved);
+  if (Identical + Static + Proved != Attempts) {
     std::fprintf(stderr,
-                 "metrics_check: verify.diff_identical %.0f exceeds %s "
-                 "%.0f minus %.0f static and %.0f equiv rejections\n",
-                 Identical, AttemptsKey, Attempts, Static, Equiv);
+                 "metrics_check: verify.diff_identical %.0f + "
+                 "verify.static_rejections %.0f + equiv.modules_checked "
+                 "%.0f do not partition %s %.0f\n",
+                 Identical, Static, Proved, AttemptsKey, Attempts);
     return 1;
   }
   return 0;
@@ -183,7 +188,7 @@ int main(int Argc, char **Argv) {
           "batch.setup", "batch.fanout"})
       if (!hasKey(Text, Key))
         return fail(std::string("batch metrics missing \"") + Key + "\"");
-    if (int Rc = checkDiffIdentical(Text, "batch.attempts_total"))
+    if (int Rc = checkAttemptPartition(Text, "batch.attempts_total"))
       return Rc;
 
     // The batch wall clock starts after Sinks allocation and stops
@@ -437,7 +442,7 @@ int main(int Argc, char **Argv) {
         return fail(std::string("serve metrics missing \"") + Key +
                     "\"");
     // verify.attempts is absent when no request needed a fill.
-    if (int Rc = checkDiffIdentical(Text, "verify.attempts"))
+    if (int Rc = checkAttemptPartition(Text, "verify.attempts"))
       return Rc;
 
     // Every request ends exactly one way: served (from the store or a

@@ -577,11 +577,14 @@ int cmdVerify(const Options &Opts) {
                  VV.Attempts);
     return rejectionExit(VV.Report);
   }
-  std::printf("verified: %s transforms=%s seed=%llu attempts=%u "
-              "(static, equivalence, profile, image, differential checks "
-              "passed)\n",
+  std::printf("verified: %s transforms=%s seed=%llu attempts=%u (%s)\n",
               D.label().c_str(), Opts.Pipe.label().c_str(),
-              static_cast<unsigned long long>(VV.SeedUsed), VV.Attempts);
+              static_cast<unsigned long long>(VV.SeedUsed), VV.Attempts,
+              VV.ModuloNops
+                  ? "equal to the analyzer-clean baseline modulo NOPs; "
+                    "structure, profile and image checks passed"
+                  : "static, equivalence, profile, image, differential "
+                    "checks passed");
   printPipelineStats(Opts.Pipe, VV.V.Pipeline);
   std::printf("  .text %zu bytes\n", VV.V.Image.Text.size());
   return ExitOK;
