@@ -77,9 +77,8 @@ bool driver::profileAndStamp(Program &P,
   mexec::RunOptions Opts;
   Opts.Input = TrainInput;
   profile::ProfileData Data = profile::profileModule(P.MIR, Opts);
-  if (Data.empty())
+  if (Data.empty() || !profile::applyCounts(P.MIR, Data))
     return false;
-  profile::applyCounts(P.MIR, Data);
   P.HasProfile = true;
   return true;
 }

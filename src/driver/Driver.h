@@ -103,7 +103,10 @@ codegen::Image linkBaseline(const Program &P,
 /// its segment, exactly what a run returns. It still runs the module
 /// when the stored run trapped, the derived count would exceed the step
 /// budget, or the module is not its NOP-free form plus single NOPs. The
-/// reference engine always executes, so it stays the oracle.
+/// reference engine always executes, so it stays the oracle tests
+/// compare against. perfbench is its last caller outside the tests (it
+/// checks sampled runs against the oracle); \p E goes with the next
+/// change to perfbench.
 mexec::RunResult execute(const mir::MModule &MIR,
                          const std::vector<int32_t> &Input,
                          bool CollectOutput = false,

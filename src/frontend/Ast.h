@@ -52,6 +52,9 @@ struct Expr {
   std::string Name;
   TokKind Op = TokKind::Eof;
   std::vector<std::unique_ptr<Expr>> Kids;
+  /// Nodes on the longest path from here to a leaf; the parser keeps it
+  /// within MaxNestingDepth.
+  uint32_t Height = 1;
 };
 
 /// A statement node.

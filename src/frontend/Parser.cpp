@@ -7,7 +7,9 @@
 
 #include "frontend/Parser.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 
 using namespace pgsd;
 using namespace pgsd::frontend;
@@ -81,8 +83,46 @@ private:
 
   void error(const Token &T, std::string Msg) {
     // Cap the flood from cascades; recovery keeps the count low anyway.
-    if (Diags.size() < 50)
+    // Past MaxNestingDepth the one diagnostic already says it all.
+    if (Diags.size() < 50 && !TooDeep)
       Diags.push_back({T.Line, T.Col, std::move(Msg)});
+  }
+
+  /// Reports nesting past MaxNestingDepth at the current token, once,
+  /// and skips to the end of input, so every open construct unwinds
+  /// without recursing further.
+  void tooDeep() {
+    if (TooDeep)
+      return;
+    error(cur(), "nesting deeper than " + std::to_string(MaxNestingDepth) +
+                     " levels of statements and expressions");
+    TooDeep = true;
+    Pos = Toks.size() - 1; // the Eof token
+  }
+
+  /// One level of parser recursion, held open for the guard's scope.
+  class Nest {
+  public:
+    explicit Nest(Parser &Owner) : P(Owner) {
+      if (++P.Depth > MaxNestingDepth)
+        P.tooDeep();
+    }
+    ~Nest() { --P.Depth; }
+    Nest(const Nest &) = delete;
+    Nest &operator=(const Nest &) = delete;
+
+  private:
+    Parser &P;
+  };
+
+  /// Sets \p E's height from its operands'. A left-associative chain
+  /// deepens the AST without recursing in the parser, so the height is
+  /// checked here rather than by a Nest.
+  void measure(Expr &E) {
+    for (const std::unique_ptr<Expr> &Kid : E.Kids)
+      E.Height = std::max(E.Height, Kid->Height + 1);
+    if (E.Height > MaxNestingDepth)
+      tooDeep();
   }
 
   bool expect(TokKind K, const char *What) {
@@ -102,7 +142,10 @@ private:
       take();
   }
 
-  std::unique_ptr<Expr> parseExpr() { return parseBinary(0); }
+  std::unique_ptr<Expr> parseExpr() {
+    Nest N(*this);
+    return parseBinary(0);
+  }
   std::unique_ptr<Expr> parseBinary(int MinPrec);
   std::unique_ptr<Expr> parseUnary();
   std::unique_ptr<Expr> parsePrimary();
@@ -117,6 +160,8 @@ private:
   std::vector<Token> Toks;
   std::vector<Diag> &Diags;
   size_t Pos = 0;
+  unsigned Depth = 0;   ///< Open Nest levels (see MaxNestingDepth).
+  bool TooDeep = false; ///< MaxNestingDepth was exceeded and reported.
 };
 
 std::unique_ptr<Expr> Parser::parsePrimary() {
@@ -151,6 +196,7 @@ std::unique_ptr<Expr> Parser::parsePrimary() {
         }
       }
       expect(TokKind::RParen, "')'");
+      measure(*E);
       return E;
     }
     if (at(TokKind::LBracket)) {
@@ -158,6 +204,7 @@ std::unique_ptr<Expr> Parser::parsePrimary() {
       E->K = Expr::Kind::Index;
       E->Kids.push_back(parseExpr());
       expect(TokKind::RBracket, "']'");
+      measure(*E);
       return E;
     }
     E->K = Expr::Kind::VarRef;
@@ -174,12 +221,14 @@ std::unique_ptr<Expr> Parser::parsePrimary() {
 std::unique_ptr<Expr> Parser::parseUnary() {
   if (at(TokKind::Minus) || at(TokKind::Bang) || at(TokKind::Tilde)) {
     Token T = take();
+    Nest N(*this);
     auto E = std::make_unique<Expr>();
     E->K = Expr::Kind::Unary;
     E->Line = T.Line;
     E->Col = T.Col;
     E->Op = T.Kind;
     E->Kids.push_back(parseUnary());
+    measure(*E);
     return E;
   }
   return parsePrimary();
@@ -205,6 +254,7 @@ std::unique_ptr<Expr> Parser::parseBinary(int MinPrec) {
       E->K = Expr::Kind::Binary;
     E->Kids.push_back(std::move(LHS));
     E->Kids.push_back(std::move(RHS));
+    measure(*E);
     LHS = std::move(E);
   }
 }
@@ -263,6 +313,7 @@ std::unique_ptr<Stmt> Parser::parseSimpleStmt() {
         }
       }
       expect(TokKind::RParen, "')'");
+      measure(*E);
       S->K = Stmt::Kind::ExprStmt;
       S->Name.clear();
       S->E0 = std::move(E);
@@ -278,6 +329,7 @@ std::unique_ptr<Stmt> Parser::parseSimpleStmt() {
 }
 
 std::unique_ptr<Stmt> Parser::parseStmt() {
+  Nest N(*this);
   Token T = cur();
   auto S = std::make_unique<Stmt>();
   S->Line = T.Line;

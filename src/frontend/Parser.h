@@ -23,6 +23,17 @@
 namespace pgsd {
 namespace frontend {
 
+/// Deepest nesting parse() accepts; one level past it is a syntax
+/// error. Two depths are bounded by it: the parser's own recursion, one
+/// level for every enclosing statement, expression (top level,
+/// parenthesized, call argument, index) and unary operator; and every
+/// expression's height (Expr::Height), which a left-associative chain
+/// such as `a + a + ...` grows by one per operator. Lowering and the
+/// AST's destructors recurse along those same paths, so the limit bounds
+/// their stack too. The workload suite, the examples and the MiniC
+/// fuzzer stay at a few dozen levels.
+constexpr unsigned MaxNestingDepth = 1000;
+
 /// Parses \p Source.
 ///
 /// Syntax errors are appended to \p Diags; the parser recovers at

@@ -12,9 +12,6 @@
 //  * The decode-once scanner (ImageScan): one backward pass decodes each
 //    offset exactly once into a flat fact table (length + class/NOP flag
 //    bits) and computes the gadget suffix DP entry at that offset.
-//    Every stored DP value is a pure function of the MaxInstrs x 15-byte
-//    window after its offset, which is what makes the incremental
-//    rescan's dirty-range widening sound.
 //
 // The multi-version sweeps build on the same decode fact (factAt): the
 // Survivor probe reads each diversified image through a lazily filled
@@ -23,7 +20,7 @@
 //
 // ScannerParityTest pins byte-identical results between the fast paths
 // and the oracle across the workload battery, fuzzed programs under
-// varied options, and random incremental edits.
+// varied options, and random byte streams.
 //
 //===----------------------------------------------------------------------===//
 
@@ -93,10 +90,6 @@ enum : uint8_t {
   FKnown = 1 << 7,      ///< Lazy fact tables only: the fact is filled.
 };
 
-/// Architectural x86 instruction length limit; the decoder never emits
-/// a longer instruction, which bounds how far one decode fact can read.
-constexpr size_t MaxInstrBytes = 15;
-
 /// FactFlags class bit of each InstrClass, by the decoder's own
 /// predicates; 0 for direct control flow, privileged and invalid
 /// instructions.
@@ -159,39 +152,6 @@ inline uint8_t terminatorMask(const ScanOptions &Opts) {
   return FFree | (Opts.IncludeSyscallGadgets ? FIntN : 0);
 }
 
-/// Records one ImageScan (re)build in the telemetry registry.
-void noteScan(bool Incremental, size_t ImageSize, uint64_t Decoded) {
-  if (!obs::enabled())
-    return;
-  obs::counterAdd(Incremental ? "gadget.scans_incremental"
-                              : "gadget.scans_full");
-  obs::counterAdd("gadget.bytes_scanned", ImageSize);
-  obs::counterAdd("gadget.bytes_decoded", Decoded);
-  if (Incremental)
-    obs::counterAdd("gadget.dirty_bytes", Decoded);
-}
-
-/// Moves a table's clean-suffix entries [OldSize - SuffixBytes, OldSize)
-/// to [FactHi, NewSize) and resizes to NewSize; entries below FactHi
-/// other than the moved tail are left untouched for recomputation.
-template <typename T>
-void shiftTail(std::vector<T> &V, size_t OldSize, size_t NewSize,
-               size_t FactHi) {
-  if (NewSize > OldSize) {
-    V.resize(NewSize);
-    std::copy_backward(V.begin() +
-                           static_cast<ptrdiff_t>(FactHi - (NewSize - OldSize)),
-                       V.begin() + static_cast<ptrdiff_t>(OldSize),
-                       V.begin() + static_cast<ptrdiff_t>(NewSize));
-  } else if (NewSize < OldSize) {
-    std::copy(V.begin() +
-                  static_cast<ptrdiff_t>(FactHi + (OldSize - NewSize)),
-              V.begin() + static_cast<ptrdiff_t>(OldSize),
-              V.begin() + static_cast<ptrdiff_t>(FactHi));
-    V.resize(NewSize);
-  }
-}
-
 /// Resolves ScanOptions::Jobs: 0 = all cores, clamped to the task count.
 unsigned effectiveJobs(unsigned Jobs, size_t Tasks) {
   if (Jobs == 0)
@@ -210,26 +170,24 @@ ImageScan::ImageScan(const uint8_t *Text, size_t Size,
     : Opts(Options) {
   obs::Span Sp("gadget.scan");
   Bytes.assign(Text, Text + Size);
-  fullScan();
+  FactLen.resize(Size);
+  FactFlags.resize(Size);
+  SuffixInstrs.resize(Size);
+  SuffixLen.resize(Size);
+  scanBackward();
+  // A full scan decodes every byte it is handed.
+  if (obs::enabled()) {
+    obs::counterAdd("gadget.scans_full");
+    obs::counterAdd("gadget.bytes_scanned", Size);
+    obs::counterAdd("gadget.bytes_decoded", Size);
+  }
 }
 
 ImageScan::ImageScan(const std::vector<uint8_t> &Text,
                      const ScanOptions &Options)
     : ImageScan(Text.data(), Text.size(), Options) {}
 
-void ImageScan::fullScan() {
-  const size_t Size = Bytes.size();
-  FactLen.resize(Size);
-  FactFlags.resize(Size);
-  SuffixInstrs.resize(Size);
-  SuffixLen.resize(Size);
-  scanBackward(0, 0, Size);
-  DecodedBytes = Size;
-  LastIncremental = false;
-  noteScan(/*Incremental=*/false, Size, Size);
-}
-
-void ImageScan::scanBackward(size_t DPBegin, size_t FactBegin, size_t End) {
+void ImageScan::scanBackward() {
   // Raw pointers in locals: the uint8_t stores below may alias anything,
   // which would otherwise reload every vector's data pointer per offset.
   const uint8_t *Data = Bytes.data();
@@ -248,7 +206,11 @@ void ImageScan::scanBackward(size_t DPBegin, size_t FactBegin, size_t End) {
   // Same precedence as the reference oracle: terminators first, then the
   // usable-body continuation. An invalid fact has no flags, so neither
   // applies.
-  auto Step = [&](size_t I, uint8_t Len, uint8_t Flags) {
+  for (size_t I = Size; I-- > 0;) {
+    uint8_t Len, Flags;
+    factAt(Data, Size, I, Len, Flags);
+    Lens[I] = Len;
+    FlagsAt[I] = Flags;
     const size_t Next = I + Len;
     uint16_t NextN = 0;
     uint32_t NextB = 0;
@@ -264,65 +226,7 @@ void ImageScan::scanBackward(size_t DPBegin, size_t FactBegin, size_t End) {
         ((Flags & FBody) != 0) & (NextN != 0) & (NextN < EffMax);
     Instrs[I] = static_cast<uint16_t>(Term ? 1 : Extend ? NextN + 1 : 0);
     Lengths[I] = Term ? Len : Extend ? NextB + Len : 0;
-  };
-  for (size_t I = End; I-- > FactBegin;) {
-    uint8_t Len, Flags;
-    factAt(Data, Size, I, Len, Flags);
-    Lens[I] = Len;
-    FlagsAt[I] = Flags;
-    Step(I, Len, Flags);
   }
-  for (size_t I = FactBegin; I-- > DPBegin;)
-    Step(I, Lens[I], FlagsAt[I]);
-}
-
-void ImageScan::rescan(const uint8_t *NewText, size_t NewSize) {
-  obs::Span Sp("gadget.scan");
-  const size_t OldSize = Bytes.size();
-  const size_t MinSize = std::min(OldSize, NewSize);
-  size_t Prefix = 0;
-  while (Prefix < MinSize && Bytes[Prefix] == NewText[Prefix])
-    ++Prefix;
-  if (Prefix == OldSize && Prefix == NewSize) {
-    DecodedBytes = 0;
-    LastIncremental = true;
-    noteScan(/*Incremental=*/true, NewSize, 0);
-    return;
-  }
-  // Non-overlapping common suffix (capped so prefix + suffix never
-  // double-count a byte when the edit inserts repeated content).
-  size_t Suffix = 0;
-  while (Suffix < MinSize - Prefix &&
-         Bytes[OldSize - 1 - Suffix] == NewText[NewSize - 1 - Suffix])
-    ++Suffix;
-
-  // A decode fact at offset I reads at most MaxInstrBytes bytes, so
-  // facts up to MaxInstrBytes - 1 before the first changed byte may
-  // change. A DP value at I is a pure function of the facts reachable
-  // within its MaxInstrs-step chain, i.e. of the bytes in
-  // [I, I + (MaxInstrs + 1) * MaxInstrBytes); widening by that window
-  // makes the rescan exact (DESIGN.md section 15).
-  const size_t FactLo =
-      Prefix > (MaxInstrBytes - 1) ? Prefix - (MaxInstrBytes - 1) : 0;
-  const size_t FactHi = NewSize - Suffix;
-  const size_t Window =
-      (static_cast<size_t>(std::min(Opts.MaxInstrs, 65535u)) + 1) *
-      MaxInstrBytes;
-  const size_t DPLo = Prefix > Window ? Prefix - Window : 0;
-
-  // Clean-suffix table entries keep their values at shifted positions:
-  // every byte from FactHi to the end is unchanged relative to the old
-  // image end, and facts/DP only ever read forward.
-  shiftTail(FactLen, OldSize, NewSize, FactHi);
-  shiftTail(FactFlags, OldSize, NewSize, FactHi);
-  shiftTail(SuffixInstrs, OldSize, NewSize, FactHi);
-  shiftTail(SuffixLen, OldSize, NewSize, FactHi);
-  Bytes.assign(NewText, NewText + NewSize);
-
-  scanBackward(DPLo, FactLo, FactHi);
-  DecodedBytes = FactHi - FactLo;
-  LastIncremental = true;
-  noteScan(/*Incremental=*/true, NewSize, DecodedBytes);
 }
 
 bool ImageScan::gadgetAt(uint32_t Offset, Gadget &Out) const {
@@ -451,30 +355,6 @@ bool gadget::normalizedGadgetHash(const uint8_t *Text, size_t Size,
   Scratch.reserve(Opts.MaxInstrs);
   return normalizedGadgetHash(Text, Size, Offset, Opts, HashOut,
                               NonNopInstrsOut, Scratch);
-}
-
-std::vector<SurvivingGadget>
-gadget::survivingGadgets(const ImageScan &Original,
-                         const ImageScan &Diversified) {
-  std::vector<SurvivingGadget> Survivors;
-  // Candidate matches are pairs at identical offsets; walk the original
-  // scan's gadgets and probe the diversified scan at the same offsets.
-  const size_t Size = Original.size();
-  for (size_t Offset = 0; Offset != Size; ++Offset) {
-    uint64_t HashA, HashB;
-    unsigned NonNopA, NonNopB;
-    if (!Original.normalizedHashAt(static_cast<uint32_t>(Offset), HashA,
-                                   NonNopA))
-      continue;
-    if (Offset >= Diversified.size())
-      continue;
-    if (!Diversified.normalizedHashAt(static_cast<uint32_t>(Offset), HashB,
-                                      NonNopB))
-      continue;
-    if (HashA == HashB)
-      Survivors.push_back({static_cast<uint32_t>(Offset), HashA});
-  }
-  return Survivors;
 }
 
 namespace {
@@ -710,13 +590,9 @@ gadget::survivingGadgets(const std::vector<uint8_t> &Original,
     }
     return Survivors;
   }
-  ImageScan OrigScan(Original.data(), Original.size(), Opts);
-  if (Opts.Incremental) {
-    ImageScan DivScan = OrigScan;
-    DivScan.rescan(Diversified);
-    return survivingGadgets(OrigScan, DivScan);
-  }
-  return probeSurvivors(gadgetHashes(OrigScan), Diversified, Opts);
+  return probeSurvivors(
+      gadgetHashes(ImageScan(Original.data(), Original.size(), Opts)),
+      Diversified, Opts);
 }
 
 std::vector<std::vector<SurvivingGadget>>
@@ -736,16 +612,7 @@ gadget::survivingGadgetsMulti(const std::vector<uint8_t> &Original,
   const ImageScan OrigScan(Original.data(), Original.size(), Opts);
   const std::vector<SurvivingGadget> OrigHashes = gadgetHashes(OrigScan);
   forEachVersion(Versions.size(), Opts.Jobs, [&](size_t I) {
-    if (Opts.Incremental) {
-      // Seed from the original scan: the variant diff is typically a
-      // small fraction of the image, so the rescan re-decodes only the
-      // widened dirty ranges.
-      ImageScan DivScan = OrigScan;
-      DivScan.rescan(Versions[I]);
-      Out[I] = survivingGadgets(OrigScan, DivScan);
-    } else {
-      Out[I] = probeSurvivors(OrigHashes, Versions[I], Opts);
-    }
+    Out[I] = probeSurvivors(OrigHashes, Versions[I], Opts);
   });
   return Out;
 }

@@ -38,10 +38,9 @@
 ///   once, decoding each offset exactly once into a flat side table of
 ///   (length, class) facts and, in the same step, computing by dynamic
 ///   programming the gadget suffix starting there -- O(Size) decodes,
-///   byte-identical results. ImageScan additionally supports incremental rescans
-///   (re-decode only the regions perturbed by a byte diff) and is
-///   immutable after construction, so one original-image scan can be
-///   shared read-only across worker threads.
+///   byte-identical results. ImageScan is immutable after construction,
+///   so one original-image scan can be shared read-only across worker
+///   threads.
 ///
 /// The multi-version sweeps reuse ImageScan's per-offset decode fact
 /// without building a scan per version where they can: the Survivor
@@ -80,10 +79,6 @@ struct ScanOptions {
   /// scanner. Slow (O(Size x MaxInstrs) decodes); exists so the parity
   /// tests and benches can compare against the executable spec.
   bool ForceReference = false;
-  /// Seed each diversified-image scan from the shared original-image
-  /// scan and rescan only the byte ranges the variant perturbed
-  /// (survivingGadgetsMulti). Results are identical by construction.
-  bool Incremental = false;
   /// Worker threads for the multi-version sweeps (survivingGadgetsMulti
   /// and gadgetsInAtLeast): 1 runs serially on the calling thread, 0
   /// uses all cores. Results are independent of this value.
@@ -109,11 +104,7 @@ struct SurvivingGadget {
 /// once into a flat fact table and fills its DP entry, after which
 /// every query -- gadget enumeration, per-offset instruction boundaries,
 /// normalized content hashes -- is answered without touching the decoder
-/// again. rescan() diffs the new image against the held bytes and
-/// recomputes facts only for the dirty range (widened by the maximum
-/// instruction length) and DP only for the dirty range widened by
-/// MaxInstrs x max-instruction-length; results are identical to a fresh
-/// full scan by construction (ScannerParityTest pins this).
+/// again.
 ///
 /// Thread-safety: all const queries are safe to call concurrently; a
 /// fully-constructed ImageScan may be shared read-only across threads.
@@ -124,13 +115,6 @@ public:
             const ScanOptions &Opts = ScanOptions());
   explicit ImageScan(const std::vector<uint8_t> &Text,
                      const ScanOptions &Opts = ScanOptions());
-
-  /// Replaces the image with \p NewText, re-decoding only the regions
-  /// that differ from the currently held bytes (plus widening).
-  void rescan(const uint8_t *NewText, size_t NewSize);
-  void rescan(const std::vector<uint8_t> &NewText) {
-    rescan(NewText.data(), NewText.size());
-  }
 
   size_t size() const { return Bytes.size(); }
   const ScanOptions &options() const { return Opts; }
@@ -164,29 +148,19 @@ public:
   bool normalizedHashAt(uint32_t Offset, uint64_t &HashOut,
                         unsigned &NonNopInstrsOut) const;
 
-  /// Bytes the last (re)scan actually decoded: the whole image for a
-  /// full scan, the widened dirty range for a rescan.
-  uint64_t decodedBytes() const { return DecodedBytes; }
-  /// True when the last (re)scan reused clean prefix/suffix state.
-  bool lastScanIncremental() const { return LastIncremental; }
-
 private:
-  void fullScan();
-  /// One backward pass over [DPBegin, End): decodes the facts of
-  /// [FactBegin, End) and recomputes every DP entry (DPBegin <=
-  /// FactBegin <= End).
-  void scanBackward(size_t DPBegin, size_t FactBegin, size_t End);
+  /// The one backward pass: decodes every offset's fact and computes
+  /// its DP entry.
+  void scanBackward();
 
   ScanOptions Opts;
-  std::vector<uint8_t> Bytes;      ///< Held image (diff base + hashes).
+  std::vector<uint8_t> Bytes;      ///< Held image (hashed by queries).
   std::vector<uint8_t> FactLen;    ///< Decoded length; 0 = invalid.
   std::vector<uint8_t> FactFlags;  ///< Class/NOP bits (Scanner.cpp).
   /// DP: instructions in the gadget suffix starting here; 0 = none
   /// within the window.
   std::vector<uint16_t> SuffixInstrs;
   std::vector<uint32_t> SuffixLen; ///< DP: gadget suffix byte length.
-  uint64_t DecodedBytes = 0;
-  bool LastIncremental = false;
 };
 
 /// Scans \p Text for all gadget start offsets.
@@ -220,19 +194,12 @@ survivingGadgets(const std::vector<uint8_t> &Original,
                  const std::vector<uint8_t> &Diversified,
                  const ScanOptions &Opts = ScanOptions());
 
-/// Survivor comparison over two prebuilt scans; lets callers amortize
-/// one original-image scan across many diversified versions.
-std::vector<SurvivingGadget> survivingGadgets(const ImageScan &Original,
-                                              const ImageScan &Diversified);
-
 /// Survivor comparison of every version against one original, sharing a
 /// single original-image scan and its (offset, hash) gadget list. Each
 /// version is probed only at those offsets, through a per-version fact
 /// table that decodes an offset on first touch and never twice; the
 /// probe walks and hashes chains by ImageScan's rules. Opts.Jobs shards
-/// versions across a support::ThreadPool; Opts.Incremental instead
-/// seeds a full scan of each version from the original scan and
-/// rescans only the diffed ranges. Results are index-aligned with
+/// versions across a support::ThreadPool. Results are index-aligned with
 /// \p Versions, independent of Jobs, and equal to the ForceReference
 /// oracle's (ScannerParityTest pins this across options and versions).
 std::vector<std::vector<SurvivingGadget>>

@@ -510,25 +510,3 @@ RunResult mexec::run(const MModule &M, const RunOptions &Opts) {
   Machine Mach(M, Opts);
   return Mach.run();
 }
-
-const char *mexec::engineName(Engine E) {
-  switch (E) {
-  case Engine::Fast:
-    return "fast";
-  case Engine::Reference:
-    return "reference";
-  }
-  return "unknown";
-}
-
-bool mexec::parseEngine(const std::string &Name, Engine &Out) {
-  if (Name == "fast") {
-    Out = Engine::Fast;
-    return true;
-  }
-  if (Name == "reference") {
-    Out = Engine::Reference;
-    return true;
-  }
-  return false;
-}

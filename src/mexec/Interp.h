@@ -155,27 +155,16 @@ struct RunResult {
 /// to that.
 RunResult run(const mir::MModule &M, const RunOptions &Opts);
 
-/// Which execution engine to run MIR on. Fast is the precompiled
-/// direct-threaded engine (mexec/Precompiled.h); Reference is the
-/// tree-walking oracle above. The two are bit-identical by contract, so
-/// the choice only affects throughput.
+/// The engine driver::execute runs on: the precompiled direct-threaded
+/// engine (mexec/Precompiled.h), which is what ships, or the
+/// tree-walking oracle above, which tests compare it against. The two
+/// are bit-identical by contract. Outside the tests, only perfbench
+/// still passes Reference, to check sampled runs against the oracle;
+/// driver::execute's parameter goes with the next change to perfbench.
 enum class Engine : uint8_t {
   Fast,      ///< Precompiled direct-threaded stream (default).
   Reference, ///< Tree-walking oracle.
 };
-
-/// Returns a stable lowercase name ("fast", "reference").
-const char *engineName(Engine E);
-
-/// Parses an engine name as accepted by the pgsdc --engine flag.
-/// Returns false (leaving \p Out untouched) on anything unknown.
-bool parseEngine(const std::string &Name, Engine &Out);
-
-/// Runs \p M on the engine \p E selects. For Engine::Fast this compiles
-/// the module once and throws the stream away afterwards -- callers that
-/// execute the same module repeatedly should hold a mexec::Precompiled
-/// instead.
-RunResult runWith(Engine E, const mir::MModule &M, const RunOptions &Opts);
 
 } // namespace mexec
 } // namespace pgsd

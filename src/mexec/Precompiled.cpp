@@ -980,12 +980,3 @@ done:
 }
 
 #pragma GCC diagnostic pop
-
-RunResult mexec::runWith(Engine E, const MModule &M,
-                         const RunOptions &Opts) {
-  if (E == Engine::Reference)
-    return run(M, Opts);
-  // Compiling against Opts.Costs means the fast path is always taken.
-  Precompiled P(M, Opts.Costs);
-  return P.run(Opts);
-}

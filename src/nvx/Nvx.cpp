@@ -108,7 +108,7 @@ namespace {
 /// engine first.
 struct Replica {
   mir::MModule MIR;
-  std::unique_ptr<mexec::Precompiled> Engine;
+  std::unique_ptr<mexec::Precompiled> Compiled;
   uint64_t Seed = 0;
   unsigned LostVotes = 0; ///< Consecutive divergences.
   bool Alive = false;
@@ -120,13 +120,13 @@ struct Replica {
 /// engine asserts module validity and the fast engine assumes it, so a
 /// corrupted module must be rejected at load time, never executed.
 bool installModule(Replica &Slot, mir::MModule &&M, uint64_t Seed) {
-  Slot.Engine.reset();
+  Slot.Compiled.reset();
   Slot.MIR = std::move(M);
   Slot.Seed = Seed;
   Slot.LostVotes = 0;
   Slot.Alive = mir::verify(Slot.MIR).empty();
   if (Slot.Alive)
-    Slot.Engine = std::make_unique<mexec::Precompiled>(Slot.MIR);
+    Slot.Compiled = std::make_unique<mexec::Precompiled>(Slot.MIR);
   return Slot.Alive;
 }
 
@@ -181,7 +181,7 @@ NvxResult nvx::runLockstep(const driver::Program &P,
     }
     ++R.RespawnFailures;
     Slot.Alive = false;
-    Slot.Engine.reset();
+    Slot.Compiled.reset();
     return false;
   };
 
@@ -259,7 +259,7 @@ NvxResult nvx::runLockstep(const driver::Program &P,
         Pool->enqueue([&, I] {
           mexec::RunResult RR;
           try {
-            RR = Slots[I].Engine->run(RO);
+            RR = Slots[I].Compiled->run(RO);
           } catch (...) {
             // The vote must make progress even if a replica run throws
             // (bad_alloc under memory pressure): synthesize a trapped
@@ -290,7 +290,7 @@ NvxResult nvx::runLockstep(const driver::Program &P,
       }
     } else {
       for (unsigned I : Voters)
-        Results[I] = Slots[I].Engine->run(RO);
+        Results[I] = Slots[I].Compiled->run(RO);
     }
 
     // --- Vote. ---

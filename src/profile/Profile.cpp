@@ -7,6 +7,8 @@
 
 #include "profile/Profile.h"
 
+#include "mexec/Precompiled.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
@@ -257,16 +259,18 @@ ProfileData profile::recoverCounts(const InstrumentationPlan &Plan,
   return Data;
 }
 
-void profile::applyCounts(MModule &M, const ProfileData &Data) {
-  assert(Data.BlockCounts.size() == M.Functions.size() &&
-         "profile shape mismatch");
+bool profile::applyCounts(MModule &M, const ProfileData &Data) {
+  if (Data.BlockCounts.size() != M.Functions.size())
+    return false;
+  for (size_t F = 0; F != M.Functions.size(); ++F)
+    if (Data.BlockCounts[F].size() != M.Functions[F].Blocks.size())
+      return false;
   for (size_t F = 0; F != M.Functions.size(); ++F) {
     const auto &Counts = Data.BlockCounts[F];
-    assert(Counts.size() == M.Functions[F].Blocks.size() &&
-           "profile shape mismatch");
     for (size_t B = 0; B != Counts.size(); ++B)
       M.Functions[F].Blocks[B].ProfileCount = Counts[B];
   }
+  return true;
 }
 
 std::string profile::serializeProfile(const ProfileData &Data) {
@@ -287,7 +291,7 @@ std::string profile::serializeProfile(const ProfileData &Data) {
   return Out;
 }
 
-bool profile::deserializeProfile(const std::string &Text,
+bool profile::deserializeProfile(const std::string &Text, const MModule &M,
                                  ProfileData &Out) {
   Out = ProfileData();
   size_t Pos = 0;
@@ -311,9 +315,12 @@ bool profile::deserializeProfile(const std::string &Text,
     unsigned long long Count;
     if (std::sscanf(Line.c_str(), "func %zu blocks %zu", &F, &Extent) ==
         2) {
-      if (F != Out.BlockCounts.size()) {
+      // Functions appear in order, each with its block count in M, so
+      // no count in the file sizes an allocation.
+      if (F != Out.BlockCounts.size() || F >= M.Functions.size() ||
+          Extent != M.Functions[F].Blocks.size()) {
         Out = ProfileData();
-        return false; // functions must appear in order
+        return false;
       }
       Out.BlockCounts.emplace_back(Extent, 0);
       continue;
@@ -332,6 +339,10 @@ bool profile::deserializeProfile(const std::string &Text,
     Out = ProfileData();
     return false;
   }
+  if (Out.BlockCounts.size() != M.Functions.size()) {
+    Out = ProfileData();
+    return false; // cut at a function boundary
+  }
   return true;
 }
 
@@ -341,10 +352,10 @@ ProfileData profile::profileModule(const MModule &M,
   InstrumentationPlan Plan = instrumentModule(Instrumented);
   Instrumented.NumProfCounters = Plan.NumCounters;
   // A training run is a one-shot execution of a freshly instrumented
-  // module: runWith bakes TrainOptions' cost model into a fresh stream,
-  // so even custom-cost training stays on the fast engine.
+  // module: compiling against TrainOptions' cost model keeps even
+  // custom-cost training on the fast engine.
   mexec::RunResult Result =
-      mexec::runWith(mexec::Engine::Fast, Instrumented, TrainOptions);
+      mexec::Precompiled(Instrumented, TrainOptions.Costs).run(TrainOptions);
   if (Result.Trapped)
     return ProfileData(); // empty: caller decides how to proceed
   return recoverCounts(Plan, Result.Counters);

@@ -73,8 +73,10 @@ ProfileData recoverCounts(const InstrumentationPlan &Plan,
                           const std::vector<uint64_t> &Counters);
 
 /// Stamps \p M (an *uninstrumented* module with the same block structure
-/// the plan was built from) with per-block ProfileCount values.
-void applyCounts(mir::MModule &M, const ProfileData &Data);
+/// the plan was built from) with per-block ProfileCount values. Returns
+/// false, stamping nothing, when \p Data has another function count or
+/// another block count in some function.
+bool applyCounts(mir::MModule &M, const ProfileData &Data);
 
 /// Convenience pipeline: clone \p M, instrument the clone, execute it on
 /// \p TrainOptions, and recover counts. \p M itself is not modified.
@@ -87,9 +89,13 @@ ProfileData profileModule(const mir::MModule &M,
 /// release builds.
 std::string serializeProfile(const ProfileData &Data);
 
-/// Parses serializeProfile output. Returns false (and leaves \p Out
-/// empty) on malformed input.
-bool deserializeProfile(const std::string &Text, ProfileData &Out);
+/// Parses serializeProfile output of a profile of \p M. Returns false
+/// (and leaves \p Out empty) on malformed input and on a profile whose
+/// shape differs from \p M's: each `func F blocks N` header must name
+/// the next function of \p M and its block count, checked before the
+/// counts are allocated, and the file must cover every function.
+bool deserializeProfile(const std::string &Text, const mir::MModule &M,
+                        ProfileData &Out);
 
 } // namespace profile
 } // namespace pgsd

@@ -63,11 +63,9 @@ BatteryMemo &memo() {
 /// contain NUL, so the module and the remaining fields never blur.
 std::string memoKey(const mir::MModule &Baseline,
                     const std::vector<std::vector<int32_t>> &Battery,
-                    uint64_t MaxSteps, mexec::Engine Engine) {
+                    uint64_t MaxSteps) {
   std::string K = mir::print(Baseline);
   K += '\0';
-  K += std::to_string(static_cast<unsigned>(Engine));
-  K += '\n';
   appendBatteryMaterial(K, Battery, MaxSteps);
   return K;
 }
@@ -96,8 +94,7 @@ void verify::appendBatteryMaterial(
 
 BaselineCache::BaselineCache(const mir::MModule &BaselineMod,
                              const VerifyOptions &Opts, Memo M)
-    : Baseline(&BaselineMod), MaxSteps(Opts.MaxSteps), Engine(Opts.Engine),
-      Mode(M) {
+    : Baseline(&BaselineMod), MaxSteps(Opts.MaxSteps), Mode(M) {
   Battery = Opts.InputBattery.empty() ? defaultInputBattery()
                                       : Opts.InputBattery;
   Entries = std::make_unique<Entry[]>(Battery.size());
@@ -110,7 +107,7 @@ const BaselineCache::Stored *BaselineCache::recalled() const {
     return nullptr;
   std::call_once(MemoOnce, [&] {
     obs::Span S("verify.baseline_memo_lookup");
-    MemoKey = memoKey(*Baseline, Battery, MaxSteps, Engine);
+    MemoKey = memoKey(*Baseline, Battery, MaxSteps);
     Recalled = memo().find(MemoKey);
     Consulted.store(true, std::memory_order_release);
   });
@@ -170,16 +167,15 @@ const mexec::RunResult &BaselineCache::baselineRun(size_t Index) const {
   Entry &E = Entries[Index];
   bool IRan = false;
   std::call_once(E.Once, [&] {
-    if (Engine == mexec::Engine::Fast)
-      std::call_once(CompileOnce, [&] {
-        obs::Span S("verify.baseline_compile");
-        Compiled.emplace(*Baseline);
-      });
+    std::call_once(CompileOnce, [&] {
+      obs::Span S("verify.baseline_compile");
+      Compiled.emplace(*Baseline);
+    });
     mexec::RunOptions Run;
     Run.Input = Battery[Index];
     Run.CollectOutput = true;
     Run.MaxSteps = MaxSteps;
-    E.Result = Compiled ? Compiled->run(Run) : mexec::run(*Baseline, Run);
+    E.Result = Compiled->run(Run);
     IRan = true;
   });
   if (IRan) {

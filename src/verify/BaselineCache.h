@@ -10,9 +10,8 @@
 /// variant seeds (driver::makeVariantsBatch) verifies every variant
 /// against the *same* baseline on the *same* input battery, so without a
 /// cache the baseline runs N x (1 + retries) times per input. One
-/// BaselineCache resolves the battery once, compiles the baseline once
-/// (for the fast engine), and computes each input's baseline RunResult
-/// on first use only.
+/// BaselineCache resolves the battery once, compiles the baseline once,
+/// and computes each input's baseline RunResult on first use only.
 ///
 /// Laziness: construction only resolves the battery. The memo lookup
 /// below and the baseline compile wait for the first request that needs
@@ -33,8 +32,8 @@
 /// batteries, so repeat verification of one program within a process
 /// (later batches, nvx respawns) pays its baseline battery once instead
 /// of once per call. The key is the exact material the runs depend on
-/// -- the full mir::print of the baseline, the resolved battery,
-/// MaxSteps, and the engine -- and a hit needs byte-equal material (no
+/// -- the full mir::print of the baseline, the resolved battery and
+/// MaxSteps -- and a hit needs byte-equal material (no
 /// hash is trusted). A hit recalls the stored runs instead of executing
 /// (or compiling) the baseline; the fill that completes a cache's
 /// battery stores its runs. At most MemoCapacity batteries are kept,
@@ -94,8 +93,8 @@ public:
   /// Resolves the battery from \p Opts (falling back to
   /// defaultInputBattery()). Nothing else happens until a request needs
   /// it: with Memo::Shared the first request looks the battery up in the
-  /// memo (a hit executes nothing), and when Opts.Engine is Fast the
-  /// first baseline run compiles the baseline once for every entry fill.
+  /// memo (a hit executes nothing), and the first baseline run compiles
+  /// the baseline once for every entry fill.
   BaselineCache(const mir::MModule &Baseline, const VerifyOptions &Opts,
                 Memo M = Memo::Off);
   ~BaselineCache();
@@ -196,7 +195,6 @@ private:
 
   const mir::MModule *Baseline;
   uint64_t MaxSteps;
-  mexec::Engine Engine;
   Memo Mode;
   std::vector<std::vector<int32_t>> Battery;
   /// The memo lookup: key material and the recalled battery on a hit
@@ -211,8 +209,7 @@ private:
   /// The baseline's liveness verdict, once computed.
   mutable std::once_flag LivenessOnce;
   mutable bool Liveness = false;
-  /// Compiled baseline stream (fast engine only), built by the first
-  /// entry fill.
+  /// Compiled baseline stream, built by the first entry fill.
   mutable std::once_flag CompileOnce;
   mutable std::optional<mexec::Precompiled> Compiled;
   struct Entry; // Holds a std::once_flag: non-movable, hence the array.

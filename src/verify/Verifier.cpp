@@ -98,9 +98,7 @@ void diffExecute(const MModule &Baseline, const MModule &Variant,
   const std::vector<std::vector<int32_t>> &Battery = Cache.battery();
 
   // The variant reruns on every input: compile it once up front.
-  std::optional<mexec::Precompiled> FastVariant;
-  if (Opts.Engine == mexec::Engine::Fast)
-    FastVariant.emplace(Variant);
+  mexec::Precompiled Compiled(Variant);
 
   mexec::RunOptions Run;
   Run.CollectOutput = true;
@@ -117,8 +115,7 @@ void diffExecute(const MModule &Baseline, const MModule &Variant,
     // order. Budget accordingly so a correct variant never trips it.
     Run.Input = Battery[In];
     Run.MaxSteps = RB.Instructions * 3 + 4096;
-    mexec::RunResult RV =
-        FastVariant ? FastVariant->run(Run) : mexec::run(Variant, Run);
+    mexec::RunResult RV = Compiled.run(Run);
 
     if (RB.Trapped != RV.Trapped || RB.Trap != RV.Trap) {
       R.add(ErrorCode::TrapMismatch,

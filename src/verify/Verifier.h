@@ -125,11 +125,6 @@ struct VerifyOptions {
   /// into fresh seed neighbourhoods instead of re-mining one.
   uint64_t SeedStride = 0;
 
-  /// Execution engine for differential runs. Fast and Reference are
-  /// bit-identical by contract (mexec/Precompiled.h), so this only
-  /// affects verification throughput.
-  mexec::Engine Engine = mexec::Engine::Fast;
-
   /// Optional shared baseline run cache (verify/BaselineCache.h). When
   /// set, diffExecute takes its battery and baseline RunResults from the
   /// cache instead of re-running the baseline, verifyVariant takes the

@@ -428,11 +428,6 @@ TEST(BatteryMemo, EveryKeyFieldDiscriminates) {
   Other = VOpts;
   Other.MaxSteps = VOpts.MaxSteps - 1;
   EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).recall(), 0u);
-
-  // Engine.
-  Other = VOpts;
-  Other.Engine = mexec::Engine::Reference;
-  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).recall(), 0u);
 }
 
 TEST(BatteryMemo, OnlyCompleteBatteriesAreStored) {

@@ -712,26 +712,11 @@ TEST(EngineParity, CostMismatchFallsBackToReference) {
   mexec::RunOptions Opts = fullCollect(W.TrainInput);
   Opts.Costs.Alu *= 3;
   expectSame(mexec::run(P.MIR, Opts), PC.run(Opts), "mismatched costs");
-  // And runWith(Fast) bakes the custom model instead of falling back.
+  // And a stream compiled against the custom model, as profile training
+  // builds one, runs it natively instead of falling back.
   expectSame(mexec::run(P.MIR, Opts),
-             mexec::runWith(mexec::Engine::Fast, P.MIR, Opts),
-             "runWith custom costs");
-}
-
-//===----------------------------------------------------------------------===//
-// Engine name plumbing (the pgsdc --engine flag parses through these).
-//===----------------------------------------------------------------------===//
-
-TEST(EngineParity, EngineNamesRoundTrip) {
-  EXPECT_STREQ(mexec::engineName(mexec::Engine::Fast), "fast");
-  EXPECT_STREQ(mexec::engineName(mexec::Engine::Reference), "reference");
-  mexec::Engine E = mexec::Engine::Reference;
-  EXPECT_TRUE(mexec::parseEngine("fast", E));
-  EXPECT_EQ(E, mexec::Engine::Fast);
-  EXPECT_TRUE(mexec::parseEngine("reference", E));
-  EXPECT_EQ(E, mexec::Engine::Reference);
-  EXPECT_FALSE(mexec::parseEngine("turbo", E));
-  EXPECT_EQ(E, mexec::Engine::Reference); // untouched on failure
+             mexec::Precompiled(P.MIR, Opts.Costs).run(Opts),
+             "custom costs, compiled per run");
 }
 
 //===----------------------------------------------------------------------===//

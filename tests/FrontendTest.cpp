@@ -140,6 +140,80 @@ TEST(Parser, RecoversAndReportsMultipleErrors) {
   EXPECT_GE(Diags.size(), 2u);
 }
 
+namespace {
+
+/// \p N copies of \p S.
+std::string repeat(const std::string &S, unsigned N) {
+  std::string Out;
+  for (unsigned I = 0; I != N; ++I)
+    Out += S;
+  return Out;
+}
+
+/// A main that returns \p E, with `a` in scope.
+std::string returning(const std::string &E) {
+  return "fn main() { var a = 1; return " + E + "; }";
+}
+
+/// Parses \p Src and returns its diagnostics.
+std::vector<Diag> parseDiags(const std::string &Src) {
+  std::vector<Diag> Diags;
+  parse(Src, Diags);
+  return Diags;
+}
+
+} // namespace
+
+TEST(Parser, NestingLimitIsExact) {
+  const unsigned L = MaxNestingDepth;
+  const std::string TooDeep =
+      "nesting deeper than " + std::to_string(L) + " levels";
+  // Each case compiles, lowering included, at the limit and is one
+  // diagnostic at the limit + 1. A return statement and its expression
+  // take two levels, so L - 2 parentheses, unary operators or if
+  // statements around it fill the limit.
+  auto Parens = [](unsigned N) {
+    return returning(repeat("(", N) + "a" + repeat(")", N));
+  };
+  auto Unary = [](unsigned N) { return returning(repeat("- ", N) + "a"); };
+  auto Ifs = [](unsigned N) {
+    return "fn main() { var a = 1; " + repeat("if (a) { ", N) +
+           "return a; " + repeat("} ", N) + "return 0; }";
+  };
+  // A left-associative chain of N terms is N nodes high.
+  auto Chain = [](unsigned N) {
+    return returning("a" + repeat(" + a", N - 1));
+  };
+  const std::pair<std::string, std::string> Cases[] = {
+      {Parens(L - 2), Parens(L - 1)},
+      {Unary(L - 2), Unary(L - 1)},
+      {Ifs(L - 2), Ifs(L - 1)},
+      {Chain(L), Chain(L + 1)},
+  };
+  for (const auto &[AtLimit, PastLimit] : Cases) {
+    EXPECT_EQ(diagsOf(AtLimit), "") << AtLimit.substr(0, 60);
+    const std::vector<Diag> Diags = parseDiags(PastLimit);
+    ASSERT_EQ(Diags.size(), 1u) << PastLimit.substr(0, 60);
+    EXPECT_NE(Diags[0].Message.find(TooDeep), std::string::npos)
+        << Diags[0].Message;
+  }
+}
+
+TEST(Parser, DeepInputIsOneDiagnosticNotAStackOverflow) {
+  // Inputs that once overflowed the stack: 50,000 nested parentheses or
+  // unary operators in the parser, and a 100,000-term sum in lowering.
+  for (const std::string &Src :
+       {returning(repeat("(", 50000) + "a" + repeat(")", 50000)),
+        returning(repeat("- ", 50000) + "a"),
+        returning("a" + repeat(" + a", 99999))}) {
+    std::vector<Diag> Diags;
+    compileToIR(Src, "deep", Diags);
+    ASSERT_EQ(Diags.size(), 1u) << formatDiags(Diags);
+    EXPECT_NE(Diags[0].Message.find("nesting deeper than"),
+              std::string::npos);
+  }
+}
+
 TEST(Parser, ArraySizeValidation) {
   EXPECT_NE(diagsOf("fn main() { array a[0]; return 0; }"), "");
   EXPECT_NE(diagsOf("global g[0];"), "");

@@ -144,7 +144,7 @@ TEST(Profile, ApplyCountsStampsBlocks) {
       "fn main() { var i = 0; while (i < 9) { i = i + 1; } return i; }",
       "stamp");
   profile::ProfileData Data = profile::profileModule(P.MIR, {});
-  profile::applyCounts(P.MIR, Data);
+  ASSERT_TRUE(profile::applyCounts(P.MIR, Data));
   uint64_t Max = 0;
   for (const mir::MBasicBlock &BB : P.MIR.Functions[0].Blocks)
     Max = std::max(Max, BB.ProfileCount);
@@ -162,7 +162,7 @@ TEST(Profile, SerializationRoundTrips) {
   std::string Text = profile::serializeProfile(Data);
   EXPECT_NE(Text.find("pgsd-profile v1"), std::string::npos);
   profile::ProfileData Back;
-  ASSERT_TRUE(profile::deserializeProfile(Text, Back));
+  ASSERT_TRUE(profile::deserializeProfile(Text, P.MIR, Back));
   ASSERT_EQ(Back.BlockCounts.size(), Data.BlockCounts.size());
   for (size_t F = 0; F != Data.BlockCounts.size(); ++F)
     EXPECT_EQ(Back.BlockCounts[F], Data.BlockCounts[F]);
@@ -185,14 +185,13 @@ TEST(Profile, DeserializeRejectsTruncatedFile) {
   profile::ProfileData Out;
   // Cutting inside the second function header leaves a malformed line:
   // the parser must reject it.
+  EXPECT_FALSE(profile::deserializeProfile(Text.substr(0, SecondFunc + 6),
+                                           P.MIR, Out));
+  // Cutting exactly at a function boundary leaves well-formed lines, but
+  // the program has more functions than the file covers.
   EXPECT_FALSE(
-      profile::deserializeProfile(Text.substr(0, SecondFunc + 6), Out));
-  // Cutting exactly at a function boundary yields a file that parses --
-  // the text format cannot see the missing tail -- so the second layer
-  // of defense (the shape check against the program) must catch it.
-  ASSERT_TRUE(
-      profile::deserializeProfile(Text.substr(0, SecondFunc), Out));
-  EXPECT_LT(Out.BlockCounts.size(), P.MIR.Functions.size());
+      profile::deserializeProfile(Text.substr(0, SecondFunc), P.MIR, Out));
+  EXPECT_TRUE(Out.empty());
 }
 
 TEST(Profile, DeserializeRejectsCorruptCounts) {
@@ -203,20 +202,77 @@ TEST(Profile, DeserializeRejectsCorruptCounts) {
   std::string Text = profile::serializeProfile(Data);
   profile::ProfileData Out;
   // Out-of-range block id inside an otherwise valid file.
-  EXPECT_FALSE(profile::deserializeProfile(Text + "0 99999 7\n", Out));
+  EXPECT_FALSE(
+      profile::deserializeProfile(Text + "0 99999 7\n", P.MIR, Out));
   // Non-numeric junk where a count line should be.
-  EXPECT_FALSE(profile::deserializeProfile(Text + "0 zero one\n", Out));
+  EXPECT_FALSE(
+      profile::deserializeProfile(Text + "0 zero one\n", P.MIR, Out));
 }
 
 TEST(Profile, DeserializeRejectsGarbage) {
+  driver::Program P = compileOK("fn main() { return 0; }", "garbage");
+  const std::string Blocks =
+      std::to_string(P.MIR.Functions[0].Blocks.size());
   profile::ProfileData Out;
-  EXPECT_FALSE(profile::deserializeProfile("", Out));
-  EXPECT_FALSE(profile::deserializeProfile("not a profile", Out));
+  EXPECT_FALSE(profile::deserializeProfile("", P.MIR, Out));
+  EXPECT_FALSE(profile::deserializeProfile("not a profile", P.MIR, Out));
   EXPECT_FALSE(profile::deserializeProfile(
-      "pgsd-profile v1\nfunc 1 blocks 2\n", Out)); // func 0 missing
+      "pgsd-profile v1\nfunc 1 blocks " + Blocks + "\n", P.MIR,
+      Out)); // func 0 missing
   EXPECT_FALSE(profile::deserializeProfile(
-      "pgsd-profile v1\nfunc 0 blocks 2\n0 9 5\n", Out)); // block range
+      "pgsd-profile v1\nfunc 0 blocks " + Blocks + "\n0 9 5\n", P.MIR,
+      Out)); // block range
   EXPECT_TRUE(Out.empty());
+}
+
+TEST(Profile, DeserializeRejectsShapeMismatch) {
+  // A profile whose headers disagree with the program is rejected as it
+  // is parsed, before any count is sized by it: a block count too large
+  // used to write past the function's blocks in applyCounts, and one
+  // that does not fit in size_t to throw std::length_error.
+  driver::Program P = compileOK(
+      "fn sq(x) { return x * x; } "
+      "fn main() { var s = 0; var i = 0; "
+      "while (i < 5) { s = s + sq(i); i = i + 1; } return s; }",
+      "shape");
+  profile::ProfileData Data = profile::profileModule(P.MIR, {});
+  ASSERT_EQ(Data.BlockCounts.size(), 2u);
+  const std::string Text = profile::serializeProfile(Data);
+  const std::string Header =
+      "func 0 blocks " + std::to_string(Data.BlockCounts[0].size()) + "\n";
+  const size_t At = Text.find(Header);
+  ASSERT_NE(At, std::string::npos);
+  profile::ProfileData Out;
+  ASSERT_TRUE(profile::deserializeProfile(Text, P.MIR, Out));
+  for (const char *Edited :
+       {"func 0 blocks 40\n", "func 0 blocks 99999999999999999999\n",
+        "func 0 blocks 0\n"}) {
+    std::string Bad = Text;
+    Bad.replace(At, Header.size(), Edited);
+    EXPECT_FALSE(profile::deserializeProfile(Bad, P.MIR, Out)) << Edited;
+    EXPECT_TRUE(Out.empty()) << Edited;
+  }
+  // A third function the program does not have.
+  EXPECT_FALSE(profile::deserializeProfile(Text + "func 2 blocks 1\n",
+                                           P.MIR, Out));
+
+  // applyCounts refuses a mismatched shape and stamps nothing.
+  auto Stamped = [&P] {
+    std::vector<uint64_t> Counts;
+    for (const mir::MFunction &F : P.MIR.Functions)
+      for (const mir::MBasicBlock &BB : F.Blocks)
+        Counts.push_back(BB.ProfileCount);
+    return Counts;
+  };
+  const std::vector<uint64_t> Unstamped = Stamped();
+  profile::ProfileData Wrong = Data;
+  Wrong.BlockCounts[1].push_back(7);
+  EXPECT_FALSE(profile::applyCounts(P.MIR, Wrong));
+  Wrong.BlockCounts.pop_back();
+  EXPECT_FALSE(profile::applyCounts(P.MIR, Wrong));
+  EXPECT_EQ(Stamped(), Unstamped);
+  EXPECT_TRUE(profile::applyCounts(P.MIR, Data));
+  EXPECT_NE(Stamped(), Unstamped);
 }
 
 TEST(Profile, TrainAndRefAgreeOnHotBlocks) {

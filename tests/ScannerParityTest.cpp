@@ -15,13 +15,10 @@
 //    (nop, shift, sched, regs), baseline and diversified images;
 //  * 200 seeded MiniC fuzz programs with per-seed scan options
 //    (window size, XCHG set, syscall terminators), checked per offset;
-//  * incremental rescans against fresh full scans under random byte
-//    diffs: overwrites, insertions, deletions, chained edits, and edits
-//    straddling the image start/end and instruction boundaries;
-//  * parallel multi-version sweeps (Jobs > 1, shared original scan,
-//    incremental seeding) against both the serial fast path and the
-//    reference oracle, on workloads and on fuzzed programs across the
-//    option space, with unequal-length, empty and absent versions;
+//  * parallel multi-version sweeps (Jobs > 1, shared original scan)
+//    against both the serial fast path and the reference oracle, on
+//    workloads and on fuzzed programs across the option space, with
+//    unequal-length, empty and absent versions;
 //  * Table 3's counts for three workloads pinned to fixed values, so the
 //    identity the multi-version counter uses cannot drift unnoticed.
 //
@@ -111,29 +108,6 @@ void expectOffsetParity(const std::vector<uint8_t> &Text,
   }
 }
 
-/// Full-scan equality: a rescanned ImageScan must be indistinguishable
-/// from a freshly built one.
-void expectScanEqualsFresh(const ImageScan &Rescanned,
-                           const std::vector<uint8_t> &Text,
-                           const ScanOptions &Opts, const std::string &What) {
-  ImageScan Fresh(Text.data(), Text.size(), Opts);
-  ASSERT_EQ(Rescanned.size(), Fresh.size()) << What;
-  expectSameGadgets(Rescanned.gadgets(), Fresh.gadgets(), What);
-  uint64_t HashA = 0, HashB = 0;
-  unsigned NonNopA = 0, NonNopB = 0;
-  for (size_t Offset = 0; Offset != Text.size(); ++Offset) {
-    const auto At = static_cast<uint32_t>(Offset);
-    ASSERT_EQ(Rescanned.hasGadgetAt(At), Fresh.hasGadgetAt(At))
-        << What << " offset " << Offset;
-    if (!Fresh.hasGadgetAt(At))
-      continue;
-    ASSERT_TRUE(Rescanned.normalizedHashAt(At, HashA, NonNopA));
-    ASSERT_TRUE(Fresh.normalizedHashAt(At, HashB, NonNopB));
-    ASSERT_EQ(HashA, HashB) << What << " offset " << Offset;
-    ASSERT_EQ(NonNopA, NonNopB) << What << " offset " << Offset;
-  }
-}
-
 const diversity::TransformKind AllKinds[] = {
     diversity::TransformKind::Nop, diversity::TransformKind::Shift,
     diversity::TransformKind::Sched, diversity::TransformKind::Regs};
@@ -166,13 +140,6 @@ TEST(ScannerParity, WorkloadSuiteAllPipelines) {
           gadget::survivingGadgets(Base, Div, Fast),
           gadget::survivingGadgets(Base, Div, Ref),
           W.Name + "/" + diversity::transformKindName(Kind));
-      // Incremental seeding from the original scan must agree too.
-      ScanOptions Incr = Fast;
-      Incr.Incremental = true;
-      expectSameSurvivors(
-          gadget::survivingGadgets(Base, Div, Incr),
-          gadget::survivingGadgets(Base, Div, Ref),
-          W.Name + "/" + diversity::transformKindName(Kind) + " incr");
       ++Combos;
     }
   }
@@ -180,7 +147,7 @@ TEST(ScannerParity, WorkloadSuiteAllPipelines) {
 }
 
 //===----------------------------------------------------------------------===//
-// Multi-version sweeps: serial, parallel, incremental, reference
+// Multi-version sweeps: serial, parallel, reference
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -212,10 +179,9 @@ countByDefinition(const std::vector<std::vector<uint8_t>> &Versions,
 }
 
 /// Both multi-version sweeps against the reference oracle under \p Opts
-/// (whose Jobs, Incremental and ForceReference are overridden here):
-/// gadgetsInAtLeast at Jobs 1, 4 and 0 (all cores) and on the oracle
-/// against countByDefinition, survivingGadgetsMulti at the same Jobs
-/// with and without incremental seeding.
+/// (whose Jobs and ForceReference are overridden here): gadgetsInAtLeast
+/// at Jobs 1, 4 and 0 (all cores) and on the oracle against
+/// countByDefinition, survivingGadgetsMulti at the same Jobs.
 void expectSweepParity(const std::vector<uint8_t> &Original,
                        const std::vector<std::vector<uint8_t>> &Versions,
                        const std::vector<unsigned> &Thresholds,
@@ -233,19 +199,14 @@ void expectSweepParity(const std::vector<uint8_t> &Original,
   for (unsigned Jobs : {1u, 4u, 0u}) {
     Opts.Jobs = Jobs;
     const std::string Tag = What + " jobs=" + std::to_string(Jobs);
-    Opts.Incremental = false;
     EXPECT_EQ(gadget::gadgetsInAtLeast(Versions, Thresholds, Opts),
               WantCounts)
         << Tag;
-    for (bool Incremental : {false, true}) {
-      Opts.Incremental = Incremental;
-      const auto Got = gadget::survivingGadgetsMulti(Original, Versions, Opts);
-      ASSERT_EQ(Got.size(), WantSurv.size()) << Tag;
-      for (size_t I = 0; I != Got.size(); ++I)
-        expectSameSurvivors(Got[I], WantSurv[I],
-                            Tag + (Incremental ? " incr" : "") + " v" +
-                                std::to_string(I));
-    }
+    const auto Got = gadget::survivingGadgetsMulti(Original, Versions, Opts);
+    ASSERT_EQ(Got.size(), WantSurv.size()) << Tag;
+    for (size_t I = 0; I != Got.size(); ++I)
+      expectSameSurvivors(Got[I], WantSurv[I],
+                          Tag + " v" + std::to_string(I));
   }
 }
 
@@ -429,113 +390,6 @@ TEST(ScannerParity, FuzzedProgramsPerOffset) {
     ++Checked;
   }
   EXPECT_EQ(Checked, 200u);
-}
-
-//===----------------------------------------------------------------------===//
-// Incremental rescans vs fresh full scans under random byte diffs
-//===----------------------------------------------------------------------===//
-
-TEST(ScannerParity, IncrementalRandomEdits) {
-  const workloads::Workload &W = workloads::specWorkload("429.mcf");
-  driver::Program P = driver::compileProgram(W.Source, W.Name);
-  ASSERT_TRUE(P.ok());
-  const std::vector<uint8_t> Base = driver::linkBaseline(P).Text;
-
-  Rng Gen(0xD1FF);
-  ScanOptions Opts;
-  // Chained edits: the scan is rescanned in place, never rebuilt, so
-  // errors would accumulate and surface.
-  ImageScan Scan(Base.data(), Base.size(), Opts);
-  std::vector<uint8_t> Text = Base;
-  for (unsigned Round = 0; Round != 120; ++Round) {
-    const unsigned EditKind = static_cast<unsigned>(Gen.nextBelow(4));
-    const size_t Len = 1 + static_cast<size_t>(Gen.nextBelow(24));
-    const size_t Pos =
-        Text.empty() ? 0 : static_cast<size_t>(Gen.nextBelow(
-                               static_cast<uint32_t>(Text.size())));
-    switch (EditKind) {
-    case 0: // overwrite (possibly straddling the image end)
-      for (size_t I = 0; I != Len && Pos + I < Text.size(); ++I)
-        Text[Pos + I] = static_cast<uint8_t>(Gen.nextBelow(256));
-      break;
-    case 1: { // insert (grows the image; suffix shifts right)
-      std::vector<uint8_t> Ins(Len);
-      for (uint8_t &B : Ins)
-        B = static_cast<uint8_t>(Gen.nextBelow(256));
-      Text.insert(Text.begin() + static_cast<ptrdiff_t>(Pos), Ins.begin(),
-                  Ins.end());
-      break;
-    }
-    case 2: // delete (shrinks the image; suffix shifts left)
-      Text.erase(Text.begin() + static_cast<ptrdiff_t>(Pos),
-                 Text.begin() + static_cast<ptrdiff_t>(
-                                    std::min(Pos + Len, Text.size())));
-      break;
-    default: // single-byte flip on an instruction boundary's last byte
-      if (!Text.empty())
-        Text[Pos] ^= 0x80;
-      break;
-    }
-    Scan.rescan(Text);
-    EXPECT_TRUE(Scan.lastScanIncremental());
-    expectScanEqualsFresh(Scan, Text, Opts,
-                          "round " + std::to_string(Round));
-  }
-
-  // Degenerate diffs: identical image, empty image, total replacement.
-  Scan.rescan(Text);
-  EXPECT_EQ(Scan.decodedBytes(), 0u);
-  expectScanEqualsFresh(Scan, Text, Opts, "identical rescan");
-  std::vector<uint8_t> Empty;
-  Scan.rescan(Empty);
-  expectScanEqualsFresh(Scan, Empty, Opts, "empty rescan");
-  Scan.rescan(Base);
-  expectScanEqualsFresh(Scan, Base, Opts, "full replacement");
-}
-
-TEST(ScannerParity, IncrementalBoundaryStraddlingEdits) {
-  // Hand-built image: NOP sled, a MaxInstrs-deep body chain into a RET,
-  // and a trailing RET -- edits near the chain boundaries exercise the
-  // dirty-range widening (an edit at byte K can create or destroy
-  // gadgets starting up to MaxInstrs x 15 bytes earlier).
-  std::vector<uint8_t> Text;
-  for (unsigned I = 0; I != 64; ++I)
-    Text.push_back(0x90); // NOP
-  for (unsigned I = 0; I != 16; ++I) {
-    Text.push_back(0x89); // MOV ESP,ESP (2-byte body)
-    Text.push_back(0xE4);
-  }
-  Text.push_back(0xC3); // RET
-  for (unsigned I = 0; I != 32; ++I)
-    Text.push_back(0x40); // INC EAX
-  Text.push_back(0xC3); // RET
-
-  ScanOptions Opts;
-  for (size_t Edit = 0; Edit != Text.size(); ++Edit) {
-    ImageScan Scan(Text.data(), Text.size(), Opts);
-    std::vector<uint8_t> Mut = Text;
-    Mut[Edit] = 0xF4; // HLT: privileged, kills any chain through it
-    Scan.rescan(Mut);
-    expectScanEqualsFresh(Scan, Mut, Opts,
-                          "HLT at " + std::to_string(Edit));
-    // And back: the reverse diff restores the original results.
-    Scan.rescan(Text);
-    expectScanEqualsFresh(Scan, Text, Opts,
-                          "restore at " + std::to_string(Edit));
-  }
-
-  // Insertions that straddle the decode window at the dirty-range edge.
-  for (size_t Edit : {size_t(0), size_t(63), size_t(64), size_t(80),
-                      Text.size() - 2, Text.size()}) {
-    ImageScan Scan(Text.data(), Text.size(), Opts);
-    std::vector<uint8_t> Mut = Text;
-    const uint8_t Frag[] = {0x8D, 0x36, 0xC3}; // LEA ESI,[ESI]; RET
-    Mut.insert(Mut.begin() + static_cast<ptrdiff_t>(Edit), Frag,
-               Frag + sizeof(Frag));
-    Scan.rescan(Mut);
-    expectScanEqualsFresh(Scan, Mut, Opts,
-                          "insert at " + std::to_string(Edit));
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -43,10 +43,9 @@
 //     considered.
 //  7. With --gadget (the file came from a run through the gadget
 //     scanner, e.g. `pgsdc gadgets --seeds N --metrics`): the scan
-//     counters must be present, decoded bytes can never exceed scanned
-//     bytes (the decode-once invariant: a scan decodes at most the
-//     whole image, a rescan strictly less), and dirty bytes only
-//     accumulate from incremental scans.
+//     counters must be present, and decoded bytes can never exceed
+//     scanned bytes (the decode-once invariant: a full scan decodes the
+//     whole image, a Survivor probe only the offsets it reaches).
 //  8. With --serve (the file came from `pgsdc serve --metrics`): the
 //     per-request outcome counters must partition serve.requests
 //     exactly (served + shed + failed = requests, with served =
@@ -393,9 +392,9 @@ int main(int Argc, char **Argv) {
         return fail(std::string("gadget metrics missing \"") + Key +
                     "\"");
 
-    // The decode-once invariant: every (re)scan decodes at most the
-    // bytes it was handed, and a rescan strictly fewer, so the decoded
-    // total can never exceed the scanned total.
+    // The decode-once invariant: every scan or probe decodes at most the
+    // bytes it was handed, so the decoded total can never exceed the
+    // scanned total.
     double Scanned = 0, Decoded = 0;
     if (!findNumber(Text, "gadget.bytes_scanned", Scanned) ||
         !findNumber(Text, "gadget.bytes_decoded", Decoded))
@@ -405,27 +404,6 @@ int main(int Argc, char **Argv) {
                    "metrics_check: gadget.bytes_decoded %.0f exceeds "
                    "gadget.bytes_scanned %.0f\n",
                    Decoded, Scanned);
-      return 1;
-    }
-
-    // Dirty bytes are the decoded subset of incremental rescans, so
-    // they are bounded by the decoded total and can only exist when an
-    // incremental scan ran. Both counters are absent-when-zero.
-    double Incr = 0, Dirty = 0;
-    (void)findNumber(Text, "gadget.scans_incremental", Incr);
-    (void)findNumber(Text, "gadget.dirty_bytes", Dirty);
-    if (Dirty > Decoded) {
-      std::fprintf(stderr,
-                   "metrics_check: gadget.dirty_bytes %.0f exceeds "
-                   "gadget.bytes_decoded %.0f\n",
-                   Dirty, Decoded);
-      return 1;
-    }
-    if (Incr == 0 && Dirty != 0) {
-      std::fprintf(stderr,
-                   "metrics_check: gadget.dirty_bytes %.0f reported "
-                   "without any incremental scan\n",
-                   Dirty);
       return 1;
     }
   }

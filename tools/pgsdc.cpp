@@ -142,11 +142,9 @@ struct Options {
   std::string Model = "log";
   unsigned Retries = 3;
   unsigned Variants = 3;
-  mexec::Engine Engine = mexec::Engine::Fast;
   unsigned Seeds = 8;      ///< Batch size (batch/gadgets commands).
   bool SeedsSet = false;   ///< --seeds given (gadgets sweep trigger).
   unsigned Jobs = 0;       ///< Worker threads; 0 means all cores.
-  bool Incremental = false; ///< gadgets: incremental variant rescans.
   std::string OutDir;      ///< Where batch writes variant images.
   std::string MetricsFile; ///< Enable telemetry, write JSON here.
   unsigned Replicas = 3;   ///< nvx replica count.
@@ -256,11 +254,6 @@ const Flag Flags[] = {
        O.Pipe = diversity::Pipeline(std::move(Kinds));
        return nullptr;
      }},
-    {"--engine", "E", "fast (default) | reference; bit-identical results",
-     [](Options &O, const char *V) -> const char * {
-       return mexec::parseEngine(V, O.Engine) ? nullptr
-                                              : "expected fast or reference";
-     }},
     {"--retries", "N", "verification attempts per variant (default 3)",
      positive<&Options::Retries>},
     {"--variants", "N", "variants per program (default 3)",
@@ -274,8 +267,6 @@ const Flag Flags[] = {
      }},
     {"--jobs", "J", "worker threads (default: all cores)",
      count<&Options::Jobs>},
-    {"--incremental", nullptr, "rescan only the diffed ranges of a version",
-     toggle<&Options::Incremental, true>},
     {"--out-dir", "DIR", "write each variant's .text here",
      text<&Options::OutDir>},
     {"--metrics", "FILE", "enable telemetry; write metrics JSON here",
@@ -350,18 +341,14 @@ int loadProgram(const Options &Opts, driver::Program &P) {
       return ExitFileIO;
     }
     profile::ProfileData Data;
-    if (!deserializeProfile(Text, Data)) {
-      std::fprintf(stderr, "pgsdc: malformed profile '%s'\n",
+    if (!deserializeProfile(Text, P.MIR, Data) ||
+        !profile::applyCounts(P.MIR, Data)) {
+      std::fprintf(stderr,
+                   "pgsdc: profile '%s' is malformed or does not match this "
+                   "program (did the source change since training?)\n",
                    Opts.ProfileFile.c_str());
       return ExitBadProfile;
     }
-    if (Data.BlockCounts.size() != P.MIR.Functions.size()) {
-      std::fprintf(stderr,
-                   "pgsdc: profile does not match this program (did the "
-                   "source change since training?)\n");
-      return ExitBadProfile;
-    }
-    profile::applyCounts(P.MIR, Data);
     P.HasProfile = true;
   }
   return ExitOK;
@@ -416,7 +403,7 @@ int cmdRun(const Options &Opts) {
   std::vector<int32_t> Input;
   if (int Err = parseInput(Opts, Input))
     return Err;
-  mexec::RunResult R = driver::execute(P.MIR, Input, true, Opts.Engine);
+  mexec::RunResult R = driver::execute(P.MIR, Input, true);
   std::fputs(R.Output.c_str(), stdout);
   if (R.Trapped) {
     std::fprintf(stderr, "pgsdc: program trapped (%s): %s\n",
@@ -565,7 +552,6 @@ int cmdVerify(const Options &Opts) {
   diversity::DiversityOptions D = diversityOptions(Opts);
   verify::VerifyOptions VOpts;
   VOpts.MaxAttempts = Opts.Retries;
-  VOpts.Engine = Opts.Engine;
   driver::VerifiedVariant VV =
       driver::makeVariantVerified(P, Opts.Pipe, D, Opts.Seed, VOpts);
   if (!VV.Report.ok())
@@ -626,7 +612,6 @@ int cmdBatch(const Options &Opts) {
   driver::BatchOptions B;
   B.Jobs = Opts.Jobs;
   B.Verify.MaxAttempts = Opts.Retries;
-  B.Verify.Engine = Opts.Engine;
   driver::BatchResult R =
       driver::makeVariantsBatch(P, Opts.Pipe, diversityOptions(Opts),
                                 Seeds, B);
@@ -822,7 +807,6 @@ int cmdNvx(const Options &Opts) {
   N.Diversity = diversityOptions(Opts);
   N.Pipeline = Opts.Pipe;
   N.Verify.MaxAttempts = Opts.Retries;
-  N.Verify.Engine = Opts.Engine;
   nvx::NvxResult R = nvx::runLockstep(P, {}, N);
 
   std::printf("nvx: %u replicas, %s vote, %llu rounds: %llu consensus, "
@@ -875,7 +859,6 @@ int cmdServe(const Options &Opts) {
   S.Pipe = Opts.Pipe;
   S.Diversity = diversityOptions(Opts);
   S.Verify.MaxAttempts = Opts.Retries;
-  S.Verify.Engine = Opts.Engine;
   serve::ServeResult R = serve::serveVariants(P, S);
 
   auto U = [](uint64_t V) { return static_cast<unsigned long long>(V); };
@@ -952,9 +935,8 @@ int cmdGadgets(const Options &Opts) {
 
   // Survivor sweep mode: with --seeds N, build N diversified versions
   // and run the multi-version Survivor comparison against the baseline,
-  // sharing one baseline scan (--jobs shards versions, --incremental
-  // seeds each version scan from the baseline scan). With --metrics the
-  // scanner's gadget.* telemetry lands in the exported JSON.
+  // sharing one baseline scan (--jobs shards versions). With --metrics
+  // the scanner's gadget.* telemetry lands in the exported JSON.
   if (Opts.SeedsSet) {
     diversity::DiversityOptions D = diversityOptions(Opts);
     std::vector<std::vector<uint8_t>> Versions;
@@ -964,7 +946,6 @@ int cmdGadgets(const Options &Opts) {
           driver::makeVariant(P, Opts.Pipe, D, Opts.Seed + I).Image.Text);
 
     gadget::ScanOptions Scan;
-    Scan.Incremental = Opts.Incremental;
     Scan.Jobs = Opts.Jobs;
     auto Survivors = gadget::survivingGadgetsMulti(Img.Text, Versions, Scan);
 
@@ -975,13 +956,11 @@ int cmdGadgets(const Options &Opts) {
       Sum += S.size();
     }
     std::printf("survivor sweep: %u versions (seeds %llu..%llu), "
-                "transforms=%s, %s scan, jobs=%u\n",
+                "transforms=%s, jobs=%u\n",
                 Opts.Seeds,
                 static_cast<unsigned long long>(Opts.Seed),
                 static_cast<unsigned long long>(Opts.Seed + Opts.Seeds - 1),
-                Opts.Pipe.label().c_str(),
-                Opts.Incremental ? "incremental" : "full",
-                Opts.Jobs);
+                Opts.Pipe.label().c_str(), Opts.Jobs);
     std::printf("surviving gadgets per version: mean %.1f, min %zu, "
                 "max %zu (of %zu baseline)\n",
                 static_cast<double>(Sum) / static_cast<double>(Opts.Seeds),
@@ -1029,30 +1008,29 @@ struct Command {
 
 const Command Commands[] = {
     {"run", "compile and execute in the cycle simulator", cmdRun,
-     "--input --profile --engine"},
+     "--input --profile"},
     {"profile", "training run; write per-block counts", cmdProfile,
      "--input --profile -o"},
     {"diversify", "build one variant, report its stats, verify it",
      cmdDiversify, "--input --profile " PGSD_DIVERSITY_FLAGS},
     {"verify", "build a variant through the full verifier, with retries",
-     cmdVerify, "--profile --retries --engine " PGSD_DIVERSITY_FLAGS},
+     cmdVerify, "--profile --retries " PGSD_DIVERSITY_FLAGS},
     {"batch", "build verified variants in parallel, one per seed", cmdBatch,
-     "--input --profile --seeds --jobs --out-dir --retries --engine "
+     "--input --profile --seeds --jobs --out-dir --retries "
      PGSD_DIVERSITY_FLAGS},
     {"analyze", "run the static dataflow checkers on baseline + variants",
      cmdAnalyze, "--suite --variants --profile " PGSD_DIVERSITY_FLAGS},
     {"equiv", "prove variants equivalent to the baseline, no execution",
      cmdEquiv, "--suite --variants --profile " PGSD_DIVERSITY_FLAGS},
     {"gadgets", "scan gadgets, check attacks; --seeds sweeps versions",
-     cmdGadgets,
-     "--profile --seeds --jobs --incremental " PGSD_DIVERSITY_FLAGS},
+     cmdGadgets, "--profile --seeds --jobs " PGSD_DIVERSITY_FLAGS},
     {"disasm", "disassemble the linked image", cmdDisasm, "--profile"},
     {"nvx", "run K replicas in lockstep, voting on behaviour", cmdNvx,
      "--input --profile --replicas --policy --timeout --jobs --retries "
-     "--engine " PGSD_DIVERSITY_FLAGS},
+     PGSD_DIVERSITY_FLAGS},
     {"serve", "serve verified variants from a persistent store", cmdServe,
      "--store --requests --queue-depth --admit-wait --input --profile "
-     "--jobs --retries --engine " PGSD_DIVERSITY_FLAGS},
+     "--jobs --retries " PGSD_DIVERSITY_FLAGS},
 };
 
 #undef PGSD_DIVERSITY_FLAGS
