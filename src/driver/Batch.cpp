@@ -38,17 +38,16 @@ BatchResult driver::makeVariantsBatch(const Program &P,
   // Every seed verifies against the same baseline on the same battery:
   // one shared read-only cache runs the baseline once per input for the
   // whole batch instead of once per variant attempt, and the process-wide
-  // battery memo lets a later batch of the same program recall the whole
-  // battery instead of running it again. Nothing runs, compiles or is
-  // looked up until a variant actually executes. Entries fill under per-entry
-  // once_flags, so sharing the cache across workers is race-free and --
-  // because each baseline run is a pure function of (baseline, input) --
-  // does not disturb the Jobs-independence determinism contract.
+  // run memo lets a later batch of the same program recall those runs
+  // instead of executing them again. Nothing runs until a variant
+  // actually executes. Entries fill under per-entry once_flags, so
+  // sharing the cache across workers is race-free and -- because each
+  // baseline run is a pure function of (baseline, input) -- does not
+  // disturb the Jobs-independence determinism contract.
   verify::VerifyOptions Verify = BOpts.Verify;
   verify::BaselineCache Cache = [&] {
     obs::Span S(Obs ? "batch.setup" : nullptr);
-    return verify::BaselineCache(P.MIR, BOpts.Verify,
-                                 verify::BaselineCache::Memo::Shared);
+    return verify::BaselineCache(P.MIR, BOpts.Verify);
   }();
   Verify.Cache = &Cache;
 
@@ -97,7 +96,6 @@ BatchResult driver::makeVariantsBatch(const Program &P,
 
   R.BaselineCacheHits = Cache.hits();
   R.BaselineCacheFills = Cache.fills();
-  R.BaselineCacheReused = Cache.reused();
   R.DiffIdentical = Cache.identical();
 
   R.WallSeconds =
@@ -134,7 +132,6 @@ BatchResult driver::makeVariantsBatch(const Program &P,
     obs::counterAdd("batch.suppressed_exceptions", R.SuppressedExceptions);
     obs::counterAdd("verify.baseline_cache.hits", R.BaselineCacheHits);
     obs::counterAdd("verify.baseline_cache.fills", R.BaselineCacheFills);
-    obs::counterAdd("verify.baseline_cache.reused", R.BaselineCacheReused);
     obs::counterAdd("verify.diff_identical", R.DiffIdentical);
     obs::gaugeSet("batch.jobs", R.Jobs);
     obs::gaugeSet("batch.wall_seconds", R.WallSeconds);

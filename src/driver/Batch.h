@@ -19,7 +19,7 @@
 /// value, under any pipeline, because each variant is a pure function
 /// of (P, Pipe, Opts, its seed) -- workers share only the immutable
 /// Program, the batch's baseline run cache (once_flag-filled), and the
-/// process-wide baseline battery memo (one mutex-guarded table), and
+/// process-wide run memo (mexec/RunMemo.h, one mutex-guarded table), and
 /// construct all other mutable state (the variant copy of the MIR, the
 /// per-variant Rng, interpreter state) privately. tests/BatchTest.cpp
 /// pins this; the TSan CI job proves the sharing is race-free.
@@ -71,11 +71,6 @@ struct BatchResult {
   /// not once per variant attempt.
   uint64_t BaselineCacheHits = 0;
   uint64_t BaselineCacheFills = 0;
-  /// Battery entries recalled from the process-wide baseline memo: the
-  /// battery size when a variant executed and an earlier call had
-  /// already run this program's complete battery (then Fills is 0),
-  /// else 0.
-  uint64_t BaselineCacheReused = 0;
   /// Attempts whose differential execution mir::equalModuloNops settled
   /// without running (every NOP-only variant). They consult no cache
   /// entry, so Hits + Fills == (attempts reaching differential

@@ -138,18 +138,17 @@ driver::makeVariantVerified(const Program &P,
   // Every retry attempt diffs against the same baseline on the same
   // battery; share one baseline run cache across the whole retry loop
   // (unless the caller -- e.g. makeVariantsBatch -- already supplied a
-  // wider-scoped one). The battery memo carries it across calls, so
-  // repeated calls for one program run its baseline battery once.
+  // wider-scoped one). The process-wide run memo carries its runs across
+  // calls, so repeated calls for one program run its baseline battery
+  // once.
   std::optional<verify::BaselineCache> LocalCache;
   if (!Effective.Cache)
-    Effective.Cache = &LocalCache.emplace(
-        P.MIR, Effective, verify::BaselineCache::Memo::Shared);
+    Effective.Cache = &LocalCache.emplace(P.MIR, Effective);
   // A local cache's accounting is final once the attempts are done; a
   // caller's cache is exported by the caller.
   auto ExportLocalCache = [&] {
     if (!LocalCache)
       return;
-    obs::counterAdd("verify.baseline_cache.reused", LocalCache->reused());
     obs::counterAdd("verify.diff_identical", LocalCache->identical());
   };
   // One schedule object walks the attempt seeds; with the default

@@ -133,12 +133,12 @@ struct VerifiedVariant {
 /// verify::verifyVariant (the one admission function, with the
 /// pipeline's renaming witness), and on rejection retries with seeds
 /// from verify::RetrySchedule (bounded by VOpts.MaxAttempts). Every
-/// attempt shares one baseline cache: the caller's, or one built here
-/// in the process-wide battery memo. When every attempt fails, degrades
-/// gracefully to the undiversified baseline image and reports
-/// ErrorCode::RetriesExhausted instead of aborting -- a deployment
-/// pipeline prefers an unprotected-but-correct binary plus a loud
-/// diagnostic over no binary at all.
+/// attempt shares one baseline cache: the caller's, or one built here,
+/// whose runs the process-wide run memo keeps. When every attempt
+/// fails, degrades gracefully to the undiversified baseline image and
+/// reports ErrorCode::RetriesExhausted instead of aborting -- a
+/// deployment pipeline prefers an unprotected-but-correct binary plus a
+/// loud diagnostic over no binary at all.
 VerifiedVariant
 makeVariantVerified(const Program &P, const diversity::Pipeline &Pipe,
                     const diversity::DiversityOptions &Opts, uint64_t Seed,

@@ -161,8 +161,8 @@ std::string printInstr(const MInstr &I);
 /// read from the module -- entry function, counter count, global layout
 /// and initializers, per-function frame shape and value-slot floor, and
 /// every instruction -- so two modules with equal prints run and link
-/// identically. The baseline battery memo (verify/BaselineCache.h) and
-/// the variant store keys (serve/VariantStore.h) rely on that.
+/// identically. The variant store keys (serve/VariantStore.h) rely on
+/// that.
 std::string print(const MModule &M);
 
 /// Structural validity check; empty string when OK. Verifies branch

@@ -61,10 +61,10 @@
 /// Cycles10, Instructions, Checksum, Output, Counters, BlockCounts, and
 /// trap kind/reason. tests/EngineParityTest.cpp enforces this over the
 /// workload suite, a fuzz corpus, trapping programs and every step
-/// budget across a call-heavy variant. Runs whose RunOptions::Costs
-/// differ from the baked cost model fall back to the reference engine
-/// (the stream's pre-baked charges would be stale), so the contract
-/// holds for every RunOptions.
+/// budget across a call-heavy variant. A run's RunOptions::Costs must be
+/// the cost model the stream was compiled against: the charges are
+/// baked in, so a caller with a custom cost model compiles its own
+/// stream (as profile training does).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -231,14 +231,14 @@ uint32_t forEachSegmentInstr(const mir::MModule &M, Fn &&Visit) {
 class Precompiled {
 public:
   /// Lowers \p M against \p Costs (charges are baked into the stream).
-  /// \p M must outlive the Precompiled: the custom-cost fallback path
-  /// and block-count shapes refer back to it.
+  /// The stream keeps no reference to \p M.
   explicit Precompiled(const mir::MModule &M,
                        const CostModel &Costs = CostModel());
 
   /// Executes the precompiled stream. Bit-identical to
-  /// mexec::run(M, Opts); when Opts.Costs differs from the baked model
-  /// this delegates to the reference engine directly.
+  /// mexec::run(M, Opts). Requires Opts.Costs == bakedCosts(): every
+  /// charge is baked into the stream, so a run under another cost model
+  /// needs a stream compiled against that model.
   RunResult run(const RunOptions &Opts) const;
 
   /// As run(), and also sets \p SegmentEntries[s] to the number of times
@@ -263,7 +263,6 @@ private:
   RunResult execute(const RunOptions &Opts,
                     std::vector<uint64_t> *SegmentEntries) const;
 
-  const mir::MModule *Src;
   CostModel Costs;
   std::vector<detail::PInstr> Code;
   std::vector<detail::PSide> Side;     ///< Parallel to Code.

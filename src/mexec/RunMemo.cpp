@@ -27,7 +27,9 @@ namespace {
 /// One stored run of a NOP-free module. Immutable once in the memo.
 struct Entry {
   uint64_t Digest = 0; ///< mir::hashModuloNops of Base.
-  MModule Base;        ///< The module with its NOPs deleted.
+  /// The module with its NOPs deleted: one copy per module, shared by
+  /// the entries of all its inputs.
+  std::shared_ptr<const MModule> Base;
   std::vector<int32_t> Input;
   uint64_t MaxSteps = 0;
   uint32_t MaxCallDepth = 0;
@@ -52,9 +54,12 @@ public:
   /// the fill of that pair already in flight, awaited without the lock
   /// (null when that fill found nothing to store). When there is
   /// neither, returns null with \p Claimed set: the caller fills the
-  /// pair and must then call publish().
+  /// pair and must then call publish(). A claim also sets \p Sibling to
+  /// the NOP-free copy a stored entry of another input keeps for the
+  /// same digest, if any, for the fill to share.
   std::shared_ptr<const Entry> find(uint64_t Digest, const RunOptions &Opts,
-                                    bool &Claimed) {
+                                    bool &Claimed,
+                                    std::shared_ptr<const MModule> &Sibling) {
     std::shared_future<std::shared_ptr<const Entry>> Pending;
     {
       std::lock_guard<std::mutex> Lock(Mutex);
@@ -64,6 +69,8 @@ public:
           S.LastUse = ++Clock;
           return S.E;
         }
+        if (!Sibling && S.E->Digest == Digest)
+          Sibling = S.E->Base;
       }
       for (const Fill &F : Fills) {
         if (F.matches(Digest, Opts)) {
@@ -84,9 +91,11 @@ public:
   }
 
   /// Ends the fill of (\p Digest, \p Opts) that find() handed out,
-  /// storing \p E when it is not null and waking its waiters.
+  /// storing \p E when it is not null and waking its waiters. When a
+  /// concurrent fill of another input stored its own copy of the same
+  /// NOP-free module first, \p E adopts that copy.
   void publish(uint64_t Digest, const RunOptions &Opts,
-               std::shared_ptr<const Entry> E) {
+               std::shared_ptr<Entry> E) {
     std::promise<std::shared_ptr<const Entry>> Done;
     {
       std::lock_guard<std::mutex> Lock(Mutex);
@@ -96,8 +105,16 @@ public:
       assert(It != Fills.end() && "publish without a claimed fill");
       Done = std::move(It->Done);
       Fills.erase(It);
-      if (E)
+      if (E) {
+        for (const Slot &S : Slots) {
+          if (S.E->Digest == Digest && S.E->Base != E->Base &&
+              mir::equalModuloNops(*S.E->Base, *E->Base)) {
+            E->Base = S.E->Base;
+            break;
+          }
+        }
         insert(E);
+      }
     }
     Done.set_value(std::move(E));
   }
@@ -154,14 +171,22 @@ MModule stripNops(const MModule &M) {
   return Out;
 }
 
-/// Runs the NOP-free form of \p M, counting segment entries. Null when
-/// \p M is not that form plus single NOPs.
-std::shared_ptr<const Entry> fill(const MModule &M, uint64_t Digest,
-                                  const RunOptions &Opts) {
+/// Runs the NOP-free form of \p M, counting segment entries: \p Sibling
+/// when M is it plus single NOPs, else a fresh copy. Null when \p M is
+/// not that form plus single NOPs.
+std::shared_ptr<Entry> fill(const MModule &M, uint64_t Digest,
+                            const RunOptions &Opts,
+                            std::shared_ptr<const MModule> Sibling) {
   auto E = std::make_shared<Entry>();
-  E->Base = stripNops(M);
-  if (!mir::equalModuloNops(E->Base, M))
+  if (Sibling && mir::equalModuloNops(*Sibling, M))
+    E->Base = std::move(Sibling);
+  else if (auto Own = std::make_shared<const MModule>(stripNops(M));
+           mir::equalModuloNops(*Own, M)) {
+    E->Base = std::move(Own);
+    obs::counterAdd("mexec.run_memo.copies");
+  } else {
     return nullptr;
+  }
   E->Digest = Digest;
   E->Input = Opts.Input;
   E->MaxSteps = Opts.MaxSteps;
@@ -172,10 +197,10 @@ std::shared_ptr<const Entry> fill(const MModule &M, uint64_t Digest,
   RunOptions Counted = Opts;
   Counted.CollectOutput = true;
   Counted.CollectBlockCounts = false;
-  Precompiled P(E->Base);
+  Precompiled P(*E->Base);
   E->Run = P.runCountingSegments(Counted, E->Counts);
   E->Segmented = P.numSegments() ==
-                 forEachSegmentInstr(E->Base, [](uint32_t, const MInstr &) {});
+                 forEachSegmentInstr(*E->Base, [](uint32_t, const MInstr &) {});
   obs::counterAdd("mexec.run_memo.fills");
   return E;
 }
@@ -239,20 +264,23 @@ RunResult mexec::runMemoized(const MModule &M, const RunOptions &Opts) {
   // A fill that found nothing to store hands its waiters null; they
   // look again, and one of them claims the next fill.
   std::shared_ptr<const Entry> E;
+  std::shared_ptr<const MModule> Sibling;
   bool Claimed = false;
   while (!E && !Claimed)
-    E = memo().find(Digest, Opts, Claimed);
+    E = memo().find(Digest, Opts, Claimed, Sibling);
   if (Claimed) {
+    std::shared_ptr<Entry> Filled;
     try {
-      E = fill(M, Digest, Opts);
+      Filled = fill(M, Digest, Opts, std::move(Sibling));
     } catch (...) {
       memo().publish(Digest, Opts, nullptr);
       throw;
     }
-    memo().publish(Digest, Opts, E);
-    if (!E)
+    memo().publish(Digest, Opts, Filled);
+    if (!Filled)
       return Plain();
-  } else if (!mir::equalModuloNops(E->Base, M)) {
+    E = std::move(Filled);
+  } else if (!mir::equalModuloNops(*E->Base, M)) {
     return Plain();
   }
   std::optional<RunResult> R = derive(*E, M, Opts);

@@ -26,8 +26,14 @@
 ///
 /// A lookup hashes the module with NOPs skipped (mir::hashModuloNops),
 /// then checks mir::equalModuloNops against the stored NOP-free copy:
-/// no digest is trusted. The memo holds RunMemoCapacity entries and
-/// evicts the least recently used.
+/// no digest is trusted. The entries of one module's inputs share one
+/// NOP-free copy. The memo holds RunMemoCapacity entries and evicts the
+/// least recently used.
+///
+/// It is the one process-wide store of runs: verify::BaselineCache fills
+/// each baseline battery entry through it, so a later batch, serve
+/// process or nvx respawn of the same program recalls its battery
+/// instead of running it again.
 ///
 /// It runs the module plainly instead (a fallback) when:
 ///  - the options carry a Cancel flag or a cost model other than the
@@ -39,9 +45,11 @@
 ///  - the derived instruction count exceeds MaxSteps.
 /// A miss costs the one run of the NOP-free form; a fallback on a miss
 /// costs one more. Counters: mexec.run_memo.fills (runs stored),
-/// mexec.run_memo.derived (calls answered from an entry) and
-/// mexec.run_memo.fallbacks (calls answered by a plain run). Every call
-/// is derived or a fallback, so fills <= derived + fallbacks.
+/// mexec.run_memo.derived (calls answered from an entry),
+/// mexec.run_memo.fallbacks (calls answered by a plain run) and
+/// mexec.run_memo.copies (NOP-free module copies made: a fill shares the
+/// copy a stored entry of the same module already keeps). Every call is
+/// derived or a fallback, so fills <= derived + fallbacks.
 ///
 /// Thread-safe: entries are immutable once stored, and one mutex guards
 /// only the lookup and the insertion, never a run. Concurrent misses on
@@ -61,9 +69,10 @@
 namespace pgsd {
 namespace mexec {
 
-/// Entries the process-wide memo holds at most: one per (program, input)
-/// pair of the 19-program suite, with room to spare.
-inline constexpr size_t RunMemoCapacity = 32;
+/// Entries the process-wide memo holds at most: 64 programs' 8-input
+/// default batteries, enough for the 19-program suite (152 pairs) and a
+/// transform matrix over 40 program builds (320 pairs) without eviction.
+inline constexpr size_t RunMemoCapacity = 512;
 
 /// Returns exactly what Precompiled(M, Opts.Costs).run(Opts) returns,
 /// deriving it from a stored run of M's NOP-free form when it can.

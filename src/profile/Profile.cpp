@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 #include <numeric>
+#include <string_view>
 
 using namespace pgsd;
 using namespace pgsd::profile;
@@ -291,6 +293,31 @@ std::string profile::serializeProfile(const ProfileData &Data) {
   return Out;
 }
 
+namespace {
+
+/// The tokens of \p Line, split at runs of spaces and tabs.
+std::vector<std::string_view> blankSeparated(std::string_view Line) {
+  std::vector<std::string_view> Tokens;
+  size_t Pos = 0;
+  while ((Pos = Line.find_first_not_of(" \t", Pos)) != Line.npos) {
+    const size_t End = std::min(Line.find_first_of(" \t", Pos), Line.size());
+    Tokens.push_back(Line.substr(Pos, End - Pos));
+    Pos = End;
+  }
+  return Tokens;
+}
+
+/// Parses all of \p Tok as an unsigned decimal that fits in 64 bits: no
+/// sign, no other character and no overflow.
+bool wholeUnsigned(std::string_view Tok, uint64_t &V) {
+  const char *const First = Tok.data();
+  const char *const Last = First + Tok.size();
+  const auto [Stop, Ec] = std::from_chars(First, Last, V);
+  return Ec == std::errc() && Stop == Last;
+}
+
+} // namespace
+
 bool profile::deserializeProfile(const std::string &Text, const MModule &M,
                                  ProfileData &Out) {
   Out = ProfileData();
@@ -309,12 +336,12 @@ bool profile::deserializeProfile(const std::string &Text, const MModule &M,
   if (!NextLine(Line) || Line != "pgsd-profile v1")
     return false;
   while (NextLine(Line)) {
-    if (Line.empty())
+    const std::vector<std::string_view> T = blankSeparated(Line);
+    if (T.empty())
       continue;
-    size_t F, Extent;
-    unsigned long long Count;
-    if (std::sscanf(Line.c_str(), "func %zu blocks %zu", &F, &Extent) ==
-        2) {
+    uint64_t F, Extent, Count;
+    if (T.size() == 4 && T[0] == "func" && T[2] == "blocks" &&
+        wholeUnsigned(T[1], F) && wholeUnsigned(T[3], Extent)) {
       // Functions appear in order, each with its block count in M, so
       // no count in the file sizes an allocation.
       if (F != Out.BlockCounts.size() || F >= M.Functions.size() ||
@@ -325,15 +352,15 @@ bool profile::deserializeProfile(const std::string &Text, const MModule &M,
       Out.BlockCounts.emplace_back(Extent, 0);
       continue;
     }
-    if (std::sscanf(Line.c_str(), "%zu %zu %llu", &F, &Extent, &Count) ==
-        3) {
+    if (T.size() == 3 && wholeUnsigned(T[0], F) &&
+        wholeUnsigned(T[1], Extent) && wholeUnsigned(T[2], Count)) {
       if (F >= Out.BlockCounts.size() ||
           Extent >= Out.BlockCounts[F].size()) {
         Out = ProfileData();
         return false;
       }
       Out.BlockCounts[F][Extent] = Count;
-      Out.MaxCount = std::max(Out.MaxCount, static_cast<uint64_t>(Count));
+      Out.MaxCount = std::max(Out.MaxCount, Count);
       continue;
     }
     Out = ProfileData();

@@ -91,9 +91,11 @@ std::string serializeProfile(const ProfileData &Data);
 
 /// Parses serializeProfile output of a profile of \p M. Returns false
 /// (and leaves \p Out empty) on malformed input and on a profile whose
-/// shape differs from \p M's: each `func F blocks N` header must name
-/// the next function of \p M and its block count, checked before the
-/// counts are allocated, and the file must cover every function.
+/// shape differs from \p M's. Every number must be a whole unsigned
+/// decimal token that fits in 64 bits. Each `func F blocks N` header
+/// must name the next function of \p M and its block count, checked
+/// before the counts are allocated, and the file must cover every
+/// function.
 bool deserializeProfile(const std::string &Text, const mir::MModule &M,
                         ProfileData &Out);
 

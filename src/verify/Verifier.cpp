@@ -89,9 +89,9 @@ std::string format(const char *Fmt, ...) {
 void diffExecute(const MModule &Baseline, const MModule &Variant,
                  const VerifyOptions &Opts, Report &R) {
   // The baseline side comes from the caller's shared cache when one is
-  // provided; otherwise a local cache still resolves the battery once
-  // per diffExecute call and memoizes nothing beyond it (each input's
-  // baseline runs exactly once here anyway).
+  // provided; otherwise a local cache resolves the battery once per
+  // diffExecute call (each input's baseline is asked for exactly once
+  // here, and the process-wide run memo may already hold it).
   std::optional<BaselineCache> Local;
   const BaselineCache &Cache =
       Opts.Cache ? *Opts.Cache : Local.emplace(Baseline, Opts);

@@ -14,6 +14,7 @@
 
 #include "codegen/Linker.h"
 #include "driver/Batch.h"
+#include "mexec/Precompiled.h"
 #include "obs/Metrics.h"
 #include "support/ThreadPool.h"
 #include "verify/BaselineCache.h"
@@ -94,13 +95,13 @@ TEST_P(BatchParityTest, SerialAndParallelImagesAreByteIdentical) {
   // The workload battery is known-good: nothing should be rejected.
   EXPECT_TRUE(B.allAccepted());
   // Every {nop} attempt is its baseline plus NOPs, so differential
-  // execution settles it without running: the baseline never runs,
-  // compiles or is looked up in the memo -- under any job count. Each
-  // attempt is either settled or served from the one-input battery.
+  // execution settles it without running: the baseline never runs or
+  // consults the run memo -- under any job count. Each attempt is either
+  // settled or served from the one-input battery.
   EXPECT_EQ(A.DiffIdentical, A.TotalAttempts);
   EXPECT_EQ(B.DiffIdentical, B.TotalAttempts);
-  EXPECT_EQ(A.BaselineCacheFills + A.BaselineCacheReused, 0u);
-  EXPECT_EQ(B.BaselineCacheFills + B.BaselineCacheReused, 0u);
+  EXPECT_EQ(A.BaselineCacheFills, 0u);
+  EXPECT_EQ(B.BaselineCacheFills, 0u);
   EXPECT_EQ(A.BaselineCacheHits + A.BaselineCacheFills + A.DiffIdentical,
             A.TotalAttempts);
   EXPECT_EQ(B.BaselineCacheHits + B.BaselineCacheFills + B.DiffIdentical,
@@ -183,8 +184,6 @@ TEST(Batch, MetricsAgreeWithBatchResultCounters) {
             R.BaselineCacheHits);
   EXPECT_EQ(Snap.Counters.at("verify.baseline_cache.fills"),
             R.BaselineCacheFills);
-  EXPECT_EQ(Snap.Counters.at("verify.baseline_cache.reused"),
-            R.BaselineCacheReused);
   EXPECT_EQ(Snap.Counters.at("verify.diff_identical"), R.DiffIdentical);
   EXPECT_EQ(Snap.Counters.at("verify.attempts"), R.TotalAttempts);
   EXPECT_EQ(Snap.Counters.at("batch.suppressed_exceptions"),
@@ -284,12 +283,10 @@ TEST(Batch, RejectedSeedsFallBackToBaselineAndAreCounted) {
 }
 
 //===----------------------------------------------------------------------===//
-// The process-wide baseline battery memo (verify/BaselineCache.h)
+// Baseline batteries through the process-wide run memo (mexec/RunMemo.h)
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-using Memo = verify::BaselineCache::Memo;
 
 /// Field-by-field RunResult equality.
 void expectSameRun(const mexec::RunResult &A, const mexec::RunResult &B) {
@@ -305,16 +302,14 @@ void expectSameRun(const mexec::RunResult &A, const mexec::RunResult &B) {
   EXPECT_EQ(A.BlockCounts, B.BlockCounts);
 }
 
-/// Requests every entry of \p C, so a Memo::Shared cache stores its
-/// battery.
+/// Requests every entry of \p C.
 void fillAll(const verify::BaselineCache &C) {
   for (size_t I = 0; I != C.battery().size(); ++I)
     C.baselineRun(I);
 }
 
-/// An input no other battery in this process holds, so a battery that
-/// contains it misses the memo whatever ran before (--gtest_repeat
-/// included).
+/// An input no other battery in this process holds, so a run on it
+/// misses the memo whatever ran before (--gtest_repeat included).
 std::vector<int32_t> uniqueInput() {
   static std::atomic<int32_t> Next{0};
   return {-424242, Next.fetch_add(1)};
@@ -333,9 +328,28 @@ driver::Program memoProgram(int Tag) {
   return P;
 }
 
+/// The run memo's counters over one call of \p Body, with telemetry on.
+struct MemoCounts {
+  uint64_t Fills = 0, Derived = 0, Fallbacks = 0, Copies = 0;
+};
+template <typename Fn> MemoCounts memoCountsOf(Fn &&Body) {
+  obs::Registry::global().reset();
+  obs::setEnabled(true);
+  Body();
+  obs::LocalMetrics Snap = obs::Registry::global().snapshot();
+  obs::setEnabled(false);
+  obs::Registry::global().reset();
+  auto Get = [&](const char *Key) -> uint64_t {
+    auto It = Snap.Counters.find(Key);
+    return It == Snap.Counters.end() ? 0 : It->second;
+  };
+  return {Get("mexec.run_memo.fills"), Get("mexec.run_memo.derived"),
+          Get("mexec.run_memo.fallbacks"), Get("mexec.run_memo.copies")};
+}
+
 } // namespace
 
-TEST(BatteryMemo, SecondBatchRecallsTheWholeBattery) {
+TEST(RunMemo, SecondBatchFillsNothing) {
   driver::Program P = memoProgram(101);
   const size_t N = verify::defaultInputBattery().size();
   const auto Opts = diversity::DiversityOptions::uniform(0.5);
@@ -343,17 +357,21 @@ TEST(BatteryMemo, SecondBatchRecallsTheWholeBattery) {
   driver::BatchOptions B;
   B.Jobs = 2;
 
-  // The first batch runs the whole battery or recalls all of it.
+  // The first batch runs the battery or finds it in the memo.
   driver::BatchResult First =
       driver::makeVariantsBatch(P, NopSched, Opts, Seeds, B);
-  EXPECT_EQ(First.BaselineCacheFills + First.BaselineCacheReused, N);
+  EXPECT_EQ(First.BaselineCacheFills, N);
 
-  driver::BatchResult Second =
-      driver::makeVariantsBatch(P, NopSched, Opts, Seeds, B);
-  EXPECT_EQ(Second.BaselineCacheFills, 0u);
-  EXPECT_EQ(Second.BaselineCacheReused, N);
+  driver::BatchResult Second;
+  MemoCounts C = memoCountsOf([&] {
+    Second = driver::makeVariantsBatch(P, NopSched, Opts, Seeds, B);
+  });
+  EXPECT_EQ(C.Fills, 0u);
+  EXPECT_EQ(C.Derived, N);
+  EXPECT_EQ(C.Fallbacks, 0u);
+  EXPECT_EQ(Second.BaselineCacheFills, N);
   EXPECT_LT(Second.DiffIdentical, Second.TotalAttempts);
-  EXPECT_EQ(Second.BaselineCacheHits,
+  EXPECT_EQ(Second.BaselineCacheHits + Second.BaselineCacheFills,
             (Second.TotalAttempts - Second.DiffIdentical) * N);
   ASSERT_EQ(Second.Variants.size(), Seeds.size());
   for (size_t I = 0; I != Seeds.size(); ++I) {
@@ -363,21 +381,19 @@ TEST(BatteryMemo, SecondBatchRecallsTheWholeBattery) {
   EXPECT_EQ(First.Accepted, Second.Accepted);
   EXPECT_EQ(First.TotalAttempts, Second.TotalAttempts);
 
-  // So does makeVariantVerified when the caller brings no cache, and it
-  // reports the recall through the same counter.
-  obs::Registry::global().reset();
-  obs::setEnabled(true);
-  driver::VerifiedVariant One = driver::makeVariantVerified(
-      P, NopSched, Opts, Seeds[0], verify::VerifyOptions(),
-      codegen::LinkOptions());
-  obs::LocalMetrics Snap = obs::Registry::global().snapshot();
-  obs::setEnabled(false);
-  obs::Registry::global().reset();
-  EXPECT_EQ(Snap.Counters.at("verify.baseline_cache.reused"), N);
+  // So does makeVariantVerified when the caller brings no cache.
+  driver::VerifiedVariant One;
+  C = memoCountsOf([&] {
+    One = driver::makeVariantVerified(P, NopSched, Opts, Seeds[0],
+                                      verify::VerifyOptions(),
+                                      codegen::LinkOptions());
+  });
+  EXPECT_EQ(C.Fills, 0u);
+  EXPECT_EQ(C.Derived, N);
   EXPECT_EQ(One.V.Image.Text, First.Variants[0].V.Image.Text);
 }
 
-TEST(BatteryMemo, RecalledRunsEqualFreshRunsOnEveryWorkload) {
+TEST(RunMemo, RecalledRunsEqualPlainRunsOnEveryWorkload) {
   for (const workloads::Workload &W : workloads::specSuite()) {
     SCOPED_TRACE(W.Name);
     driver::Program P = driver::compileProgram(W.Source, W.Name);
@@ -385,126 +401,101 @@ TEST(BatteryMemo, RecalledRunsEqualFreshRunsOnEveryWorkload) {
     ASSERT_TRUE(driver::profileAndStamp(P, W.TrainInput));
     const verify::VerifyOptions VOpts;
 
-    // A private cache always executes every input afresh.
-    verify::BaselineCache Fresh(P.MIR, VOpts);
-    fillAll(Fresh);
-    ASSERT_EQ(Fresh.fills(), Fresh.battery().size());
-
     // Make sure the memo holds the battery (a no-op if it already does).
-    fillAll(verify::BaselineCache(P.MIR, VOpts, Memo::Shared));
+    fillAll(verify::BaselineCache(P.MIR, VOpts));
 
-    verify::BaselineCache Recalled(P.MIR, VOpts, Memo::Shared);
-    ASSERT_EQ(Recalled.recall(), Recalled.battery().size());
-    for (size_t I = 0; I != Fresh.battery().size(); ++I) {
+    verify::BaselineCache Recalled(P.MIR, VOpts);
+    EXPECT_EQ(memoCountsOf([&] { fillAll(Recalled); }).Fills, 0u);
+    const mexec::Precompiled Plain(P.MIR);
+    for (size_t I = 0; I != Recalled.battery().size(); ++I) {
       SCOPED_TRACE("input #" + std::to_string(I));
-      expectSameRun(Recalled.baselineRun(I), Fresh.baselineRun(I));
+      mexec::RunOptions Run;
+      Run.Input = Recalled.battery()[I];
+      Run.CollectOutput = true;
+      Run.MaxSteps = VOpts.MaxSteps;
+      expectSameRun(Recalled.baselineRun(I), Plain.run(Run));
     }
-    EXPECT_EQ(Recalled.fills(), 0u);
   }
 }
 
-TEST(BatteryMemo, EveryKeyFieldDiscriminates) {
+TEST(RunMemo, EveryKeyFieldDiscriminates) {
   driver::Program P = memoProgram(202);
+  const std::vector<int32_t> In = uniqueInput();
   verify::VerifyOptions VOpts;
-  VOpts.InputBattery = {{1}, {2, 3}};
-  fillAll(verify::BaselineCache(P.MIR, VOpts, Memo::Shared));
-  EXPECT_EQ(verify::BaselineCache(P.MIR, VOpts, Memo::Shared).recall(), 2u);
-
-  // A private cache neither recalls nor stores.
-  EXPECT_EQ(verify::BaselineCache(P.MIR, VOpts).recall(), 0u);
+  VOpts.InputBattery = {In};
+  auto FillsFor = [](const driver::Program &Prog,
+                     const verify::VerifyOptions &O) {
+    return memoCountsOf([&] { fillAll(verify::BaselineCache(Prog.MIR, O)); })
+        .Fills;
+  };
+  EXPECT_EQ(FillsFor(P, VOpts), 1u);
+  EXPECT_EQ(FillsFor(P, VOpts), 0u);
 
   // Global initializer: table[1] = 7 instead of 202.
-  driver::Program Q = memoProgram(7);
-  EXPECT_EQ(verify::BaselineCache(Q.MIR, VOpts, Memo::Shared).recall(), 0u);
+  EXPECT_EQ(FillsFor(memoProgram(7), VOpts), 1u);
 
-  // Battery: one input changed, and the same words regrouped.
+  // Input: one word changed, and one word appended that the program
+  // never reads.
   verify::VerifyOptions Other = VOpts;
-  Other.InputBattery = {{1}, {2, 4}};
-  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).recall(), 0u);
-  Other.InputBattery = {{1, 2}, {3}};
-  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).recall(), 0u);
+  Other.InputBattery = {{In[0] - 1, In[1]}};
+  EXPECT_EQ(FillsFor(P, Other), 1u);
+  Other.InputBattery = {{In[0], In[1], 0}};
+  EXPECT_EQ(FillsFor(P, Other), 1u);
 
   // Step budget.
   Other = VOpts;
   Other.MaxSteps = VOpts.MaxSteps - 1;
-  EXPECT_EQ(verify::BaselineCache(P.MIR, Other, Memo::Shared).recall(), 0u);
+  EXPECT_EQ(FillsFor(P, Other), 1u);
 }
 
-TEST(BatteryMemo, OnlyCompleteBatteriesAreStored) {
+TEST(RunMemo, OneModuleCopyServesEveryInput) {
   driver::Program P = memoProgram(303);
   verify::VerifyOptions VOpts;
-  VOpts.InputBattery = {{1}, {2}, uniqueInput()};
-  {
-    verify::BaselineCache Partial(P.MIR, VOpts, Memo::Shared);
-    Partial.baselineRun(0);
-    Partial.baselineRun(2);
-  }
-  {
-    verify::BaselineCache Next(P.MIR, VOpts, Memo::Shared);
-    EXPECT_EQ(Next.recall(), 0u);
-    fillAll(Next);
-  }
-  EXPECT_EQ(verify::BaselineCache(P.MIR, VOpts, Memo::Shared).recall(), 3u);
+  VOpts.InputBattery = {uniqueInput(), uniqueInput(), uniqueInput()};
+  MemoCounts C = memoCountsOf([&] {
+    fillAll(verify::BaselineCache(P.MIR, VOpts));
+  });
+  EXPECT_EQ(C.Fills, 3u);
+  EXPECT_LE(C.Copies, 1u); // 0 when an earlier test stored this module.
 }
 
-TEST(BatteryMemo, OldestBatteryIsEvictedPastCapacity) {
-  driver::Program P = memoProgram(404);
-  verify::VerifyOptions VOpts;
-  // Cap + 1 batteries that no earlier test (or repetition) stored.
-  const int32_t Cap = verify::BaselineCache::MemoCapacity;
-  std::vector<verify::VerifyOptions> Opts(Cap + 1, VOpts);
-  for (verify::VerifyOptions &O : Opts)
-    O.InputBattery = {uniqueInput()};
-  auto Store = [&](int32_t Tag) {
-    fillAll(verify::BaselineCache(P.MIR, Opts[Tag], Memo::Shared));
-  };
-  auto Kept = [&](int32_t Tag) {
-    return verify::BaselineCache(P.MIR, Opts[Tag], Memo::Shared).recall() ==
-           1;
-  };
-  for (int32_t Tag = 0; Tag != Cap; ++Tag)
-    Store(Tag);
-  EXPECT_TRUE(Kept(0));
-  Store(Cap); // One past capacity: the oldest goes.
-  EXPECT_FALSE(Kept(0));
-  EXPECT_TRUE(Kept(1));
-  EXPECT_TRUE(Kept(Cap));
-}
-
-TEST(BatteryMemo, ConcurrentBatchesOfOneProgramAgree) {
+TEST(RunMemo, ConcurrentBatchesFillEachPairOnce) {
   driver::Program P = memoProgram(505);
-  const size_t N = verify::defaultInputBattery().size();
   const auto Opts = diversity::DiversityOptions::uniform(0.5);
   std::vector<uint64_t> Seeds = {7, 8, 9, 10};
   driver::BatchOptions B;
   B.Jobs = 2;
+  B.Verify.InputBattery = {{5}, uniqueInput(), uniqueInput()};
+  const size_t N = B.Verify.InputBattery.size();
 
   driver::BatchResult R[2];
-  auto Run = [&](int I) {
-    R[I] = driver::makeVariantsBatch(P, NopSched, Opts, Seeds, B);
-  };
-  std::thread T0(Run, 0), T1(Run, 1);
-  T0.join();
-  T1.join();
-
+  MemoCounts C = memoCountsOf([&] {
+    auto Run = [&](int I) {
+      R[I] = driver::makeVariantsBatch(P, NopSched, Opts, Seeds, B);
+    };
+    std::thread T0(Run, 0), T1(Run, 1);
+    T0.join();
+    T1.join();
+  });
+  // {5} may be warm from an earlier repetition; the unique inputs are
+  // cold, and each is run once however the two batches interleave.
+  EXPECT_GE(C.Fills, N - 1);
+  EXPECT_LE(C.Fills, N);
+  EXPECT_EQ(C.Derived + C.Fallbacks, 2 * N);
   for (const driver::BatchResult &X : R) {
-    // Each batch either recalled the whole battery or ran all of it.
-    if (X.BaselineCacheReused == 0)
-      EXPECT_EQ(X.BaselineCacheFills, N);
-    else
-      EXPECT_EQ(X.BaselineCacheReused, N);
+    EXPECT_EQ(X.BaselineCacheFills, N);
     EXPECT_TRUE(X.allAccepted());
   }
   for (size_t I = 0; I != Seeds.size(); ++I)
     expectIdentical(R[0].Variants[I], R[1].Variants[I], I);
 
-  driver::BatchResult After =
-      driver::makeVariantsBatch(P, NopSched, Opts, Seeds, B);
-  EXPECT_EQ(After.BaselineCacheReused, N);
-  EXPECT_EQ(After.BaselineCacheFills, 0u);
+  EXPECT_EQ(memoCountsOf([&] {
+              driver::makeVariantsBatch(P, NopSched, Opts, Seeds, B);
+            }).Fills,
+            0u);
 }
 
-TEST(BatteryMemo, WarmMemoStillRejectsSemanticFaults) {
+TEST(RunMemo, WarmMemoStillRejectsSemanticFaults) {
   driver::Program P = driver::compileProgram(
       "fn main() { var x = read_int(); print_int(x + 1234); return 0; }",
       "memo-fault");
@@ -531,60 +522,49 @@ TEST(BatteryMemo, WarmMemoStillRejectsSemanticFaults) {
     Img = codegen::link(M, codegen::LinkOptions());
   };
   // The faulty variants execute: the first faulty batch leaves the
-  // whole battery in the memo (if nothing else had), the second recalls
-  // it and still rejects every seed.
+  // baseline's battery in the memo (if nothing else had), the second
+  // recalls it and still rejects every seed.
   driver::BatchResult Cold = driver::makeVariantsBatch(P, Nop, Opts, Seeds, B);
   EXPECT_EQ(Cold.Rejected, Seeds.size());
-  driver::BatchResult R = driver::makeVariantsBatch(P, Nop, Opts, Seeds, B);
+  driver::BatchResult R;
+  MemoCounts C = memoCountsOf(
+      [&] { R = driver::makeVariantsBatch(P, Nop, Opts, Seeds, B); });
+  EXPECT_EQ(C.Fills, 0u);
   EXPECT_EQ(R.DiffIdentical, 0u);
-  EXPECT_EQ(R.BaselineCacheReused, verify::defaultInputBattery().size());
   EXPECT_EQ(R.Rejected, Seeds.size());
   for (const driver::VerifiedVariant &V : R.Variants)
     EXPECT_TRUE(V.Report.has(verify::ErrorCode::ChecksumMismatch))
         << V.Report.str();
 }
 
-TEST(BatteryMemo, NopBatchRunsNothingForTheBattery) {
+TEST(RunMemo, NopBatchConsultsNothing) {
   driver::Program P = memoProgram(606);
   const auto Opts = diversity::DiversityOptions::uniform(0.5);
   std::vector<uint64_t> Seeds = {1, 2, 3, 4};
   driver::BatchOptions B;
   B.Jobs = 2;
-  // A battery no other test stores, so an executing batch must fill it.
-  B.Verify.InputBattery = {{3}, uniqueInput()};
+  // A battery no other test runs, so an executing batch must fill it.
+  B.Verify.InputBattery = {uniqueInput(), uniqueInput()};
 
-  auto Run = [&](const diversity::Pipeline &Pipe, driver::BatchResult &R) {
-    obs::Registry::global().reset();
-    obs::setEnabled(true);
-    R = driver::makeVariantsBatch(P, Pipe, Opts, Seeds, B);
-    obs::LocalMetrics Snap = obs::Registry::global().snapshot();
-    obs::setEnabled(false);
-    obs::Registry::global().reset();
-    return Snap;
-  };
-
-  // Every {nop} attempt is settled modulo NOPs: no baseline entry fills,
-  // the baseline is never compiled, and the memo is never looked up.
+  // Every {nop} attempt is settled modulo NOPs: no baseline entry fills
+  // and the run memo is never consulted.
   driver::BatchResult R;
-  obs::LocalMetrics Snap = Run(Nop, R);
+  MemoCounts C = memoCountsOf(
+      [&] { R = driver::makeVariantsBatch(P, Nop, Opts, Seeds, B); });
   EXPECT_TRUE(R.allAccepted());
   EXPECT_EQ(R.DiffIdentical, R.TotalAttempts);
   EXPECT_EQ(R.BaselineCacheFills, 0u);
   EXPECT_EQ(R.BaselineCacheHits, 0u);
-  EXPECT_EQ(R.BaselineCacheReused, 0u);
-  EXPECT_EQ(Snap.Counters.at("verify.diff_identical"), R.TotalAttempts);
-  EXPECT_EQ(Snap.Phases.count("verify.baseline_compile"), 0u);
-  EXPECT_EQ(Snap.Phases.count("verify.baseline_memo_lookup"), 0u);
+  EXPECT_EQ(C.Fills + C.Derived + C.Fallbacks, 0u);
 
-  // The same batch under {nop,sched} executes its variants, and then
-  // compiles and looks up exactly once.
+  // The same batch under {nop,sched} executes its variants, and fills
+  // each battery entry through the memo exactly once.
   driver::BatchResult S;
-  Snap = Run(NopSched, S);
+  C = memoCountsOf(
+      [&] { S = driver::makeVariantsBatch(P, NopSched, Opts, Seeds, B); });
   EXPECT_TRUE(S.allAccepted());
   EXPECT_LT(S.DiffIdentical, S.TotalAttempts);
   EXPECT_EQ(S.BaselineCacheFills, B.Verify.InputBattery.size());
-  ASSERT_EQ(Snap.Phases.count("verify.baseline_compile"), 1u);
-  EXPECT_EQ(Snap.Phases.at("verify.baseline_compile").Count, 1u);
-  ASSERT_EQ(Snap.Phases.count("verify.baseline_memo_lookup"), 1u);
-  EXPECT_EQ(Snap.Phases.at("verify.baseline_memo_lookup").Count, 1u);
+  EXPECT_EQ(C.Fills, B.Verify.InputBattery.size());
+  EXPECT_EQ(C.Derived, B.Verify.InputBattery.size());
 }

@@ -21,15 +21,15 @@
 //    variant,
 //  - fault-injected variants (analysis/MirFault.h) that survive
 //    mir::verify, exercising broken-but-executable control flow,
-//  - custom cost models (the baked-stream fallback path),
+//  - custom cost models baked into the stream,
 //  - one stream shared by concurrent runs (the battery reuse pattern).
 //
-// The derived path (mexec::runMemoized, what driver::execute runs on
-// the fast engine) is one more engine under the same contract: every
-// runBoth comparison also checks it, and its own cases cover every
-// suite program under the paper's configurations, NOPs that only a
-// not-taken Jcc reaches, trapping and over-budget runs that must fall
-// back, and concurrent derivations of one program's variants.
+// The derived path (mexec::runMemoized, what driver::execute and every
+// baseline battery entry run) is one more engine under the same
+// contract: every runBoth comparison also checks it, and its own cases
+// cover every suite program under the paper's configurations, NOPs that
+// only a not-taken Jcc reaches, trapping and over-budget runs that must
+// fall back, and concurrent derivations of one program's variants.
 //
 //===----------------------------------------------------------------------===//
 
@@ -87,8 +87,8 @@ void runBoth(const MModule &M, const mexec::RunOptions &Opts,
   mexec::RunResult Ref = mexec::run(M, Opts);
   mexec::Precompiled P(M, Opts.Costs);
   expectSame(Ref, P.run(Opts), What);
-  // One compiled stream must serve repeated runs (the BaselineCache and
-  // diffExecute reuse patterns): a second run from the same stream must
+  // One compiled stream must serve repeated runs (the diffExecute and
+  // nvx reuse patterns): a second run from the same stream must
   // reproduce the first.
   expectSame(Ref, P.run(Opts), What + " (stream reuse)");
   // Filled, derived or run plainly, the memo returns the same run.
@@ -701,19 +701,14 @@ TEST(EngineParity, CustomCostsMatchViaBakedStream) {
   runBoth(P.MIR, Opts, "custom costs, baked");
 }
 
-TEST(EngineParity, CostMismatchFallsBackToReference) {
+TEST(EngineParity, CustomCostsCompiledPerRun) {
   const workloads::Workload &W = workloads::specWorkload("429.mcf");
   driver::Program P = driver::compileProgram(W.Source, W.Name);
   ASSERT_TRUE(P.ok()) << P.errors();
-  // Stream baked against the default model, run with a different one:
-  // Precompiled::run must detect the mismatch and delegate to the
-  // reference engine rather than charge stale costs.
-  mexec::Precompiled PC(P.MIR);
+  // A stream compiled against a custom model for one run, as profile
+  // training builds one, matches the reference engine under that model.
   mexec::RunOptions Opts = fullCollect(W.TrainInput);
   Opts.Costs.Alu *= 3;
-  expectSame(mexec::run(P.MIR, Opts), PC.run(Opts), "mismatched costs");
-  // And a stream compiled against the custom model, as profile training
-  // builds one, runs it natively instead of falling back.
   expectSame(mexec::run(P.MIR, Opts),
              mexec::Precompiled(P.MIR, Opts.Costs).run(Opts),
              "custom costs, compiled per run");

@@ -182,7 +182,7 @@ TEST(Parser, NestingLimitIsExact) {
   };
   // A left-associative chain of N terms is N nodes high.
   auto Chain = [](unsigned N) {
-    return returning("a" + repeat(" + a", N - 1));
+    return returning(std::string("a") + repeat(" + a", N - 1));
   };
   const std::pair<std::string, std::string> Cases[] = {
       {Parens(L - 2), Parens(L - 1)},
@@ -205,7 +205,7 @@ TEST(Parser, DeepInputIsOneDiagnosticNotAStackOverflow) {
   for (const std::string &Src :
        {returning(repeat("(", 50000) + "a" + repeat(")", 50000)),
         returning(repeat("- ", 50000) + "a"),
-        returning("a" + repeat(" + a", 99999))}) {
+        returning(std::string("a") + repeat(" + a", 99999))}) {
     std::vector<Diag> Diags;
     compileToIR(Src, "deep", Diags);
     ASSERT_EQ(Diags.size(), 1u) << formatDiags(Diags);

@@ -209,6 +209,37 @@ TEST(Profile, DeserializeRejectsCorruptCounts) {
       profile::deserializeProfile(Text + "0 zero one\n", P.MIR, Out));
 }
 
+TEST(Profile, DeserializeReadsOnlyWholeUnsignedNumbers) {
+  // Each number is one whole unsigned decimal token that fits in 64
+  // bits, and a line has no extra token. A parser that stopped at the
+  // first non-digit, read a minus sign as a wrap to 2^64 - N and ignored
+  // what followed its last number once loaded all of these.
+  driver::Program P = compileOK(
+      "fn main() { var i = 0; while (i < 8) { i = i + 1; } return i; }",
+      "tokens");
+  profile::ProfileData Data = profile::profileModule(P.MIR, {});
+  const std::string Blocks = std::to_string(Data.BlockCounts[0].size());
+  // Minus 2^64 - N, which wraps to N.
+  std::string Wrapped = "-";
+  Wrapped += std::to_string(uint64_t{0} - Data.BlockCounts[0].size());
+  const std::string Head = "pgsd-profile v1\nfunc 0 blocks ";
+  profile::ProfileData Out;
+  for (const std::string &Bad :
+       {Head + Blocks + "junk\n", Head + Wrapped + "\n",
+        Head + "+" + Blocks + "\n", Head + Blocks + " 0\n",
+        Head + Blocks + "\n0 0 -1\n", Head + Blocks + "\n0 0 1x\n",
+        Head + Blocks + "\n0 0 18446744073709551616\n",
+        Head + Blocks + "\n0 0 1 1\n"}) {
+    EXPECT_FALSE(profile::deserializeProfile(Bad, P.MIR, Out)) << Bad;
+    EXPECT_TRUE(Out.empty()) << Bad;
+  }
+  // Blank runs between tokens, and the largest count, still load.
+  ASSERT_TRUE(profile::deserializeProfile(
+      Head + Blocks + "\n0  0\t18446744073709551615\n", P.MIR, Out));
+  EXPECT_EQ(Out.BlockCounts[0][0], UINT64_MAX);
+  EXPECT_EQ(Out.MaxCount, UINT64_MAX);
+}
+
 TEST(Profile, DeserializeRejectsGarbage) {
   driver::Program P = compileOK("fn main() { return 0; }", "garbage");
   const std::string Blocks =

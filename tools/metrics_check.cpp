@@ -55,13 +55,14 @@
 //     verify.diff_identical must be present, and the same three
 //     counters as in step 3 must partition the fill attempts
 //     (verify.attempts).
-//  9. Always, when the run memo reports: every fast-engine
-//     driver::execute call is answered by a derivation or a plain run,
-//     and a fill happens only inside such a call, so
-//     mexec.run_memo.fills <= derived + fallbacks. With --diversify (the
-//     file came from `pgsdc diversify --metrics`, which runs the
-//     baseline and the variant on the given input), the counters must
-//     be present and answer exactly those two calls.
+//  9. Always, when the run memo reports: every mexec::runMemoized call
+//     (a fast-engine driver::execute, or a baseline battery entry that
+//     batch, serve and verify fill through it) is answered by a
+//     derivation or a plain run, and a fill happens only inside such a
+//     call, so mexec.run_memo.fills <= derived + fallbacks. With
+//     --diversify (the file came from `pgsdc diversify --metrics`, which
+//     runs the baseline and the variant on the given input), the
+//     counters must be present and answer exactly those two calls.
 //
 // Exit 0 on success, 1 with a diagnostic on the first failed check.
 // Key lookups scan for the literal `"<key>": ` the deterministic obs
@@ -183,7 +184,7 @@ int main(int Argc, char **Argv) {
     for (const char *Key :
          {"batch.seeds", "batch.accepted", "batch.attempts_total",
           "verify.baseline_cache.hits", "verify.baseline_cache.fills",
-          "verify.baseline_cache.reused", "verify.diff_identical",
+          "verify.diff_identical",
           "batch.setup", "batch.fanout"})
       if (!hasKey(Text, Key))
         return fail(std::string("batch metrics missing \"") + Key + "\"");

@@ -654,12 +654,10 @@ int cmdBatch(const Options &Opts) {
               "utilization %.1fx)\n",
               R.variantsPerSecond(), R.WallSeconds, R.CpuSeconds,
               R.WallSeconds > 0 ? R.CpuSeconds / R.WallSeconds : 0.0);
-  std::printf("baseline cache: %llu fills, %llu hits, %llu reused; "
-              "%llu attempts equal to the baseline modulo NOPs, not "
-              "executed\n",
+  std::printf("baseline cache: %llu fills, %llu hits; %llu attempts "
+              "equal to the baseline modulo NOPs, not executed\n",
               static_cast<unsigned long long>(R.BaselineCacheFills),
               static_cast<unsigned long long>(R.BaselineCacheHits),
-              static_cast<unsigned long long>(R.BaselineCacheReused),
               static_cast<unsigned long long>(R.DiffIdentical));
   if (obs::enabled())
     printPhaseTable(stdout);
