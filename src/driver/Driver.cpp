@@ -74,6 +74,7 @@ Program driver::compileProgram(std::string_view Source,
 
 bool driver::profileAndStamp(Program &P,
                              const std::vector<int32_t> &TrainInput) {
+  obs::Span S("pipeline.profile");
   mexec::RunOptions Opts;
   Opts.Input = TrainInput;
   profile::ProfileData Data = profile::profileModule(P.MIR, Opts);

@@ -22,7 +22,6 @@ namespace {
 struct NormalizedGadget {
   std::vector<Decoded> Instrs; ///< Without NOPs; terminator last.
   uint32_t Bytes = 0;          ///< Normalized byte length.
-  uint64_t Hash = 0;
 };
 
 bool normalizeAt(const uint8_t *Text, size_t Size, uint32_t Offset,
@@ -33,7 +32,6 @@ bool normalizeAt(const uint8_t *Text, size_t Size, uint32_t Offset,
     return false;
   Out.Instrs.clear();
   Out.Bytes = 0;
-  uint64_t Hash = 1469598103934665603ull;
   for (const auto &[At, Len] : Raw) {
     x86::NopKind Kind;
     if (x86::matchNopAt(Text + At, Len, Opts.IncludeXchgNops, Kind) &&
@@ -45,12 +43,7 @@ bool normalizeAt(const uint8_t *Text, size_t Size, uint32_t Offset,
       return false;
     Out.Instrs.push_back(D);
     Out.Bytes += Len;
-    for (uint8_t B = 0; B != Len; ++B) {
-      Hash ^= Text[At + B];
-      Hash *= 1099511628211ull;
-    }
   }
-  Out.Hash = Hash;
   return !Out.Instrs.empty();
 }
 

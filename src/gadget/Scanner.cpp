@@ -5,18 +5,26 @@
 //
 // Two implementations live here (DESIGN.md section 15):
 //
-//  * The reference oracle (decodeGadgetAt and the ForceReference paths):
-//    decode afresh from every byte offset with a MaxInstrs window. This
-//    is the executable specification of what a gadget is.
+//  * The reference oracle (decodeGadgetAt, normalizedGadgetHash and the
+//    ForceReference paths): decode afresh from every byte offset with a
+//    MaxInstrs window and hash each gadget by walking its chain. This is
+//    the executable specification of a gadget and of its hash.
 //
-//  * The decode-once scanner (ImageScan): one backward pass decodes each
-//    offset exactly once into a flat fact table (length + class/NOP flag
-//    bits) and computes the gadget suffix DP entry at that offset.
+//  * The fast paths, all built on one backward DP step (stepSuffix): the
+//    gadget suffix at offset I -- its instructions, bytes and normalized
+//    hash -- is a function of I's decode fact and the suffix at I + Len.
+//    scanImage runs the step over a whole image in one backward pass;
+//    its sinks are ImageScan's tables and the ascending (offset, hash)
+//    list both multi-version sweeps read. The lazy Survivor probe runs
+//    the same step on demand and memoizes each offset's suffix.
 //
-// The multi-version sweeps build on the same decode fact (factAt): the
-// Survivor probe reads each diversified image through a lazily filled
-// fact table, and the Table 3 counter buckets every version's
-// (offset, hash) list by offset instead of hashing identities.
+// The normalized hash is FNV-1a over the gadget's bytes with Table 1
+// NOPs removed, read last byte first. Read backward, it composes: the
+// suffix at I continues the hash at I + Len over instruction I's bytes,
+// a NOP passes it through unchanged, and a terminator starts from the
+// FNV basis. It is still a function of the normalized byte string
+// alone, so two gadgets share an identity exactly when their normalized
+// bytes are equal, up to 64-bit collisions.
 //
 // ScannerParityTest pins byte-identical results between the fast paths
 // and the oracle across the workload battery, fuzzed programs under
@@ -33,6 +41,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 
 using namespace pgsd;
 using namespace pgsd::gadget;
@@ -63,36 +72,38 @@ bool gadget::decodeGadgetAt(const uint8_t *Text, size_t Size,
 
 namespace {
 
-/// FNV-1a over a byte range.
-uint64_t hashBytes(uint64_t Hash, const uint8_t *Bytes, size_t Size) {
-  for (size_t I = 0; I != Size; ++I) {
+/// FNV-1a offset basis: the empty normalized sequence's hash.
+constexpr uint64_t FnvBasis = 1469598103934665603ull;
+
+/// Continues FNV-1a over \p Size bytes at \p Bytes, last byte first --
+/// the byte order of the normalized hash.
+inline uint64_t hashBytesReversed(uint64_t Hash, const uint8_t *Bytes,
+                                  size_t Size) {
+  for (size_t I = Size; I-- > 0;) {
     Hash ^= Bytes[I];
     Hash *= 1099511628211ull;
   }
   return Hash;
 }
 
-/// FNV-1a offset basis: the empty normalized sequence's hash.
-constexpr uint64_t FnvBasis = 1469598103934665603ull;
-
-/// Per-offset decode-fact flag bits (FactFlags). The class bits mirror
-/// the reference oracle's check order: free branch, then IntN (a
-/// terminator only when IncludeSyscallGadgets), then usable body; the
-/// classes are mutually exclusive so at most one is set. The NOP bits
-/// record whole-instruction Table 1 matches for both NOP sets so one
-/// fact table serves either IncludeXchgNops setting.
+/// Per-offset decode-fact flag bits. The class bits mirror the reference
+/// oracle's check order: free branch, then IntN (a terminator only when
+/// IncludeSyscallGadgets), then usable body; the classes are mutually
+/// exclusive so at most one is set. The NOP bits record
+/// whole-instruction Table 1 matches for both NOP sets so one fact
+/// serves either IncludeXchgNops setting.
 enum : uint8_t {
   FFree = 1 << 0,       ///< Free-branch terminator.
   FIntN = 1 << 1,       ///< Software interrupt (INT n / SYSENTER).
   FBody = 1 << 2,       ///< Usable gadget body (InstrClass::Normal).
   FNopDefault = 1 << 3, ///< Whole instruction is a default-set NOP.
   FNopXchg = 1 << 4,    ///< Whole instruction is a bus-locking XCHG NOP.
-  FKnown = 1 << 7,      ///< Lazy fact tables only: the fact is filled.
+  FSuffix = 1 << 6,     ///< Lazy probe only: the suffix is memoized.
+  FKnown = 1 << 7,      ///< Lazy probe only: the fact is filled.
 };
 
-/// FactFlags class bit of each InstrClass, by the decoder's own
-/// predicates; 0 for direct control flow, privileged and invalid
-/// instructions.
+/// Fact class bit of each InstrClass, by the decoder's own predicates;
+/// 0 for direct control flow, privileged and invalid instructions.
 constexpr std::array<uint8_t, size_t(x86::InstrClass::Invalid) + 1>
 buildClassFlags() {
   std::array<uint8_t, size_t(x86::InstrClass::Invalid) + 1> T{};
@@ -110,12 +121,36 @@ buildClassFlags() {
 }
 constexpr auto ClassFlags = buildClassFlags();
 
+/// The NOP bits of an instruction starting with bytes \p B0 \p B1 that
+/// is one byte long (\p One) or two (\p Two) -- a whole-instruction
+/// Table 1 match (matchNopAt + nopInfo(Kind).Length == Len), inlined:
+/// the table is seven fixed 1-2 byte encodings with disjoint first
+/// bytes. With both lengths allowed it answers whether an instruction
+/// starting there may be a NOP.
+inline uint8_t nopBits(unsigned B0, unsigned B1, bool One, bool Two) {
+  const unsigned Pair = B0 << 8 | B1;
+  const bool NopDefault =
+      (One & (B0 == 0x90)) |
+      (Two & ((Pair == 0x89E4) | (Pair == 0x89ED) | (Pair == 0x8D36) |
+              (Pair == 0x8D3F)));
+  const bool NopXchg = Two & ((Pair == 0x87E4) | (Pair == 0x87ED));
+  return static_cast<uint8_t>((NopDefault ? FNopDefault : 0) |
+                              (NopXchg ? FNopXchg : 0));
+}
+
+/// True when the instruction at \p Offset of \p Text may be a Table 1
+/// NOP of either set.
+inline bool mayStartNop(const std::vector<uint8_t> &Text, size_t Offset) {
+  const bool Two = Offset + 1 < Text.size();
+  return nopBits(Text[Offset], Text[Offset + Two], true, Two) != 0;
+}
+
 /// The decode fact at offset \p I: instruction length (0 = invalid)
-/// and FactFlags bits. The one definition of what the fast paths know
-/// about an offset -- ImageScan's table pass and the lazy Survivor
-/// probe both call it, so Table 1 NOP matching lives here only. Written
-/// without data-dependent branches: lengths and classes at arbitrary
-/// offsets are too irregular to predict.
+/// and flag bits. The one definition of what the fast paths know about
+/// an offset -- the full pass and the lazy Survivor probe both call it,
+/// so Table 1 NOP matching lives here only. Written without
+/// data-dependent branches: lengths and classes at arbitrary offsets
+/// are too irregular to predict.
 [[gnu::always_inline]] inline void factAt(const uint8_t *Data, size_t Size,
                                           size_t I, uint8_t &Len,
                                           uint8_t &Flags) {
@@ -123,33 +158,92 @@ constexpr auto ClassFlags = buildClassFlags();
   x86::InstrClass Class = x86::InstrClass::Invalid;
   // An invalid decode has class Invalid, whose class bits are 0.
   Len = x86::decodeLenClass(Data + I, Size - I, DLen, Class) ? DLen : 0;
-  // Whole-instruction NOP match, inlined from the Table 1 rows
-  // (matchNopAt + nopInfo(Kind).Length == Len): the table is seven
-  // fixed 1-2 byte encodings with disjoint first bytes. B1 is only read
-  // past I when the instruction covers it.
-  const unsigned B0 = Data[I], B1 = Data[I + (Len >= 2)];
-  const unsigned Pair = B0 << 8 | B1;
-  const bool One = Len == 1, Two = Len == 2;
-  const bool NopDefault =
-      (One & (B0 == 0x90)) |
-      (Two & ((Pair == 0x89E4) | (Pair == 0x89ED) | (Pair == 0x8D36) |
-              (Pair == 0x8D3F)));
-  const bool NopXchg = Two & ((Pair == 0x87E4) | (Pair == 0x87ED));
-  Flags = static_cast<uint8_t>(ClassFlags[size_t(Class)] |
-                               (NopDefault ? FNopDefault : 0) |
-                               (NopXchg ? FNopXchg : 0));
+  // B1 is only read past I when the instruction covers it.
+  Flags = static_cast<uint8_t>(
+      ClassFlags[size_t(Class)] |
+      nopBits(Data[I], Data[I + (Len >= 2)], Len == 1, Len == 2));
 }
 
-/// True when a fact with \p Flags is removed by Section 5.2's NOP
-/// normalization under \p Opts.
-inline bool isNormalizedNop(uint8_t Flags, const ScanOptions &Opts) {
-  return (Flags & FNopDefault) != 0 ||
-         (Opts.IncludeXchgNops && (Flags & FNopXchg) != 0);
+/// The DP entry at one offset: the gadget suffix starting there.
+struct Suffix {
+  uint64_t Hash;   ///< Normalized hash; meaningful when Instrs != 0.
+  uint32_t Len;    ///< Bytes up to and including the terminator.
+  uint16_t Instrs; ///< Instructions; 0 = no gadget within the window.
+};
+
+/// No gadget starts here; also the entry read past the image's end.
+constexpr Suffix NoSuffix{FnvBasis, 0, 0};
+
+/// What the DP step reads from ScanOptions.
+struct StepRules {
+  explicit StepRules(const ScanOptions &Opts)
+      // Suffix::Instrs is uint16_t; windows beyond 65535 instructions
+      // would take hours under the reference oracle anyway. A zero
+      // window admits no gadget.
+      : MaxInstrs(std::min(Opts.MaxInstrs, 65535u)),
+        TermMask(MaxInstrs == 0
+                     ? 0
+                     : FFree | (Opts.IncludeSyscallGadgets ? FIntN : 0)),
+        NopMask(FNopDefault | (Opts.IncludeXchgNops ? FNopXchg : 0)) {}
+  unsigned MaxInstrs;
+  uint8_t TermMask; ///< Fact bits that end a gadget.
+  uint8_t NopMask;  ///< Fact bits that Section 5.2's normalization drops.
+};
+
+/// The DP step, the fast paths' one definition of a gadget and its hash:
+/// the suffix at \p At from its fact (\p Len, \p Flags) and the suffix
+/// \p Next at At + Len. Same precedence as the reference oracle:
+/// terminators first, then the usable-body continuation; an invalid
+/// fact has no flags, so neither applies. Extending a suffix of
+/// MaxInstrs instructions would overflow the window; extending one of 0
+/// means no terminator (or a disqualifier) lies within reach. The hash
+/// continues Next's over this instruction's bytes unless it is a NOP.
+[[gnu::always_inline]] inline Suffix stepSuffix(const uint8_t *At,
+                                                uint8_t Len, uint8_t Flags,
+                                                const Suffix &Next,
+                                                const StepRules &Rules) {
+  const bool Term = (Flags & Rules.TermMask) != 0;
+  const bool Extend = ((Flags & FBody) != 0) & (Next.Instrs != 0) &
+                      (Next.Instrs < Rules.MaxInstrs);
+  Suffix S;
+  S.Instrs = static_cast<uint16_t>(Term ? 1 : Extend ? Next.Instrs + 1 : 0);
+  S.Len = Term ? Len : Extend ? Next.Len + Len : 0;
+  S.Hash = Term ? FnvBasis : Next.Hash;
+  if (S.Instrs != 0 && (Flags & Rules.NopMask) == 0)
+    S.Hash = hashBytesReversed(S.Hash, At, Len);
+  return S;
 }
 
-/// The FactFlags bits that end a gadget under \p Opts.
-inline uint8_t terminatorMask(const ScanOptions &Opts) {
-  return FFree | (Opts.IncludeSyscallGadgets ? FIntN : 0);
+/// The one full pass over an image: decodes every offset's fact and
+/// runs the DP step, in descending offset order, calling
+/// \p Sink(Offset, Len, Suffix) at each. A step reads only the entry
+/// Len <= MaxInstrLen bytes ahead, so a ring of the last 16 entries
+/// stands in for a per-offset table. Opens the gadget.scan span and
+/// counts the image as scanned and decoded in full.
+template <typename SinkFn>
+void scanImage(const uint8_t *Data, size_t Size, const ScanOptions &Opts,
+               SinkFn &&Sink) {
+  obs::Span Sp("gadget.scan");
+  constexpr size_t RingSize = 16;
+  static_assert(x86::MaxInstrLen < RingSize);
+  const StepRules Rules(Opts);
+  std::array<Suffix, RingSize> Ring;
+  Ring.fill(NoSuffix);
+  for (size_t I = Size; I-- > 0;) {
+    uint8_t Len = 0, Flags = 0;
+    factAt(Data, Size, I, Len, Flags);
+    const size_t Next = I + Len;
+    const Suffix S =
+        stepSuffix(Data + I, Len, Flags,
+                   Next < Size ? Ring[Next % RingSize] : NoSuffix, Rules);
+    Ring[I % RingSize] = S;
+    Sink(I, Len, S);
+  }
+  if (obs::enabled()) {
+    obs::counterAdd("gadget.scans_full");
+    obs::counterAdd("gadget.bytes_scanned", Size);
+    obs::counterAdd("gadget.bytes_decoded", Size);
+  }
 }
 
 /// Resolves ScanOptions::Jobs: 0 = all cores, clamped to the task count.
@@ -162,92 +256,30 @@ unsigned effectiveJobs(unsigned Jobs, size_t Tasks) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// ImageScan: decode-once fact table + backward DP
+// ImageScan: the full pass's per-offset tables
 //===----------------------------------------------------------------------===//
 
 ImageScan::ImageScan(const uint8_t *Text, size_t Size,
-                     const ScanOptions &Options)
-    : Opts(Options) {
-  obs::Span Sp("gadget.scan");
-  Bytes.assign(Text, Text + Size);
-  FactLen.resize(Size);
-  FactFlags.resize(Size);
-  SuffixInstrs.resize(Size);
-  SuffixLen.resize(Size);
-  scanBackward();
-  // A full scan decodes every byte it is handed.
-  if (obs::enabled()) {
-    obs::counterAdd("gadget.scans_full");
-    obs::counterAdd("gadget.bytes_scanned", Size);
-    obs::counterAdd("gadget.bytes_decoded", Size);
-  }
-}
-
-ImageScan::ImageScan(const std::vector<uint8_t> &Text,
-                     const ScanOptions &Options)
-    : ImageScan(Text.data(), Text.size(), Options) {}
-
-void ImageScan::scanBackward() {
-  // Raw pointers in locals: the uint8_t stores below may alias anything,
-  // which would otherwise reload every vector's data pointer per offset.
-  const uint8_t *Data = Bytes.data();
-  const size_t Size = Bytes.size();
+                     const ScanOptions &Opts)
+    : FactLen(Size), SuffixInstrs(Size), SuffixLen(Size) {
+  // Raw pointers: the uint8_t stores may alias anything, which would
+  // otherwise reload every vector's data pointer per offset.
   uint8_t *Lens = FactLen.data();
-  uint8_t *FlagsAt = FactFlags.data();
   uint16_t *Instrs = SuffixInstrs.data();
   uint32_t *Lengths = SuffixLen.data();
-  // SuffixInstrs is uint16_t; windows beyond 65535 instructions would
-  // take hours under the reference oracle anyway. A zero window admits
-  // no gadget.
-  const unsigned EffMax = std::min(Opts.MaxInstrs, 65535u);
-  const uint8_t TermMask = EffMax == 0 ? 0 : terminatorMask(Opts);
-  // The DP entry at I from its fact: a pure function of the fact and the
-  // entry at I + Len, which the backward order has already made final.
-  // Same precedence as the reference oracle: terminators first, then the
-  // usable-body continuation. An invalid fact has no flags, so neither
-  // applies.
-  for (size_t I = Size; I-- > 0;) {
-    uint8_t Len, Flags;
-    factAt(Data, Size, I, Len, Flags);
-    Lens[I] = Len;
-    FlagsAt[I] = Flags;
-    const size_t Next = I + Len;
-    uint16_t NextN = 0;
-    uint32_t NextB = 0;
-    if (Next < Size) {
-      NextN = Instrs[Next];
-      NextB = Lengths[Next];
-    }
-    // Extending a suffix of EffMax instructions would overflow the
-    // window; extending one of 0 means no terminator (or a disqualifier)
-    // lies within reach.
-    const bool Term = (Flags & TermMask) != 0;
-    const bool Extend =
-        ((Flags & FBody) != 0) & (NextN != 0) & (NextN < EffMax);
-    Instrs[I] = static_cast<uint16_t>(Term ? 1 : Extend ? NextN + 1 : 0);
-    Lengths[I] = Term ? Len : Extend ? NextB + Len : 0;
-  }
-}
-
-bool ImageScan::gadgetAt(uint32_t Offset, Gadget &Out) const {
-  if (!hasGadgetAt(Offset))
-    return false;
-  Out.Offset = Offset;
-  Out.Length = SuffixLen[Offset];
-  Out.NumInstrs = static_cast<uint8_t>(SuffixInstrs[Offset]);
-  return true;
-}
-
-size_t ImageScan::gadgetCount() const {
-  size_t Count = 0;
-  for (uint16_t N : SuffixInstrs)
-    Count += N != 0;
-  return Count;
+  scanImage(Text, Size, Opts,
+            [Lens, Instrs, Lengths](size_t I, uint8_t Len, const Suffix &S) {
+              Lens[I] = Len;
+              Instrs[I] = S.Instrs;
+              Lengths[I] = S.Len;
+            });
 }
 
 std::vector<Gadget> ImageScan::gadgets() const {
   std::vector<Gadget> Out;
-  Out.reserve(gadgetCount());
+  Out.reserve(static_cast<size_t>(std::count_if(
+      SuffixInstrs.begin(), SuffixInstrs.end(),
+      [](uint16_t N) { return N != 0; })));
   for (size_t I = 0; I != SuffixInstrs.size(); ++I) {
     if (SuffixInstrs[I] == 0)
       continue;
@@ -271,26 +303,6 @@ bool ImageScan::instructionsAt(
     InstrsOut.push_back({Pos, FactLen[Pos]});
     Pos += FactLen[Pos];
   }
-  return true;
-}
-
-bool ImageScan::normalizedHashAt(uint32_t Offset, uint64_t &HashOut,
-                                 unsigned &NonNopInstrsOut) const {
-  if (!hasGadgetAt(Offset))
-    return false;
-  uint64_t Hash = FnvBasis;
-  unsigned NonNop = 0;
-  uint32_t Pos = Offset;
-  for (uint16_t K = SuffixInstrs[Offset]; K != 0; --K) {
-    const uint8_t Len = FactLen[Pos];
-    if (!isNormalizedNop(FactFlags[Pos], Opts)) {
-      Hash = hashBytes(Hash, Bytes.data() + Pos, Len);
-      ++NonNop;
-    }
-    Pos += Len;
-  }
-  HashOut = Hash;
-  NonNopInstrsOut = NonNop;
   return true;
 }
 
@@ -329,9 +341,12 @@ bool gadget::normalizedGadgetHash(
     std::vector<std::pair<uint32_t, uint8_t>> &Scratch) {
   if (!decodeGadgetAt(Text, Size, Offset, Opts, Scratch))
     return false;
-  uint64_t Hash = 1469598103934665603ull; // FNV offset basis
+  uint64_t Hash = FnvBasis;
   unsigned NonNop = 0;
-  for (const auto &[At, Len] : Scratch) {
+  // Last instruction first, each one's bytes last first: the reversed
+  // normalized byte string.
+  for (auto It = Scratch.rbegin(); It != Scratch.rend(); ++It) {
+    const auto [At, Len] = *It;
     x86::NopKind Kind;
     // Remove all potentially inserted NOPs (paper Section 5.2). The
     // match must cover the whole instruction: e.g. 89 E4 is a NOP, but
@@ -339,7 +354,7 @@ bool gadget::normalizedGadgetHash(
     if (x86::matchNopAt(Text + At, Len, Opts.IncludeXchgNops, Kind) &&
         x86::nopInfo(Kind).Length == Len)
       continue;
-    Hash = hashBytes(Hash, Text + At, Len);
+    Hash = hashBytesReversed(Hash, Text + At, Len);
     ++NonNop;
   }
   HashOut = Hash;
@@ -357,78 +372,73 @@ bool gadget::normalizedGadgetHash(const uint8_t *Text, size_t Size,
                               NonNopInstrsOut, Scratch);
 }
 
+std::vector<SurvivingGadget> gadget::gadgetHashes(const uint8_t *Text,
+                                                  size_t Size,
+                                                  const ScanOptions &Opts) {
+  std::vector<SurvivingGadget> Hashes;
+  if (Opts.ForceReference) {
+    std::vector<std::pair<uint32_t, uint8_t>> Scratch;
+    Scratch.reserve(Opts.MaxInstrs);
+    for (const Gadget &G : scanGadgets(Text, Size, Opts)) {
+      uint64_t Hash = 0;
+      unsigned NonNop = 0;
+      if (normalizedGadgetHash(Text, Size, G.Offset, Opts, Hash, NonNop,
+                               Scratch))
+        Hashes.push_back({G.Offset, Hash});
+    }
+    return Hashes;
+  }
+  scanImage(Text, Size, Opts,
+            [&Hashes](size_t I, uint8_t, const Suffix &S) {
+              if (S.Instrs != 0)
+                Hashes.push_back({static_cast<uint32_t>(I), S.Hash});
+            });
+  std::reverse(Hashes.begin(), Hashes.end());
+  return Hashes;
+}
+
 namespace {
 
-/// (offset, normalized hash) of every gadget in \p Scan, ascending.
-std::vector<SurvivingGadget> gadgetHashes(const ImageScan &Scan) {
-  std::vector<SurvivingGadget> Hashes;
-  const size_t Size = Scan.size();
-  for (size_t Offset = 0; Offset != Size; ++Offset) {
-    uint64_t Hash;
-    unsigned NonNop;
-    if (Scan.normalizedHashAt(static_cast<uint32_t>(Offset), Hash, NonNop))
-      Hashes.push_back({static_cast<uint32_t>(Offset), Hash});
-  }
-  return Hashes;
-}
-
-/// The same list computed by the reference oracle.
-std::vector<SurvivingGadget>
-referenceGadgetHashes(const std::vector<uint8_t> &Text,
-                      const ScanOptions &Opts) {
-  std::vector<SurvivingGadget> Hashes;
-  std::vector<std::pair<uint32_t, uint8_t>> Scratch;
-  Scratch.reserve(Opts.MaxInstrs);
-  for (const Gadget &G : scanGadgets(Text.data(), Text.size(), Opts)) {
-    uint64_t Hash;
-    unsigned NonNop;
-    if (normalizedGadgetHash(Text.data(), Text.size(), G.Offset, Opts, Hash,
-                             NonNop, Scratch))
-      Hashes.push_back({G.Offset, Hash});
-  }
-  return Hashes;
-}
-
-/// A diversified image read through decode facts filled on first touch.
+/// A diversified image read through DP entries filled on first touch.
 /// Probe chains from neighbouring original-gadget offsets share most of
-/// their instructions, so each offset is decoded at most once however
-/// many chains cross it, and offsets no chain reaches are never decoded;
-/// filled() counts the decoded ones.
+/// their instructions, so each offset is decoded at most once and its
+/// suffix computed at most once, however many chains cross it; offsets
+/// no chain reaches are never decoded. filled() counts the decoded ones.
 class LazyFacts {
 public:
-  explicit LazyFacts(const std::vector<uint8_t> &Text)
-      : Data(Text.data()), Size(Text.size()), Facts(Text.size()) {}
+  LazyFacts(const std::vector<uint8_t> &Text, const ScanOptions &Opts)
+      : Data(Text.data()), Size(Text.size()), Rules(Opts),
+        Facts(Text.size()), Suffixes(new Suffix[Text.size()]) {}
 
-  /// Normalized hash of the gadget starting at \p Offset; false when
-  /// none starts there. Walks the chain with decodeGadgetAt's rules,
-  /// then hashes it as ImageScan::normalizedHashAt does.
-  bool hashAt(uint32_t Offset, const ScanOptions &Opts, uint64_t &HashOut) {
-    const uint8_t TermMask = terminatorMask(Opts);
-    size_t Pos = Offset;
-    unsigned N = 0;
-    for (;;) {
-      if (N == Opts.MaxInstrs || Pos >= Size)
-        return false; // no terminator within the window or the image
-      const Fact &F = at(Pos);
-      if (F.Len == 0)
-        return false;
-      ++N;
-      if (F.Flags & TermMask)
+  /// The suffix at \p Offset, NoSuffix when no gadget starts there.
+  /// Walks forward by the DP's rules to the first offset whose suffix
+  /// is memoized or that ends the chain, then runs the DP step back over
+  /// the walked offsets, memoizing each. A walk that fills the window
+  /// first proves that no gadget starts at Offset and memoizes nothing:
+  /// the offsets it crossed may still start one.
+  Suffix suffixAt(uint32_t Offset) {
+    Path.clear();
+    Suffix Next = NoSuffix;
+    for (size_t Pos = Offset; Pos < Size;) {
+      if (Facts[Pos].Flags & FSuffix) {
+        Next = Suffixes[Pos];
         break;
+      }
+      if (Path.size() == Rules.MaxInstrs)
+        return NoSuffix;
+      const Fact &F = at(Pos);
+      Path.push_back(static_cast<uint32_t>(Pos));
       if ((F.Flags & FBody) == 0)
-        return false; // direct control flow, privileged, syscall
+        break; // a terminator or a dead end: the step reads no Next
       Pos += F.Len;
     }
-    uint64_t Hash = FnvBasis;
-    Pos = Offset;
-    for (; N != 0; --N) {
-      const Fact &F = Facts[Pos];
-      if (!isNormalizedNop(F.Flags, Opts))
-        Hash = hashBytes(Hash, Data + Pos, F.Len);
-      Pos += F.Len;
+    for (size_t K = Path.size(); K-- > 0;) {
+      Fact &F = Facts[Path[K]];
+      Next = stepSuffix(Data + Path[K], F.Len, F.Flags, Next, Rules);
+      Suffixes[Path[K]] = Next;
+      F.Flags |= FSuffix;
     }
-    HashOut = Hash;
-    return true;
+    return Next;
   }
 
   size_t filled() const { return Filled; }
@@ -436,7 +446,7 @@ public:
 private:
   struct Fact {
     uint8_t Len = 0;
-    uint8_t Flags = 0; ///< FactFlags bits; FKnown once filled.
+    uint8_t Flags = 0; ///< Fact flag bits; FKnown once filled.
   };
 
   const Fact &at(size_t I) {
@@ -451,26 +461,39 @@ private:
 
   const uint8_t *Data;
   size_t Size;
+  StepRules Rules;
   std::vector<Fact> Facts;
+  /// Read only where the fact has FSuffix, so left uninitialized.
+  std::unique_ptr<Suffix[]> Suffixes;
+  std::vector<uint32_t> Path; ///< suffixAt's walk, reused.
   size_t Filled = 0;
 };
 
 /// Survivor pass probing \p Diversified lazily: candidate matches sit at
 /// identical offsets, so only the original's gadget offsets (a small
 /// minority of the image) are walked on the diversified side -- cheaper
-/// than building a full variant scan. Equality with the reference
+/// than a full pass over the variant. Equality with the reference
 /// oracle is pinned by ScannerParityTest, not by construction.
 std::vector<SurvivingGadget>
-probeSurvivors(const std::vector<SurvivingGadget> &OrigHashes,
+probeSurvivors(const std::vector<uint8_t> &Original,
+               const std::vector<SurvivingGadget> &OrigHashes,
                const std::vector<uint8_t> &Diversified,
                const ScanOptions &Opts) {
   std::vector<SurvivingGadget> Survivors;
-  LazyFacts Div(Diversified);
+  LazyFacts Div(Diversified, Opts);
   for (const SurvivingGadget &G : OrigHashes) {
     if (G.Offset >= Diversified.size())
       break; // ascending offsets: nothing further can match
-    uint64_t HashB;
-    if (Div.hashAt(G.Offset, Opts, HashB) && HashB == G.NormHash)
+    // Normalized bytes begin with the first non-NOP instruction. Where
+    // neither image may start a NOP at the offset, that is the
+    // instruction at the offset in both, so different first bytes rule
+    // the pair out without a decode.
+    if (Diversified[G.Offset] != Original[G.Offset] &&
+        !mayStartNop(Diversified, G.Offset) &&
+        !mayStartNop(Original, G.Offset))
+      continue;
+    const Suffix S = Div.suffixAt(G.Offset);
+    if (S.Instrs != 0 && S.Hash == G.NormHash)
       Survivors.push_back(G);
   }
   // The probed image counts as scanned, and only its filled offsets as
@@ -570,29 +593,25 @@ gadget::survivingGadgets(const std::vector<uint8_t> &Original,
   obs::Span Sp("gadget.survivor");
   if (Opts.ForceReference) {
     std::vector<SurvivingGadget> Survivors;
-    std::vector<Gadget> OrigGadgets =
-        scanGadgets(Original.data(), Original.size(), Opts);
     std::vector<std::pair<uint32_t, uint8_t>> Scratch;
     Scratch.reserve(Opts.MaxInstrs);
-    for (const Gadget &G : OrigGadgets) {
-      uint64_t HashA, HashB;
-      unsigned NonNopA, NonNopB;
-      if (!normalizedGadgetHash(Original.data(), Original.size(), G.Offset,
-                                Opts, HashA, NonNopA, Scratch))
-        continue;
+    for (const SurvivingGadget &G :
+         gadgetHashes(Original.data(), Original.size(), Opts)) {
       if (G.Offset >= Diversified.size())
         continue;
+      uint64_t HashB = 0;
+      unsigned NonNopB = 0;
       if (!normalizedGadgetHash(Diversified.data(), Diversified.size(),
                                 G.Offset, Opts, HashB, NonNopB, Scratch))
         continue;
-      if (HashA == HashB)
-        Survivors.push_back({G.Offset, HashA});
+      if (G.NormHash == HashB)
+        Survivors.push_back(G);
     }
     return Survivors;
   }
-  return probeSurvivors(
-      gadgetHashes(ImageScan(Original.data(), Original.size(), Opts)),
-      Diversified, Opts);
+  return probeSurvivors(Original,
+                        gadgetHashes(Original.data(), Original.size(), Opts),
+                        Diversified, Opts);
 }
 
 std::vector<std::vector<SurvivingGadget>>
@@ -606,13 +625,12 @@ gadget::survivingGadgetsMulti(const std::vector<uint8_t> &Original,
       Out[I] = survivingGadgets(Original, Versions[I], Opts);
     return Out;
   }
-  // One shared original-image scan and one shared (offset, hash) list of
-  // its gadgets; both are immutable once built, so workers read them
-  // concurrently without synchronization.
-  const ImageScan OrigScan(Original.data(), Original.size(), Opts);
-  const std::vector<SurvivingGadget> OrigHashes = gadgetHashes(OrigScan);
+  // One shared (offset, hash) list of the original's gadgets, immutable
+  // once built, so workers read it concurrently without synchronization.
+  const std::vector<SurvivingGadget> OrigHashes =
+      gadgetHashes(Original.data(), Original.size(), Opts);
   forEachVersion(Versions.size(), Opts.Jobs, [&](size_t I) {
-    Out[I] = probeSurvivors(OrigHashes, Versions[I], Opts);
+    Out[I] = probeSurvivors(Original, OrigHashes, Versions[I], Opts);
   });
   return Out;
 }
@@ -624,15 +642,12 @@ gadget::gadgetsInAtLeast(const std::vector<std::vector<uint8_t>> &Versions,
   obs::Span Sp("gadget.multiversion");
   // Each version contributes its (offset, hash) list; workers fill the
   // lists and one count runs after the barrier, so the result is
-  // independent of Jobs.
+  // independent of Jobs. The oracle's lists are built serially.
   std::vector<std::vector<SurvivingGadget>> Lists(Versions.size());
-  if (Opts.ForceReference) {
-    for (size_t I = 0; I != Versions.size(); ++I)
-      Lists[I] = referenceGadgetHashes(Versions[I], Opts);
-  } else {
-    forEachVersion(Versions.size(), Opts.Jobs, [&](size_t I) {
-      Lists[I] = gadgetHashes(ImageScan(Versions[I], Opts));
-    });
-  }
+  forEachVersion(Versions.size(), Opts.ForceReference ? 1 : Opts.Jobs,
+                 [&](size_t I) {
+                   Lists[I] = gadgetHashes(Versions[I].data(),
+                                           Versions[I].size(), Opts);
+                 });
   return countIdentities(Lists, Thresholds);
 }

@@ -30,24 +30,26 @@
 /// Two implementations back these queries (DESIGN.md section 15):
 ///
 /// * The *reference oracle* decodes afresh from every byte offset with
-///   an Opts.MaxInstrs window -- O(Size x MaxInstrs) decodes per image.
-///   It is the executable specification, kept behind
-///   ScanOptions::ForceReference and pinned by ScannerParityTest.
+///   an Opts.MaxInstrs window -- O(Size x MaxInstrs) decodes per image --
+///   and hashes each gadget by walking its chain. It is the executable
+///   specification, kept behind ScanOptions::ForceReference and pinned by
+///   ScannerParityTest.
 ///
-/// * The *decode-once scanner* (ImageScan) walks the image backward
-///   once, decoding each offset exactly once into a flat side table of
-///   (length, class) facts and, in the same step, computing by dynamic
-///   programming the gadget suffix starting there -- O(Size) decodes,
-///   byte-identical results. ImageScan is immutable after construction,
-///   so one original-image scan can be shared read-only across worker
-///   threads.
+/// * The fast paths share one backward dynamic-programming step: the
+///   gadget suffix at an offset (instructions, bytes, normalized hash)
+///   follows from that offset's decode fact and the suffix one
+///   instruction further on. One backward pass over an image decodes
+///   each offset exactly once and keeps only a 16-entry ring of suffixes,
+///   since no x86 instruction is longer than 15 bytes; it fills either
+///   ImageScan's per-offset tables or an image's ascending
+///   (offset, hash) list (gadgetHashes). The lazy Survivor probe runs the
+///   same step on demand over each diversified image.
 ///
-/// The multi-version sweeps reuse ImageScan's per-offset decode fact
-/// without building a scan per version where they can: the Survivor
-/// probe reads each diversified image through a lazily filled fact
-/// table, and the Table 3 counter buckets (offset, hash) lists by
-/// offset. Neither asks the oracle, so their equality with it is pinned
-/// by ScannerParityTest rather than holding by construction.
+/// The normalized hash is FNV-1a over the gadget's bytes with every
+/// Table 1 NOP removed, read last byte first, so it composes backward
+/// along the chain. It depends on the normalized byte string alone: two
+/// gadgets share an identity exactly when those strings are equal, up to
+/// 64-bit collisions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,27 +100,20 @@ struct SurvivingGadget {
   uint64_t NormHash = 0; ///< Hash of the NOP-normalized byte sequence.
 };
 
-/// Decode-once gadget index over one .text image.
+/// Decode-once gadget index over one .text image, for callers that need
+/// random access by offset (the attack checker).
 ///
-/// Construction runs one backward pass that decodes each offset exactly
-/// once into a flat fact table and fills its DP entry, after which
-/// every query -- gadget enumeration, per-offset instruction boundaries,
-/// normalized content hashes -- is answered without touching the decoder
-/// again.
+/// Construction runs the one backward pass and keeps, per offset, the
+/// decoded length and the gadget suffix, after which gadget enumeration
+/// and per-offset instruction boundaries are answered without touching
+/// the decoder again.
 ///
 /// Thread-safety: all const queries are safe to call concurrently; a
 /// fully-constructed ImageScan may be shared read-only across threads.
 class ImageScan {
 public:
-  ImageScan() = default;
   ImageScan(const uint8_t *Text, size_t Size,
             const ScanOptions &Opts = ScanOptions());
-  explicit ImageScan(const std::vector<uint8_t> &Text,
-                     const ScanOptions &Opts = ScanOptions());
-
-  size_t size() const { return Bytes.size(); }
-  const ScanOptions &options() const { return Opts; }
-  const std::vector<uint8_t> &bytes() const { return Bytes; }
 
   /// True when a gadget (terminator within the window) starts at
   /// \p Offset.
@@ -126,41 +121,22 @@ public:
     return Offset < SuffixInstrs.size() && SuffixInstrs[Offset] != 0;
   }
 
-  /// Fills \p Out with the gadget starting at \p Offset; false when none
-  /// starts there.
-  bool gadgetAt(uint32_t Offset, Gadget &Out) const;
-
   /// All gadgets, in offset order (same contents as scanGadgets).
   std::vector<Gadget> gadgets() const;
 
-  /// Number of gadget start offsets (without materializing the vector).
-  size_t gadgetCount() const;
-
   /// (offset, length) instruction boundaries of the gadget at \p Offset,
   /// terminator included; false when no gadget starts there. Same
-  /// contract as decodeGadgetAt, answered from the fact table.
+  /// contract as decodeGadgetAt, answered from the tables.
   bool instructionsAt(uint32_t Offset,
                       std::vector<std::pair<uint32_t, uint8_t>> &InstrsOut)
       const;
 
-  /// NOP-normalized content hash of the gadget at \p Offset; false when
-  /// no gadget starts there. Same contract as normalizedGadgetHash.
-  bool normalizedHashAt(uint32_t Offset, uint64_t &HashOut,
-                        unsigned &NonNopInstrsOut) const;
-
 private:
-  /// The one backward pass: decodes every offset's fact and computes
-  /// its DP entry.
-  void scanBackward();
-
-  ScanOptions Opts;
-  std::vector<uint8_t> Bytes;      ///< Held image (hashed by queries).
-  std::vector<uint8_t> FactLen;    ///< Decoded length; 0 = invalid.
-  std::vector<uint8_t> FactFlags;  ///< Class/NOP bits (Scanner.cpp).
-  /// DP: instructions in the gadget suffix starting here; 0 = none
-  /// within the window.
+  std::vector<uint8_t> FactLen; ///< Decoded length; 0 = invalid.
+  /// Instructions in the gadget suffix starting here; 0 = none within
+  /// the window.
   std::vector<uint16_t> SuffixInstrs;
-  std::vector<uint32_t> SuffixLen; ///< DP: gadget suffix byte length.
+  std::vector<uint32_t> SuffixLen; ///< Gadget suffix byte length.
 };
 
 /// Scans \p Text for all gadget start offsets.
@@ -176,7 +152,10 @@ bool decodeGadgetAt(const uint8_t *Text, size_t Size, uint32_t Offset,
                     std::vector<std::pair<uint32_t, uint8_t>> &InstrsOut);
 
 /// Computes the NOP-normalized content hash of the gadget starting at
-/// \p Offset, or returns false when no valid gadget starts there.
+/// \p Offset, or returns false when no valid gadget starts there: the
+/// oracle's form of the hash, walking the decoded chain last instruction
+/// first. \p NonNopInstrsOut counts the instructions that survive
+/// normalization.
 bool normalizedGadgetHash(const uint8_t *Text, size_t Size, uint32_t Offset,
                           const ScanOptions &Opts, uint64_t &HashOut,
                           unsigned &NonNopInstrsOut);
@@ -188,20 +167,26 @@ bool normalizedGadgetHash(const uint8_t *Text, size_t Size, uint32_t Offset,
                           unsigned &NonNopInstrsOut,
                           std::vector<std::pair<uint32_t, uint8_t>> &Scratch);
 
+/// (offset, normalized hash) of every gadget in \p Text, ascending by
+/// offset: the one backward pass, or the oracle under ForceReference.
+std::vector<SurvivingGadget> gadgetHashes(const uint8_t *Text, size_t Size,
+                                          const ScanOptions &Opts =
+                                              ScanOptions());
+
 /// The paper's Survivor algorithm over one (original, diversified) pair.
 std::vector<SurvivingGadget>
 survivingGadgets(const std::vector<uint8_t> &Original,
                  const std::vector<uint8_t> &Diversified,
                  const ScanOptions &Opts = ScanOptions());
 
-/// Survivor comparison of every version against one original, sharing a
-/// single original-image scan and its (offset, hash) gadget list. Each
-/// version is probed only at those offsets, through a per-version fact
-/// table that decodes an offset on first touch and never twice; the
-/// probe walks and hashes chains by ImageScan's rules. Opts.Jobs shards
-/// versions across a support::ThreadPool. Results are index-aligned with
-/// \p Versions, independent of Jobs, and equal to the ForceReference
-/// oracle's (ScannerParityTest pins this across options and versions).
+/// Survivor comparison of every version against one original, sharing
+/// one (offset, hash) list of the original's gadgets. Each version is
+/// probed only at those offsets, through a per-version table that
+/// decodes an offset and computes its suffix on first touch, never twice.
+/// Opts.Jobs shards versions across a support::ThreadPool. Results are
+/// index-aligned with \p Versions, independent of Jobs, and equal to the
+/// ForceReference oracle's (ScannerParityTest pins this across options
+/// and versions).
 std::vector<std::vector<SurvivingGadget>>
 survivingGadgetsMulti(const std::vector<uint8_t> &Original,
                       const std::vector<std::vector<uint8_t>> &Versions,
@@ -210,10 +195,9 @@ survivingGadgetsMulti(const std::vector<uint8_t> &Original,
 /// Multi-version analysis: returns, for each threshold in \p Thresholds,
 /// how many gadget identities occur in at least that many of the
 /// \p Versions. An identity is the exact (offset, normalized hash) pair.
-/// Each version yields its ascending (offset, hash) list -- from an
-/// ImageScan, or from the oracle under ForceReference -- and one counter
-/// buckets all lists by offset (a prefix-summed index), sorts the at
-/// most Versions.size() hashes at each offset and counts equal runs.
+/// Each version yields its gadgetHashes list, and one counter buckets
+/// all lists by offset (a prefix-summed index), sorts the at most
+/// Versions.size() hashes at each offset and counts equal runs.
 /// Opts.Jobs shards the per-version lists; the count runs once after
 /// the barrier, so the result is independent of Jobs.
 std::vector<uint64_t>

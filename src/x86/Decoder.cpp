@@ -281,9 +281,6 @@ constexpr OpTable buildTwoByteTable() {
 constexpr OpTable OneByteTable = buildOneByteTable();
 constexpr OpTable TwoByteTable = buildTwoByteTable();
 
-/// Architectural maximum instruction length.
-constexpr size_t MaxInstrLen = 15;
-
 /// Returns true if \p Byte is a legacy prefix.
 constexpr bool isPrefixByte(uint8_t Byte) {
   switch (Byte) {

@@ -107,6 +107,10 @@ struct Decoded {
   constexpr bool isUsableBody() const { return Class == InstrClass::Normal; }
 };
 
+/// Architectural maximum instruction length; decodeInstr rejects longer
+/// encodings, so every valid length is in [1, MaxInstrLen].
+constexpr size_t MaxInstrLen = 15;
+
 /// Decodes the instruction starting at \p Bytes (at most \p Size bytes).
 ///
 /// \returns false when the bytes are not a valid instruction (undefined

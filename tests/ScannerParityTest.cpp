@@ -20,7 +20,11 @@
 //    workloads and on fuzzed programs across the option space, with
 //    unequal-length, empty and absent versions;
 //  * Table 3's counts for three workloads pinned to fixed values, so the
-//    identity the multi-version counter uses cannot drift unnoticed.
+//    identity the multi-version counter uses cannot drift unnoticed;
+//  * the normalized hash recomputed from its definition (reversed FNV-1a
+//    of the bytes minus Table 1 NOPs) at every offset, and the identity
+//    relation it induces (equal hash exactly when equal normalized
+//    bytes) across 25 versions of three workloads.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +34,7 @@
 #include "support/Rng.h"
 #include "workloads/Workloads.h"
 #include "x86/Decoder.h"
+#include "x86/Nops.h"
 
 #include "MiniCFuzzer.h"
 
@@ -83,11 +88,17 @@ void expectSameSurvivors(const std::vector<SurvivingGadget> &Fast,
   }
 }
 
-/// Per-offset contract check: ImageScan's queries against the reference
-/// oracle's decodeGadgetAt / normalizedGadgetHash at *every* offset.
+/// Per-offset contract check: ImageScan's instruction boundaries and the
+/// full pass's (offset, hash) list against the reference oracle's
+/// decodeGadgetAt / normalizedGadgetHash at *every* offset. The oracle
+/// alone counts non-NOP instructions; HashIsReversedFnvOfNormalizedBytes
+/// checks that count.
 void expectOffsetParity(const std::vector<uint8_t> &Text,
                         const ScanOptions &Opts, const std::string &What) {
   ImageScan Scan(Text.data(), Text.size(), Opts);
+  const std::vector<SurvivingGadget> Hashes =
+      gadget::gadgetHashes(Text.data(), Text.size(), Opts);
+  auto Listed = Hashes.begin();
   std::vector<std::pair<uint32_t, uint8_t>> RefInstrs, FastInstrs;
   for (size_t Offset = 0; Offset != Text.size(); ++Offset) {
     const auto At = static_cast<uint32_t>(Offset);
@@ -95,17 +106,19 @@ void expectOffsetParity(const std::vector<uint8_t> &Text,
         gadget::decodeGadgetAt(Text.data(), Text.size(), At, Opts, RefInstrs);
     bool FastOk = Scan.instructionsAt(At, FastInstrs);
     ASSERT_EQ(FastOk, RefOk) << What << " offset " << Offset;
+    const bool InList = Listed != Hashes.end() && Listed->Offset == At;
+    ASSERT_EQ(InList, RefOk) << What << " offset " << Offset;
     if (!RefOk)
       continue;
     ASSERT_EQ(FastInstrs, RefInstrs) << What << " offset " << Offset;
-    uint64_t RefHash = 0, FastHash = 0;
-    unsigned RefNonNop = 0, FastNonNop = 0;
+    uint64_t RefHash = 0;
+    unsigned RefNonNop = 0;
     ASSERT_TRUE(gadget::normalizedGadgetHash(Text.data(), Text.size(), At,
                                              Opts, RefHash, RefNonNop));
-    ASSERT_TRUE(Scan.normalizedHashAt(At, FastHash, FastNonNop));
-    ASSERT_EQ(FastHash, RefHash) << What << " offset " << Offset;
-    ASSERT_EQ(FastNonNop, RefNonNop) << What << " offset " << Offset;
+    ASSERT_EQ(Listed->NormHash, RefHash) << What << " offset " << Offset;
+    ++Listed;
   }
+  ASSERT_TRUE(Listed == Hashes.end()) << What;
 }
 
 const diversity::TransformKind AllKinds[] = {
@@ -365,6 +378,183 @@ TEST(ScannerParity, Table3CountsPinned) {
               Pinned.Counts)
         << Pinned.Name << " reference";
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The normalized hash by its definition
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The bytes of the gadget with boundaries \p Instrs (decodeGadgetAt's)
+/// minus every whole-instruction Table 1 NOP under \p Opts;
+/// \p NonNop counts the instructions kept.
+std::vector<uint8_t>
+normalizedBytes(const std::vector<uint8_t> &Text,
+                const std::vector<std::pair<uint32_t, uint8_t>> &Instrs,
+                const ScanOptions &Opts, unsigned &NonNop) {
+  std::vector<uint8_t> Bytes;
+  NonNop = 0;
+  for (const auto &[At, Len] : Instrs) {
+    x86::NopKind Kind;
+    if (x86::matchNopAt(Text.data() + At, Len, Opts.IncludeXchgNops, Kind) &&
+        x86::nopInfo(Kind).Length == Len)
+      continue;
+    Bytes.insert(Bytes.end(), Text.begin() + At, Text.begin() + At + Len);
+    ++NonNop;
+  }
+  return Bytes;
+}
+
+/// FNV-1a over \p Bytes, last byte first.
+uint64_t reversedFnv(const std::vector<uint8_t> &Bytes) {
+  uint64_t Hash = 1469598103934665603ull;
+  for (auto It = Bytes.rbegin(); It != Bytes.rend(); ++It) {
+    Hash ^= *It;
+    Hash *= 1099511628211ull;
+  }
+  return Hash;
+}
+
+/// At every offset of \p Text, recomputes the hash from decodeGadgetAt
+/// and matchNopAt alone, then checks it against the oracle's
+/// normalizedGadgetHash (hash and non-NOP count), the full pass's
+/// (offset, hash) list, and the lazy Survivor probe, which run on the
+/// image against itself must find every gadget with that hash.
+void expectHashDefinition(const std::vector<uint8_t> &Text,
+                          const ScanOptions &Opts, const std::string &What) {
+  std::vector<SurvivingGadget> Want;
+  std::vector<std::pair<uint32_t, uint8_t>> Instrs;
+  for (size_t Offset = 0; Offset != Text.size(); ++Offset) {
+    const auto At = static_cast<uint32_t>(Offset);
+    if (!gadget::decodeGadgetAt(Text.data(), Text.size(), At, Opts, Instrs))
+      continue;
+    unsigned NonNop = 0;
+    const uint64_t Hash =
+        reversedFnv(normalizedBytes(Text, Instrs, Opts, NonNop));
+    uint64_t OracleHash = 0;
+    unsigned OracleNonNop = 0;
+    ASSERT_TRUE(gadget::normalizedGadgetHash(Text.data(), Text.size(), At,
+                                             Opts, OracleHash, OracleNonNop))
+        << What << " offset " << Offset;
+    ASSERT_EQ(OracleHash, Hash) << What << " offset " << Offset;
+    ASSERT_EQ(OracleNonNop, NonNop) << What << " offset " << Offset;
+    Want.push_back({At, Hash});
+  }
+  expectSameSurvivors(gadget::gadgetHashes(Text.data(), Text.size(), Opts),
+                      Want, What + " full pass");
+  expectSameSurvivors(gadget::survivingGadgets(Text, Text, Opts), Want,
+                      What + " lazy probe");
+}
+
+} // namespace
+
+TEST(ScannerParity, HashIsReversedFnvOfNormalizedBytes) {
+  // Every suite program's {nop} variant, half of them with XCHG NOPs
+  // inserted, under options that cycle with the program: windows 1-12,
+  // both NOP sets, both terminator sets.
+  unsigned Index = 0;
+  for (const workloads::Workload &W : workloads::specSuite()) {
+    driver::Program P = driver::compileProgram(W.Source, W.Name);
+    ASSERT_TRUE(P.ok()) << W.Name;
+    diversity::Pipeline Pipe(
+        std::vector<diversity::TransformKind>{diversity::TransformKind::Nop});
+    auto DivOpts = diversity::DiversityOptions::uniform(0.3);
+    DivOpts.IncludeXchgNops = (Index % 2) != 0;
+    const std::vector<uint8_t> Text =
+        driver::makeVariant(P, Pipe, DivOpts, 0xF00 + Index).Image.Text;
+    ScanOptions Opts;
+    Opts.MaxInstrs = 1 + Index % 12;
+    Opts.IncludeXchgNops = (Index % 4) < 2;
+    Opts.IncludeSyscallGadgets = (Index % 3) == 0;
+    expectHashDefinition(Text, Opts, W.Name);
+    ++Index;
+  }
+  EXPECT_EQ(Index, 19u);
+
+  // Byte streams dense in Table 1 NOPs (both sets), free branches and
+  // syscall terminators, over the whole option space.
+  const std::vector<std::vector<uint8_t>> Pieces = {
+      {0x90},       {0x89, 0xE4}, {0x89, 0xED}, {0x8D, 0x36},
+      {0x8D, 0x3F}, {0x87, 0xE4}, {0x87, 0xED}, {0xC3},
+      {0xCD, 0x80}, {0x0F, 0x34}, {0xFF, 0xE0}, {0x58}};
+  Rng Gen(0xF17);
+  for (unsigned MaxInstrs = 1; MaxInstrs <= 12; ++MaxInstrs) {
+    for (bool Xchg : {false, true}) {
+      for (bool Syscall : {false, true}) {
+        std::vector<uint8_t> Text;
+        while (Text.size() < 1024) {
+          const uint32_t Pick = Gen.nextBelow(
+              static_cast<uint32_t>(Pieces.size()) + 4);
+          if (Pick < Pieces.size())
+            Text.insert(Text.end(), Pieces[Pick].begin(), Pieces[Pick].end());
+          else
+            Text.push_back(static_cast<uint8_t>(Gen.nextBelow(256)));
+        }
+        ScanOptions Opts;
+        Opts.MaxInstrs = MaxInstrs;
+        Opts.IncludeXchgNops = Xchg;
+        Opts.IncludeSyscallGadgets = Syscall;
+        expectHashDefinition(Text, Opts,
+                             "pieces w=" + std::to_string(MaxInstrs) +
+                                 " x=" + std::to_string(Xchg) +
+                                 " s=" + std::to_string(Syscall));
+      }
+    }
+  }
+}
+
+TEST(ScannerParity, HashesEqualExactlyWhenNormalizedBytesEqual) {
+  // Table 3's identity relation: across 25 versions of three workloads,
+  // two gadgets at one offset have equal hashes exactly when their
+  // normalized byte strings are equal. Keying each direction by offset
+  // makes both maps functions, which is that equivalence.
+  const auto DivOpts = diversity::DiversityOptions::profiled(
+      diversity::ProbabilityModel::Log, 0.00, 0.30);
+  const ScanOptions Opts;
+  size_t Recurring = 0, Distinct = 0, Offsets = 0;
+  for (const char *Name : {"470.lbm", "401.bzip2", "458.sjeng"}) {
+    const workloads::Workload &W = workloads::specWorkload(Name);
+    driver::Program P = driver::compileProgram(W.Source, W.Name);
+    ASSERT_TRUE(P.ok()) << Name;
+    ASSERT_TRUE(driver::profileAndStamp(P, W.TrainInput)) << Name;
+    std::map<std::pair<uint32_t, std::vector<uint8_t>>, uint64_t> HashOf;
+    std::map<std::pair<uint32_t, uint64_t>, std::vector<uint8_t>> BytesOf;
+    std::vector<std::pair<uint32_t, uint8_t>> Instrs;
+    for (uint64_t Seed = 1; Seed <= 25; ++Seed) {
+      const std::vector<uint8_t> Text =
+          driver::makeVariant(P, DivOpts, Seed).Image.Text;
+      for (const SurvivingGadget &G :
+           gadget::gadgetHashes(Text.data(), Text.size(), Opts)) {
+        ASSERT_TRUE(gadget::decodeGadgetAt(Text.data(), Text.size(),
+                                           G.Offset, Opts, Instrs));
+        unsigned NonNop = 0;
+        std::vector<uint8_t> Bytes = normalizedBytes(Text, Instrs, Opts,
+                                                     NonNop);
+        const auto [ByBytes, NewBytes] =
+            HashOf.emplace(std::make_pair(G.Offset, Bytes), G.NormHash);
+        ASSERT_EQ(ByBytes->second, G.NormHash)
+            << Name << " seed " << Seed << " offset " << G.Offset
+            << ": equal normalized bytes, different hashes";
+        const auto [ByHash, NewHash] = BytesOf.emplace(
+            std::make_pair(G.Offset, G.NormHash), std::move(Bytes));
+        ASSERT_EQ(NewBytes, NewHash)
+            << Name << " seed " << Seed << " offset " << G.Offset
+            << ": equal hashes, different normalized bytes";
+        Recurring += !NewBytes;
+      }
+    }
+    Distinct += HashOf.size();
+    std::vector<uint32_t> At;
+    for (const auto &Entry : HashOf)
+      At.push_back(Entry.first.first);
+    Offsets += static_cast<size_t>(
+        std::unique(At.begin(), At.end()) - At.begin());
+  }
+  // Both directions are exercised: identities recur across versions,
+  // and offsets hold more than one distinct identity.
+  EXPECT_GT(Recurring, 0u);
+  EXPECT_GT(Distinct, Offsets);
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,7 +16,9 @@
 //  3. With --batch (the file came from `pgsdc batch --metrics`): the
 //     coordinator phases batch.setup + batch.fanout partition the batch
 //     window, so their wall sum must land within 10% of the
-//     batch.wall_seconds gauge, and the verify counters must be present.
+//     batch.wall_seconds gauge, and the verify counters must be present,
+//     as must the training run's pipeline.profile phase (the batch
+//     trained on its --input, which is often most of its wall time).
 //     Every attempt ends admission's static part exactly one way, so
 //     verify.diff_identical (settled by mir::equalModuloNops before the
 //     static stages) + verify.static_rejections (refuted by the
@@ -185,7 +187,7 @@ int main(int Argc, char **Argv) {
          {"batch.seeds", "batch.accepted", "batch.attempts_total",
           "verify.baseline_cache.hits", "verify.baseline_cache.fills",
           "verify.diff_identical",
-          "batch.setup", "batch.fanout"})
+          "batch.setup", "batch.fanout", "pipeline.profile"})
       if (!hasKey(Text, Key))
         return fail(std::string("batch metrics missing \"") + Key + "\"");
     if (int Rc = checkAttemptPartition(Text, "batch.attempts_total"))
