@@ -160,8 +160,8 @@ Figure4 experiments::figure4(const std::vector<workloads::Workload> &Suite,
     const mexec::RunResult &Base = Bases[WI];
     std::vector<double> Overheads;
     for (uint64_t Seed = 1; Seed <= Variants; ++Seed) {
-      mir::MModule V = Programs[WI].MIR;
-      NopInsertion.run(V, Configs[Cell % NC].Opts, Seed);
+      const mir::MModule V =
+          NopInsertion.run(Programs[WI].MIR, Configs[Cell % NC].Opts, Seed);
       mexec::RunResult R = driver::execute(V, Suite[WI].RefInput);
       if (R.Trapped || R.Checksum != Base.Checksum)
         throw std::runtime_error(Suite[WI].Name + ": variant diverged");

@@ -7,6 +7,7 @@
 
 #include "codegen/Emitter.h"
 
+#include "x86/Decoder.h"
 #include "x86/Encoder.h"
 
 #include <cassert>
@@ -31,6 +32,13 @@ void codegen::emitFunction(const MFunction &F, const MModule &M,
   Code.Bytes.clear();
   Code.Relocs.clear();
   Encoder E(Code.Bytes);
+  // Each MIR instruction encodes to one IA-32 instruction of at most
+  // MaxInstrLen bytes (a Ret's epilogue fits in its own), after a
+  // prologue of at most 12: the buffer grows once per function.
+  size_t NumInstrs = 0;
+  for (const MBasicBlock &BB : F.Blocks)
+    NumInstrs += BB.Instrs.size();
+  E.reserve(12 + NumInstrs * x86::MaxInstrLen);
 
   // Prologue: standard frame plus callee-saved spills. The pushes come
   // after the frame allocation so [ebp-..] addressing is unaffected.
@@ -184,4 +192,5 @@ void codegen::emitFunction(const MFunction &F, const MModule &M,
     assert(Fix.TargetBlock < F.Blocks.size() && "bad branch target");
     E.patchRel32(Fix.FieldOffset, BlockOffset[Fix.TargetBlock]);
   }
+  E.finish();
 }

@@ -244,6 +244,7 @@ std::vector<uint8_t> codegen::buildRuntimeStub(
   E.patchRel32(HashBack, HashLoop);
   S.epilogue();
 
+  E.finish();
   return Bytes;
 }
 

@@ -71,9 +71,10 @@ double diversity::nopProbability(uint64_t Count, uint64_t MaxCount,
   return Opts.PMax;
 }
 
-InsertionStats diversity::insertNops(MModule &M,
+InsertionStats diversity::insertNops(const MModule &Baseline, MModule &Out,
                                      const DiversityOptions &Opts,
                                      Rng &Generator) {
+  assert(&Baseline != &Out && "insertNops writes a new module");
   InsertionStats Stats;
   unsigned NumNops =
       Opts.IncludeXchgNops ? x86::NumNopKinds : x86::NumDefaultNopKinds;
@@ -87,51 +88,90 @@ InsertionStats diversity::insertNops(MModule &M,
 
   // The paper's x_max: the hottest basic block in the whole program.
   uint64_t MaxCount = 0;
-  for (const MFunction &F : M.Functions)
+  for (const MFunction &F : Baseline.Functions)
     for (const MBasicBlock &BB : F.Blocks)
       MaxCount = std::max(MaxCount, BB.ProfileCount);
 
-  for (MFunction &F : M.Functions) {
-    for (MBasicBlock &BB : F.Blocks) {
+  Out.Name = Baseline.Name;
+  Out.Globals = Baseline.Globals;
+  Out.EntryFunction = Baseline.EntryFunction;
+  Out.NumProfCounters = Baseline.NumProfCounters;
+  Out.Functions.resize(Baseline.Functions.size());
+
+  // The NOP drawn before each instruction of the block being written,
+  // or NoNop: a block's draws come first so its instructions are
+  // allocated once, at their final count.
+  constexpr uint8_t NoNop = 0xff;
+  thread_local std::vector<uint8_t> Drawn;
+  // Draw from a local copy: stores to Drawn cannot alias it, so its
+  // state stays in registers across a block's draws.
+  Rng G = Generator;
+
+  for (size_t FI = 0; FI != Baseline.Functions.size(); ++FI) {
+    const MFunction &F = Baseline.Functions[FI];
+    MFunction &OF = Out.Functions[FI];
+    OF.Name = F.Name;
+    OF.NumParams = F.NumParams;
+    OF.FrameBytes = F.FrameBytes;
+    OF.ValueSlotsLowDisp = F.ValueSlotsLowDisp;
+    OF.UsesEbx = F.UsesEbx;
+    OF.UsesEsi = F.UsesEsi;
+    OF.UsesEdi = F.UsesEdi;
+    OF.Blocks.resize(F.Blocks.size());
+    for (size_t B = 0; B != F.Blocks.size(); ++B) {
+      const MBasicBlock &BB = F.Blocks[B];
+      MBasicBlock &OB = OF.Blocks[B];
+      OB.Name = BB.Name;
+      OB.ProfileCount = BB.ProfileCount;
       double PNop = nopProbability(BB.ProfileCount, MaxCount, Opts);
       if (Obs)
         obs::histogramObserve("diversity.pnop_percent", PNop * 100.0,
                               PnopBuckets);
-      std::vector<MInstr> Out;
-      Out.reserve(BB.Instrs.size());
-      for (const MInstr &I : BB.Instrs) {
+      const size_t N = BB.Instrs.size();
+      Drawn.assign(N, NoNop);
+      size_t Accepted = 0;
+      for (size_t I = 0; I != N; ++I) {
         ++Stats.CandidateSites;
         // Algorithm 1: roll, then pick a candidate NOP uniformly.
-        if (Generator.nextBernoulli(PNop)) {
-          MInstr Nop;
-          Nop.Op = MOp::Nop;
-          Nop.NopK =
-              static_cast<x86::NopKind>(Generator.nextBelow(NumNops));
-          // Candidates may land anywhere -- including between a cmp and
-          // its jcc -- only because every Table 1 NOP leaves EFLAGS
-          // alone. Ask the analyzer instead of trusting the table, so a
-          // future flag-touching candidate is rejected here rather than
-          // discovered as a broken variant downstream.
-          if (analysis::flagEffect(Nop) ==
-              analysis::FlagEffect::Neutral) {
-            ++Stats.NopsInserted;
-            ++Stats.PerKind[static_cast<size_t>(Nop.NopK)];
-            Out.push_back(Nop);
-          } else {
-            ++Stats.NopsRejected;
-          }
+        if (!G.nextBernoulli(PNop))
+          continue;
+        MInstr Nop;
+        Nop.Op = MOp::Nop;
+        Nop.NopK = static_cast<x86::NopKind>(G.nextBelow(NumNops));
+        // Candidates may land anywhere -- including between a cmp and
+        // its jcc -- only because every Table 1 NOP leaves EFLAGS
+        // alone. Ask the analyzer instead of trusting the table, so a
+        // future flag-touching candidate is rejected here rather than
+        // discovered as a broken variant downstream.
+        if (analysis::flagEffect(Nop) == analysis::FlagEffect::Neutral) {
+          ++Stats.NopsInserted;
+          ++Stats.PerKind[static_cast<size_t>(Nop.NopK)];
+          Drawn[I] = static_cast<uint8_t>(Nop.NopK);
+          ++Accepted;
+        } else {
+          ++Stats.NopsRejected;
         }
-        Out.push_back(I);
       }
-      BB.Instrs = std::move(Out);
+      // No branch per site: each site writes a NOP's kind into the next
+      // slot, a default MInstr (a NOP), and the cursor keeps that slot
+      // only where a NOP was drawn; else the instruction overwrites it.
+      OB.Instrs.clear();
+      OB.Instrs.resize(N + Accepted);
+      MInstr *Slot = OB.Instrs.data();
+      for (size_t I = 0; I != N; ++I) {
+        Slot->NopK = static_cast<x86::NopKind>(Drawn[I] & 7);
+        Slot += Drawn[I] != NoNop;
+        *Slot++ = BB.Instrs[I];
+      }
     }
   }
+  Generator = G;
   if (Obs) {
     obs::counterAdd("diversity.candidate_sites", Stats.CandidateSites);
     obs::counterAdd("diversity.nops_accepted", Stats.NopsInserted);
     obs::counterAdd("diversity.nops_rejected", Stats.NopsRejected);
   }
-  assert(analysis::checkEflags(M).ok() &&
+  assert(analysis::checkEflags(Out).ok() &&
          "NOP insertion broke a flag def-use chain");
   return Stats;
 }

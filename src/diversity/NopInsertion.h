@@ -90,16 +90,20 @@ struct InsertionStats {
 double nopProbability(uint64_t Count, uint64_t MaxCount,
                       const DiversityOptions &Opts);
 
-/// Runs Algorithm 1 over every instruction of \p M in place, drawing
-/// randomness from the caller-owned \p Generator.
+/// Runs Algorithm 1 over every instruction of \p Baseline and writes the
+/// variant to \p Out, drawing randomness from the caller-owned
+/// \p Generator. Each block of \p Out is written once, straight from
+/// the baseline's block: the draws for a block come first, so its
+/// instructions are allocated at their final count. \p Out is replaced
+/// whole (a moved-from module is fine) and must not be \p Baseline.
 ///
 /// Profile-guided models read MBasicBlock::ProfileCount (stamped by
 /// profile::applyCounts); with an all-zero profile every block receives
 /// PMax, which matches the paper's observation that unprofiled code is
 /// free to diversify maximally. Diversified builds reach this through
 /// diversity::Pipeline, which seeds the stream (see Transform.h).
-InsertionStats insertNops(mir::MModule &M, const DiversityOptions &Opts,
-                          Rng &Generator);
+InsertionStats insertNops(const mir::MModule &Baseline, mir::MModule &Out,
+                          const DiversityOptions &Opts, Rng &Generator);
 
 /// Counters reported by the block-shifting pass.
 struct BlockShiftStats {

@@ -77,7 +77,13 @@ public:
   TransformKind kind() const override { return TransformKind::Nop; }
   void apply(mir::MModule &M, Rng &Generator, const DiversityOptions &Opts,
              PipelineStats &Stats) const override {
-    Stats.Nop = insertNops(M, Opts, Generator);
+    const mir::MModule In = std::move(M);
+    applyTo(In, M, Generator, Opts, Stats);
+  }
+  void applyTo(const mir::MModule &In, mir::MModule &Out, Rng &Generator,
+               const DiversityOptions &Opts,
+               PipelineStats &Stats) const override {
+    Stats.Nop = insertNops(In, Out, Opts, Generator);
     if (obs::enabled()) {
       obs::counterAdd("diversity.nop.candidate_sites",
                       Stats.Nop.CandidateSites);
@@ -171,30 +177,34 @@ std::string Pipeline::label() const {
   return L;
 }
 
-PipelineStats Pipeline::run(mir::MModule &M, const DiversityOptions &Opts,
-                            uint64_t Seed) const {
+mir::MModule Pipeline::run(const mir::MModule &Baseline,
+                           const DiversityOptions &Opts, uint64_t Seed,
+                           PipelineStats *Stats) const {
   assert(!Kinds.empty() && "empty pipeline");
-  PipelineStats Stats;
+  PipelineStats Local;
+  PipelineStats &S = Stats ? *Stats : Local;
+  S = PipelineStats();
+  mir::MModule Variant;
   // Historical single-transform streams reproduce byte-for-byte: {nop}
   // draws Rng(Seed), {shift} draws Rng(Seed ^ 0xb10c). Everything else
   // -- multi-transform lists and the history-free sched/regs
-  // singletons -- draws the
-  // kind-keyed sub-stream Rng(Seed).split(1 + K), so a transform's
-  // stream does not depend on what else is in the list.
-  if (Kinds.size() == 1 && Kinds[0] == TransformKind::Nop) {
-    Rng Generator(Seed);
-    transformFor(Kinds[0]).apply(M, Generator, Opts, Stats);
-    return Stats;
-  }
-  if (Kinds.size() == 1 && Kinds[0] == TransformKind::Shift) {
-    Rng Generator(Seed ^ 0xb10cull);
-    transformFor(Kinds[0]).apply(M, Generator, Opts, Stats);
-    return Stats;
+  // singletons -- draws the kind-keyed sub-stream
+  // Rng(Seed).split(1 + K), so a transform's stream does not depend on
+  // what else is in the list.
+  if (Kinds.size() == 1 && (Kinds[0] == TransformKind::Nop ||
+                            Kinds[0] == TransformKind::Shift)) {
+    Rng Generator(Kinds[0] == TransformKind::Nop ? Seed : Seed ^ 0xb10cull);
+    transformFor(Kinds[0]).applyTo(Baseline, Variant, Generator, Opts, S);
+    return Variant;
   }
   Rng Base(Seed);
-  for (TransformKind K : Kinds) {
-    Rng Generator = Base.split(1 + static_cast<uint64_t>(K));
-    transformFor(K).apply(M, Generator, Opts, Stats);
+  for (size_t I = 0; I != Kinds.size(); ++I) {
+    const Transform &T = transformFor(Kinds[I]);
+    Rng Generator = Base.split(1 + static_cast<uint64_t>(Kinds[I]));
+    if (I == 0)
+      T.applyTo(Baseline, Variant, Generator, Opts, S);
+    else
+      T.apply(Variant, Generator, Opts, S);
   }
-  return Stats;
+  return Variant;
 }

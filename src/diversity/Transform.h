@@ -100,6 +100,18 @@ public:
   virtual void apply(mir::MModule &M, Rng &Generator,
                      const DiversityOptions &Opts,
                      PipelineStats &Stats) const = 0;
+
+  /// As apply(), but reads \p In and writes the result to \p Out,
+  /// replacing it (\p Out must not be \p In). The default copies \p In
+  /// and applies in place; NOP insertion writes each block once from
+  /// \p In instead, so the first transform of a pipeline never copies
+  /// the baseline only to rewrite it.
+  virtual void applyTo(const mir::MModule &In, mir::MModule &Out,
+                       Rng &Generator, const DiversityOptions &Opts,
+                       PipelineStats &Stats) const {
+    Out = In;
+    apply(Out, Generator, Opts, Stats);
+  }
 };
 
 /// Returns the singleton transform of kind \p K.
@@ -119,10 +131,12 @@ public:
   /// Short label like "nop+sched" for reports.
   std::string label() const;
 
-  /// Applies every transform in list order to \p M in place under the
-  /// seed-stream contract (see file comment).
-  PipelineStats run(mir::MModule &M, const DiversityOptions &Opts,
-                    uint64_t Seed) const;
+  /// Builds the variant of \p Baseline: applies every transform in list
+  /// order under the seed-stream contract (see file comment), the first
+  /// one reading \p Baseline and writing the returned module. Fills
+  /// \p Stats when given.
+  mir::MModule run(const mir::MModule &Baseline, const DiversityOptions &Opts,
+                   uint64_t Seed, PipelineStats *Stats = nullptr) const;
 
 private:
   std::vector<TransformKind> Kinds;

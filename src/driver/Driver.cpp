@@ -81,6 +81,7 @@ bool driver::profileAndStamp(Program &P,
   if (Data.empty() || !profile::applyCounts(P.MIR, Data))
     return false;
   P.HasProfile = true;
+  obs::counterAdd("driver.programs_trained");
   return true;
 }
 
@@ -92,8 +93,7 @@ Variant driver::makeVariant(const Program &P,
   Variant V;
   {
     obs::Span S("pipeline.diversify");
-    V.MIR = P.MIR;
-    V.Pipeline = Pipe.run(V.MIR, Opts, Seed);
+    V.MIR = Pipe.run(P.MIR, Opts, Seed, &V.Pipeline);
   }
   {
     obs::Span S("pipeline.emit");

@@ -389,39 +389,7 @@ std::string mir::print(const MModule &M) {
   return Out;
 }
 
-namespace {
-
-bool sameInstr(const MInstr &A, const MInstr &B) {
-  return A.Op == B.Op && A.Dst == B.Dst && A.Src == B.Src &&
-         A.Imm == B.Imm && A.Alu == B.Alu && A.Shift == B.Shift &&
-         A.CC == B.CC && A.NopK == B.NopK &&
-         A.Target.IsIntrinsic == B.Target.IsIntrinsic &&
-         A.Target.Func == B.Target.Func && A.Target.Intr == B.Target.Intr;
-}
-
-/// Block \p V of the variant, NOPs deleted, equals block \p B of the
-/// baseline, NOPs deleted, and every NOP of \p V precedes a non-NOP.
-bool sameBlockModuloNops(const MBasicBlock &B, const MBasicBlock &V) {
-  auto BI = B.Instrs.begin(), BE = B.Instrs.end();
-  auto VI = V.Instrs.begin(), VE = V.Instrs.end();
-  for (;;) {
-    while (BI != BE && BI->Op == MOp::Nop)
-      ++BI;
-    if (VI != VE && VI->Op == MOp::Nop) {
-      ++VI;
-      if (VI == VE || VI->Op == MOp::Nop)
-        return false; // A trailing NOP, or two in a row.
-    }
-    if (BI == BE || VI == VE)
-      return BI == BE && VI == VE;
-    if (!sameInstr(*BI++, *VI++))
-      return false;
-  }
-}
-
-} // namespace
-
-bool mir::equalModuloNops(const MModule &Baseline, const MModule &Variant) {
+bool mir::sameShape(const MModule &Baseline, const MModule &Variant) {
   if (Baseline.EntryFunction != Variant.EntryFunction ||
       Baseline.NumProfCounters != Variant.NumProfCounters ||
       Baseline.Globals.size() != Variant.Globals.size() ||
@@ -439,11 +407,13 @@ bool mir::equalModuloNops(const MModule &Baseline, const MModule &Variant) {
         FB.UsesEbx != FV.UsesEbx || FB.UsesEsi != FV.UsesEsi ||
         FB.UsesEdi != FV.UsesEdi || FB.Blocks.size() != FV.Blocks.size())
       return false;
-    for (size_t B = 0; B != FB.Blocks.size(); ++B)
-      if (!sameBlockModuloNops(FB.Blocks[B], FV.Blocks[B]))
-        return false;
   }
   return true;
+}
+
+bool mir::equalModuloNops(const MModule &Baseline, const MModule &Variant) {
+  return equalModuloNops(Baseline, Variant,
+                         [](uint32_t, const MInstr &, bool) {});
 }
 
 namespace {

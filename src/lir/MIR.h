@@ -186,6 +186,66 @@ std::string verify(const MModule &M);
 /// and the variant's steps are at most twice the baseline's plus one.
 bool equalModuloNops(const MModule &Baseline, const MModule &Variant);
 
+/// Every field of \p A equals the same field of \p B.
+inline bool sameInstr(const MInstr &A, const MInstr &B) {
+  return A.Op == B.Op && A.Dst == B.Dst && A.Src == B.Src &&
+         A.Imm == B.Imm && A.Alu == B.Alu && A.Shift == B.Shift &&
+         A.CC == B.CC && A.NopK == B.NopK &&
+         A.Target.IsIntrinsic == B.Target.IsIntrinsic &&
+         A.Target.Func == B.Target.Func && A.Target.Intr == B.Target.Intr;
+}
+
+/// The part of equalModuloNops that reads no instruction: entry
+/// function, counter count, globals, and per function its params, frame
+/// shape, value-slot floor, callee-saved flags and block count.
+bool sameShape(const MModule &Baseline, const MModule &Variant);
+
+/// equalModuloNops in one walk that also visits the variant: calls
+/// \p Visit(FlatBlock, I, Last) for each instruction I of \p Variant in
+/// stream order (FlatBlock numbers blocks across functions in order;
+/// Last is true for a block's last instruction) while it compares.
+/// A false return may follow some visits; the caller drops what they
+/// gathered. equalModuloNops(B, V) is this walk with a visitor that does
+/// nothing.
+template <typename Fn>
+bool equalModuloNops(const MModule &Baseline, const MModule &Variant,
+                     Fn &&Visit) {
+  if (!sameShape(Baseline, Variant))
+    return false;
+  uint32_t Flat = 0;
+  for (size_t F = 0; F != Baseline.Functions.size(); ++F) {
+    const std::vector<MBasicBlock> &BBs = Baseline.Functions[F].Blocks;
+    const std::vector<MBasicBlock> &VBs = Variant.Functions[F].Blocks;
+    for (size_t B = 0; B != BBs.size(); ++B, ++Flat) {
+      // Block B of the variant, NOPs deleted, must equal block B of the
+      // baseline, NOPs deleted, and every NOP of the variant must
+      // precede a non-NOP.
+      auto BI = BBs[B].Instrs.begin(), BE = BBs[B].Instrs.end();
+      auto VI = VBs[B].Instrs.begin(), VE = VBs[B].Instrs.end();
+      for (;;) {
+        while (BI != BE && BI->Op == MOp::Nop)
+          ++BI;
+        if (VI != VE && VI->Op == MOp::Nop) {
+          const MInstr &Nop = *VI++;
+          if (VI == VE || VI->Op == MOp::Nop)
+            return false; // A trailing NOP, or two in a row.
+          Visit(Flat, Nop, false);
+        }
+        if (BI == BE || VI == VE) {
+          if (BI != BE || VI != VE)
+            return false;
+          break;
+        }
+        if (!sameInstr(*BI++, *VI))
+          return false;
+        const MInstr &I = *VI++;
+        Visit(Flat, I, VI == VE);
+      }
+    }
+  }
+  return true;
+}
+
 /// A 64-bit digest of everything equalModuloNops compares, NOPs skipped:
 /// modules that are equal modulo NOPs have equal digests. It only picks
 /// candidates; a match still needs equalModuloNops.

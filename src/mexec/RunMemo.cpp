@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -205,27 +206,39 @@ std::shared_ptr<Entry> fill(const MModule &M, uint64_t Digest,
   return E;
 }
 
-/// The run of \p M, which is E.Base plus single NOPs, or nullopt when it
-/// cannot be derived.
+/// The run of \p M derived from \p E, or nullopt when \p M is not E.Base
+/// plus single NOPs or its run cannot be derived. One walk checks
+/// mir::equalModuloNops against E.Base and charges each NOP its
+/// segment's entries, numbering segments as forEachSegmentInstr does.
 std::optional<RunResult> derive(const Entry &E, const MModule &M,
                                 const RunOptions &Opts) {
   const CostModel C;
   const bool Usable = !E.Run.Trapped && E.Segmented;
   uint64_t Nops = 0, Instrs = 0, Cycles = 0;
-  forEachSegmentInstr(M, [&](uint32_t Seg, const MInstr &I) {
-    if (I.Op != MOp::Nop)
-      return;
-    ++Nops;
-    if (!Usable)
-      return;
-    assert(Seg < E.Counts.size() && "segment numbering out of step");
-    const uint64_t N = E.Counts[Seg];
-    Instrs += N;
-    Cycles += N * (x86::nopInfo(I.NopK).LocksBus ? C.XchgNop : C.Nop);
-  });
+  uint32_t Next = 0;
+  for (const MFunction &F : M.Functions)
+    Next += static_cast<uint32_t>(F.Blocks.size());
+  uint32_t Block = UINT32_MAX, Seg = 0;
+  const bool Equal = mir::equalModuloNops(
+      *E.Base, M, [&](uint32_t FlatBlock, const MInstr &I, bool Last) {
+        if (FlatBlock != Block)
+          Block = Seg = FlatBlock;
+        if (I.Op != MOp::Nop) {
+          if (endsSegment(I) && !Last)
+            Seg = Next++;
+          return;
+        }
+        ++Nops;
+        if (!Usable)
+          return;
+        assert(Seg < E.Counts.size() && "segment numbering out of step");
+        const uint64_t N = E.Counts[Seg];
+        Instrs += N;
+        Cycles += N * (x86::nopInfo(I.NopK).LocksBus ? C.XchgNop : C.Nop);
+      });
   // Without NOPs the module runs exactly as Base, trap included.
-  if (Nops != 0 &&
-      (!Usable || E.Run.Instructions + Instrs > Opts.MaxSteps))
+  if (!Equal || (Nops != 0 && (!Usable ||
+                               E.Run.Instructions + Instrs > Opts.MaxSteps)))
     return std::nullopt;
 
   const RunResult &B = E.Run;
@@ -241,11 +254,11 @@ std::optional<RunResult> derive(const Entry &E, const MModule &M,
     R.Output = B.Output;
   R.Counters = B.Counters;
   if (Opts.CollectBlockCounts) {
-    const uint64_t *Next = E.Counts.data();
+    const uint64_t *Counts = E.Counts.data();
     R.BlockCounts.resize(M.Functions.size());
     for (size_t F = 0; F != M.Functions.size(); ++F) {
-      R.BlockCounts[F].assign(Next, Next + M.Functions[F].Blocks.size());
-      Next += M.Functions[F].Blocks.size();
+      R.BlockCounts[F].assign(Counts, Counts + M.Functions[F].Blocks.size());
+      Counts += M.Functions[F].Blocks.size();
     }
   }
   return R;
@@ -280,8 +293,6 @@ RunResult mexec::runMemoized(const MModule &M, const RunOptions &Opts) {
     if (!Filled)
       return Plain();
     E = std::move(Filled);
-  } else if (!mir::equalModuloNops(*E->Base, M)) {
-    return Plain();
   }
   std::optional<RunResult> R = derive(*E, M, Opts);
   if (!R)

@@ -25,8 +25,9 @@
 /// through.
 ///
 /// A lookup hashes the module with NOPs skipped (mir::hashModuloNops),
-/// then checks mir::equalModuloNops against the stored NOP-free copy:
-/// no digest is trusted. The entries of one module's inputs share one
+/// then makes one walk of the module that both checks
+/// mir::equalModuloNops against the stored NOP-free copy (no digest is
+/// trusted) and sums each NOP's segment entries. The entries of one module's inputs share one
 /// NOP-free copy. The memo holds RunMemoCapacity entries and evicts the
 /// least recently used.
 ///

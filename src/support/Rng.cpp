@@ -17,10 +17,6 @@ static uint64_t splitMix64(uint64_t &X) {
   return Z ^ (Z >> 31);
 }
 
-static uint64_t rotl(uint64_t X, int K) {
-  return (X << K) | (X >> (64 - K));
-}
-
 void Rng::reseed(uint64_t Seed) {
   uint64_t S = Seed;
   for (uint64_t &Word : State)
@@ -31,17 +27,6 @@ void Rng::reseed(uint64_t Seed) {
          "xoshiro state must not be all zero");
 }
 
-uint64_t Rng::next() {
-  uint64_t Result = rotl(State[1] * 5, 7) * 9;
-  uint64_t T = State[1] << 17;
-  State[2] ^= State[0];
-  State[3] ^= State[1];
-  State[1] ^= State[2];
-  State[0] ^= State[3];
-  State[2] ^= T;
-  State[3] = rotl(State[3], 45);
-  return Result;
-}
 
 uint64_t Rng::nextBelow(uint64_t Bound) {
   assert(Bound != 0 && "bound must be positive");

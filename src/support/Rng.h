@@ -38,8 +38,19 @@ public:
   /// seeds (0, 1, 2, ...) still yield decorrelated streams.
   void reseed(uint64_t Seed);
 
-  /// Returns the next raw 64-bit value.
-  uint64_t next();
+  /// Returns the next raw 64-bit value. Inline: NOP insertion draws
+  /// once per instruction.
+  uint64_t next() {
+    uint64_t Result = rotl(State[1] * 5, 7) * 9;
+    uint64_t T = State[1] << 17;
+    State[2] ^= State[0];
+    State[3] ^= State[1];
+    State[1] ^= State[2];
+    State[0] ^= State[3];
+    State[2] ^= T;
+    State[3] = rotl(State[3], 45);
+    return Result;
+  }
 
   /// Returns a double uniformly distributed in [0, 1).
   double nextDouble() {
@@ -86,6 +97,10 @@ public:
   Rng split(uint64_t Stream) const;
 
 private:
+  static uint64_t rotl(uint64_t X, int K) {
+    return (X << K) | (X >> (64 - K));
+  }
+
   uint64_t State[4];
 };
 

@@ -7,37 +7,23 @@
 
 #include "x86/Encoder.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace pgsd;
 using namespace pgsd::x86;
 
-static bool fitsInt8(int32_t V) { return V >= -128 && V <= 127; }
-
-void Encoder::imm16(uint16_t V) {
-  byte(static_cast<uint8_t>(V));
-  byte(static_cast<uint8_t>(V >> 8));
+void Encoder::grow(size_t Bytes) {
+  Out.resize(std::max(Pos + Bytes, 2 * Out.size()));
 }
 
-void Encoder::imm32(uint32_t V) {
-  byte(static_cast<uint8_t>(V));
-  byte(static_cast<uint8_t>(V >> 8));
-  byte(static_cast<uint8_t>(V >> 16));
-  byte(static_cast<uint8_t>(V >> 24));
-}
-
-void Encoder::modRMReg(uint8_t RegField, Reg RM) {
-  assert(RegField < 8 && "reg field out of range");
-  byte(static_cast<uint8_t>(0xC0 | (RegField << 3) | regNum(RM)));
-}
-
-void Encoder::modRMMem(uint8_t RegField, const Mem &M) {
+uint8_t *Encoder::modRMMem(uint8_t *P, uint8_t RegField, const Mem &M) {
   assert(RegField < 8 && "reg field out of range");
   if (!M.HasBase) {
     // Absolute [disp32]: mod = 00, rm = 101.
-    byte(static_cast<uint8_t>((RegField << 3) | 0x05));
-    imm32(static_cast<uint32_t>(M.Disp));
-    return;
+    *P++ = static_cast<uint8_t>((RegField << 3) | 0x05);
+    put32(P, static_cast<uint32_t>(M.Disp));
+    return P + 4;
   }
 
   uint8_t Base = regNum(M.Base);
@@ -52,197 +38,41 @@ void Encoder::modRMMem(uint8_t RegField, const Mem &M) {
     Mod = 2;
 
   uint8_t RM = NeedSIB ? 4 : Base;
-  byte(static_cast<uint8_t>((Mod << 6) | (RegField << 3) | RM));
+  *P++ = static_cast<uint8_t>((Mod << 6) | (RegField << 3) | RM);
   if (NeedSIB)
-    byte(0x24); // scale = 0, index = none, base = ESP
-  if (Mod == 1)
-    byte(static_cast<uint8_t>(static_cast<int8_t>(M.Disp)));
-  else if (Mod == 2)
-    imm32(static_cast<uint32_t>(M.Disp));
-}
-
-void Encoder::movRR(Reg Dst, Reg Src) {
-  byte(0x89); // MOV r/m32, r32
-  modRMReg(regNum(Src), Dst);
-}
-
-void Encoder::movRI(Reg Dst, int32_t Imm) {
-  byte(static_cast<uint8_t>(0xB8 + regNum(Dst)));
-  imm32(static_cast<uint32_t>(Imm));
-}
-
-void Encoder::movLoad(Reg Dst, const Mem &Src) {
-  byte(0x8B); // MOV r32, r/m32
-  modRMMem(regNum(Dst), Src);
-}
-
-void Encoder::movStore(const Mem &Dst, Reg Src) {
-  byte(0x89); // MOV r/m32, r32
-  modRMMem(regNum(Src), Dst);
+    *P++ = 0x24; // scale = 0, index = none, base = ESP
+  if (Mod == 1) {
+    *P++ = static_cast<uint8_t>(static_cast<int8_t>(M.Disp));
+  } else if (Mod == 2) {
+    put32(P, static_cast<uint32_t>(M.Disp));
+    P += 4;
+  }
+  return P;
 }
 
 void Encoder::movStoreImm(const Mem &Dst, int32_t Imm) {
-  byte(0xC7); // MOV r/m32, imm32 (/0)
-  modRMMem(0, Dst);
-  imm32(static_cast<uint32_t>(Imm));
-}
-
-void Encoder::leaRM(Reg Dst, const Mem &Src) {
-  assert(Src.HasBase && "LEA of an absolute address is just MOV imm");
-  byte(0x8D);
-  modRMMem(regNum(Dst), Src);
-}
-
-void Encoder::aluRR(AluOp Op, Reg Dst, Reg Src) {
-  // Row base + 1: op r/m32, r32.
-  byte(static_cast<uint8_t>((static_cast<uint8_t>(Op) << 3) | 0x01));
-  modRMReg(regNum(Src), Dst);
-}
-
-void Encoder::aluRI(AluOp Op, Reg Dst, int32_t Imm) {
-  if (fitsInt8(Imm)) {
-    byte(0x83); // op r/m32, imm8 (sign-extended)
-    modRMReg(static_cast<uint8_t>(Op), Dst);
-    byte(static_cast<uint8_t>(static_cast<int8_t>(Imm)));
-    return;
-  }
-  byte(0x81); // op r/m32, imm32
-  modRMReg(static_cast<uint8_t>(Op), Dst);
-  imm32(static_cast<uint32_t>(Imm));
+  op(0xC7, 0, Dst); // MOV r/m32, imm32 (/0)
+  put32(at(4), static_cast<uint32_t>(Imm));
+  Pos += 4;
 }
 
 void Encoder::aluRM(AluOp Op, Reg Dst, const Mem &Src) {
   // Row base + 3: op r32, r/m32.
-  byte(static_cast<uint8_t>((static_cast<uint8_t>(Op) << 3) | 0x03));
-  modRMMem(regNum(Dst), Src);
+  op(static_cast<uint8_t>((static_cast<uint8_t>(Op) << 3) | 0x03),
+     regNum(Dst), Src);
 }
-
-void Encoder::imulRR(Reg Dst, Reg Src) {
-  byte(0x0F);
-  byte(0xAF);
-  modRMReg(regNum(Dst), Src);
-}
-
-void Encoder::cdq() { byte(0x99); }
-
-void Encoder::idivR(Reg Src) {
-  byte(0xF7);
-  modRMReg(7, Src);
-}
-
-void Encoder::negR(Reg R) {
-  byte(0xF7);
-  modRMReg(3, R);
-}
-
-void Encoder::notR(Reg R) {
-  byte(0xF7);
-  modRMReg(2, R);
-}
-
-void Encoder::shiftRI(ShiftOp Op, Reg R, uint8_t Amount) {
-  byte(0xC1);
-  modRMReg(static_cast<uint8_t>(Op), R);
-  byte(Amount);
-}
-
-void Encoder::shiftRCL(ShiftOp Op, Reg R) {
-  byte(0xD3);
-  modRMReg(static_cast<uint8_t>(Op), R);
-}
-
-void Encoder::testRR(Reg A, Reg B) {
-  byte(0x85);
-  modRMReg(regNum(B), A);
-}
-
-void Encoder::setccR8(CondCode CC, Reg Dst) {
-  assert(regNum(Dst) < 4 && "SETcc needs a register with an 8-bit subreg");
-  byte(0x0F);
-  byte(static_cast<uint8_t>(0x90 + static_cast<uint8_t>(CC)));
-  modRMReg(0, Dst);
-}
-
-void Encoder::movzxR8(Reg Dst, Reg Src) {
-  assert(regNum(Src) < 4 && "MOVZX source must have an 8-bit subreg");
-  byte(0x0F);
-  byte(0xB6);
-  modRMReg(regNum(Dst), Src);
-}
-
-void Encoder::pushR(Reg R) { byte(static_cast<uint8_t>(0x50 + regNum(R))); }
-
-void Encoder::pushI(int32_t Imm) {
-  byte(0x68);
-  imm32(static_cast<uint32_t>(Imm));
-}
-
-void Encoder::popR(Reg R) { byte(static_cast<uint8_t>(0x58 + regNum(R))); }
-
-void Encoder::leave() { byte(0xC9); }
-
-size_t Encoder::callRel() {
-  byte(0xE8);
-  size_t Fixup = Out.size();
-  imm32(0);
-  return Fixup;
-}
-
-size_t Encoder::jmpRel() {
-  byte(0xE9);
-  size_t Fixup = Out.size();
-  imm32(0);
-  return Fixup;
-}
-
-size_t Encoder::jccRel(CondCode CC) {
-  byte(0x0F);
-  byte(static_cast<uint8_t>(0x80 + static_cast<uint8_t>(CC)));
-  size_t Fixup = Out.size();
-  imm32(0);
-  return Fixup;
-}
-
-void Encoder::callInd(Reg R) {
-  byte(0xFF);
-  modRMReg(2, R);
-}
-
-void Encoder::jmpInd(Reg R) {
-  byte(0xFF);
-  modRMReg(4, R);
-}
-
-void Encoder::ret() { byte(0xC3); }
 
 void Encoder::retImm(uint16_t PopBytes) {
-  byte(0xC2);
-  imm16(PopBytes);
+  uint8_t *P = at(3);
+  P[0] = 0xC2;
+  P[1] = static_cast<uint8_t>(PopBytes);
+  P[2] = static_cast<uint8_t>(PopBytes >> 8);
+  Pos += 3;
 }
 
 void Encoder::intN(uint8_t Vector) {
-  byte(0xCD);
-  byte(Vector);
-}
-
-size_t Encoder::incMem(const Mem &M) {
-  assert(!M.HasBase && "counter increments use absolute addresses");
-  byte(0xFF); // group 5, /0 = INC r/m32
-  size_t DispOffset = Out.size() + 1; // after the ModRM byte
-  modRMMem(0, M);
-  return DispOffset;
-}
-
-void Encoder::nop(NopKind Kind) { appendNopBytes(Kind, Out); }
-
-void Encoder::patchRel32(size_t FixupOffset, size_t TargetOffset) {
-  assert(FixupOffset + 4 <= Out.size() && "fixup out of range");
-  // rel32 is relative to the end of the instruction, i.e. the byte after
-  // the displacement field.
-  int32_t Rel = static_cast<int32_t>(TargetOffset) -
-                static_cast<int32_t>(FixupOffset + 4);
-  Out[FixupOffset] = static_cast<uint8_t>(Rel);
-  Out[FixupOffset + 1] = static_cast<uint8_t>(Rel >> 8);
-  Out[FixupOffset + 2] = static_cast<uint8_t>(Rel >> 16);
-  Out[FixupOffset + 3] = static_cast<uint8_t>(Rel >> 24);
+  uint8_t *P = at(2);
+  P[0] = 0xCD;
+  P[1] = Vector;
+  Pos += 2;
 }

@@ -35,13 +35,6 @@ const NopInfo *x86::nopTable(size_t &Count) {
   return NopRows;
 }
 
-void x86::appendNopBytes(NopKind Kind, std::vector<uint8_t> &Out) {
-  const NopInfo &Info = nopInfo(Kind);
-  Out.push_back(Info.Bytes[0]);
-  if (Info.Length == 2)
-    Out.push_back(Info.Bytes[1]);
-}
-
 bool x86::matchNopAt(const uint8_t *Bytes, size_t Size, bool IncludeXchg,
                      NopKind &KindOut) {
   if (Size == 0)

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <vector>
 
 namespace pgsd {
 namespace x86 {
@@ -60,9 +59,6 @@ const NopInfo &nopInfo(NopKind Kind);
 
 /// Returns all Table 1 rows in paper order.
 const NopInfo *nopTable(size_t &Count);
-
-/// Appends the encoding of \p Kind to \p Out.
-void appendNopBytes(NopKind Kind, std::vector<uint8_t> &Out);
 
 /// Returns the NOP kind starting at \p Bytes (of \p Size), or false.
 ///

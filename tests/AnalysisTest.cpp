@@ -400,8 +400,7 @@ TEST(AnalysisCleanSweep, AllWorkloadsAndVariantsAnalyzeClean) {
           diversity::DiversityOptions::uniform(0.5);
       D.IncludeXchgNops = true;
       for (uint64_t Seed : {1u, 2u}) {
-        MModule V = P.MIR;
-        diversity::Pipeline().run(V, D, Seed);
+        MModule V = diversity::Pipeline().run(P.MIR, D, Seed);
         EXPECT_TRUE(analysis::analyzeModule(V).ok())
             << W.Name << " seed " << Seed << ":\n"
             << analysis::analyzeModule(V).str();
@@ -457,8 +456,7 @@ TEST(AnalysisFaultSweep, DiversifiedMutantsAreDetectedToo) {
       workloads::specWorkload("401.bzip2").Source, "401.bzip2", true);
   ASSERT_TRUE(P.ok());
   diversity::DiversityOptions D = diversity::DiversityOptions::uniform(0.4);
-  MModule V = P.MIR;
-  diversity::Pipeline().run(V, D, 11);
+  const MModule V = diversity::Pipeline().run(P.MIR, D, 11);
   for (unsigned C = 0; C != analysis::NumMirFaultClasses; ++C) {
     MirFaultClass Class = static_cast<MirFaultClass>(C);
     MModule Mutant = V;

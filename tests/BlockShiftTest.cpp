@@ -108,12 +108,13 @@ TEST(BlockShift, ComposesWithNopInsertion) {
   auto BaseGadgets =
       gadget::scanGadgets(BaseImg.Text.data(), BaseImg.Text.size());
 
-  mir::MModule V = P.MIR;
-  shiftWithSeed(V, 7);
+  mir::MModule Shifted = P.MIR;
+  shiftWithSeed(Shifted, 7);
   auto Opts = diversity::DiversityOptions::profiled(
       diversity::ProbabilityModel::Log, 0.0, 0.3);
   Rng G(7);
-  diversity::insertNops(V, Opts, G);
+  mir::MModule V;
+  diversity::insertNops(Shifted, V, Opts, G);
   EXPECT_EQ(mir::verify(V), "");
 
   mexec::RunResult R = driver::execute(V, {}, true);

@@ -216,8 +216,7 @@ TEST_P(DifferentialTest, AllPipelinesAgree) {
   Configs[0].IncludeXchgNops = true;
   for (const auto &Opts : Configs)
     for (uint64_t Seed = 1; Seed <= 2; ++Seed) {
-      mir::MModule V = O2.MIR;
-      diversity::Pipeline().run(V, Opts, Seed);
+      mir::MModule V = diversity::Pipeline().run(O2.MIR, Opts, Seed);
       EXPECT_EQ(observe(V), Reference)
           << "variant diverged (seed " << Seed << ")";
     }

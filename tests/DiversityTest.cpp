@@ -53,17 +53,16 @@ driver::Program hotColdProgram() {
 /// Diversifies a copy of \p M under the default {nop} pipeline.
 mir::MModule nopVariant(const mir::MModule &M, const DiversityOptions &Opts,
                         uint64_t Seed) {
-  mir::MModule V = M;
-  diversity::Pipeline().run(V, Opts, Seed);
-  return V;
+  return diversity::Pipeline().run(M, Opts, Seed);
 }
 
 /// The NOP-insertion counters of nopVariant(M, Opts, Seed).
 diversity::InsertionStats nopStats(const mir::MModule &M,
                                    const DiversityOptions &Opts,
                                    uint64_t Seed) {
-  mir::MModule V = M;
-  return diversity::Pipeline().run(V, Opts, Seed).Nop;
+  diversity::PipelineStats S;
+  diversity::Pipeline().run(M, Opts, Seed, &S);
+  return S.Nop;
 }
 
 uint64_t countNops(const mir::MModule &M) {
@@ -378,8 +377,9 @@ TEST(NopInsertion, DistinctSeedsNeverCollideOnNontrivialWorkload) {
   for (uint64_t Seed = 0; Seed != NumSeeds; ++Seed) {
     driver::Program Q = hotColdProgram();
     Rng Stream = Batch.split(Seed);
-    diversity::insertNops(Q.MIR, Opts, Stream);
-    EXPECT_TRUE(Placements.insert(nopPlacement(Q.MIR)).second)
+    mir::MModule V;
+    diversity::insertNops(Q.MIR, V, Opts, Stream);
+    EXPECT_TRUE(Placements.insert(nopPlacement(V)).second)
         << "split stream " << Seed << " collided";
   }
   EXPECT_EQ(Placements.size(), NumSeeds);

@@ -22,6 +22,7 @@ std::vector<uint8_t> bytesOf(void (*Emit)(Encoder &)) {
   std::vector<uint8_t> Out;
   Encoder E(Out);
   Emit(E);
+  E.finish();
   return Out;
 }
 
@@ -105,6 +106,7 @@ TEST(Encoder, NopEncodings) {
     std::vector<uint8_t> Out;
     Encoder E(Out);
     E.nop(Table[I].Kind);
+    E.finish();
     ASSERT_EQ(Out.size(), Table[I].Length);
     EXPECT_EQ(Out[0], Table[I].Bytes[0]);
     if (Table[I].Length == 2) {
@@ -121,6 +123,7 @@ TEST(Encoder, BranchPatching) {
   size_t Target = E.offset();
   E.ret();
   E.patchRel32(J, Target);
+  E.finish();
   // rel32 = Target - (J + 4).
   int32_t Rel = static_cast<int32_t>(Out[J]) | (Out[J + 1] << 8) |
                 (Out[J + 2] << 16) | (Out[J + 3] << 24);
@@ -134,6 +137,7 @@ TEST(Encoder, BackwardBranch) {
   E.aluRI(AluOp::Sub, Reg::ECX, 1);
   size_t J = E.jccRel(CondCode::NE);
   E.patchRel32(J, Loop);
+  E.finish();
   int32_t Rel = static_cast<int32_t>(Out[J]) | (Out[J + 1] << 8) |
                 (Out[J + 2] << 16) | (Out[J + 3] << 24);
   EXPECT_LT(Rel, 0);
@@ -144,10 +148,29 @@ TEST(Encoder, IncMemReturnsDispOffset) {
   std::vector<uint8_t> Out;
   Encoder E(Out);
   size_t Disp = E.incMem(Mem::abs(0));
+  E.finish();
   EXPECT_EQ(Out.size(), 6u); // FF 05 disp32
   EXPECT_EQ(Out[0], 0xFF);
   EXPECT_EQ(Out[1], 0x05);
   EXPECT_EQ(Disp, 2u);
+}
+
+TEST(Encoder, RoomAheadOfTheCursorIsTrimmed) {
+  // The room reserve() makes, and the room each encoder grows, sit past
+  // offset() until finish() trims them; encoding may go on after it.
+  std::vector<uint8_t> Out = {0xAA};
+  Encoder E(Out);
+  EXPECT_EQ(E.offset(), 1u);
+  E.reserve(100);
+  EXPECT_GE(Out.size(), 101u);
+  E.ret();
+  E.finish();
+  EXPECT_EQ(Out, (std::vector<uint8_t>{0xAA, 0xC3}));
+  for (int I = 0; I != 40; ++I)
+    E.movRI(Reg::EAX, I);
+  E.finish();
+  EXPECT_EQ(Out.size(), 2u + 40u * 5u);
+  EXPECT_EQ(Out[2], 0xB8);
 }
 
 TEST(Encoder, SetccConstraint) {
@@ -200,6 +223,7 @@ TEST(Encoder, EveryEmissionDecodes) {
     std::vector<uint8_t> Out;
     Encoder E(Out);
     C.Emit(E);
+    E.finish();
     Decoded D;
     ASSERT_TRUE(decodeInstr(Out.data(), Out.size(), D)) << C.Name;
     EXPECT_EQ(D.Length, Out.size()) << C.Name;
@@ -276,6 +300,8 @@ TEST_P(EncodeDecodeRoundTrip, BoundariesPreserved) {
     }
   }
   size_t End = E.offset();
+  E.finish();
+  ASSERT_EQ(Out.size(), End);
 
   // Linear decode must land exactly on every recorded boundary.
   size_t Pos = 0;

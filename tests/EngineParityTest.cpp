@@ -54,6 +54,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace pgsd;
@@ -144,8 +145,7 @@ TEST(EngineParity, DiversifiedVariantsMatch) {
     diversity::DiversityOptions D = diversity::DiversityOptions::profiled(
         diversity::ProbabilityModel::Log, 0.0, 0.5);
     D.IncludeXchgNops = true;
-    MModule V = P.MIR;
-    diversity::Pipeline().run(V, D, /*Seed=*/0xd1ce + 1);
+    MModule V = diversity::Pipeline().run(P.MIR, D, /*Seed=*/0xd1ce + 1);
     runBoth(V, fullCollect(W.TrainInput), W.Name + " (variant)");
     Rng Shift(0xb10c);
     diversity::insertBlockShift(V, Shift);
@@ -387,11 +387,10 @@ MModule allTransformsVariant(const char *Source) {
   diversity::DiversityOptions D = diversity::DiversityOptions::uniform(0.5);
   D.IncludeXchgNops = true;
   using diversity::TransformKind;
-  MModule V = P.MIR;
-  diversity::PipelineStats Stats =
-      diversity::Pipeline({TransformKind::Nop, TransformKind::Shift,
-                           TransformKind::Sched, TransformKind::Regs})
-          .run(V, D, /*Seed=*/0x5e9);
+  diversity::PipelineStats Stats;
+  MModule V = diversity::Pipeline({TransformKind::Nop, TransformKind::Shift,
+                                   TransformKind::Sched, TransformKind::Regs})
+                  .run(P.MIR, D, /*Seed=*/0x5e9, &Stats);
   EXPECT_GT(Stats.Nop.NopsInserted, 0u);
   EXPECT_GT(Stats.Shift.FunctionsShifted, 0u);
   return V;
@@ -751,9 +750,7 @@ size_t countNops(const MModule &M) {
 
 MModule nopVariant(const MModule &Base,
                    const diversity::DiversityOptions &Opts, uint64_t Seed) {
-  MModule V = Base;
-  diversity::Pipeline().run(V, Opts, Seed);
-  return V;
+  return diversity::Pipeline().run(Base, Opts, Seed);
 }
 
 } // namespace
@@ -895,6 +892,119 @@ TEST(EngineParityDerived, TrappedOrOverBudgetBaseFallsBack) {
   D = MemoCounts::now() - Before;
   EXPECT_EQ(D.Derived, 1u);
   EXPECT_EQ(D.Fallbacks, 1u);
+}
+
+namespace {
+
+/// Undoes one step of mir::hashModuloNops's fold, H = mix(Prev, V):
+/// returns Prev.
+uint64_t unmix(uint64_t H, uint64_t V) {
+  constexpr uint64_t K = 0x9e3779b97f4a7c15ull;
+  uint64_t KInv = K; // Newton's iteration for K^-1 mod 2^64.
+  for (int I = 0; I != 5; ++I)
+    KInv *= 2 - K * KInv;
+  H ^= (H >> 29) ^ (H >> 58); // undo H ^= H >> 29
+  return (H * KInv) ^ V;
+}
+
+/// One step of the fold, as mir::hashModuloNops takes it.
+uint64_t mixed(uint64_t H, uint64_t V) {
+  H = (H ^ V) * 0x9e3779b97f4a7c15ull;
+  return H ^ (H >> 29);
+}
+
+/// The two words mir::hashModuloNops folds in for \p I.
+std::pair<uint64_t, uint64_t> hashWords(const MInstr &I) {
+  return {static_cast<uint64_t>(I.Op) | static_cast<uint64_t>(I.Dst) << 8 |
+              static_cast<uint64_t>(I.Src) << 16 |
+              static_cast<uint64_t>(I.Alu) << 24 |
+              static_cast<uint64_t>(I.Shift) << 32 |
+              static_cast<uint64_t>(I.CC) << 40 |
+              static_cast<uint64_t>(I.NopK) << 48 |
+              static_cast<uint64_t>(I.Target.IsIntrinsic) << 56 |
+              static_cast<uint64_t>(I.Target.Intr) << 57,
+          static_cast<uint32_t>(I.Imm) |
+              static_cast<uint64_t>(I.Target.Func) << 32};
+}
+
+} // namespace
+
+TEST(EngineParityDerived, HashHitsThatAreNotTheBasePlusNopsRunPlainly) {
+  // Two modules that hash like a stored NOP-free base but are not that
+  // base plus single NOPs: one with two NOPs before one instruction, one
+  // whose last instruction differs in a field and whose digest still
+  // collides. The one walk that checks equality and charges NOPs must
+  // refuse both: each runs plainly, equals a real run, and counts one
+  // fallback.
+  driver::Program P = driver::compileProgram(R"(
+    fn main() {
+      var n = read_int();
+      var s = 0;
+      var i = 0;
+      while (i < n) { s = s + i * i; i = i + 1; }
+      print_int(s);
+      return 0;
+    }
+  )",
+                                             "collide");
+  ASSERT_TRUE(P.ok()) << P.errors();
+  const mexec::RunOptions Opts = fullCollect({25});
+  const MemoCounts Before = MemoCounts::now();
+  expectSame(mexec::Precompiled(P.MIR).run(Opts),
+             mexec::runMemoized(P.MIR, Opts), "stored base");
+  EXPECT_EQ((MemoCounts::now() - Before).Fills, 1u);
+  const uint64_t Digest = mir::hashModuloNops(P.MIR);
+  const MModule V =
+      nopVariant(P.MIR, diversity::DiversityOptions::uniform(0.5), 3);
+  ASSERT_GT(countNops(V), 0u);
+
+  MModule TwoNops = V;
+  bool Doubled = false;
+  for (MFunction &F : TwoNops.Functions)
+    for (MBasicBlock &BB : F.Blocks)
+      for (size_t I = 0; I != BB.Instrs.size() && !Doubled; ++I)
+        if (BB.Instrs[I].Op == MOp::Nop) {
+          BB.Instrs.insert(BB.Instrs.begin() + static_cast<long>(I),
+                           BB.Instrs[I]);
+          Doubled = true;
+        }
+  ASSERT_TRUE(Doubled);
+
+  // The digest ends with the last instruction's two words and the last
+  // block's instruction count. Give that Ret another Shift field (which
+  // a Ret does not read) and pick the Imm/Func word that folds back to
+  // the same digest.
+  MModule Collides = V;
+  const MBasicBlock &LastBlock = Collides.Functions.back().Blocks.back();
+  MInstr &Last = Collides.Functions.back().Blocks.back().Instrs.back();
+  ASSERT_EQ(Last.Op, MOp::Ret);
+  uint64_t Kept = 0;
+  for (const MInstr &I : LastBlock.Instrs)
+    Kept += I.Op != MOp::Nop;
+  const auto [W1, W2] = hashWords(Last);
+  const uint64_t AfterLast = unmix(Digest, Kept);
+  const uint64_t BeforeLast = unmix(unmix(AfterLast, W2), W1);
+  Last.Shift = Last.Shift == x86::ShiftOp::Shl ? x86::ShiftOp::Sar
+                                               : x86::ShiftOp::Shl;
+  const uint64_t W2New =
+      unmix(AfterLast, 0) ^ mixed(BeforeLast, hashWords(Last).first);
+  Last.Imm = static_cast<int32_t>(static_cast<uint32_t>(W2New));
+  Last.Target.Func = static_cast<uint32_t>(W2New >> 32);
+
+  for (const auto &[M, What] :
+       {std::pair<const MModule *, const char *>{&TwoNops, "two NOPs"},
+        {&Collides, "colliding digest"}}) {
+    SCOPED_TRACE(What);
+    ASSERT_EQ(mir::hashModuloNops(*M), Digest);
+    ASSERT_FALSE(mir::equalModuloNops(P.MIR, *M));
+    const mexec::RunResult Real = mexec::Precompiled(*M).run(Opts);
+    const MemoCounts At = MemoCounts::now();
+    expectSame(Real, mexec::runMemoized(*M, Opts), What);
+    const MemoCounts D = MemoCounts::now() - At;
+    EXPECT_EQ(D.Fallbacks, 1u);
+    EXPECT_EQ(D.Derived, 0u);
+    EXPECT_EQ(D.Fills, 0u);
+  }
 }
 
 TEST(EngineParityDerived, ConcurrentDerivationsOfOneProgram) {

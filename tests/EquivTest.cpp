@@ -87,8 +87,7 @@ TEST(EquivCleanSweep, AllWorkloadsAllSeedsProved) {
     driver::Program P = driver::compileProgram(W.Source, W.Name, true);
     ASSERT_TRUE(P.ok()) << W.Name << ": " << P.errors();
     for (uint64_t Seed : {1ull, 7ull, 42ull}) {
-      MModule V = P.MIR;
-      diversity::Pipeline().run(V, heavyNops(), Seed);
+      MModule V = diversity::Pipeline().run(P.MIR, heavyNops(), Seed);
       EquivStats S;
       verify::Report R = proveEquivalent(P.MIR, V, EquivOptions(), &S);
       EXPECT_TRUE(R.ok()) << W.Name << " seed " << Seed
@@ -117,8 +116,7 @@ TEST(EquivCleanSweep, UnoptimizedModulesProved) {
   for (const workloads::Workload &W : workloads::specSuite()) {
     driver::Program P = driver::compileProgram(W.Source, W.Name, false);
     ASSERT_TRUE(P.ok()) << W.Name << ": " << P.errors();
-    MModule V = P.MIR;
-    diversity::Pipeline().run(V, heavyNops(), 3);
+    MModule V = diversity::Pipeline().run(P.MIR, heavyNops(), 3);
     verify::Report R = proveEquivalent(P.MIR, V);
     EXPECT_TRUE(R.ok()) << W.Name << ":\n" << R.str();
   }
@@ -303,8 +301,7 @@ TEST(EquivUnit, DiagnosticCapRespected) {
 
 TEST(EquivUnit, StatsPartitionAttempts) {
   driver::Program P = compileFixture();
-  MModule V = P.MIR;
-  diversity::Pipeline().run(V, heavyNops(), 5);
+  MModule V = diversity::Pipeline().run(P.MIR, heavyNops(), 5);
   EquivStats S;
   verify::Report R = proveEquivalent(P.MIR, V, EquivOptions(), &S);
   ASSERT_TRUE(R.ok()) << R.str();
@@ -374,8 +371,7 @@ TEST(EquivMetrics, CountersPartitionModulesChecked) {
   obs::Registry::global().reset();
   obs::setEnabled(true);
   driver::Program P = compileFixture();
-  MModule V = P.MIR;
-  diversity::Pipeline().run(V, heavyNops(), 2);
+  MModule V = diversity::Pipeline().run(P.MIR, heavyNops(), 2);
   (void)proveEquivalent(P.MIR, V);
   MModule Mutant = P.MIR;
   ASSERT_TRUE(analysis::injectMirFault(Mutant, MirFaultClass::FlagClobber,

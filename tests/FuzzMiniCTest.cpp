@@ -85,8 +85,7 @@ TEST_P(FuzzMiniCTest, PipelineIsSoundOnGeneratedPrograms) {
           diversity::ProbabilityModel::Log, 0.0, 0.4),
   };
   for (const auto &Opts : Configs) {
-    mir::MModule V = P.MIR;
-    diversity::Pipeline().run(V, Opts, Seed + 1);
+    mir::MModule V = diversity::Pipeline().run(P.MIR, Opts, Seed + 1);
     verify::Report R = analysis::analyzeModule(V);
     EXPECT_TRUE(R.ok()) << R.str();
     EXPECT_EQ(observe(V, Input), Reference) << "variant diverged";
@@ -115,11 +114,11 @@ TEST_P(FuzzMiniCTest, PipelineIsSoundOnGeneratedPrograms) {
     diversity::Pipeline Pipe(Kinds);
     SCOPED_TRACE("pipeline " + Pipe.label());
 
-    mir::MModule V = P.MIR;
-    diversity::PipelineStats S =
-        Pipe.run(V, diversity::DiversityOptions::profiled(
-                        diversity::ProbabilityModel::Log, 0.0, 0.4),
-                 Seed + 2);
+    diversity::PipelineStats S;
+    mir::MModule V =
+        Pipe.run(P.MIR, diversity::DiversityOptions::profiled(
+                            diversity::ProbabilityModel::Log, 0.0, 0.4),
+                 Seed + 2, &S);
     verify::Report R = analysis::analyzeModule(V);
     EXPECT_TRUE(R.ok()) << R.str();
     verify::Report E = analysis::proveEquivalent(P.MIR, V);

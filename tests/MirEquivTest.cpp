@@ -292,8 +292,7 @@ TEST(MirEquivAdmission, UncleanBaselineVariantIsRejectedByItsOwnAnalysis) {
         continue;
       if (analysis::analyzeModule(Base).ok())
         continue; // The analyzer does not see this site; nothing to pin.
-      mir::MModule V = Base;
-      diversity::Pipeline().run(V, configs()[0], 9);
+      mir::MModule V = diversity::Pipeline().run(Base, configs()[0], 9);
       ASSERT_TRUE(mir::equalModuloNops(Base, V)) << P.MIR.Name;
 
       verify::VerifyOptions Opts;

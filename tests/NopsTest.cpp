@@ -123,10 +123,3 @@ TEST(Nops, MatchNopAt) {
   EXPECT_FALSE(matchNopAt(Partial, 1, true, Kind));
   EXPECT_FALSE(matchNopAt(Partial, 0, true, Kind));
 }
-
-TEST(Nops, AppendNopBytes) {
-  std::vector<uint8_t> Out;
-  appendNopBytes(NopKind::Nop90, Out);
-  appendNopBytes(NopKind::LeaEsiEsi, Out);
-  EXPECT_EQ(Out, (std::vector<uint8_t>{0x90, 0x8D, 0x36}));
-}

@@ -187,13 +187,13 @@ TEST(TransformStreams, NopSingletonReproducesLegacyWalk) {
       diversity::ProbabilityModel::Log, 0.0, 0.3);
   for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
     // The pre-pipeline walk: NOP insertion seeded with Rng(Seed).
-    mir::MModule Legacy = P.MIR;
+    mir::MModule Legacy;
     Rng G(Seed);
     diversity::InsertionStats Direct =
-        diversity::insertNops(Legacy, Opts, G);
-    mir::MModule Piped = P.MIR;
-    diversity::PipelineStats S =
-        Pipeline({TransformKind::Nop}).run(Piped, Opts, Seed);
+        diversity::insertNops(P.MIR, Legacy, Opts, G);
+    diversity::PipelineStats S;
+    mir::MModule Piped =
+        Pipeline({TransformKind::Nop}).run(P.MIR, Opts, Seed, &S);
     EXPECT_EQ(textBytes(codegen::link(Legacy)),
               textBytes(codegen::link(Piped)))
         << "seed " << Seed << ": {nop} diverged from the legacy stream";
@@ -214,15 +214,45 @@ TEST(TransformStreams, ShiftSingletonReproducesLegacyWalk) {
     mir::MModule Legacy = P.MIR;
     Rng G(Seed ^ 0xb10c);
     diversity::BlockShiftStats LS = diversity::insertBlockShift(Legacy, G);
-    mir::MModule Piped = P.MIR;
-    diversity::PipelineStats S =
-        Pipeline({TransformKind::Shift}).run(Piped, Opts, Seed);
+    diversity::PipelineStats S;
+    mir::MModule Piped =
+        Pipeline({TransformKind::Shift}).run(P.MIR, Opts, Seed, &S);
     EXPECT_EQ(textBytes(codegen::link(Legacy)),
               textBytes(codegen::link(Piped)))
         << "seed " << Seed
         << ": {shift} diverged from the legacy stream";
     EXPECT_EQ(S.Shift.FunctionsShifted, LS.FunctionsShifted);
     EXPECT_EQ(S.Shift.PaddingInstrs, LS.PaddingInstrs);
+  }
+}
+
+TEST(TransformStreams, LaterNopWritesFromTheWorkingModule) {
+  // NOP insertion after another transform reads the module built so far
+  // and writes the variant anew, on the kind-keyed sub-stream: the same
+  // module as shifting a copy in place and inserting NOPs from it.
+  const workloads::Workload W = workloads::specSuite().front();
+  driver::Program P = compileStamped(W, /*Optimize=*/true);
+  auto Opts = diversity::DiversityOptions::profiled(
+      diversity::ProbabilityModel::Log, 0.0, 0.3);
+  Opts.IncludeXchgNops = true;
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+    Rng Base(Seed);
+    mir::MModule Shifted = P.MIR;
+    Rng ShiftStream =
+        Base.split(1 + static_cast<uint64_t>(TransformKind::Shift));
+    diversity::insertBlockShift(Shifted, ShiftStream, 12, true);
+    Rng NopStream =
+        Base.split(1 + static_cast<uint64_t>(TransformKind::Nop));
+    mir::MModule Expected;
+    diversity::InsertionStats Direct =
+        diversity::insertNops(Shifted, Expected, Opts, NopStream);
+    diversity::PipelineStats S;
+    mir::MModule Piped =
+        Pipeline({TransformKind::Shift, TransformKind::Nop})
+            .run(P.MIR, Opts, Seed, &S);
+    EXPECT_EQ(mir::print(Piped), mir::print(Expected)) << "seed " << Seed;
+    EXPECT_EQ(S.Nop.NopsInserted, Direct.NopsInserted);
+    EXPECT_GT(S.Shift.FunctionsShifted, 0u);
   }
 }
 
@@ -317,8 +347,7 @@ TEST(TransformFaults, PipelineVariantsWithInjectedReorderRefuted) {
   Pipeline Pipe({TransformKind::Sched});
   unsigned Injected = 0;
   for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
-    mir::MModule Variant = P.MIR;
-    Pipe.run(Variant, Opts, Seed);
+    mir::MModule Variant = Pipe.run(P.MIR, Opts, Seed);
     ASSERT_TRUE(analysis::proveEquivalent(P.MIR, Variant).ok());
     if (!analysis::injectMirFault(
             Variant, analysis::MirFaultClass::IllegalReorder, Seed))
@@ -413,8 +442,8 @@ TEST(TransformHints, CleanMatrixReportsAreUnchanged) {
       const bool BaseLive = livenessProved(P.MIR);
       for (const Pipeline &Pipe : Combos) {
         for (uint64_t Seed = 1; Seed <= 2; ++Seed) {
-          mir::MModule V = P.MIR;
-          diversity::PipelineStats S = Pipe.run(V, Opts, Seed);
+          diversity::PipelineStats S;
+          mir::MModule V = Pipe.run(P.MIR, Opts, Seed, &S);
           const std::vector<uint8_t> &Witness = S.Regs.Renamings;
           std::string What = W.Name + " (" + (Optimize ? "O2" : "O0") +
                              ", " + Pipe.label() + ", seed " +
@@ -461,8 +490,8 @@ TEST(TransformHints, FaultReportsAreUnchanged) {
     for (unsigned C = 0; C != analysis::NumAllMirFaultClasses; ++C) {
       auto Class = static_cast<analysis::MirFaultClass>(C);
       for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
-        mir::MModule V = P.MIR;
-        diversity::PipelineStats S = Pipe.run(V, Opts, Seed);
+        diversity::PipelineStats S;
+        mir::MModule V = Pipe.run(P.MIR, Opts, Seed, &S);
         if (!analysis::injectMirFault(V, Class, Seed))
           continue;
         ++Injected[C];

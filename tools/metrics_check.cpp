@@ -16,9 +16,11 @@
 //  3. With --batch (the file came from `pgsdc batch --metrics`): the
 //     coordinator phases batch.setup + batch.fanout partition the batch
 //     window, so their wall sum must land within 10% of the
-//     batch.wall_seconds gauge, and the verify counters must be present,
-//     as must the training run's pipeline.profile phase (the batch
-//     trained on its --input, which is often most of its wall time).
+//     batch.wall_seconds gauge, and the verify counters must be present.
+//     A batch that trained (driver.programs_trained is nonzero: it was
+//     given --input) must also carry the training run's pipeline.profile
+//     phase, which is often most of its wall time; a batch without
+//     --input, or given a saved --profile, trains nothing.
 //     Every attempt ends admission's static part exactly one way, so
 //     verify.diff_identical (settled by mir::equalModuloNops before the
 //     static stages) + verify.static_rejections (refuted by the
@@ -186,10 +188,14 @@ int main(int Argc, char **Argv) {
     for (const char *Key :
          {"batch.seeds", "batch.accepted", "batch.attempts_total",
           "verify.baseline_cache.hits", "verify.baseline_cache.fills",
-          "verify.diff_identical",
-          "batch.setup", "batch.fanout", "pipeline.profile"})
+          "verify.diff_identical", "batch.setup", "batch.fanout"})
       if (!hasKey(Text, Key))
         return fail(std::string("batch metrics missing \"") + Key + "\"");
+    double Trained = 0;
+    if (findNumber(Text, "driver.programs_trained", Trained) && Trained > 0 &&
+        !hasKey(Text, "pipeline.profile"))
+      return fail("batch metrics missing \"pipeline.profile\" though "
+                  "driver.programs_trained is nonzero");
     if (int Rc = checkAttemptPartition(Text, "batch.attempts_total"))
       return Rc;
 

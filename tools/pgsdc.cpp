@@ -498,8 +498,8 @@ int cmdDiversify(const Options &Opts) {
       gadget::scanGadgets(Base.Text.data(), Base.Text.size());
 
   diversity::DiversityOptions D = diversityOptions(Opts);
-  mir::MModule V = P.MIR;
-  diversity::PipelineStats Stats = Opts.Pipe.run(V, D, Opts.Seed);
+  diversity::PipelineStats Stats;
+  mir::MModule V = Opts.Pipe.run(P.MIR, D, Opts.Seed, &Stats);
   codegen::Image Img = codegen::link(V);
   auto Survivors = gadget::survivingGadgets(Base.Text, Img.Text);
 
@@ -708,9 +708,8 @@ SweepResult sweep(const Options &Opts, bool CheckBaseline, ModuleCheck Check,
       One(P.MIR, "baseline");
     for (unsigned V = 0; V != Opts.Variants; ++V) {
       uint64_t Seed = Opts.Seed + V;
-      mir::MModule Var = P.MIR;
-      Opts.Pipe.run(Var, D, Seed);
-      One(Var, "variant seed=" + std::to_string(Seed));
+      One(Opts.Pipe.run(P.MIR, D, Seed),
+          "variant seed=" + std::to_string(Seed));
     }
   };
   if (!Opts.Suite) {
