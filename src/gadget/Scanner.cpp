@@ -121,28 +121,48 @@ buildClassFlags() {
 }
 constexpr auto ClassFlags = buildClassFlags();
 
-/// The NOP bits of an instruction starting with bytes \p B0 \p B1 that
-/// is one byte long (\p One) or two (\p Two) -- a whole-instruction
-/// Table 1 match (matchNopAt + nopInfo(Kind).Length == Len), inlined:
-/// the table is seven fixed 1-2 byte encodings with disjoint first
-/// bytes. With both lengths allowed it answers whether an instruction
-/// starting there may be a NOP.
-inline uint8_t nopBits(unsigned B0, unsigned B1, bool One, bool Two) {
+/// The NOP bits of a whole Table 1 instruction with first byte \p B0
+/// and second byte \p B1 (0 when there is none): the seven encodings
+/// are fixed 1-2 byte strings with disjoint first bytes, and none ends
+/// in 0x00.
+constexpr uint8_t nopBits(unsigned B0, unsigned B1) {
   const unsigned Pair = B0 << 8 | B1;
-  const bool NopDefault =
-      (One & (B0 == 0x90)) |
-      (Two & ((Pair == 0x89E4) | (Pair == 0x89ED) | (Pair == 0x8D36) |
-              (Pair == 0x8D3F)));
-  const bool NopXchg = Two & ((Pair == 0x87E4) | (Pair == 0x87ED));
+  const bool NopDefault = B0 == 0x90 || Pair == 0x89E4 || Pair == 0x89ED ||
+                          Pair == 0x8D36 || Pair == 0x8D3F;
+  const bool NopXchg = Pair == 0x87E4 || Pair == 0x87ED;
   return static_cast<uint8_t>((NopDefault ? FNopDefault : 0) |
                               (NopXchg ? FNopXchg : 0));
 }
 
-/// True when the instruction at \p Offset of \p Text may be a Table 1
-/// NOP of either set.
-inline bool mayStartNop(const std::vector<uint8_t> &Text, size_t Offset) {
-  const bool Two = Offset + 1 < Text.size();
-  return nopBits(Text[Offset], Text[Offset + Two], true, Two) != 0;
+/// A missing B1 read as 0 matches only the one-byte NOP.
+static_assert([] {
+  for (unsigned B0 = 0; B0 != 256; ++B0)
+    if (nopBits(B0, 0) != (B0 == 0x90 ? FNopDefault : 0))
+      return false;
+  return true;
+}());
+
+/// nopBits by B0 << 8 | B1, so the fact step reads one byte for them.
+constexpr std::array<uint8_t, 1 << 16> buildNopPairBits() {
+  std::array<uint8_t, 1 << 16> T{};
+  for (unsigned B0 = 0; B0 != 256; ++B0)
+    for (unsigned B1 = 0; B1 != 256; ++B1)
+      T[B0 << 8 | B1] = nopBits(B0, B1);
+  return T;
+}
+constexpr auto NopPairBits = buildNopPairBits();
+
+/// The Table 1 NOP bits at offset \p I of \p Data: set exactly when a
+/// whole Table 1 instruction starts there. Read from the offset's first
+/// two bytes alone, not from its decoded length: every Table 1 encoding
+/// decodes to exactly its own length (90 is a complete instruction, and
+/// each two-byte form is an opcode whose ModRM names a register or
+/// [reg] with no SIB or displacement), so whenever the bytes match, the
+/// instruction is the NOP. Past the image's end B1 reads as 0, which no
+/// two-byte form ends in.
+inline uint8_t nopBitsAt(const uint8_t *Data, size_t Size, size_t I) {
+  const bool Two = I + 1 < Size;
+  return NopPairBits[Data[I] << 8 | (Two ? Data[I + 1] : 0)];
 }
 
 /// The decode fact at offset \p I: instruction length (0 = invalid)
@@ -150,7 +170,8 @@ inline bool mayStartNop(const std::vector<uint8_t> &Text, size_t Offset) {
 /// an offset -- the full pass and the lazy Survivor probe both call it,
 /// so Table 1 NOP matching lives here only. Written without
 /// data-dependent branches: lengths and classes at arbitrary offsets
-/// are too irregular to predict.
+/// are too irregular to predict. The NOP bits do not depend on the
+/// decode, so they do not wait on it.
 [[gnu::always_inline]] inline void factAt(const uint8_t *Data, size_t Size,
                                           size_t I, uint8_t &Len,
                                           uint8_t &Flags) {
@@ -158,10 +179,8 @@ inline bool mayStartNop(const std::vector<uint8_t> &Text, size_t Offset) {
   x86::InstrClass Class = x86::InstrClass::Invalid;
   // An invalid decode has class Invalid, whose class bits are 0.
   Len = x86::decodeLenClass(Data + I, Size - I, DLen, Class) ? DLen : 0;
-  // B1 is only read past I when the instruction covers it.
-  Flags = static_cast<uint8_t>(
-      ClassFlags[size_t(Class)] |
-      nopBits(Data[I], Data[I + (Len >= 2)], Len == 1, Len == 2));
+  Flags = static_cast<uint8_t>(ClassFlags[size_t(Class)] |
+                               nopBitsAt(Data, Size, I));
 }
 
 /// The DP entry at one offset: the gadget suffix starting there.
@@ -232,10 +251,13 @@ void scanImage(const uint8_t *Data, size_t Size, const ScanOptions &Opts,
   for (size_t I = Size; I-- > 0;) {
     uint8_t Len = 0, Flags = 0;
     factAt(Data, Size, I, Len, Flags);
+    // A valid instruction ends within the image, so Next <= Size, and
+    // slot Size % RingSize still holds NoSuffix whenever it is read: it
+    // is first overwritten at offset Size - RingSize, below every
+    // offset within MaxInstrLen of the end.
     const size_t Next = I + Len;
     const Suffix S =
-        stepSuffix(Data + I, Len, Flags,
-                   Next < Size ? Ring[Next % RingSize] : NoSuffix, Rules);
+        stepSuffix(Data + I, Len, Flags, Ring[Next % RingSize], Rules);
     Ring[I % RingSize] = S;
     Sink(I, Len, S);
   }
@@ -485,12 +507,12 @@ probeSurvivors(const std::vector<uint8_t> &Original,
     if (G.Offset >= Diversified.size())
       break; // ascending offsets: nothing further can match
     // Normalized bytes begin with the first non-NOP instruction. Where
-    // neither image may start a NOP at the offset, that is the
+    // neither image starts a NOP at the offset, that is the
     // instruction at the offset in both, so different first bytes rule
     // the pair out without a decode.
     if (Diversified[G.Offset] != Original[G.Offset] &&
-        !mayStartNop(Diversified, G.Offset) &&
-        !mayStartNop(Original, G.Offset))
+        nopBitsAt(Diversified.data(), Diversified.size(), G.Offset) == 0 &&
+        nopBitsAt(Original.data(), Original.size(), G.Offset) == 0)
       continue;
     const Suffix S = Div.suffixAt(G.Offset);
     if (S.Instrs != 0 && S.Hash == G.NormHash)

@@ -8,7 +8,8 @@
 #include "lir/RegPlan.h"
 
 #include <algorithm>
-#include <cassert>
+#include <iterator>
+#include <map>
 
 using namespace pgsd;
 using namespace pgsd::lir;
@@ -69,48 +70,58 @@ ValueId defOf(const Instr &I) {
 
 } // namespace
 
-std::vector<std::vector<bool>> lir::computeLiveIn(const Function &F) {
+std::vector<LiveSet> lir::computeLiveIn(const Function &F) {
   size_t NumBlocks = F.Blocks.size();
-  size_t NumValues = F.NumValues;
 
-  // Per-block USE (read before any write) and DEF sets.
-  std::vector<std::vector<bool>> Use(NumBlocks,
-                                     std::vector<bool>(NumValues, false));
-  std::vector<std::vector<bool>> Def(NumBlocks,
-                                     std::vector<bool>(NumValues, false));
+  // Per-block USE (read before any write) and DEF sets, sorted. The
+  // stamps name the last block that defined or used each value, so each
+  // set is collected in one walk of the block without a per-block
+  // bitset over every value.
+  std::vector<LiveSet> Use(NumBlocks), Def(NumBlocks);
+  std::vector<size_t> DefStamp(F.NumValues, ~size_t(0));
+  std::vector<size_t> UseStamp(F.NumValues, ~size_t(0));
   for (size_t B = 0; B != NumBlocks; ++B) {
     for (const Instr &I : F.Blocks[B].Instrs) {
       forEachUse(I, [&](ValueId V) {
-        if (!Def[B][V])
-          Use[B][V] = true;
+        if (DefStamp[V] != B && UseStamp[V] != B) {
+          UseStamp[V] = B;
+          Use[B].push_back(V);
+        }
       });
-      if (ValueId D = defOf(I); D != NoValue)
-        Def[B][D] = true;
+      if (ValueId D = defOf(I); D != NoValue && DefStamp[D] != B) {
+        DefStamp[D] = B;
+        Def[B].push_back(D);
+      }
     }
+    std::sort(Use[B].begin(), Use[B].end());
+    std::sort(Def[B].begin(), Def[B].end());
   }
 
-  std::vector<std::vector<bool>> LiveIn(NumBlocks,
-                                        std::vector<bool>(NumValues, false));
-  std::vector<std::vector<bool>> LiveOut(NumBlocks,
-                                         std::vector<bool>(NumValues, false));
+  // The least fixpoint of LiveIn = Use | (LiveOut & ~Def), LiveOut =
+  // union of successor LiveIn. Sets only grow from one round to the
+  // next, so a round changed something exactly when a LiveIn grew.
+  std::vector<LiveSet> LiveIn(NumBlocks);
+  LiveSet LiveOut, Merged, In;
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (size_t B = NumBlocks; B-- > 0;) {
-      // LiveOut = union of successor LiveIn.
-      for (BlockId S : successors(F.Blocks[B]))
-        for (size_t V = 0; V != NumValues; ++V)
-          if (LiveIn[S][V] && !LiveOut[B][V]) {
-            LiveOut[B][V] = true;
-            Changed = true;
-          }
-      // LiveIn = Use | (LiveOut & ~Def).
-      for (size_t V = 0; V != NumValues; ++V) {
-        bool In = Use[B][V] || (LiveOut[B][V] && !Def[B][V]);
-        if (In && !LiveIn[B][V]) {
-          LiveIn[B][V] = true;
-          Changed = true;
-        }
+      LiveOut.clear();
+      for (BlockId S : successors(F.Blocks[B])) {
+        Merged.clear();
+        std::set_union(LiveOut.begin(), LiveOut.end(), LiveIn[S].begin(),
+                       LiveIn[S].end(), std::back_inserter(Merged));
+        LiveOut.swap(Merged);
+      }
+      Merged.clear();
+      std::set_difference(LiveOut.begin(), LiveOut.end(), Def[B].begin(),
+                          Def[B].end(), std::back_inserter(Merged));
+      In.clear();
+      std::set_union(Use[B].begin(), Use[B].end(), Merged.begin(),
+                     Merged.end(), std::back_inserter(In));
+      if (In.size() != LiveIn[B].size()) {
+        LiveIn[B].swap(In);
+        Changed = true;
       }
     }
   }
@@ -134,15 +145,7 @@ FramePlan lir::planFunction(const Function &F) {
           ++Plan.LoopDepth[Inner];
 
   // --- Liveness and interval hulls over a linear numbering.
-  auto LiveIn = computeLiveIn(F);
-  // Recompute LiveOut from LiveIn for hull building.
-  std::vector<std::vector<bool>> LiveOut(NumBlocks,
-                                         std::vector<bool>(NumValues, false));
-  for (size_t B = 0; B != NumBlocks; ++B)
-    for (BlockId S : successors(F.Blocks[B]))
-      for (size_t V = 0; V != NumValues; ++V)
-        if (LiveIn[S][V])
-          LiveOut[B][V] = true;
+  const std::vector<LiveSet> LiveIn = computeLiveIn(F);
 
   constexpr uint32_t NoPos = ~uint32_t(0);
   std::vector<uint32_t> Start(NumValues, NoPos);
@@ -182,12 +185,12 @@ FramePlan lir::planFunction(const Function &F) {
       ++Pos;
     }
     uint32_t BlockEnd = Pos == BlockStart ? BlockStart : Pos - 1;
-    for (size_t V = 0; V != NumValues; ++V) {
-      if (LiveIn[B][V])
-        Extend(static_cast<ValueId>(V), BlockStart);
-      if (LiveOut[B][V])
-        Extend(static_cast<ValueId>(V), BlockEnd);
-    }
+    for (ValueId V : LiveIn[B])
+      Extend(V, BlockStart);
+    // LiveOut is the union of the successors' LiveIn.
+    for (BlockId S : successors(F.Blocks[B]))
+      for (ValueId V : LiveIn[S])
+        Extend(V, BlockEnd);
   }
 
   // --- Greedy promotion to callee-saved registers by descending weight.
@@ -210,18 +213,17 @@ FramePlan lir::planFunction(const Function &F) {
             });
 
   const x86::Reg Pool[3] = {x86::Reg::EBX, x86::Reg::ESI, x86::Reg::EDI};
-  std::vector<std::pair<uint32_t, uint32_t>> Assigned[3];
+  // Each register's intervals, by start. They are disjoint, so a new
+  // one overlaps some interval exactly when it overlaps the last one
+  // starting at or before its end.
+  std::map<uint32_t, uint32_t> Assigned[3];
   for (const Candidate &C : Candidates) {
     for (unsigned R = 0; R != 3; ++R) {
-      bool Overlaps = false;
-      for (auto [S, E] : Assigned[R])
-        if (Start[C.V] <= E && S <= End[C.V]) {
-          Overlaps = true;
-          break;
-        }
-      if (Overlaps)
+      auto After = Assigned[R].upper_bound(End[C.V]);
+      if (After != Assigned[R].begin() &&
+          std::prev(After)->second >= Start[C.V])
         continue;
-      Assigned[R].push_back({Start[C.V], End[C.V]});
+      Assigned[R].emplace_hint(After, Start[C.V], End[C.V]);
       Plan.Values[C.V].InReg = true;
       Plan.Values[C.V].R = Pool[R];
       break;

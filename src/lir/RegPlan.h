@@ -56,9 +56,12 @@ struct FramePlan {
   std::vector<uint32_t> LoopDepth;
 };
 
+/// A set of IR values, as ascending ValueIds.
+using LiveSet = std::vector<ir::ValueId>;
+
 /// Computes per-block liveness (LiveIn sets) for \p F; exposed for tests.
-/// Result[b] is a bitset over ValueIds.
-std::vector<std::vector<bool>> computeLiveIn(const ir::Function &F);
+/// Sparse, so its cost follows the live values and not Blocks x Values.
+std::vector<LiveSet> computeLiveIn(const ir::Function &F);
 
 /// Builds the register/frame plan for \p F.
 FramePlan planFunction(const ir::Function &F);

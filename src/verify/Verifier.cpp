@@ -189,6 +189,46 @@ void checkProfileFlow(const MModule &M, Report &R) {
 // Image integrity
 //===----------------------------------------------------------------------===//
 
+/// The decode round trip: the whole image (stub, functions, alignment
+/// NOPs) must decode as valid IA-32 with every relative branch target
+/// inside the image. Lengths and classes come from the table decoder;
+/// only the direct branches, whose displacement the target needs, are
+/// decoded in full.
+void checkDecode(std::span<const uint8_t> Text, Report &R) {
+  const uint8_t *Bytes = Text.data();
+  const size_t Size = Text.size();
+  size_t Off = 0;
+  while (Off < Size) {
+    uint8_t Len = 0;
+    x86::InstrClass Class = x86::InstrClass::Invalid;
+    if (!x86::decodeLenClass(Bytes + Off, Size - Off, Len, Class)) {
+      R.add(ErrorCode::ImageDecodeInvalid,
+            format("invalid or truncated instruction at offset %#zx",
+                   Off));
+      return; // Stream is out of sync; later offsets are meaningless.
+    }
+    switch (Class) {
+    case x86::InstrClass::CallRel:
+    case x86::InstrClass::JmpRel:
+    case x86::InstrClass::Jcc:
+    case x86::InstrClass::Loop: {
+      x86::Decoded D;
+      x86::decodeInstr(Bytes + Off, Size - Off, D);
+      int64_t Target = static_cast<int64_t>(Off) + D.Length + D.Imm;
+      if (Target < 0 || Target >= static_cast<int64_t>(Size))
+        R.add(ErrorCode::BranchTargetOutOfRange,
+              format("branch at offset %#zx targets %+" PRId64
+                     " (image is %zu bytes)",
+                     Off, Target, Size));
+      break;
+    }
+    default:
+      break;
+    }
+    Off += Len;
+  }
+}
+
 void checkImage(const MModule &Variant, const codegen::Image &Image,
                 const codegen::LinkOptions &Link, Report &R) {
   // 1. Byte-exact round trip: linking is deterministic, so the image
@@ -211,39 +251,8 @@ void checkImage(const MModule &Variant, const codegen::Image &Image,
           "function offset table diverges from re-emission");
   }
 
-  // 2. Decode round trip: the whole image (stub, functions, alignment
-  // NOPs) must decode as valid IA-32 with every relative branch target
-  // inside the image.
-  const uint8_t *Bytes = Image.Text.data();
-  size_t Size = Image.Text.size();
-  size_t Off = 0;
-  while (Off < Size) {
-    x86::Decoded D;
-    if (!x86::decodeInstr(Bytes + Off, Size - Off, D)) {
-      R.add(ErrorCode::ImageDecodeInvalid,
-            format("invalid or truncated instruction at offset %#zx",
-                   Off));
-      return; // Stream is out of sync; later offsets are meaningless.
-    }
-    switch (D.Class) {
-    case x86::InstrClass::CallRel:
-    case x86::InstrClass::JmpRel:
-    case x86::InstrClass::Jcc:
-    case x86::InstrClass::Loop: {
-      int64_t Target =
-          static_cast<int64_t>(Off) + D.Length + D.Imm;
-      if (Target < 0 || Target >= static_cast<int64_t>(Size))
-        R.add(ErrorCode::BranchTargetOutOfRange,
-              format("branch at offset %#zx targets %+" PRId64
-                     " (image is %zu bytes)",
-                     Off, Target, Size));
-      break;
-    }
-    default:
-      break;
-    }
-    Off += D.Length;
-  }
+  // 2. Decode round trip.
+  checkDecode(Image.Text, R);
 }
 
 } // namespace
@@ -253,6 +262,12 @@ Report verify::verifyImage(const MModule &Variant,
                            const codegen::LinkOptions &Link) {
   Report R;
   checkImage(Variant, Image, Link, R);
+  return R;
+}
+
+Report verify::verifyImageDecode(std::span<const uint8_t> Text) {
+  Report R;
+  checkDecode(Text, R);
   return R;
 }
 

@@ -231,6 +231,10 @@ Report verifyExecution(const mir::MModule &Baseline,
 Report verifyImage(const mir::MModule &Variant, const codegen::Image &Image,
                    const codegen::LinkOptions &Link);
 
+/// The image family's decode walk alone, on raw \p Text: every
+/// instruction valid and every relative branch target inside it.
+Report verifyImageDecode(std::span<const uint8_t> Text);
+
 /// The profile-sanity family alone: stamped per-block counts of \p M
 /// must satisfy CFG flow conservation (a block cannot execute more often
 /// than its predecessors combined, and an executed non-returning block

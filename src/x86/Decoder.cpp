@@ -454,15 +454,26 @@ constexpr bool sameRow(const FastRefine (&A)[32], const FastRefine (&B)[32]) {
   return true;
 }
 
+/// The prefixes decodeLenClass's fast path steps over: SS and LOCK.
+constexpr uint8_t FastPrefixes[] = {0x36, 0xF0};
+static_assert(std::all_of(std::begin(FastPrefixes), std::end(FastPrefixes),
+                          [](uint8_t P) {
+                            return isPrefixByte(P) && P != 0x66 && P != 0x67;
+                          }),
+              "stepped-over prefixes must be size-neutral legacy prefixes");
+
 /// Compiles the opcode map into decodeLenClass's fast-path tables, for
-/// inputs with no prefix (32-bit operand and address size) and enough
-/// bytes that nothing is truncated. Each opcode's 32 classes by mod and
-/// /reg (refined for ModRM opcodes, its table class repeated otherwise)
+/// inputs at 32-bit operand and address size and with enough bytes that
+/// nothing is truncated. Each opcode's 32 classes by mod and /reg
+/// (refined for ModRM opcodes, its table class repeated otherwise)
 /// become a row; equal rows are shared, and constant evaluation rejects
-/// more than MaxFastGroups of them.
+/// more than MaxFastGroups of them. decodeImpl only counts a prefix
+/// other than 0x66 and 0x67, so after SS or LOCK the same rows apply.
 constexpr detail::FastTables buildFastTables() {
   using namespace detail;
   FastTables T{};
+  for (const uint8_t P : FastPrefixes)
+    T.StepsOver[P] = true;
   for (unsigned SibBase5 = 0; SibBase5 != 2; ++SibBase5)
     for (unsigned M = 0; M != 256; ++M) {
       const uint8_t Buf[MaxInstrLen] = {static_cast<uint8_t>(M),
@@ -524,10 +535,10 @@ constexpr unsigned maxFastLength() {
   return Max;
 }
 
-// With at least FastMinBytes bytes and no prefix, decodeImpl can neither
-// run out of input nor exceed the architectural limit, so the fast path
-// needs no bounds checks.
-static_assert(maxFastLength() <= detail::FastMinBytes &&
+// With at least FastMinBytes bytes and at most one stepped-over prefix,
+// decodeImpl can neither run out of input nor exceed the architectural
+// limit, so the fast path needs no bounds checks.
+static_assert(1 + maxFastLength() <= detail::FastMinBytes &&
                   detail::FastMinBytes <= MaxInstrLen,
               "fast-path instructions must fit the bytes it requires");
 

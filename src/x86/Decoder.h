@@ -152,6 +152,12 @@ constexpr unsigned MaxFastGroups = 32;
 struct FastTables {
   /// [0, 256): one-byte map; [256, 512): the 0F map.
   FastOp Ops[512];
+  /// True for the legacy prefixes the fast path steps over, SS (0x36)
+  /// and LOCK (0xF0). Neither changes operand or address size, so the
+  /// instruction after one decodes by the same rows, one byte longer.
+  /// They are the prefixes a scan meets most: 0x36 is the second byte
+  /// of Table 1's LEA ESI, [ESI].
+  bool StepsOver[256];
   /// ModRM + SIB + displacement bytes, indexed by [FastOp::ModRMSel +
   /// (SIB base == 5)][ModRM]: row 1 adds the disp32 of a no-base SIB;
   /// rows 2 and 3 are zero, for opcodes without ModRM.
@@ -162,41 +168,59 @@ struct FastTables {
 
 extern const FastTables Fast;
 
-/// Fewest bytes the fast path needs: with no prefix and 32-bit sizes no
-/// instruction is longer, so nothing it decodes can be truncated.
+/// Fewest bytes the fast path needs: with at most one stepped-over
+/// prefix and 32-bit sizes no instruction is longer, so nothing it
+/// decodes can be truncated.
 constexpr size_t FastMinBytes = 15;
 
 /// The general decoder's length/class entry (decodeInstr's template).
 bool decodeLenClassSlow(const uint8_t *Bytes, size_t Size,
                         uint8_t &LengthOut, InstrClass &ClassOut);
 
+/// The fast path for the opcode at \p Opcode, which follows \p Prefix
+/// stepped-over prefix bytes: false when the opcode is not in the
+/// tables, else the triple in \p Valid, \p LengthOut and \p ClassOut.
+/// Opcodes without ModRM read the next bytes too, into zero lengths and
+/// their class's identity row.
+[[gnu::always_inline]] inline bool
+decodeFast(const uint8_t *Opcode, unsigned Prefix, bool &Valid,
+           uint8_t &LengthOut, InstrClass &ClassOut) {
+  const unsigned Escape = Opcode[0] == 0x0F;
+  const FastOp &Op = Fast.Ops[Escape ? 256 + Opcode[1] : Opcode[0]];
+  if (Op.Fixed == 0)
+    return false;
+  const uint8_t *ModRM = Opcode + 1 + Escape;
+  const FastRefine &R = Fast.Groups[Op.Group][ModRM[0] >> 3];
+  LengthOut = static_cast<uint8_t>(
+      Prefix + Op.Fixed + R.ExtraImm +
+      Fast.ModRMLen[Op.ModRMSel + ((ModRM[1] & 7) == 5)][ModRM[0]]);
+  ClassOut = R.Class;
+  Valid = R.Class != InstrClass::Invalid;
+  return true;
+}
+
 } // namespace detail
 
 /// Length/class-only decode for bulk scanning: the same (valid, Length,
 /// Class) triple as decodeInstr for every byte string, without operand
-/// fields or immediate values. Inputs with no legacy prefix, no 0F 38 /
-/// 0F 3A escape and at least 15 bytes take three table lookups in
-/// detail::Fast and no branch on the bytes beyond that test; every
-/// other input runs decodeInstr's own template. DecoderTest pins the
-/// two equal over every 3-byte prefix. Inline so the gadget scanner,
-/// which calls it once per image offset, pays no call on the fast path.
+/// fields or immediate values. Inputs with at least 15 bytes, no 0F 38
+/// / 0F 3A escape and no legacy prefix take three table lookups in
+/// detail::Fast and no branch on the bytes beyond that test. A leading
+/// SS or LOCK prefix costs one more test and runs the same lookups from
+/// the next byte, so the common case pays nothing for it; every other
+/// input runs decodeInstr's own template. DecoderTest pins the two equal
+/// over every 3-byte prefix, bare and after SS or LOCK. Inline so the
+/// gadget scanner, which calls it once per image offset, pays no call on
+/// the fast path.
 inline bool decodeLenClass(const uint8_t *Bytes, size_t Size,
                            uint8_t &LengthOut, InstrClass &ClassOut) {
   using namespace detail;
   if (Size >= FastMinBytes) {
-    const unsigned Escape = Bytes[0] == 0x0F;
-    const FastOp &Op = Fast.Ops[Escape ? 256 + Bytes[1] : Bytes[0]];
-    if (Op.Fixed != 0) {
-      // Opcodes without ModRM read the next bytes too, into zero
-      // lengths and their class's identity row.
-      const uint8_t *ModRM = Bytes + 1 + Escape;
-      const FastRefine &R = Fast.Groups[Op.Group][ModRM[0] >> 3];
-      LengthOut = static_cast<uint8_t>(
-          Op.Fixed + R.ExtraImm +
-          Fast.ModRMLen[Op.ModRMSel + ((ModRM[1] & 7) == 5)][ModRM[0]]);
-      ClassOut = R.Class;
-      return R.Class != InstrClass::Invalid;
-    }
+    bool Valid = false;
+    if (decodeFast(Bytes, 0, Valid, LengthOut, ClassOut) ||
+        (Fast.StepsOver[Bytes[0]] &&
+         decodeFast(Bytes + 1, 1, Valid, LengthOut, ClassOut)))
+      return Valid;
   }
   return decodeLenClassSlow(Bytes, Size, LengthOut, ClassOut);
 }

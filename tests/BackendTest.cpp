@@ -39,8 +39,7 @@ TEST(RegPlan, LivenessOnDiamond) {
   auto LiveIn = lir::computeLiveIn(F);
   ASSERT_EQ(LiveIn.size(), F.Blocks.size());
   // Entry block needs nothing live-in (no parameters).
-  for (bool L : LiveIn[0])
-    EXPECT_FALSE(L);
+  EXPECT_TRUE(LiveIn[0].empty());
 }
 
 TEST(RegPlan, ParametersGetHomes) {

@@ -284,12 +284,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DecoderFuzzTest,
 
 /// decodeLenClass against decodeInstr on every 3-byte prefix (opcode,
 /// ModRM and SIB of a one-byte instruction; 0F, opcode and ModRM of a
-/// two-byte one), each followed by two fixed random tails: the (valid,
-/// Length, Class) triples must be equal, Length included on invalid
-/// decodes. The tails' first bytes differ in SIB base (5 or not), so
-/// the two-byte map's SIB forms are covered both ways. A sample of the
-/// prefixes is also cut to every length from 1 to 15, where the fast
-/// path hands over to the general decoder.
+/// two-byte one), bare and after each legacy prefix the fast path steps
+/// over (SS 0x36, LOCK 0xF0), each followed by two fixed random tails:
+/// the (valid, Length, Class) triples must be equal, Length included on
+/// invalid decodes. The tails' first bytes differ in SIB base (5 or
+/// not), so the two-byte map's SIB forms are covered both ways. A sample
+/// of the prefixes is also cut to every length from 1 to 15, where the
+/// fast path hands over to the general decoder.
 TEST(Decoder, LenClassMatchesDecodeInstrOnEveryThreeBytePrefix) {
   constexpr size_t TailBytes = 16;
   Rng R(0x5EEDF00D);
@@ -300,14 +301,14 @@ TEST(Decoder, LenClassMatchesDecodeInstrOnEveryThreeBytePrefix) {
   Tails[0][0] = static_cast<uint8_t>((Tails[0][0] & ~7u) | 5u);
   Tails[1][0] = static_cast<uint8_t>((Tails[1][0] & ~7u) | 4u);
 
-  uint8_t Buf[3 + TailBytes];
+  uint8_t Buf[1 + 3 + TailBytes];
   unsigned Failures = 0;
-  auto Check = [&](size_t Size) {
+  auto Check = [&](const uint8_t *Bytes, size_t Size) {
     Decoded D;
-    const bool FullOk = decodeInstr(Buf, Size, D);
+    const bool FullOk = decodeInstr(Bytes, Size, D);
     uint8_t Len = 0;
     InstrClass Class = InstrClass::Invalid;
-    const bool LeanOk = decodeLenClass(Buf, Size, Len, Class);
+    const bool LeanOk = decodeLenClass(Bytes, Size, Len, Class);
     if (LeanOk == FullOk && Len == D.Length && Class == D.Class)
       return;
     if (++Failures > 10)
@@ -315,8 +316,8 @@ TEST(Decoder, LenClassMatchesDecodeInstrOnEveryThreeBytePrefix) {
     std::string Hex;
     for (size_t I = 0; I != Size; ++I) {
       static const char Digits[] = "0123456789ABCDEF";
-      Hex += Digits[Buf[I] >> 4];
-      Hex += Digits[Buf[I] & 15];
+      Hex += Digits[Bytes[I] >> 4];
+      Hex += Digits[Bytes[I] & 15];
       Hex += ' ';
     }
     ADD_FAILURE() << "bytes " << Hex << "(size " << Size << "): decodeInstr ("
@@ -324,16 +325,22 @@ TEST(Decoder, LenClassMatchesDecodeInstrOnEveryThreeBytePrefix) {
                   << int(D.Class) << ") vs decodeLenClass (" << LeanOk
                   << ", " << int(Len) << ", " << int(Class) << ")";
   };
-  for (const auto &Tail : Tails) {
-    std::copy(Tail, Tail + TailBytes, Buf + 3);
-    for (uint32_t P = 0; P != 1u << 24; ++P) {
-      Buf[0] = static_cast<uint8_t>(P >> 16);
-      Buf[1] = static_cast<uint8_t>(P >> 8);
-      Buf[2] = static_cast<uint8_t>(P);
-      Check(sizeof(Buf));
-      if (P % 4099 == 0)
-        for (size_t Size = 1; Size <= 15; ++Size)
-          Check(Size);
+  // Lead 0 checks the bare prefixes from Buf + 1.
+  for (const uint8_t Lead : {uint8_t(0), uint8_t(0x36), uint8_t(0xF0)}) {
+    Buf[0] = Lead;
+    const uint8_t *Start = Lead == 0 ? Buf + 1 : Buf;
+    const size_t Full = static_cast<size_t>(Buf + sizeof(Buf) - Start);
+    for (const auto &Tail : Tails) {
+      std::copy(Tail, Tail + TailBytes, Buf + 4);
+      for (uint32_t P = 0; P != 1u << 24; ++P) {
+        Buf[1] = static_cast<uint8_t>(P >> 16);
+        Buf[2] = static_cast<uint8_t>(P >> 8);
+        Buf[3] = static_cast<uint8_t>(P);
+        Check(Start, Full);
+        if (P % 4099 == 0)
+          for (size_t Size = 1; Size <= 15; ++Size)
+            Check(Start, Size);
+      }
     }
   }
   EXPECT_EQ(Failures, 0u);

@@ -681,3 +681,59 @@ TEST(ScannerParity, ProbeSweepReportsDecodedBelowScanned) {
   }
   EXPECT_EQ(ByJobs[1], ByJobs[2]);
 }
+
+//===----------------------------------------------------------------------===//
+// Image ends: the fact's NOP bits read an offset's first two bytes, with
+// the second taken as absent past the end; 1-3 byte streams ending in a
+// NOP's first byte or a stepped-over prefix put that case at every
+// offset
+//===----------------------------------------------------------------------===//
+
+TEST(ScannerParity, ShortStreamsEndingInNopOrPrefixBytes) {
+  const uint8_t Last[] = {0x90, 0x89, 0x8D, 0x87, 0x36, 0xF0};
+  // Leading bytes: NOP bytes of both positions, a terminator, the 0F
+  // escape, and bytes no Table 1 row holds.
+  const uint8_t Lead[] = {0x90, 0x89, 0x8D, 0x87, 0x36, 0xF0, 0xE4,
+                          0xED, 0x3F, 0xC3, 0xFF, 0x0F, 0x00};
+  std::vector<std::vector<uint8_t>> Streams;
+  for (uint8_t L : Last) {
+    Streams.push_back({L});
+    for (uint8_t A : Lead) {
+      Streams.push_back({A, L});
+      for (uint8_t B : Lead)
+        Streams.push_back({A, B, L});
+    }
+  }
+  unsigned Checked = 0;
+  for (bool Xchg : {false, true}) {
+    for (bool Syscall : {false, true}) {
+      ScanOptions Opts;
+      Opts.IncludeXchgNops = Xchg;
+      Opts.IncludeSyscallGadgets = Syscall;
+      ScanOptions Ref = Opts;
+      Ref.ForceReference = true;
+      for (size_t S = 0; S != Streams.size(); ++S) {
+        const std::vector<uint8_t> &Text = Streams[S];
+        const std::string What = "stream " + std::to_string(S) +
+                                 " x=" + std::to_string(Xchg) +
+                                 " s=" + std::to_string(Syscall);
+        expectOffsetParity(Text, Opts, What);
+        expectHashDefinition(Text, Opts, What);
+        // Against a version whose first byte differs, so the probe's
+        // first-byte rule-out reads both images' NOP bits at offset 0.
+        std::vector<uint8_t> Other = Text;
+        Other[0] = static_cast<uint8_t>(Other[0] ^ 0x01);
+        auto ExpectSurvivors = [&](const std::vector<uint8_t> &A,
+                                   const std::vector<uint8_t> &B) {
+          expectSameSurvivors(gadget::survivingGadgets(A, B, Opts),
+                              gadget::survivingGadgets(A, B, Ref),
+                              What + " survivors");
+        };
+        ExpectSurvivors(Text, Other);
+        ExpectSurvivors(Other, Text);
+        ++Checked;
+      }
+    }
+  }
+  EXPECT_EQ(Checked, 4 * Streams.size());
+}

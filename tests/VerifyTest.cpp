@@ -17,9 +17,12 @@
 #include "verify/FaultInjector.h"
 #include "verify/Verifier.h"
 #include "workloads/Workloads.h"
+#include "x86/Decoder.h"
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <map>
 
 using namespace pgsd;
@@ -437,6 +440,103 @@ TEST(Verify, ImageCheckAcceptsHonestLink) {
   verify::Report R =
       verify::verifyImage(V.MIR, V.Image, codegen::LinkOptions());
   EXPECT_TRUE(R.ok()) << R.str();
+}
+
+namespace {
+
+/// The image check's decode walk as it ran before the table decoder: a
+/// full decodeInstr at every instruction, with the same diagnostics.
+verify::Report fullDecodeWalk(const std::vector<uint8_t> &Text) {
+  verify::Report R;
+  char Buf[128];
+  size_t Off = 0;
+  while (Off < Text.size()) {
+    x86::Decoded D;
+    if (!x86::decodeInstr(Text.data() + Off, Text.size() - Off, D)) {
+      std::snprintf(Buf, sizeof(Buf),
+                    "invalid or truncated instruction at offset %#zx", Off);
+      R.add(verify::ErrorCode::ImageDecodeInvalid, Buf);
+      return R;
+    }
+    if (D.Class == x86::InstrClass::CallRel ||
+        D.Class == x86::InstrClass::JmpRel ||
+        D.Class == x86::InstrClass::Jcc ||
+        D.Class == x86::InstrClass::Loop) {
+      const int64_t Target = static_cast<int64_t>(Off) + D.Length + D.Imm;
+      if (Target < 0 || Target >= static_cast<int64_t>(Text.size())) {
+        std::snprintf(Buf, sizeof(Buf),
+                      "branch at offset %#zx targets %+" PRId64
+                      " (image is %zu bytes)",
+                      Off, Target, Text.size());
+        R.add(verify::ErrorCode::BranchTargetOutOfRange, Buf);
+      }
+    }
+    Off += D.Length;
+  }
+  return R;
+}
+
+} // namespace
+
+TEST(Verify, ImageDecodeWalkMatchesFullDecode) {
+  // Every suite image, baseline and diversified, decodes clean.
+  unsigned Images = 0;
+  for (const workloads::Workload &W : workloads::specSuite()) {
+    driver::Program P = driver::compileProgram(W.Source, W.Name);
+    ASSERT_TRUE(P.ok()) << W.Name;
+    std::vector<std::vector<uint8_t>> Texts = {driver::linkBaseline(P).Text};
+    for (const std::vector<diversity::TransformKind> &Kinds :
+         {std::vector<diversity::TransformKind>{diversity::TransformKind::Nop},
+          std::vector<diversity::TransformKind>{
+              diversity::TransformKind::Nop, diversity::TransformKind::Shift,
+              diversity::TransformKind::Sched,
+              diversity::TransformKind::Regs}})
+      Texts.push_back(driver::makeVariant(P, Pipeline(Kinds),
+                                          DiversityOptions::uniform(0.3), 5)
+                          .Image.Text);
+    for (const std::vector<uint8_t> &Text : Texts) {
+      const verify::Report R = verify::verifyImageDecode(Text);
+      EXPECT_TRUE(R.ok()) << W.Name << ": " << R.str();
+      EXPECT_EQ(R.str(), fullDecodeWalk(Text).str()) << W.Name;
+      ++Images;
+    }
+  }
+  EXPECT_EQ(Images, 3 * workloads::specSuite().size());
+
+  // Crafted images, each wrong in one way. The NOPs and SS/LOCK-
+  // prefixed instructions around the fault take the table path.
+  std::vector<uint8_t> Run(20, 0x90);
+  Run.insert(Run.end(), {0x36, 0x8B, 0x45, 0x08,  // mov eax, ss:[ebp+8]
+                         0xF0, 0x01, 0x03});      // lock add [ebx], eax
+  auto Image = [&Run](std::initializer_list<uint8_t> Fault) {
+    std::vector<uint8_t> Text = Run;
+    Text.insert(Text.end(), Fault);
+    Text.insert(Text.end(), Run.begin(), Run.end());
+    Text.push_back(0xC3);
+    return Text;
+  };
+  std::vector<uint8_t> Truncated = Run;
+  Truncated.insert(Truncated.end(), {0xE8, 0x00, 0x00}); // call rel32, cut
+  struct Crafted {
+    const char *What;
+    std::vector<uint8_t> Text;
+    verify::ErrorCode Code;
+  };
+  const Crafted Cases[] = {
+      {"truncated last instruction", Truncated,
+       verify::ErrorCode::ImageDecodeInvalid},
+      {"rel32 past the end", Image({0xE9, 0x00, 0x01, 0x00, 0x00}),
+       verify::ErrorCode::BranchTargetOutOfRange},
+      {"rel8 before the start", Image({0xEB, 0x80}),
+       verify::ErrorCode::BranchTargetOutOfRange},
+      {"invalid opcode mid-image", Image({0xD6}),
+       verify::ErrorCode::ImageDecodeInvalid},
+  };
+  for (const Crafted &C : Cases) {
+    const verify::Report R = verify::verifyImageDecode(C.Text);
+    EXPECT_TRUE(R.has(C.Code)) << C.What << ": " << R.str();
+    EXPECT_EQ(R.str(), fullDecodeWalk(C.Text).str()) << C.What;
+  }
 }
 
 TEST(Verify, AdmissionRefutesNonNopDivergence) {
