@@ -272,17 +272,13 @@ const CachedStub &plainRuntimeStub() {
 
 } // namespace
 
-Image codegen::link(const mir::MModule &M, const LinkOptions &Opts) {
-  // One scratch per thread: the batch fan-out links thousands of
-  // variants per worker, and every variant of one module has near-
-  // identical layout, so recycled buffers hit their high-water capacity
-  // after the first link.
-  thread_local LinkScratch Scratch;
-  return link(M, Opts, Scratch);
-}
+namespace {
 
-Image codegen::link(const mir::MModule &M, const LinkOptions &Opts,
-                    LinkScratch &Scratch) {
+/// The layout step every link shares: the C-runtime stub at offset 0,
+/// then Scratch.Codes[F] for each function of \p M in module order, each
+/// aligned, then the data layout and every relocation.
+Image layOut(const mir::MModule &M, const LinkOptions &Opts,
+             LinkScratch &Scratch) {
   assert(M.EntryFunction >= 0 && "module has no entry function");
   Image Img;
 
@@ -295,7 +291,6 @@ Image codegen::link(const mir::MModule &M, const LinkOptions &Opts,
 
   // 1. C-runtime stub at offset 0 (crt*.o + libc objects equivalent).
   uint32_t CallMainField = 0;
-  Img.Text.reserve(Scratch.LastTextSize);
   if (!Opts.DiversifyStub) {
     const CachedStub &Stub = plainRuntimeStub();
     Img.Text.insert(Img.Text.end(), Stub.Bytes.begin(), Stub.Bytes.end());
@@ -309,20 +304,20 @@ Image codegen::link(const mir::MModule &M, const LinkOptions &Opts,
   Img.StubSize = static_cast<uint32_t>(Img.Text.size());
   Img.EntryOffset = 0;
 
-  // 2. Program functions, in module order, emitted into recycled
-  // per-slot buffers.
-  if (Scratch.Codes.size() < M.Functions.size())
-    Scratch.Codes.resize(M.Functions.size());
-  std::vector<codegen::FunctionCode> &Codes = Scratch.Codes;
+  // 2. Program functions, in module order, from the per-slot buffers,
+  // into .text sized once for them and their alignment.
+  const std::vector<FunctionCode> &Codes = Scratch.Codes;
+  size_t FunctionBytes = 0;
+  for (size_t F = 0; F != M.Functions.size(); ++F)
+    FunctionBytes += Codes[F].Bytes.size() + Align - 1;
+  Img.Text.reserve(Img.Text.size() + FunctionBytes);
   Img.FuncOffsets.resize(M.Functions.size());
   for (size_t F = 0; F != M.Functions.size(); ++F) {
     PadTo(Align);
-    emitFunction(M.Functions[F], M, Codes[F]);
     Img.FuncOffsets[F] = static_cast<uint32_t>(Img.Text.size());
     Img.Text.insert(Img.Text.end(), Codes[F].Bytes.begin(),
                     Codes[F].Bytes.end());
   }
-  Scratch.LastTextSize = Img.Text.size();
 
   // 3. Data layout.
   Img.GlobalAddrs.resize(M.Globals.size());
@@ -368,4 +363,46 @@ Image codegen::link(const mir::MModule &M, const LinkOptions &Opts,
     }
   }
   return Img;
+}
+
+/// One scratch per thread: the batch fan-out links thousands of variants
+/// per worker, and every variant of one module has near-identical
+/// layout, so recycled buffers hit their high-water capacity after the
+/// first link.
+LinkScratch &threadScratch() {
+  thread_local LinkScratch Scratch;
+  return Scratch;
+}
+
+} // namespace
+
+Image codegen::link(const mir::MModule &M, const LinkOptions &Opts) {
+  return link(M, Opts, threadScratch());
+}
+
+Image codegen::link(const mir::MModule &M, const LinkOptions &Opts,
+                    LinkScratch &Scratch) {
+  if (Scratch.Codes.size() < M.Functions.size())
+    Scratch.Codes.resize(M.Functions.size());
+  for (size_t F = 0; F != M.Functions.size(); ++F)
+    emitFunction(M.Functions[F], Scratch.Codes[F]);
+  return layOut(M, Opts, Scratch);
+}
+
+Image codegen::linkSpliced(const mir::MModule &Variant,
+                           const mir::MModule &Baseline,
+                           const std::vector<FunctionCode> &BaseCode,
+                           const LinkOptions &Opts) {
+  const size_t NumFunctions = Variant.Functions.size();
+  if (Baseline.Functions.size() != NumFunctions ||
+      BaseCode.size() != NumFunctions)
+    return link(Variant, Opts);
+  LinkScratch &Scratch = threadScratch();
+  if (Scratch.Codes.size() < NumFunctions)
+    Scratch.Codes.resize(NumFunctions);
+  for (size_t F = 0; F != NumFunctions; ++F)
+    if (!spliceFunction(Variant.Functions[F], Baseline.Functions[F],
+                        BaseCode[F], Scratch.Codes[F]))
+      emitFunction(Variant.Functions[F], Scratch.Codes[F]);
+  return layOut(Variant, Opts, Scratch);
 }

@@ -20,6 +20,12 @@
 /// that the linker adds to the binary"). A flag diversifies the stub too,
 /// reproducing the paper's suggested fix.
 ///
+/// A link is two steps: per-function encoding, then one layout step
+/// (stub, alignment, data, relocations) that every link shares. link()
+/// encodes with the emitter; linkSpliced() encodes a NOP-only variant by
+/// splicing its baseline's code (codegen::spliceFunction), so the two
+/// differ only in how function bytes are produced.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PGSD_CODEGEN_LINKER_H
@@ -69,13 +75,12 @@ struct Image {
   uint32_t GlobalsEnd = codegen::GlobalsBase; ///< One past the last byte.
 };
 
-/// Reusable scratch state for link(). Batch loops pass the same
-/// instance (one per worker thread) so per-function emit buffers are
-/// recycled across variants and the .text vector is pre-sized from the
-/// previous variant's layout instead of growing through reallocation.
+/// Reusable scratch state for link() and linkSpliced(). Batch loops
+/// pass the same instance (one per worker thread) so per-function
+/// buffers are recycled across variants. The .text vector is sized once
+/// from those buffers instead of growing through reallocation.
 struct LinkScratch {
   std::vector<FunctionCode> Codes;
-  size_t LastTextSize = 0;
 };
 
 /// Emits every function of \p M and links the image. The two-argument
@@ -84,6 +89,16 @@ struct LinkScratch {
 Image link(const mir::MModule &M, const LinkOptions &Opts = LinkOptions());
 Image link(const mir::MModule &M, const LinkOptions &Opts,
            LinkScratch &Scratch);
+
+/// Links \p Variant, a NOP-only variant of \p Baseline, whose functions'
+/// code \p BaseCode holds (emitFunction of each, in module order): each
+/// function is spliced from its baseline code (spliceFunction), and one
+/// that does not line up with it is emitted instead. The image equals
+/// link(Variant, Opts) whenever \p Variant is equal to \p Baseline
+/// modulo NOPs; verify::verifyImage's re-link checks exactly that.
+Image linkSpliced(const mir::MModule &Variant, const mir::MModule &Baseline,
+                  const std::vector<FunctionCode> &BaseCode,
+                  const LinkOptions &Opts = LinkOptions());
 
 /// Builds just the C-runtime stub (exposed for tests and the gadget
 /// analysis of the undiversified residue). \p IntrinsicOffsets receives

@@ -10,6 +10,7 @@
 #include "analysis/Analysis.h"
 #include "obs/Metrics.h"
 
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -48,27 +49,34 @@ std::string DiversityOptions::label() const {
   return Buf;
 }
 
-double diversity::nopProbability(uint64_t Count, uint64_t MaxCount,
-                                 const DiversityOptions &Opts) {
-  switch (Opts.Model) {
+NopProbability::NopProbability(uint64_t MaxCount,
+                               const DiversityOptions &Opts)
+    : Budget(Opts), XMax(MaxCount),
+      LogXMax(std::log1p(static_cast<double>(MaxCount))) {}
+
+double NopProbability::operator()(uint64_t Count) const {
+  switch (Budget.Model) {
   case ProbabilityModel::Uniform:
-    return Opts.PMax;
+    return Budget.PMax;
   case ProbabilityModel::Linear: {
-    if (MaxCount == 0)
-      return Opts.PMax;
-    double Frac =
-        static_cast<double>(Count) / static_cast<double>(MaxCount);
-    return Opts.PMax - (Opts.PMax - Opts.PMin) * Frac;
+    if (XMax == 0)
+      return Budget.PMax;
+    double Frac = static_cast<double>(Count) / static_cast<double>(XMax);
+    return Budget.PMax - (Budget.PMax - Budget.PMin) * Frac;
   }
   case ProbabilityModel::Log: {
-    if (MaxCount == 0)
-      return Opts.PMax;
-    double Frac = std::log1p(static_cast<double>(Count)) /
-                  std::log1p(static_cast<double>(MaxCount));
-    return Opts.PMax - (Opts.PMax - Opts.PMin) * Frac;
+    if (XMax == 0)
+      return Budget.PMax;
+    double Frac = std::log1p(static_cast<double>(Count)) / LogXMax;
+    return Budget.PMax - (Budget.PMax - Budget.PMin) * Frac;
   }
   }
-  return Opts.PMax;
+  return Budget.PMax;
+}
+
+double diversity::nopProbability(uint64_t Count, uint64_t MaxCount,
+                                 const DiversityOptions &Opts) {
+  return NopProbability(MaxCount, Opts)(Count);
 }
 
 InsertionStats diversity::insertNops(const MModule &Baseline, MModule &Out,
@@ -91,12 +99,26 @@ InsertionStats diversity::insertNops(const MModule &Baseline, MModule &Out,
   for (const MFunction &F : Baseline.Functions)
     for (const MBasicBlock &BB : F.Blocks)
       MaxCount = std::max(MaxCount, BB.ProfileCount);
+  const NopProbability PNopOf(MaxCount, Opts);
 
   Out.Name = Baseline.Name;
   Out.Globals = Baseline.Globals;
   Out.EntryFunction = Baseline.EntryFunction;
   Out.NumProfCounters = Baseline.NumProfCounters;
   Out.Functions.resize(Baseline.Functions.size());
+
+  // Candidates may land anywhere -- including between a cmp and its
+  // jcc -- only because every Table 1 NOP leaves EFLAGS alone. Ask the
+  // analyzer, once per kind, instead of trusting the table, so a future
+  // flag-touching candidate is rejected here rather than discovered as
+  // a broken variant downstream.
+  std::array<bool, x86::NumNopKinds> Neutral{};
+  for (unsigned K = 0; K != NumNops; ++K) {
+    MInstr Nop;
+    Nop.Op = MOp::Nop;
+    Nop.NopK = static_cast<x86::NopKind>(K);
+    Neutral[K] = analysis::flagEffect(Nop) == analysis::FlagEffect::Neutral;
+  }
 
   // The NOP drawn before each instruction of the block being written,
   // or NoNop: a block's draws come first so its instructions are
@@ -123,30 +145,26 @@ InsertionStats diversity::insertNops(const MModule &Baseline, MModule &Out,
       MBasicBlock &OB = OF.Blocks[B];
       OB.Name = BB.Name;
       OB.ProfileCount = BB.ProfileCount;
-      double PNop = nopProbability(BB.ProfileCount, MaxCount, Opts);
+      const double PNop = PNopOf(BB.ProfileCount);
       if (Obs)
         obs::histogramObserve("diversity.pnop_percent", PNop * 100.0,
                               PnopBuckets);
+      // Algorithm 1's roll as one integer test per site.
+      const Rng::Bernoulli Roll = Rng::bernoulli(PNop);
       const size_t N = BB.Instrs.size();
       Drawn.assign(N, NoNop);
+      uint8_t *Draw = Drawn.data();
       size_t Accepted = 0;
+      Stats.CandidateSites += N;
       for (size_t I = 0; I != N; ++I) {
-        ++Stats.CandidateSites;
         // Algorithm 1: roll, then pick a candidate NOP uniformly.
-        if (!G.nextBernoulli(PNop))
+        if (!G.nextBernoulli(Roll))
           continue;
-        MInstr Nop;
-        Nop.Op = MOp::Nop;
-        Nop.NopK = static_cast<x86::NopKind>(G.nextBelow(NumNops));
-        // Candidates may land anywhere -- including between a cmp and
-        // its jcc -- only because every Table 1 NOP leaves EFLAGS
-        // alone. Ask the analyzer instead of trusting the table, so a
-        // future flag-touching candidate is rejected here rather than
-        // discovered as a broken variant downstream.
-        if (analysis::flagEffect(Nop) == analysis::FlagEffect::Neutral) {
+        const auto Kind = static_cast<uint8_t>(G.nextBelow(NumNops));
+        if (Neutral[Kind]) {
           ++Stats.NopsInserted;
-          ++Stats.PerKind[static_cast<size_t>(Nop.NopK)];
-          Drawn[I] = static_cast<uint8_t>(Nop.NopK);
+          ++Stats.PerKind[Kind];
+          Draw[I] = Kind;
           ++Accepted;
         } else {
           ++Stats.NopsRejected;

@@ -85,6 +85,20 @@ struct InsertionStats {
   }
 };
 
+/// pNOP over one module: the model of \p Opts against the module-wide
+/// maximum count (the paper's x_max), with log(1 + x_max) taken once.
+class NopProbability {
+public:
+  NopProbability(uint64_t MaxCount, const DiversityOptions &Opts);
+  /// pNOP for a block with execution count \p Count (the paper's x).
+  double operator()(uint64_t Count) const;
+
+private:
+  DiversityOptions Budget;
+  uint64_t XMax;
+  double LogXMax; ///< log(1 + XMax).
+};
+
 /// Computes pNOP for a block with execution count \p Count given the
 /// module-wide maximum \p MaxCount (the paper's x and x_max).
 double nopProbability(uint64_t Count, uint64_t MaxCount,

@@ -87,6 +87,7 @@ SchedStats diversity::randomizeSchedule(MModule &M,
   for (const MFunction &F : M.Functions)
     for (const MBasicBlock &BB : F.Blocks)
       MaxCount = std::max(MaxCount, BB.ProfileCount);
+  const NopProbability PNopOf(MaxCount, Opts);
 
   for (MFunction &F : M.Functions) {
     for (MBasicBlock &BB : F.Blocks) {
@@ -130,7 +131,7 @@ SchedStats diversity::randomizeSchedule(MModule &M,
 
       // Hot blocks keep their order with probability 1 - pNOP(count);
       // cold blocks reorder aggressively.
-      double PNop = nopProbability(BB.ProfileCount, MaxCount, Opts);
+      double PNop = PNopOf(BB.ProfileCount);
       if (!Generator.nextBernoulli(PNop))
         continue;
 

@@ -23,6 +23,22 @@
 using namespace pgsd;
 using namespace pgsd::driver;
 
+const std::vector<codegen::FunctionCode> *
+BaselineCode::get(const mir::MModule &MIR) const {
+  if (!S)
+    return nullptr;
+  std::call_once(S->Once, [&] {
+    S->Functions.resize(MIR.Functions.size());
+    for (size_t F = 0; F != MIR.Functions.size(); ++F) {
+      codegen::emitFunction(MIR.Functions[F], S->Functions[F]);
+      // The emitter reserves its worst case; the copy kept for the
+      // program's lifetime keeps only its bytes.
+      S->Functions[F].Bytes.shrink_to_fit();
+    }
+  });
+  return &S->Functions;
+}
+
 Program driver::compileProgram(std::string_view Source,
                                const std::string &Name, bool Optimize) {
   Program P;
@@ -97,7 +113,12 @@ Variant driver::makeVariant(const Program &P,
   }
   {
     obs::Span S("pipeline.emit");
-    V.Image = codegen::link(V.MIR, Link);
+    const std::vector<codegen::FunctionCode> *Base = nullptr;
+    if (Pipe.kinds().size() == 1 &&
+        Pipe.kinds()[0] == diversity::TransformKind::Nop)
+      Base = P.Code.get(P.MIR);
+    V.Image = Base ? codegen::linkSpliced(V.MIR, P.MIR, *Base, Link)
+                   : codegen::link(V.MIR, Link);
   }
   return V;
 }

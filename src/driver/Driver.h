@@ -38,12 +38,46 @@
 #include "verify/Diagnostic.h"
 #include "verify/Verifier.h"
 
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace pgsd {
 namespace driver {
+
+/// A program's baseline encoding: codegen::emitFunction of each function
+/// of its MIR (bytes, relocations, branch fixups, instruction offsets),
+/// encoded on first use under a once-flag, so the batch and serve
+/// workers that share one Program share one copy and only read it.
+/// NOP-only variants splice it (codegen::linkSpliced). A copied Program
+/// encodes its own MIR afresh; a moved-from one has none, and its
+/// variants take the emitter.
+class BaselineCode {
+public:
+  BaselineCode() : S(std::make_unique<State>()) {}
+  BaselineCode(const BaselineCode &) : BaselineCode() {}
+  BaselineCode &operator=(const BaselineCode &) {
+    S = std::make_unique<State>();
+    return *this;
+  }
+  BaselineCode(BaselineCode &&) noexcept = default;
+  BaselineCode &operator=(BaselineCode &&) noexcept = default;
+
+  /// The encoding of \p MIR, the owning Program's, encoded by the first
+  /// call. Only profile counts of that MIR may change after the first
+  /// call (they do not reach the bytes). Null for a moved-from Program.
+  const std::vector<codegen::FunctionCode> *
+  get(const mir::MModule &MIR) const;
+
+private:
+  struct State {
+    std::once_flag Once;
+    std::vector<codegen::FunctionCode> Functions;
+  };
+  std::unique_ptr<State> S;
+};
 
 /// A compiled (but not yet diversified) program.
 struct Program {
@@ -53,6 +87,7 @@ struct Program {
   mir::MModule MIR;     ///< Machine IR; profile-stamped after
                         ///< profileAndStamp.
   bool HasProfile = false;
+  BaselineCode Code;    ///< MIR's encoding, for NOP-only variants.
 
   /// True when compilation succeeded and the program is usable.
   bool ok() const { return Diags.ok(); }
@@ -78,7 +113,10 @@ struct Variant {
 };
 
 /// Produces a diversified variant of \p P under transform pipeline
-/// \p Pipe and links its image.
+/// \p Pipe and links its image. When \p Pipe is exactly {nop}, the
+/// image is spliced from P's baseline encoding (P.Code) rather than
+/// re-emitted: the same bytes, since the variant is its baseline with
+/// Table 1 NOPs between instructions. Every other pipeline emits.
 Variant makeVariant(const Program &P, const diversity::Pipeline &Pipe,
                     const diversity::DiversityOptions &Opts, uint64_t Seed,
                     const codegen::LinkOptions &Link = codegen::LinkOptions());

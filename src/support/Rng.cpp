@@ -27,24 +27,6 @@ void Rng::reseed(uint64_t Seed) {
          "xoshiro state must not be all zero");
 }
 
-
-uint64_t Rng::nextBelow(uint64_t Bound) {
-  assert(Bound != 0 && "bound must be positive");
-  // Lemire's method: multiply-shift with rejection of the biased region.
-  uint64_t X = next();
-  __uint128_t M = static_cast<__uint128_t>(X) * Bound;
-  uint64_t Low = static_cast<uint64_t>(M);
-  if (Low < Bound) {
-    uint64_t Threshold = -Bound % Bound;
-    while (Low < Threshold) {
-      X = next();
-      M = static_cast<__uint128_t>(X) * Bound;
-      Low = static_cast<uint64_t>(M);
-    }
-  }
-  return static_cast<uint64_t>(M >> 64);
-}
-
 Rng Rng::fork() {
   return Rng(next());
 }

@@ -20,6 +20,7 @@
 #define PGSD_SUPPORT_RNG_H
 
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 
 namespace pgsd {
@@ -61,8 +62,24 @@ public:
   /// Returns an integer uniformly distributed in [0, Bound).
   ///
   /// Uses Lemire's unbiased multiply-shift rejection method. \p Bound must
-  /// be nonzero.
-  uint64_t nextBelow(uint64_t Bound);
+  /// be nonzero. Inline, like next(): NOP insertion draws a candidate
+  /// per inserted NOP, and a call would take its generator out of
+  /// registers.
+  uint64_t nextBelow(uint64_t Bound) {
+    assert(Bound != 0 && "bound must be positive");
+    uint64_t X = next();
+    __uint128_t M = static_cast<__uint128_t>(X) * Bound;
+    uint64_t Low = static_cast<uint64_t>(M);
+    if (Low < Bound) {
+      uint64_t Threshold = -Bound % Bound;
+      while (Low < Threshold) {
+        X = next();
+        M = static_cast<__uint128_t>(X) * Bound;
+        Low = static_cast<uint64_t>(M);
+      }
+    }
+    return static_cast<uint64_t>(M >> 64);
+  }
 
   /// Returns an integer uniformly distributed in [Lo, Hi] (inclusive).
   int64_t nextInRange(int64_t Lo, int64_t Hi) {
@@ -71,14 +88,38 @@ public:
                     nextBelow(static_cast<uint64_t>(Hi - Lo) + 1));
   }
 
-  /// Returns true with probability \p P (clamped to [0, 1]).
-  bool nextBernoulli(double P) {
+  /// A probability as the integer test nextBernoulli draws against, for
+  /// a caller that makes many draws at one probability (NOP insertion:
+  /// one per instruction of a block).
+  struct Bernoulli {
+    uint64_t Below = 0; ///< A draw succeeds when next() >> 11 is below.
+    bool Draws = false; ///< False: decided without a draw, Below != 0.
+  };
+
+  /// The test for probability \p P (clamped to [0, 1]). P <= 0 and
+  /// P >= 1 are decided without a draw; a NaN draws once and fails, as
+  /// nextDouble() < NaN does. Otherwise (next() >> 11) < ceil(P * 2^53)
+  /// is exactly nextDouble() < P: nextDouble() is that integer times
+  /// 2^-53, and scaling P by a power of two is exact.
+  static Bernoulli bernoulli(double P) {
     if (P <= 0.0)
-      return false;
+      return {0, false};
     if (P >= 1.0)
-      return true;
-    return nextDouble() < P;
+      return {1, false};
+    if (P != P)
+      return {0, true};
+    return {static_cast<uint64_t>(std::ceil(P * 0x1.0p53)), true};
   }
+
+  /// Returns true with the probability \p B was made for.
+  bool nextBernoulli(Bernoulli B) {
+    if (!B.Draws)
+      return B.Below != 0;
+    return (next() >> 11) < B.Below;
+  }
+
+  /// Returns true with probability \p P (clamped to [0, 1]).
+  bool nextBernoulli(double P) { return nextBernoulli(bernoulli(P)); }
 
   /// Derives an independent child generator; used to give each function or
   /// variant its own stream so insertion decisions in one function do not

@@ -69,7 +69,7 @@ bool FaultInjector::dropRelocation(const MModule &Variant,
   std::vector<uint32_t> Fields;
   for (size_t F = 0; F != Variant.Functions.size(); ++F) {
     codegen::FunctionCode Code =
-        codegen::emitFunction(Variant.Functions[F], Variant);
+        codegen::emitFunction(Variant.Functions[F]);
     for (const codegen::Reloc &R : Code.Relocs)
       Fields.push_back(Image.FuncOffsets[F] + R.Offset);
   }

@@ -234,7 +234,11 @@ void checkImage(const MModule &Variant, const codegen::Image &Image,
   // 1. Byte-exact round trip: linking is deterministic, so the image
   // must equal a fresh emission of the MIR it claims to encode. This is
   // the integrity check with full coverage -- any .text corruption,
-  // dropped relocation, or resequenced NOP shows up as a byte diff.
+  // dropped relocation, or resequenced NOP shows up as a byte diff. A
+  // {nop} attempt's image was spliced from its baseline's encoding
+  // (codegen::linkSpliced), so for it the re-emission is a second
+  // encoder checking the first; any other image came from the emitter,
+  // which then checks itself.
   codegen::Image Fresh = codegen::link(Variant, Link);
   if (Fresh.Text != Image.Text) {
     size_t At = 0;

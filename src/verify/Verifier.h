@@ -29,7 +29,9 @@
 ///     flow conservation.
 ///  4. Image integrity: the linked .text must byte-match a deterministic
 ///     re-emission of the variant MIR, decode end-to-end as valid IA-32,
-///     and keep every relative branch target inside the image.
+///     and keep every relative branch target inside the image. A {nop}
+///     image is spliced from the baseline's encoding, so for it the
+///     re-emission is a second encoder.
 ///  5. Differential execution: baseline and variant MIR run on a
 ///     deterministic input battery; exit code, output checksum, output
 ///     text, and trap behaviour must agree input-for-input.

@@ -5,14 +5,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/Experiments.h"
 #include "codegen/Emitter.h"
 #include "codegen/Layout.h"
 #include "codegen/Linker.h"
 #include "diversity/NopInsertion.h"
 #include "driver/Driver.h"
+#include "workloads/Workloads.h"
 #include "x86/Decoder.h"
 
 #include <gtest/gtest.h>
+
+#include <latch>
+#include <thread>
 
 using namespace pgsd;
 
@@ -53,7 +58,7 @@ TEST(Emitter, FunctionCodeDecodesLinearly) {
   )",
                                 "emit");
   for (const mir::MFunction &F : P.MIR.Functions) {
-    codegen::FunctionCode Code = codegen::emitFunction(F, P.MIR);
+    codegen::FunctionCode Code = codegen::emitFunction(F);
     EXPECT_TRUE(decodesLinearly(Code.Bytes, 0, Code.Bytes.size()))
         << F.Name;
     EXPECT_GT(Code.Bytes.size(), 8u);
@@ -67,7 +72,7 @@ TEST(Emitter, PrologueShape) {
       "prologue");
   const mir::MFunction &F =
       P.MIR.Functions[static_cast<size_t>(P.MIR.EntryFunction)];
-  codegen::FunctionCode Code = codegen::emitFunction(F, P.MIR);
+  codegen::FunctionCode Code = codegen::emitFunction(F);
   // push ebp; mov ebp, esp; ...
   ASSERT_GE(Code.Bytes.size(), 3u);
   EXPECT_EQ(Code.Bytes[0], 0x55);
@@ -90,7 +95,7 @@ TEST(Emitter, EveryMirInstructionIsOneNativeInstruction) {
       "return a; }",
       "oneone");
   const mir::MFunction &F = P.MIR.Functions[0];
-  codegen::FunctionCode Code = codegen::emitFunction(F, P.MIR);
+  codegen::FunctionCode Code = codegen::emitFunction(F);
 
   size_t Expected = 0;
   unsigned Saved = (F.UsesEbx ? 1 : 0) + (F.UsesEsi ? 1 : 0) +
@@ -252,4 +257,167 @@ TEST(Linker, StubIdenticalAcrossVariants) {
   ASSERT_EQ(V1.Image.StubSize, V2.Image.StubSize);
   for (uint32_t I = 0; I != V1.Image.StubSize; ++I)
     ASSERT_EQ(V1.Image.Text[I], V2.Image.Text[I]) << "stub byte " << I;
+}
+
+// --- the splice: NOP-only variants from their baseline's encoding --------
+
+namespace {
+
+/// Every field of an Image, compared one by one so a failure names it.
+void expectSameImage(const codegen::Image &Got, const codegen::Image &Want,
+                     const std::string &What) {
+  EXPECT_EQ(Got.Text, Want.Text) << What;
+  EXPECT_EQ(Got.TextBase, Want.TextBase) << What;
+  EXPECT_EQ(Got.FuncOffsets, Want.FuncOffsets) << What;
+  EXPECT_EQ(Got.EntryOffset, Want.EntryOffset) << What;
+  EXPECT_EQ(Got.StubSize, Want.StubSize) << What;
+  EXPECT_EQ(Got.IntrinsicOffsets, Want.IntrinsicOffsets) << What;
+  EXPECT_EQ(Got.GlobalAddrs, Want.GlobalAddrs) << What;
+  EXPECT_EQ(Got.GlobalsEnd, Want.GlobalsEnd) << What;
+}
+
+/// Each link configuration the splice must reproduce.
+std::vector<std::pair<const char *, codegen::LinkOptions>> linkConfigs() {
+  codegen::LinkOptions Packed;
+  Packed.FunctionAlignment = 1;
+  codegen::LinkOptions Wide;
+  Wide.FunctionAlignment = 64;
+  codegen::LinkOptions Stub;
+  Stub.DiversifyStub = true;
+  return {{"default", codegen::LinkOptions()},
+          {"align 1", Packed},
+          {"align 64", Wide},
+          {"diversified stub", Stub}};
+}
+
+} // namespace
+
+// The spliced image of a {nop} variant equals the emitter's link of its
+// MIR, whole Image, across the suite, the five paper configurations,
+// four seeds, both NOP candidate sets and four link configurations; and
+// every function really is spliced (none falls back to the emitter),
+// with the emitter's relocations and branch fields.
+TEST(Splice, ImageEqualsTheEmittersLinkAcrossTheSuite) {
+  const std::vector<experiments::Config> Configs =
+      experiments::paperConfigs();
+  const auto Links = linkConfigs();
+  for (const workloads::Workload &W : workloads::specSuite()) {
+    SCOPED_TRACE(W.Name);
+    driver::Program P = compileOK(W.Source.c_str(), W.Name.c_str());
+    ASSERT_TRUE(driver::profileAndStamp(P, W.TrainInput));
+    const std::vector<codegen::FunctionCode> *Base = P.Code.get(P.MIR);
+    ASSERT_NE(Base, nullptr);
+    for (const experiments::Config &C : Configs)
+      for (bool Xchg : {false, true})
+        for (uint64_t Seed = 1; Seed != 5; ++Seed) {
+          diversity::DiversityOptions Opts = C.Opts;
+          Opts.IncludeXchgNops = Xchg;
+          const std::string What = C.Label + (Xchg ? " xchg" : "") +
+                                   " seed " + std::to_string(Seed);
+          const mir::MModule V = diversity::Pipeline().run(P.MIR, Opts, Seed);
+          for (size_t F = 0; F != V.Functions.size(); ++F) {
+            codegen::FunctionCode Spliced;
+            ASSERT_TRUE(codegen::spliceFunction(V.Functions[F],
+                                                P.MIR.Functions[F],
+                                                (*Base)[F], Spliced))
+                << What << " function " << F;
+            const codegen::FunctionCode Emitted =
+                codegen::emitFunction(V.Functions[F]);
+            ASSERT_EQ(Spliced.Bytes, Emitted.Bytes) << What;
+            ASSERT_EQ(Spliced.Relocs.size(), Emitted.Relocs.size());
+            for (size_t R = 0; R != Spliced.Relocs.size(); ++R) {
+              EXPECT_EQ(Spliced.Relocs[R].Kind, Emitted.Relocs[R].Kind);
+              EXPECT_EQ(Spliced.Relocs[R].Offset, Emitted.Relocs[R].Offset);
+              EXPECT_EQ(Spliced.Relocs[R].Index, Emitted.Relocs[R].Index);
+            }
+            ASSERT_EQ(Spliced.Fixups.size(), Emitted.Fixups.size());
+            for (size_t X = 0; X != Spliced.Fixups.size(); ++X) {
+              EXPECT_EQ(Spliced.Fixups[X].FieldOffset,
+                        Emitted.Fixups[X].FieldOffset);
+              EXPECT_EQ(Spliced.Fixups[X].TargetBlock,
+                        Emitted.Fixups[X].TargetBlock);
+            }
+          }
+          for (const auto &[Name, Link] : Links) {
+            driver::Variant Made = driver::makeVariant(P, Opts, Seed, Link);
+            expectSameImage(Made.Image, codegen::link(V, Link),
+                            What + ", " + Name);
+          }
+        }
+  }
+}
+
+// spliceFunction refuses what does not line up with its baseline rather
+// than producing wrong bytes; linkSpliced then emits that function.
+TEST(Splice, RefusesWhatIsNotItsBaselinePlusNops) {
+  driver::Program P = compileOK(R"(
+    fn f(a) { if (a > 3) { return a * 2; } return a - 1; }
+    fn main() { return f(read_int()); }
+  )",
+                                "refuse");
+  const std::vector<codegen::FunctionCode> &Base = *P.Code.get(P.MIR);
+  const mir::MFunction &F = P.MIR.Functions[0];
+  codegen::FunctionCode Out;
+  ASSERT_TRUE(codegen::spliceFunction(F, F, Base[0], Out));
+  EXPECT_EQ(Out.Bytes, Base[0].Bytes);
+
+  mir::MInstr Nop; // A default MInstr is a NOP.
+  mir::MFunction ExtraInstr = F;
+  ExtraInstr.Blocks[0].Instrs.insert(ExtraInstr.Blocks[0].Instrs.begin(),
+                                     F.Blocks[0].Instrs.front());
+  EXPECT_FALSE(codegen::spliceFunction(ExtraInstr, F, Base[0], Out));
+
+  mir::MFunction ExtraBlock = F;
+  ExtraBlock.Blocks.push_back(F.Blocks.back());
+  EXPECT_FALSE(codegen::spliceFunction(ExtraBlock, F, Base[0], Out));
+
+  mir::MFunction OtherFrame = F;
+  OtherFrame.FrameBytes += 4;
+  EXPECT_FALSE(codegen::spliceFunction(OtherFrame, F, Base[0], Out));
+
+  // A baseline with a NOP of its own is refused even for itself.
+  mir::MFunction WithNop = F;
+  WithNop.Blocks[0].Instrs.insert(WithNop.Blocks[0].Instrs.begin(), Nop);
+  const codegen::FunctionCode WithNopCode = codegen::emitFunction(WithNop);
+  EXPECT_FALSE(codegen::spliceFunction(WithNop, WithNop, WithNopCode, Out));
+
+  // linkSpliced emits what it cannot splice: still the emitter's image.
+  mir::MModule Mixed = P.MIR;
+  Mixed.Functions[0] = ExtraInstr;
+  expectSameImage(codegen::linkSpliced(Mixed, P.MIR, Base),
+                  codegen::link(Mixed), "mixed");
+}
+
+// Batch and serve workers share one Program, so the first use of its
+// baseline encoding can come from several threads at once: four threads
+// splice variants of one fresh Program together, and each image must
+// equal the emitter's.
+TEST(Splice, ConcurrentFirstUseOfOneProgram) {
+  const workloads::Workload &W = workloads::specSuite().front();
+  driver::Program P = compileOK(W.Source.c_str(), W.Name.c_str());
+  ASSERT_TRUE(driver::profileAndStamp(P, W.TrainInput));
+  const auto Opts = diversity::DiversityOptions::profiled(
+      diversity::ProbabilityModel::Log, 0.0, 0.3);
+  constexpr unsigned Threads = 4;
+  constexpr uint64_t SeedsPerThread = 8;
+  std::vector<std::vector<uint8_t>> Want(Threads * SeedsPerThread);
+  for (uint64_t S = 0; S != Want.size(); ++S)
+    Want[S] =
+        codegen::link(diversity::Pipeline().run(P.MIR, Opts, S + 1)).Text;
+
+  std::vector<std::vector<uint8_t>> Got(Want.size());
+  std::latch Start(Threads);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T != Threads; ++T)
+    Pool.emplace_back([&, T] {
+      Start.arrive_and_wait();
+      for (uint64_t I = 0; I != SeedsPerThread; ++I) {
+        const uint64_t S = T * SeedsPerThread + I;
+        Got[S] = driver::makeVariant(P, Opts, S + 1).Image.Text;
+      }
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  for (size_t S = 0; S != Want.size(); ++S)
+    EXPECT_EQ(Got[S], Want[S]) << "seed " << S + 1;
 }

@@ -181,6 +181,61 @@ TEST(Rng, BernoulliExtremes) {
   }
 }
 
+namespace {
+
+/// The form nextBernoulli had before its integer test: clamp, then
+/// compare a drawn double.
+bool doubleBernoulli(Rng &R, double P) {
+  if (P <= 0.0)
+    return false;
+  if (P >= 1.0)
+    return true;
+  return R.nextDouble() < P;
+}
+
+} // namespace
+
+// The integer test (next() >> 11) < ceil(P * 2^53) is exactly
+// nextDouble() < P: the same outcome for every draw, and the same draws
+// (none at P <= 0 or P >= 1, one at a NaN), so the stream stays in step.
+TEST(Rng, BernoulliThresholdMatchesDoubleCompare) {
+  const double Ps[] = {0.0,
+                       0x1.0p-60,
+                       0x1.0p-53,
+                       0.3,
+                       std::nextafter(1.0, 0.0),
+                       1.0,
+                       std::nan(""),
+                       -0.1,
+                       1.5};
+  for (double P : Ps) {
+    SCOPED_TRACE(P);
+    const Rng::Bernoulli T = Rng::bernoulli(P);
+    Rng Ref(0xbe7), ByP(0xbe7), ByT(0xbe7);
+    for (int I = 0; I != 100000; ++I) {
+      const bool Want = doubleBernoulli(Ref, P);
+      ASSERT_EQ(ByP.nextBernoulli(P), Want) << "draw " << I;
+      ASSERT_EQ(ByT.nextBernoulli(T), Want) << "draw " << I;
+    }
+    const uint64_t Next = Ref.next();
+    EXPECT_EQ(ByP.next(), Next);
+    EXPECT_EQ(ByT.next(), Next);
+    // The threshold sits exactly at the double compare's edge: the
+    // largest integer below it passes, the threshold itself does not.
+    if (T.Draws && T.Below != 0) {
+      EXPECT_TRUE(static_cast<double>(T.Below - 1) * 0x1.0p-53 < P);
+      EXPECT_FALSE(static_cast<double>(T.Below) * 0x1.0p-53 < P);
+    }
+  }
+  EXPECT_EQ(Rng::bernoulli(0x1.0p-60).Below, 1u);
+  EXPECT_EQ(Rng::bernoulli(0x1.0p-53).Below, 1u);
+  EXPECT_EQ(Rng::bernoulli(std::nextafter(1.0, 0.0)).Below,
+            (uint64_t{1} << 53) - 1);
+  EXPECT_FALSE(Rng::bernoulli(0.0).Draws);
+  EXPECT_FALSE(Rng::bernoulli(1.0).Draws);
+  EXPECT_TRUE(Rng::bernoulli(std::nan("")).Draws);
+}
+
 /// nextBelow must stay in range and hit every residue for small bounds.
 class RngBoundTest : public ::testing::TestWithParam<uint64_t> {};
 

@@ -278,6 +278,105 @@ TEST(Verify, RetriesThenFallsBackToBaseline) {
   EXPECT_EQ(VV.V.Pipeline.Nop.NopsInserted, 0u);
 }
 
+// --- the re-link checks the spliced bytes --------------------------------
+
+namespace {
+
+/// The instructions of the entry function's own code in \p Img (its
+/// length is the emitter's for \p M, so the alignment NOPs after it are
+/// left out), decoded from its start as (offset, instruction) pairs.
+std::vector<std::pair<size_t, x86::Decoded>>
+entryInstrs(const mir::MModule &M, const codegen::Image &Img) {
+  const size_t F = static_cast<size_t>(M.EntryFunction);
+  const size_t Begin = Img.FuncOffsets[F];
+  const size_t End = Begin + codegen::emitFunction(M.Functions[F]).Bytes.size();
+  std::vector<std::pair<size_t, x86::Decoded>> Out;
+  for (size_t Off = Begin; Off < End;) {
+    x86::Decoded D;
+    if (!x86::decodeInstr(Img.Text.data() + Off, End - Off, D))
+      break;
+    Out.push_back({Off, D});
+    Off += D.Length;
+  }
+  return Out;
+}
+
+} // namespace
+
+// A {nop} variant's image is spliced from its baseline's encoding, not
+// emitted, so the image check's re-emission is a second encoder checking
+// it. Each encoder-fault class a splice could make -- a branch rel32 off
+// by one, a NOP of another length, a wrong ModRM reg field in a copied
+// instruction -- decodes cleanly, so only the re-link can catch it; it
+// must, on every attempt, down to the baseline fallback.
+TEST(Verify, ReLinkCatchesSpliceFaults) {
+  driver::Program P = branchProgram();
+  const DiversityOptions Config = DiversityOptions::uniform(0.5);
+  using Fault = bool (*)(codegen::Image &,
+                         const std::vector<std::pair<size_t, x86::Decoded>> &);
+  const std::pair<const char *, Fault> Faults[] = {
+      {"rel32 off by one",
+       [](codegen::Image &Img, const auto &Instrs) {
+         for (const auto &[Off, D] : Instrs)
+           if (D.Class == x86::InstrClass::Jcc ||
+               D.Class == x86::InstrClass::JmpRel) {
+             uint8_t *Field = Img.Text.data() + Off + D.Length - 4;
+             uint32_t Rel = static_cast<uint32_t>(Field[0]) |
+                            static_cast<uint32_t>(Field[1]) << 8 |
+                            static_cast<uint32_t>(Field[2]) << 16 |
+                            static_cast<uint32_t>(Field[3]) << 24;
+             ++Rel;
+             for (unsigned I = 0; I != 4; ++I)
+               Field[I] = static_cast<uint8_t>(Rel >> (8 * I));
+             return true;
+           }
+         return false;
+       }},
+      {"NOP 90 widened to 89 E4",
+       [](codegen::Image &Img, const auto &Instrs) {
+         for (const auto &[Off, D] : Instrs)
+           if (D.Length == 1 && Img.Text[Off] == 0x90) {
+             Img.Text[Off] = 0x89;
+             Img.Text.insert(Img.Text.begin() + static_cast<long>(Off) + 1,
+                             0xE4);
+             return true;
+           }
+         return false;
+       }},
+      {"ModRM reg field of a copied load",
+       [](codegen::Image &Img, const auto &Instrs) {
+         for (const auto &[Off, D] : Instrs)
+           if (!D.TwoByte && D.Opcode == 0x8B && D.HasModRM) {
+             Img.Text[Off + 1] ^= 0x08;
+             return true;
+           }
+         return false;
+       }},
+  };
+  for (const auto &[Name, Inject] : Faults) {
+    SCOPED_TRACE(Name);
+    verify::VerifyOptions VOpts;
+    VOpts.MaxAttempts = 3;
+    unsigned Injected = 0;
+    bool DecodesCleanly = true;
+    VOpts.InjectFault = [&, Inject = Inject](mir::MModule &M,
+                                             codegen::Image &Img, uint64_t) {
+      Injected += Inject(Img, entryInstrs(M, Img));
+      DecodesCleanly &= verify::verifyImageDecode(Img.Text).ok();
+    };
+    driver::VerifiedVariant VV =
+        driver::makeVariantVerified(P, Pipeline(), Config, /*Seed=*/5, VOpts);
+    EXPECT_EQ(Injected, 3u);
+    EXPECT_TRUE(DecodesCleanly);
+    EXPECT_TRUE(VV.UsedFallback);
+    EXPECT_EQ(VV.Attempts, 3u);
+    EXPECT_TRUE(VV.Report.has(verify::ErrorCode::ImageTextMismatch))
+        << VV.Report.str();
+    EXPECT_TRUE(VV.Report.has(verify::ErrorCode::RetriesExhausted));
+    EXPECT_EQ(VV.V.Image.Text, driver::linkBaseline(P).Text);
+  }
+}
+
 TEST(Verify, RetrySucceedsWithDerivedSeed) {
   driver::Program P = mathProgram();
   DiversityOptions Config = DiversityOptions::uniform(0.5);
